@@ -56,8 +56,6 @@ func main() {
 		slabCutoff  = flag.Uint64("slab-cutoff", 0, "largest slab class in bytes (0 = default, clamped to the geometry)")
 		materialize = flag.Bool("materialize", false, "back the offset space with real memory")
 		mapped      = flag.Bool("mem", false, "back instance windows with mapped memory following the slot lifecycle (prints the commit map)")
-		sharded     = flag.Bool("shard", false, "layer per-CPU sharded routing over the router (prints per-shard counters; with -mem, the window NUMA-node map)")
-		shards      = flag.Int("shards", 0, "shard count for -shard (0 = GOMAXPROCS)")
 		elastic     = flag.Bool("elastic", false, "wrap the router with the elastic capacity manager (demo polls it in the background)")
 		elasticMin  = flag.Int("elastic-min", 1, "elastic instance floor")
 		elasticMax  = flag.Int("elastic-max", 0, "elastic instance cap (0 = twice the initial instances)")
@@ -117,108 +115,51 @@ func main() {
 	fmt.Printf("  4lvl: %d (reserve + %d climb steps)\n", climb4+1, climb4)
 
 	if *demoOps > 0 {
-		demo(stackConfig{
-			cfg:         nbbs.Config{Total: *total, MinSize: *minSize, MaxSize: *maxSize},
-			variant:     *variant,
-			instances:   *instances,
-			cached:      *cached,
-			magazine:    *magazine,
-			depot:       *depot,
-			slab:        *slabFlag,
-			slabCutoff:  *slabCutoff,
-			materialize: *materialize,
-			mapped:      *mapped,
-			sharded:     *sharded,
-			shards:      *shards,
-			elastic:     *elastic,
-			elasticMin:  *elasticMin,
-			elasticMax:  *elasticMax,
-			elasticPol:  *elasticPol,
-			elasticMig:  *elasticMig,
-			ops:         *demoOps,
-			workers:     *workers,
-			latency:     *latency,
-			events:      *events,
-		})
+		cfg := nbbs.Config{
+			Total: *total, MinSize: *minSize, MaxSize: *maxSize,
+			Variant: *variant,
+			Backing: nbbs.BackingConfig{Mapped: *mapped, Materialize: *materialize},
+			Frontend: nbbs.FrontendConfig{
+				Cached: *cached, Magazine: *magazine,
+				Depot: *depot,
+				Slab:  *slabFlag, SlabCutoff: *slabCutoff,
+			},
+			Telemetry: nbbs.TelemetrySettings{Enabled: *latency || *events},
+		}
+		if *instances > 1 {
+			cfg.Backing.Instances = *instances
+		}
+		if *elastic {
+			cfg.Elastic = &nbbs.ElasticConfig{
+				MinInstances: *elasticMin,
+				MaxInstances: *elasticMax,
+				Migration:    nbbs.MigrationConfig{Enabled: *elasticMig},
+			}
+			switch *elasticPol {
+			case "", "watermark":
+			case "predictive":
+				cfg.Elastic.Policy = nbbs.NewPredictivePolicy(nbbs.PredictiveConfig{})
+			default:
+				fmt.Fprintf(os.Stderr, "nbbsinfo: unknown -elastic-policy %q (watermark | predictive)\n", *elasticPol)
+				os.Exit(1)
+			}
+		}
+		demo(cfg, *demoOps, *workers, *latency, *events)
 	}
-}
-
-type stackConfig struct {
-	cfg         nbbs.Config
-	variant     string
-	instances   int
-	cached      bool
-	magazine    int
-	depot       bool
-	slab        bool
-	slabCutoff  uint64
-	materialize bool
-	mapped      bool
-	sharded     bool
-	shards      int
-	elastic     bool
-	elasticMin  int
-	elasticMax  int
-	elasticPol  string
-	elasticMig  bool
-	ops         int
-	workers     int
-	latency     bool
-	events      bool
 }
 
 // demo builds the requested layer stack, drives a short mixed-size
 // workload through per-worker handles, and prints each layer's counters.
-func demo(sc stackConfig) {
-	opts := []nbbs.Option{nbbs.WithVariant(sc.variant)}
-	if sc.instances > 1 {
-		opts = append(opts, nbbs.WithInstances(sc.instances))
-	}
-	if sc.elastic {
-		ec := nbbs.ElasticConfig{
-			MinInstances: sc.elasticMin,
-			MaxInstances: sc.elasticMax,
-			Migration:    nbbs.MigrationConfig{Enabled: sc.elasticMig},
-		}
-		switch sc.elasticPol {
-		case "", "watermark":
-		case "predictive":
-			ec.Policy = nbbs.NewPredictivePolicy(nbbs.PredictiveConfig{})
-		default:
-			fmt.Fprintf(os.Stderr, "nbbsinfo: unknown -elastic-policy %q (watermark | predictive)\n", sc.elasticPol)
-			os.Exit(1)
-		}
-		opts = append(opts, nbbs.WithElastic(ec))
-	}
-	if sc.cached {
-		opts = append(opts, nbbs.WithFrontend(sc.magazine))
-	}
-	if sc.depot {
-		opts = append(opts, nbbs.WithDepot(0))
-	}
-	if sc.slab {
-		opts = append(opts, nbbs.WithSlab(sc.slabCutoff))
-	}
-	if sc.mapped {
-		opts = append(opts, nbbs.WithMappedMemory())
-	}
-	if sc.sharded {
-		opts = append(opts, nbbs.WithSharding(sc.shards))
-	}
-	if sc.materialize {
-		opts = append(opts, nbbs.WithMaterializedRegion())
-	}
-	if sc.latency || sc.events {
-		opts = append(opts, nbbs.WithTelemetry(nbbs.TelemetryConfig{}))
-	}
-	b, err := nbbs.New(sc.cfg, opts...)
+func demo(cfg nbbs.Config, ops, workers int, latency, events bool) {
+	b, err := nbbs.New(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nbbsinfo:", err)
 		os.Exit(1)
 	}
+	migrate := cfg.Elastic != nil && cfg.Elastic.Migration.Enabled
 
-	fmt.Printf("\nstack demo: %s, %d ops over %d workers\n", b.Name(), sc.ops, sc.workers)
-	if mgr := b.Elastic(); mgr != nil && !sc.elasticMig {
+	fmt.Printf("\nstack demo: %s, %d ops over %d workers\n", b.Name(), ops, workers)
+	if mgr := b.Elastic(); mgr != nil && !migrate {
 		// Run the capacity policy in the background while the demo load is
 		// on, so the printed lifecycle counters reflect real transitions.
 		// With -elastic-migrate the poller stays off during the load: a
@@ -228,9 +169,9 @@ func demo(sc stackConfig) {
 		mgr.Start(500 * time.Microsecond)
 		defer mgr.Stop()
 	}
-	sizes := []uint64{sc.cfg.MinSize, sc.cfg.MinSize * 4, sc.cfg.MinSize * 16, sc.cfg.MaxSize / 2}
+	sizes := []uint64{cfg.MinSize, cfg.MinSize * 4, cfg.MinSize * 16, cfg.MaxSize / 2}
 	var wg sync.WaitGroup
-	for w := 0; w < sc.workers; w++ {
+	for w := 0; w < workers; w++ {
 		w := w
 		wg.Add(1)
 		go func() {
@@ -238,9 +179,9 @@ func demo(sc stackConfig) {
 			h := b.NewHandle()
 			rng := rand.New(rand.NewSource(int64(w) + 1))
 			var live []uint64
-			for i := 0; i < sc.ops/sc.workers; i++ {
+			for i := 0; i < ops/workers; i++ {
 				if off, ok := h.Alloc(sizes[rng.Intn(len(sizes))]); ok {
-					if sc.materialize {
+					if cfg.Backing.Materialize {
 						b.Bytes(off)[0] = byte(w) // touch the real memory
 					}
 					live = append(live, off)
@@ -285,7 +226,7 @@ func demo(sc stackConfig) {
 	if mgr := b.Elastic(); mgr != nil {
 		mgr.Poll() // the stack is drained: complete any pending retires
 	}
-	if reg := b.Telemetry(); reg != nil && sc.latency {
+	if reg := b.Telemetry(); reg != nil && latency {
 		fmt.Printf("\nlatency percentiles (sampled, top-down, ns):\n")
 		fmt.Printf("  %-12s %-12s %10s %8s %8s %8s\n", "boundary", "op", "samples", "p50", "p99", "p999")
 		for _, ll := range reg.Latencies() {
@@ -298,7 +239,7 @@ func demo(sc stackConfig) {
 			}
 		}
 	}
-	if reg := b.Telemetry(); reg != nil && sc.events {
+	if reg := b.Telemetry(); reg != nil && events {
 		ev := reg.Ring().Events()
 		fmt.Printf("\nflight recorder: %d event(s) retained of %d published (oldest first):\n",
 			len(ev), reg.Ring().Published())
@@ -312,22 +253,6 @@ func demo(sc stackConfig) {
 		fmt.Printf("  %-10s %12s %8s %10s %10s\n", "class", "objs/run", "runs", "live", "free")
 		for _, ci := range sl.ClassInfos() {
 			fmt.Printf("  %-10d %12d %8d %10d %10d\n", ci.Size, ci.ObjsPerRun, ci.Runs, ci.Live, ci.Free)
-		}
-	}
-	if sh := b.Sharded(); sh != nil {
-		tot := sh.Totals()
-		hitPct := 0.0
-		if tot.Hits+tot.Misses > 0 {
-			hitPct = float64(tot.Hits) / float64(tot.Hits+tot.Misses) * 100
-		}
-		fmt.Printf("\nper-CPU sharded routing: %d shards (%.1f%% cache hit rate)\n", tot.Shards, hitPct)
-		fmt.Printf("  totals: hits=%d misses=%d local_frees=%d remote_frees=%d stash_drains=%d flushed=%d pin_wraps=%d pin_fallbacks=%d\n",
-			tot.Hits, tot.Misses, tot.LocalFrees, tot.RemoteFrees, tot.StashDrains, tot.Flushed, tot.PinWraps, tot.PinFallbacks)
-		fmt.Printf("  %-6s %10s %10s %12s %13s %13s %10s %8s %8s\n",
-			"shard", "hits", "misses", "local frees", "remote frees", "stash drains", "flushed", "cached", "stashed")
-		for _, si := range sh.ShardInfos() {
-			fmt.Printf("  %-6d %10d %10d %12d %13d %13d %10d %8d %8d\n",
-				si.Shard, si.Hits, si.Misses, si.LocalFrees, si.RemoteFrees, si.StashDrains, si.Flushed, si.CachedNow, si.StashedNow)
 		}
 	}
 	if r := b.Memory(); r != nil {
@@ -346,29 +271,13 @@ func demo(sc stackConfig) {
 				s.HugeFallbacks, s.BindFailures, s.ReserveFails, s.CommitFails, s.DecommitFails)
 		}
 		fmt.Printf("  commit map:\n")
-		nodes := r.NodeMap()
 		for k, committed := range r.CommitMap() {
 			state := "decommitted"
 			if committed {
 				state = "committed"
 			}
-			node := ""
-			if r.NUMAPolicy() && k < len(nodes) {
-				if nodes[k] >= 0 {
-					node = fmt.Sprintf("  numa-node=%d", nodes[k])
-				} else {
-					node = "  numa-node=unplaced"
-				}
-			}
-			fmt.Printf("    window %-3d [%#012x, %#012x)  %s%s\n",
-				k, uint64(k)*r.WindowSize(), uint64(k+1)*r.WindowSize(), state, node)
-		}
-		if r.NUMAPolicy() {
-			aware := "policy recorded only (single node or no syscalls)"
-			if nbbs.NUMABacking() {
-				aware = "mbind preferred placement active"
-			}
-			fmt.Printf("  numa: %d online node(s); %s\n", len(nbbs.NUMANodes()), aware)
+			fmt.Printf("    window %-3d [%#012x, %#012x)  %s\n",
+				k, uint64(k)*r.WindowSize(), uint64(k+1)*r.WindowSize(), state)
 		}
 	}
 
@@ -376,7 +285,7 @@ func demo(sc stackConfig) {
 	// let the Migrate step move them — everything from this single
 	// goroutine (the workers have joined), so the quiescence contract of
 	// migration holds by construction.
-	if mgr := b.Elastic(); mgr != nil && sc.elasticMig {
+	if mgr := b.Elastic(); mgr != nil && migrate {
 		migrationShowcase(b, mgr)
 	}
 

@@ -1,172 +1,99 @@
 package nbbs_test
 
 import (
+	"strings"
 	"testing"
 
 	nbbs "repro"
 )
 
-// shape fingerprints the layers a stack was built with, so the
-// structured-Config and functional-option forms can be compared.
-func shape(b *nbbs.Buddy) map[string]bool {
-	return map[string]bool{
-		"multi":        b.Multi() != nil,
-		"elastic":      b.Elastic() != nil,
-		"slab":         b.Slab() != nil,
-		"sharded":      b.Sharded() != nil,
-		"mapped":       b.Mapped(),
-		"materialized": b.Materialized(),
-		"telemetry":    b.Telemetry() != nil,
-	}
-}
-
-// TestConfigOptionEquivalence pins the adapter contract of the v2
-// facade: every With* option and its Config field describe the same
-// stack. Each case builds both forms and compares the composed stack
-// label (which encodes the full layer chain) and the layer accessors.
-func TestConfigOptionEquivalence(t *testing.T) {
-	geo := nbbs.Config{Total: 1 << 20, MinSize: 64, MaxSize: 1 << 16}
+// TestConfigImplications pins how New reads a Config: which layers each
+// field selects (the composed stack label encodes the full chain, leaf
+// included) and the implication rules — an empty Variant is Variant4Lvl,
+// and Elastic or Backing.Mapped bring in one routed instance unless
+// Backing.Instances already asks for more.
+func TestConfigImplications(t *testing.T) {
 	cases := []struct {
-		name string
-		cfg  nbbs.Config
-		opts []nbbs.Option
+		name      string
+		cfg       nbbs.Config
+		label     string
+		instances int
+		layers    string // of multi, elastic, slab, mapped, materialized, telemetry
 	}{
-		{
-			name: "bare",
-			cfg:  geo,
-		},
-		{
-			name: "variant",
-			cfg: func() nbbs.Config {
-				c := geo
-				c.Variant = nbbs.Variant1Lvl
-				return c
-			}(),
-			opts: []nbbs.Option{nbbs.WithVariant(nbbs.Variant1Lvl)},
-		},
-		{
-			name: "instances",
-			cfg: func() nbbs.Config {
-				c := geo
-				c.Backing.Instances = 4
-				return c
-			}(),
-			opts: []nbbs.Option{nbbs.WithInstances(4)},
-		},
-		{
-			name: "elastic-implies-instances",
-			cfg: func() nbbs.Config {
-				c := geo
-				c.Elastic = &nbbs.ElasticConfig{MaxInstances: 4}
-				return c
-			}(),
-			opts: []nbbs.Option{nbbs.WithElastic(nbbs.ElasticConfig{MaxInstances: 4})},
-		},
-		{
-			name: "mapped-elastic",
-			cfg: func() nbbs.Config {
-				c := geo
-				c.Backing.Mapped = true
-				c.Elastic = &nbbs.ElasticConfig{MaxInstances: 4}
-				return c
-			}(),
-			opts: []nbbs.Option{
-				nbbs.WithMappedMemory(),
-				nbbs.WithElastic(nbbs.ElasticConfig{MaxInstances: 4}),
-			},
-		},
-		{
-			name: "frontend-depot-slab",
-			cfg: func() nbbs.Config {
-				c := geo
-				c.Frontend.Cached = true
-				c.Frontend.Magazine = 16
-				c.Frontend.Depot = true
-				c.Frontend.DepotCapacity = 8
-				c.Frontend.BatchRefill = 4
-				c.Frontend.Slab = true
-				return c
-			}(),
-			opts: []nbbs.Option{
-				nbbs.WithFrontend(16),
-				nbbs.WithDepot(8),
-				nbbs.WithBatchRefill(4),
-				nbbs.WithSlab(0),
-			},
-		},
-		{
-			name: "sharded",
-			cfg: func() nbbs.Config {
-				c := geo
-				c.Frontend.Sharded = true
-				c.Frontend.Shards = 2
-				return c
-			}(),
-			opts: []nbbs.Option{nbbs.WithSharding(2)},
-		},
-		{
-			name: "materialized",
-			cfg: func() nbbs.Config {
-				c := geo
-				c.Backing.Materialize = true
-				return c
-			}(),
-			opts: []nbbs.Option{nbbs.WithMaterializedRegion()},
-		},
-		{
-			name: "telemetry",
-			cfg: func() nbbs.Config {
-				c := geo
-				c.Telemetry.Enabled = true
-				return c
-			}(),
-			opts: []nbbs.Option{nbbs.WithTelemetry(nbbs.TelemetryConfig{})},
-		},
+		{name: "bare", cfg: cfg,
+			label: "4lvl-nb", instances: 1},
+		{name: "variant", cfg: with(func(c *nbbs.Config) { c.Variant = nbbs.Variant1Lvl }),
+			label: "1lvl-nb", instances: 1},
+		{name: "instances", cfg: with(func(c *nbbs.Config) { c.Backing.Instances = 4 }),
+			label: "multi[4x 4lvl-nb]", instances: 4,
+			layers: "multi"},
+		{name: "elastic-implies-instances", cfg: with(func(c *nbbs.Config) {
+			c.Elastic = &nbbs.ElasticConfig{MaxInstances: 4}
+		}),
+			label: "elastic+multi[1x 4lvl-nb]", instances: 1,
+			layers: "multi elastic"},
+		{name: "mapped-implies-instances", cfg: with(func(c *nbbs.Config) { c.Backing.Mapped = true }),
+			label: "mapped+multi[1x 4lvl-nb]", instances: 1,
+			layers: "multi mapped"},
+		{name: "mapped-elastic", cfg: with(func(c *nbbs.Config) {
+			c.Backing.Mapped = true
+			c.Elastic = &nbbs.ElasticConfig{MaxInstances: 4}
+		}),
+			label: "elastic+mapped+multi[1x 4lvl-nb]", instances: 1,
+			layers: "multi elastic mapped"},
+		{name: "explicit-instances-kept", cfg: with(func(c *nbbs.Config) {
+			c.Backing.Instances = 3
+			c.Backing.Mapped = true
+			c.Elastic = &nbbs.ElasticConfig{MaxInstances: 4}
+		}),
+			label: "elastic+mapped+multi[3x 4lvl-nb]", instances: 3,
+			layers: "multi elastic mapped"},
+		{name: "frontend-depot-slab", cfg: with(func(c *nbbs.Config) {
+			c.Frontend = nbbs.FrontendConfig{Cached: true, Magazine: 16, Depot: true, DepotCapacity: 8, Slab: true}
+		}),
+			label: "slab+depot+4lvl-nb", instances: 1,
+			layers: "slab"},
+		{name: "materialized", cfg: with(func(c *nbbs.Config) { c.Backing.Materialize = true }),
+			label: "mat+4lvl-nb", instances: 1,
+			layers: "materialized"},
+		{name: "telemetry", cfg: with(func(c *nbbs.Config) { c.Telemetry.Enabled = true }),
+			label: "4lvl-nb", instances: 1,
+			layers: "telemetry"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			viaConfig, err := nbbs.New(tc.cfg)
+			b, err := nbbs.New(tc.cfg)
 			if err != nil {
-				t.Fatalf("Config form: %v", err)
+				t.Fatal(err)
 			}
-			viaOpts, err := nbbs.New(geo, tc.opts...)
-			if err != nil {
-				t.Fatalf("option form: %v", err)
+			if got := b.Name(); got != tc.label {
+				t.Errorf("stack label %q, want %q", got, tc.label)
 			}
-			if a, b := viaConfig.Name(), viaOpts.Name(); a != b {
-				t.Fatalf("stack labels diverge: Config %q vs options %q", a, b)
+			if got := b.Instances(); got != tc.instances {
+				t.Errorf("Instances = %d, want %d", got, tc.instances)
 			}
-			cs, os := shape(viaConfig), shape(viaOpts)
-			for layer := range cs {
-				if cs[layer] != os[layer] {
-					t.Errorf("layer %s: Config form %v, option form %v", layer, cs[layer], os[layer])
+			var layers []string
+			for _, l := range []struct {
+				name    string
+				present bool
+			}{
+				{"multi", b.Multi() != nil}, {"elastic", b.Elastic() != nil}, {"slab", b.Slab() != nil},
+				{"mapped", b.Mapped()}, {"materialized", b.Materialized()}, {"telemetry", b.Telemetry() != nil},
+			} {
+				if l.present {
+					layers = append(layers, l.name)
 				}
 			}
-			// Both forms must actually serve traffic.
-			for _, b := range []*nbbs.Buddy{viaConfig, viaOpts} {
-				h := b.NewHandle()
-				off, ok := h.Alloc(128)
-				if !ok {
-					t.Fatal("alloc failed")
-				}
-				h.Free(off)
+			if got := strings.Join(layers, " "); got != tc.layers {
+				t.Errorf("layers = %q, want %q", got, tc.layers)
 			}
+			h := b.NewHandle()
+			off, ok := h.Alloc(128)
+			if !ok {
+				t.Fatal("alloc failed")
+			}
+			h.Free(off)
 		})
-	}
-}
-
-// TestOptionsOverrideConfig pins the layering order: functional options
-// apply on top of the structured fields, so mixing the forms is
-// well-defined.
-func TestOptionsOverrideConfig(t *testing.T) {
-	cfg := nbbs.Config{Total: 1 << 20, MinSize: 64, MaxSize: 1 << 16}
-	cfg.Variant = nbbs.Variant1Lvl
-	b, err := nbbs.New(cfg, nbbs.WithVariant(nbbs.Variant4Lvl))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Variant() != nbbs.Variant4Lvl {
-		t.Fatalf("option did not override Config field: variant %q", b.Variant())
 	}
 }
 

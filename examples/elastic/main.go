@@ -4,7 +4,7 @@
 // A fixed buddy region forces a choice for bursty traffic: provision for
 // the peak (and waste the trough) or provision for the trough (and fail
 // at the peak). This demo builds a 2-instance deployment with an elastic
-// capacity manager capped at 4 over mapped windows (WithMappedMemory),
+// capacity manager capped at 4 over mapped windows (Backing.Mapped),
 // then drives one full burst cycle through it:
 //
 //  1. Ramp: allocations pile up past the high watermark; explicit Poll
@@ -101,12 +101,11 @@ func fail(format string, args ...any) {
 }
 
 func main() {
-	b, err := nbbs.New(
-		nbbs.Config{Total: perTotal, MinSize: 64, MaxSize: chunk},
-		nbbs.WithInstances(floor),
-		nbbs.WithElastic(nbbs.ElasticConfig{MinInstances: floor, MaxInstances: cap_}),
-		nbbs.WithMappedMemory(),
-	)
+	b, err := nbbs.New(nbbs.Config{
+		Total: perTotal, MinSize: 64, MaxSize: chunk,
+		Backing: nbbs.BackingConfig{Instances: floor, Mapped: true},
+		Elastic: &nbbs.ElasticConfig{MinInstances: floor, MaxInstances: cap_},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

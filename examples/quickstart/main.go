@@ -18,7 +18,8 @@ func main() {
 		Total:   16 << 20,
 		MinSize: 64,
 		MaxSize: 1 << 20,
-	}, nbbs.WithMaterializedRegion())
+		Backing: nbbs.BackingConfig{Materialize: true},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,8 +7,8 @@
 // parks it in a shared connection table, and releases whatever buffer the
 // displaced connection held — usually one allocated by a different worker.
 // The allocator is a composed layer stack (the paper's front-end /
-// back-end composition, built with WithFrontend and optionally
-// WithInstances): every NewHandle is a caching handle, so most requests
+// back-end composition: Frontend.Cached and optionally
+// Backing.Instances): every NewHandle is a caching handle, so most requests
 // never touch the back-end at all; the run reports each layer's share of
 // the traffic.
 //
@@ -47,19 +47,18 @@ func main() {
 	)
 	flag.Parse()
 
-	opts := []nbbs.Option{
-		nbbs.WithVariant(*variant),
-		nbbs.WithFrontend(32),
-		nbbs.WithTelemetry(nbbs.TelemetryConfig{}),
+	cfg := nbbs.Config{
+		Total:     64 << 20,
+		MinSize:   64,
+		MaxSize:   64 << 10,
+		Variant:   *variant,
+		Frontend:  nbbs.FrontendConfig{Cached: true, Magazine: 32},
+		Telemetry: nbbs.TelemetrySettings{Enabled: true},
 	}
 	if *instances > 1 {
-		opts = append(opts, nbbs.WithInstances(*instances))
+		cfg.Backing.Instances = *instances
 	}
-	b, err := nbbs.New(nbbs.Config{
-		Total:   64 << 20,
-		MinSize: 64,
-		MaxSize: 64 << 10,
-	}, opts...)
+	b, err := nbbs.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -92,7 +91,7 @@ func main() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// The stack was built WithFrontend, so NewHandle is a caching
+			// The stack has Frontend.Cached, so NewHandle is a caching
 			// handle; the assertions below reach its magazine face.
 			h := b.NewHandle().(interface {
 				nbbs.Handle

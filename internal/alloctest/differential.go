@@ -7,7 +7,6 @@ import (
 	"repro/internal/alloc"
 	"repro/internal/elastic"
 	"repro/internal/multi"
-	"repro/internal/shard"
 	"repro/internal/slab"
 )
 
@@ -255,22 +254,6 @@ func differentialSequence(t *testing.T, a alloc.Allocator, seed int64, total, mi
 		if layer.Stats.Allocs != layer.Stats.Frees {
 			t.Fatalf("seed %d: layer %q unbalanced after drain: %d allocs vs %d frees",
 				seed, layer.Layer, layer.Stats.Allocs, layer.Stats.Frees)
-		}
-	}
-	if sh := shard.Find(a); sh != nil {
-		// Sharded stacks additionally reconcile the per-CPU caches and the
-		// remote-free stashes: after the full drain and Scrub nothing may
-		// stay parked, and every chunk ever pushed (local park or remote
-		// stash) must have either been recycled by a cache hit or flushed
-		// back to the trees.
-		tot := sh.Totals()
-		if tot.CachedNow != 0 || tot.StashedNow != 0 {
-			t.Fatalf("seed %d: shard layer still parks %d cached + %d stashed chunks after drain+Scrub",
-				seed, tot.CachedNow, tot.StashedNow)
-		}
-		if tot.LocalFrees+tot.RemoteFrees != tot.Hits+tot.Flushed {
-			t.Fatalf("seed %d: shard stash/cache flow unbalanced: %d local + %d remote pushes vs %d hits + %d flushed",
-				seed, tot.LocalFrees, tot.RemoteFrees, tot.Hits, tot.Flushed)
 		}
 	}
 	mustAllocAfterDrain(t, a, geo.MaxSize, "differential drain")

@@ -83,17 +83,6 @@ func WithDepot(capacity int) Option {
 	}
 }
 
-// WithBatchRefill sets how many chunks a back-end batch refill brings up
-// after a depot miss (default: half a magazine). Only meaningful with
-// WithDepot.
-func WithBatchRefill(n int) Option {
-	return func(a *Allocator) {
-		if n > 0 {
-			a.refill = n
-		}
-	}
-}
-
 // New layers a front-end over the given back-end, which must implement
 // alloc.ChunkSizer (every layer in this repository does): frees enter the
 // magazine of the size class the chunk was reserved at, which only the

@@ -342,19 +342,24 @@ func (m *Multi) reservedFor(size uint64) uint64 {
 }
 
 // getConv pops an idle convenience handle from the calling P's pool
-// shard, creating one only when that shard's are all in flight. A handle
-// taken from shard i may be returned to shard j after a migration; the
-// lists just shuffle, the registration bound is unaffected.
+// shard. A handle taken from shard i may be returned to shard j after a
+// migration, so a miss on the local shard tries the sibling shards before
+// registering a new handle: the registration count stays at the
+// convenience path's peak concurrency instead of growing by one per P a
+// migrating goroutine ever ran on.
 func (m *Multi) getConv() *Handle {
-	c := &m.conv[proc.Hint()&m.convMask]
-	c.mu.Lock()
-	if n := len(c.free); n > 0 {
-		h := c.free[n-1]
-		c.free = c.free[:n-1]
+	local := proc.Hint() & m.convMask
+	for d := range m.conv {
+		c := &m.conv[(local+d)&m.convMask]
+		c.mu.Lock()
+		if n := len(c.free); n > 0 {
+			h := c.free[n-1]
+			c.free = c.free[:n-1]
+			c.mu.Unlock()
+			return h
+		}
 		c.mu.Unlock()
-		return h
 	}
-	c.mu.Unlock()
 	return m.newHandle(m.prefer())
 }
 
@@ -439,32 +444,6 @@ func (m *Multi) NewHandleOn(instance int) alloc.Handle {
 		panic(fmt.Sprintf("multi: NewHandleOn(%d) with %d slots", instance, len(t.slots)))
 	}
 	return m.newHandle(instance)
-}
-
-// NewHandlePreferring is the non-panicking sibling of NewHandleOn for
-// affine callers above an elastic lifecycle (the per-CPU shard layer):
-// the handle prefers slot k when it is published, and falls back to the
-// routing policy's choice when k is out of range or a retired hole —
-// affinity is advisory there, not a binding.
-func (m *Multi) NewHandlePreferring(k int) *Handle {
-	t := m.tab.Load()
-	if k >= 0 && k < len(t.slots) && t.slots[k] != nil {
-		return m.newHandle(k)
-	}
-	return m.newHandle(m.prefer())
-}
-
-// Rehome moves the handle's preferred slot back to k when that slot is
-// published. Round-robin fallback deliberately drags the preference to
-// whatever instance served last (see Handle.Alloc); an affine owner —
-// shard k re-asserting "my instance is k" after a fallback excursion or
-// a stash drain — undoes the drag with this. Owner-goroutine only, like
-// every Handle method.
-func (h *Handle) Rehome(k int) {
-	t := h.m.tab.Load()
-	if k >= 0 && k < len(t.slots) && t.slots[k] != nil {
-		h.pref = k
-	}
 }
 
 func (m *Multi) newHandle(pref int) *Handle {

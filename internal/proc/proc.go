@@ -1,7 +1,8 @@
-// Package proc provides a cheap current-processor hint for per-CPU
-// sharded data structures (internal/shard): an index that is stable for
-// as long as the calling goroutine stays on the same P and cheap enough
-// to query on every allocator operation.
+// Package proc provides a cheap current-processor hint for per-P sharded
+// data structures — the router's convenience-handle pools
+// (internal/multi) and the telemetry event ring (internal/telemetry): an
+// index that is stable for as long as the calling goroutine stays on the
+// same P and cheap enough to query on every allocator operation.
 //
 // On the gc toolchain the hint is the runtime's own P id, read through a
 // momentary procPin/procUnpin pair (the same mechanism sync.Pool uses to
@@ -13,8 +14,7 @@
 //
 // On other toolchains (gccgo, future ports without the linknamed
 // runtime entry points) Dynamic is false and Hint degrades to a weak
-// stack-address hash; shard owners then fall back to a static assignment
-// made at handle-creation time (see internal/shard).
+// stack-address hash, which still spreads callers over the pools.
 package proc
 
 import "runtime"

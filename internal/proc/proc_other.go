@@ -6,8 +6,7 @@ import "unsafe"
 
 // Dynamic reports whether Hint returns a live processor id; false here:
 // this toolchain has no linknamed procPin, so Hint is only a weak
-// goroutine-stack hash and shard owners should prefer a static
-// assignment made at handle-creation time.
+// goroutine-stack hash.
 const Dynamic = false
 
 // Hint returns a weak goroutine-scoped hash: goroutine stacks are

@@ -102,7 +102,6 @@ func TestConformanceRegistryComposites(t *testing.T) {
 		"cached+4lvl-nb", "multi4+4lvl-nb", "cached+multi4+4lvl-nb",
 		"depot+4lvl-nb", "depot+multi4+4lvl-nb", "elastic+multi+4lvl-nb",
 		"mapped+elastic+multi+4lvl-nb",
-		"shard+mapped+elastic+multi+4lvl-nb",
 		"slab+4lvl-nb", "slab+depot+multi4+4lvl-nb",
 		"slab+mapped+elastic+multi+4lvl-nb",
 	} {

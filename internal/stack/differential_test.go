@@ -26,7 +26,6 @@ func TestDifferentialRegistryComposites(t *testing.T) {
 		"elastic+multi+4lvl-nb",
 		"mapped+elastic+multi+4lvl-nb",
 		"predictive+mapped+elastic+multi+4lvl-nb",
-		"shard+mapped+elastic+multi+4lvl-nb",
 		"slab+4lvl-nb",
 		"slab+depot+multi4+4lvl-nb",
 		"slab+mapped+elastic+multi+4lvl-nb",

@@ -1,0 +1,134 @@
+package stack
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/alloc"
+
+	_ "repro/internal/bunch"
+)
+
+// TestCompositeLabelsBuildGoldenStacks pins what every registered
+// composite label builds — the stack's display name, global span, routed
+// instance count and elastic fleet bounds and policy — to the values the
+// twelve hand-written registration closures produced before the label
+// parser replaced them. MaxSize is half of the small total, so the 1 MiB
+// rows exercise the instance-halving rule.
+func TestCompositeLabelsBuildGoldenStacks(t *testing.T) {
+	type golden struct {
+		name      string
+		instances int // 0 = no router
+		min, max  int // elastic fleet bounds (0 = no manager)
+		policy    string
+	}
+	const watermark, predictive = "*elastic.WatermarkPolicy", "*elastic.PredictivePolicy"
+	// Per label: the stack at Total = 1 MiB, then at 16 MiB.
+	want := map[string][2]golden{
+		"cached+4lvl-nb": {
+			{name: "cached+4lvl-nb"},
+			{name: "cached+4lvl-nb"}},
+		"multi4+4lvl-nb": {
+			{name: "multi[2x 4lvl-nb]", instances: 2},
+			{name: "multi[4x 4lvl-nb]", instances: 4}},
+		"cached+multi4+4lvl-nb": {
+			{name: "cached+multi[2x 4lvl-nb]", instances: 2},
+			{name: "cached+multi[4x 4lvl-nb]", instances: 4}},
+		"depot+4lvl-nb": {
+			{name: "depot+4lvl-nb"},
+			{name: "depot+4lvl-nb"}},
+		"depot+multi4+4lvl-nb": {
+			{name: "depot+multi[2x 4lvl-nb]", instances: 2},
+			{name: "depot+multi[4x 4lvl-nb]", instances: 4}},
+		"slab+4lvl-nb": {
+			{name: "slab+4lvl-nb"},
+			{name: "slab+4lvl-nb"}},
+		"slab+depot+multi4+4lvl-nb": {
+			{name: "slab+depot+multi[2x 4lvl-nb]", instances: 2},
+			{name: "slab+depot+multi[4x 4lvl-nb]", instances: 4}},
+		"slab+mapped+elastic+multi+4lvl-nb": {
+			{name: "slab+elastic+mapped+multi[2x 4lvl-nb]", instances: 2, min: 1, max: 4, policy: watermark},
+			{name: "slab+elastic+mapped+multi[4x 4lvl-nb]", instances: 4, min: 1, max: 8, policy: watermark}},
+		"elastic+multi+4lvl-nb": {
+			{name: "elastic+multi[2x 4lvl-nb]", instances: 2, min: 1, max: 4, policy: watermark},
+			{name: "elastic+multi[4x 4lvl-nb]", instances: 4, min: 1, max: 8, policy: watermark}},
+		"mapped+elastic+multi+4lvl-nb": {
+			{name: "elastic+mapped+multi[2x 4lvl-nb]", instances: 2, min: 1, max: 4, policy: watermark},
+			{name: "elastic+mapped+multi[4x 4lvl-nb]", instances: 4, min: 1, max: 8, policy: watermark}},
+		"predictive+mapped+elastic+multi+4lvl-nb": {
+			{name: "elastic+mapped+multi[2x 4lvl-nb]", instances: 2, min: 1, max: 4, policy: predictive},
+			{name: "elastic+mapped+multi[4x 4lvl-nb]", instances: 4, min: 1, max: 8, policy: predictive}},
+	}
+	if len(want) != len(composites) {
+		t.Fatalf("golden table has %d labels, the registry list %d", len(want), len(composites))
+	}
+	for _, label := range composites {
+		for i, total := range []uint64{1 << 20, 16 << 20} {
+			t.Run(fmt.Sprintf("%s/%dMiB", label, total>>20), func(t *testing.T) {
+				w, ok := want[label]
+				if !ok {
+					t.Fatal("registered label has no golden row")
+				}
+				s, err := specFor(label, alloc.Config{Total: total, MinSize: 64, MaxSize: 1 << 19})
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := Build(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := golden{name: st.Top.Name()}
+				if st.Multi != nil {
+					got.instances = st.Multi.Instances()
+				}
+				if st.Elastic != nil {
+					c := st.Elastic.Config()
+					got.min, got.max = c.MinInstances, c.MaxInstances
+					got.policy = fmt.Sprintf("%T", st.Elastic.Policy())
+				}
+				if got != w[i] {
+					t.Errorf("built %+v, want %+v", got, w[i])
+				}
+				if span := alloc.SpanOf(st.Top); span != total {
+					t.Errorf("global span %d, want %d", span, total)
+				}
+				// The registry serves the same stack under the same label.
+				a, err := alloc.Build(label, alloc.Config{Total: total, MinSize: 64, MaxSize: 1 << 19})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if a.Name() != w[i].name {
+					t.Errorf("alloc.Build(%q) built %q, want %q", label, a.Name(), w[i].name)
+				}
+			})
+		}
+	}
+}
+
+// TestLabelGrammarRejects covers the labels the closed list must never
+// contain: each fails in specFor, or — for a missing or unregistered
+// leaf — when Build looks the leaf up in the registry.
+func TestLabelGrammarRejects(t *testing.T) {
+	cfg := alloc.Config{Total: 1 << 20, MinSize: 64, MaxSize: 1 << 16}
+	for _, tc := range []struct{ why, label string }{
+		{"unknown token", "turbo+multi4+4lvl-nb"},
+		{"malformed instance count", "multi0+4lvl-nb"},
+		{"duplicate token", "slab+slab+4lvl-nb"},
+		{"depot already implies cached", "depot+cached+4lvl-nb"},
+		{"out of order", "multi4+cached+4lvl-nb"},
+		{"mapped without multi", "mapped+4lvl-nb"},
+		{"elastic without multi", "elastic+4lvl-nb"},
+		{"predictive without elastic", "predictive+multi4+4lvl-nb"},
+		{"missing leaf", "cached+multi4"},
+		{"unregistered leaf", "cached+no-such-leaf"},
+		{"empty label", ""},
+	} {
+		s, err := specFor(tc.label, cfg)
+		if err == nil {
+			_, err = Build(s)
+		}
+		if err == nil {
+			t.Errorf("%s: label %q built a stack", tc.why, tc.label)
+		}
+	}
+}

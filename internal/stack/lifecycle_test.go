@@ -52,7 +52,7 @@ func TestElasticRetireWithIdleParkedWorker(t *testing.T) {
 	// Pin the other slot with more live bytes so the forced Shrink picks
 	// the worker's window as the least-utilized victim.
 	other := 1 - victim
-	pin := st.Multi.NewHandlePreferring(other)
+	pin := st.Multi.NewHandleOn(other)
 	pinOffs := make([]uint64, 0, 16)
 	for i := 0; i < 16; i++ {
 		off, ok := pin.Alloc(size)
@@ -124,10 +124,9 @@ func TestHandleRegistriesStayFlat(t *testing.T) {
 		Variant:   "4lvl-nb",
 		Per:       alloc.Config{Total: 1 << 20, MinSize: 64, MaxSize: 1 << 16},
 		Instances: 2,
-		Sharded:   true, Shards: 2,
-		Depot:  true,
-		Slab:   true,
-		Record: tr,
+		Depot:     true,
+		Slab:      true,
+		Record:    tr,
 	})
 	if err != nil {
 		t.Fatalf("stack.Build: %v", err)
@@ -163,7 +162,6 @@ func TestHandleRegistriesStayFlat(t *testing.T) {
 	}{
 		{"slab", st.Slab.Handles},
 		{"frontend", st.Frontend.Handles},
-		{"shard", st.Shard.Handles},
 		{"multi", st.Multi.Handles},
 		{"leaf", leaf.Handles},
 	}

@@ -1,29 +1,34 @@
 // Package stack assembles allocator layer stacks: any alloc.Allocator
 // leaf wrapped by any combination of the composable layers — the
-// multi-instance router (internal/multi), the caching front-end
-// (internal/frontend), the trace recorder (internal/trace) and the
-// materialized arena (internal/arena).
+// multi-instance router (internal/multi) with its optional mapped
+// backing (internal/mem), the elastic capacity manager
+// (internal/elastic), the caching front-end (internal/frontend), the
+// size-class slab (internal/slab), the trace recorder (internal/trace)
+// and the materialized arena (internal/arena).
 //
 // Every layer implements the full composable contract (alloc.Allocator +
 // alloc.ChunkSizer, forwarding alloc.Spanner, alloc.Scrubber and
 // alloc.LayerStatser), so the layers stack in any order; Build fixes the
 // canonical production order the paper's conclusions call for:
 //
-//	leaf variant(s) -> multi router -> elastic manager -> per-CPU shards
-//	                -> caching front-end -> trace -> arena
+//	leaf variant(s) -> multi router -> elastic manager
+//	                -> caching front-end -> slab -> trace -> arena
 //
-// Common compositions are also registered as allocator variants
-// ("cached+4lvl-nb", "multi4+4lvl-nb", "cached+multi4+4lvl-nb", and the
-// depot-backed "depot+4lvl-nb"/"depot+multi4+4lvl-nb"), which
-// makes them first-class citizens of every harness in the repository:
-// nbbsbench sweeps, nbbsstress verification, and the conformance suite
-// build them by name like any leaf allocator. For those names the
-// Config.Total is the global span; the multi router splits it evenly
-// over up to four instances (fewer when MaxSize needs a larger share).
+// A Spec is the one description of a stack: nbbs.New maps its Config
+// onto one, and the registry composites ("cached+multi4+4lvl-nb",
+// "slab+mapped+elastic+multi+4lvl-nb", ...) are Specs parsed from their
+// own labels (see specFor), which makes them first-class citizens of
+// every harness in the repository: stress verification, the paper's
+// workload drivers, and the conformance and differential suites build
+// them by name like any leaf allocator. For those names the Config.Total
+// is the global span; the multi router splits it evenly over up to four
+// instances (fewer when MaxSize needs a larger share).
 package stack
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/alloc"
 	"repro/internal/arena"
@@ -32,8 +37,6 @@ import (
 	"repro/internal/frontend"
 	"repro/internal/mem"
 	"repro/internal/multi"
-	"repro/internal/proc"
-	"repro/internal/shard"
 	"repro/internal/slab"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -59,16 +62,6 @@ type Spec struct {
 	// Instances >= 1 and excludes Materialize (a materialized region
 	// cannot follow a growing offset span).
 	Elastic *elastic.Config
-	// Sharded inserts the per-CPU sharded routing layer above the router
-	// (and the elastic manager, when present): handles key to Shards
-	// processor-hinted shards, each with an affine router preference, a
-	// local chunk cache and an inbound remote-free stash (internal/shard).
-	// Requires Instances >= 1. Shards <= 0 takes GOMAXPROCS at build time.
-	// Combined with Mapped, the backing region is additionally built
-	// WithNUMAPolicy so each instance window commits onto the NUMA node of
-	// the CPU its shard runs on.
-	Sharded bool
-	Shards  int
 	// Cached inserts the caching front-end; Magazine is the per-class
 	// capacity (0 = frontend.DefaultMagazine).
 	Cached   bool
@@ -77,11 +70,9 @@ type Spec struct {
 	// Cached): full magazines are exchanged with a per-size-class global
 	// pool in O(1), and refills/drains cross into the back-end as batches
 	// through the alloc.BatchAllocator contract. DepotCapacity bounds the
-	// full magazines retained per class and BatchRefill sizes a back-end
-	// refill (0 = defaults).
+	// full magazines retained per class (0 = default).
 	Depot         bool
 	DepotCapacity int
-	BatchRefill   int
 	// Slab inserts the size-class layer above the caching front-end (or
 	// whatever sits below it): requests up to the cutoff are served from
 	// fixed-size runs carved out of buddy chunks, larger requests pass
@@ -116,7 +107,7 @@ type Spec struct {
 	Faults *fault.Injector
 	// Telemetry, when non-nil, inserts a latency probe above every layer
 	// boundary (backend — unless elastic sits directly on the router —
-	// elastic, shard, frontend, slab) and wires each event-emitting
+	// elastic, frontend, slab) and wires each event-emitting
 	// layer's flight-recorder sink into the registry's ring. Nil is the
 	// disabled state: no probes, no sinks, no hot-path cost.
 	Telemetry *telemetry.Registry
@@ -135,8 +126,6 @@ type Stack struct {
 	Multi *multi.Multi
 	// Elastic is the capacity manager (nil when Spec.Elastic was nil).
 	Elastic *elastic.Manager
-	// Shard is the per-CPU sharded routing layer (nil when not Sharded).
-	Shard *shard.Allocator
 	// Frontend is the caching layer (nil when not Cached).
 	Frontend *frontend.Allocator
 	// Slab is the size-class layer (nil when not Spec.Slab).
@@ -189,9 +178,6 @@ func Build(s Spec) (*Stack, error) {
 	if s.Mapped && s.Instances < 1 {
 		return nil, fmt.Errorf("stack: mapped memory requires the multi router (Instances >= 1); a fixed single-instance stack wants Materialize")
 	}
-	if s.Sharded && s.Instances < 1 {
-		return nil, fmt.Errorf("stack: sharding requires the multi router (Instances >= 1)")
-	}
 	if s.Faults != nil && !s.Mapped {
 		return nil, fmt.Errorf("stack: fault injection requires mapped memory (Mapped) — the injector shims the region's lifecycle syscalls")
 	}
@@ -204,11 +190,6 @@ func Build(s Spec) (*Stack, error) {
 			var opts []mem.Option
 			if s.HugePages {
 				opts = append(opts, mem.WithHugePages())
-			}
-			if s.Sharded {
-				// Sharded stacks place each window on the node of the CPU
-				// whose shard allocates from it (portable no-op elsewhere).
-				opts = append(opts, mem.WithNUMAPolicy())
 			}
 			if s.Faults != nil {
 				opts = append(opts, mem.WithFaultInjector(s.Faults))
@@ -270,31 +251,10 @@ func Build(s Spec) (*Stack, error) {
 			return nil, err
 		}
 	}
-	if s.Sharded {
-		sh, err := shard.New(st.Top, s.Shards)
-		if err != nil {
-			return nil, err
-		}
-		st.Shard = sh
-		st.Top = sh
-		if st.Elastic != nil {
-			// Retirement cooperation: chunks parked in a shard cache hold
-			// their slot's live count above zero, so a draining slot needs
-			// the shard layer flushed for its window — same contract as the
-			// depot hook below.
-			st.Elastic.OnDrainRange(sh.DrainRange)
-		}
-		if err := probe("shard"); err != nil {
-			return nil, err
-		}
-	}
 	if s.Cached || s.Depot {
 		var feOpts []frontend.Option
 		if s.Depot {
 			feOpts = append(feOpts, frontend.WithDepot(s.DepotCapacity))
-		}
-		if s.BatchRefill > 0 {
-			feOpts = append(feOpts, frontend.WithBatchRefill(s.BatchRefill))
 		}
 		fe, err := frontend.New(st.Top, s.Magazine, feOpts...)
 		if err != nil {
@@ -387,159 +347,114 @@ func (st *Stack) Scrub() bool {
 // LayerStats returns the stack's per-layer counters, top-down.
 func (st *Stack) LayerStats() []alloc.LayerStats { return alloc.StackStats(st.Top) }
 
-// registryInstances picks the instance count for a registry-built multi
-// composite: up to want instances, halved until each instance's share of
-// the global total can still serve MaxSize.
-func registryInstances(want int, cfg alloc.Config) int {
+// composites is the closed list of registered composite labels over the
+// paper's fastest leaf. Each label is its own description: specFor parses
+// it into the Spec that Build assembles.
+var composites = []string{
+	"cached+4lvl-nb",
+	"multi4+4lvl-nb",
+	"cached+multi4+4lvl-nb",
+	// The caching front-end with the shared magazine depot, exchanging
+	// full magazines in O(1) and crossing into the back-end only in
+	// batches.
+	"depot+4lvl-nb",
+	"depot+multi4+4lvl-nb",
+	// The size-class layer over a bare leaf, over the depot stack (runs
+	// refill through the batched depot path), and over the full mapped
+	// elastic stack (runs participate in retirement via the DrainRange
+	// fence).
+	"slab+4lvl-nb",
+	"slab+depot+multi4+4lvl-nb",
+	"slab+mapped+elastic+multi+4lvl-nb",
+	// The capacity manager over the multi router; with "mapped" every
+	// instance window is backed by platform mapped memory following the
+	// slot lifecycle (a retirement decommits its window, a later grow
+	// recommits it); "predictive" swaps the watermark rule for the EWMA +
+	// slope policy. No composite enables chunk migration: registry stacks
+	// feed generic harnesses (conformance, differential) whose oracles
+	// assume stable offsets, and migration is opt-in for owners that track
+	// moves.
+	"elastic+multi+4lvl-nb",
+	"mapped+elastic+multi+4lvl-nb",
+	"predictive+mapped+elastic+multi+4lvl-nb",
+}
+
+// specFor parses a composite label into the Spec of the stack it names,
+// sized for cfg as the global geometry. A label is '+'-separated layer
+// tokens in top-down order — "slab", "depot" or "cached", "predictive",
+// "mapped", "elastic", "multi" or "multiN" (N wanted instances; plain
+// "multi" wants 4) — followed by the leaf's registered name.
+//
+// The router splits cfg.Total over the wanted instance count, halved
+// until each instance's share can still serve MaxSize. An elastic stack
+// starts from that set — so a run that never Polls sees the usual fixed
+// geometry — and may retire down to one instance and grow to twice it.
+func specFor(label string, cfg alloc.Config) (Spec, error) {
+	toks := strings.Split(label, "+")
+	s := Spec{Variant: toks[len(toks)-1], Per: cfg}
+	toks = toks[:len(toks)-1]
+	take := func(tok string) bool {
+		if len(toks) == 0 || toks[0] != tok {
+			return false
+		}
+		toks = toks[1:]
+		return true
+	}
+	s.Slab = take("slab")
+	if s.Depot = take("depot"); !s.Depot {
+		s.Cached = take("cached")
+	}
+	predictive := take("predictive")
+	s.Mapped = take("mapped")
+	elast := take("elastic")
+	want := 0
+	if take("multi") {
+		want = 4
+	} else if len(toks) > 0 {
+		if n, ok := strings.CutPrefix(toks[0], "multi"); ok {
+			// A malformed or non-positive N leaves the token unconsumed.
+			if want, _ = strconv.Atoi(n); want > 0 {
+				toks = toks[1:]
+			}
+		}
+	}
+	switch {
+	case len(toks) > 0:
+		return Spec{}, fmt.Errorf("stack: label %q: unknown, duplicate or out-of-order layer %q", label, toks[0])
+	case (s.Mapped || elast) && want == 0:
+		return Spec{}, fmt.Errorf("stack: label %q: mapped and elastic need the multi router", label)
+	case predictive && !elast:
+		return Spec{}, fmt.Errorf("stack: label %q: predictive is a policy of the elastic manager", label)
+	case want == 0:
+		return s, nil
+	}
 	n := want
 	for n > 1 && cfg.Total/uint64(n) < cfg.MaxSize {
 		n /= 2
 	}
-	return n
-}
-
-// perConfig splits a global config over n instances.
-func perConfig(cfg alloc.Config, n int) alloc.Config {
-	per := cfg
-	per.Total = cfg.Total / uint64(n)
-	return per
+	s.Instances = n
+	s.Per.Total = cfg.Total / uint64(n)
+	if elast {
+		s.Elastic = &elastic.Config{MinInstances: 1, MaxInstances: 2 * n}
+		if predictive {
+			s.Elastic.Policy = elastic.NewPredictivePolicy(elastic.PredictiveConfig{})
+		}
+	}
+	return s, nil
 }
 
 func init() {
-	// Composite variants over the paper's fastest leaf. Config.Total is
-	// the global span; the multi composites split it over the instances.
-	alloc.Register("cached+4lvl-nb", func(cfg alloc.Config) (alloc.Allocator, error) {
-		st, err := Build(Spec{Variant: "4lvl-nb", Per: cfg, Cached: true})
-		if err != nil {
-			return nil, err
-		}
-		return st.Top, nil
-	})
-	alloc.Register("multi4+4lvl-nb", func(cfg alloc.Config) (alloc.Allocator, error) {
-		n := registryInstances(4, cfg)
-		st, err := Build(Spec{Variant: "4lvl-nb", Per: perConfig(cfg, n), Instances: n})
-		if err != nil {
-			return nil, err
-		}
-		return st.Top, nil
-	})
-	alloc.Register("cached+multi4+4lvl-nb", func(cfg alloc.Config) (alloc.Allocator, error) {
-		n := registryInstances(4, cfg)
-		st, err := Build(Spec{Variant: "4lvl-nb", Per: perConfig(cfg, n), Instances: n, Cached: true})
-		if err != nil {
-			return nil, err
-		}
-		return st.Top, nil
-	})
-	// Depot composites: the caching front-end with the shared magazine
-	// depot, exchanging full magazines in O(1) and crossing into the
-	// back-end only in batches.
-	alloc.Register("depot+4lvl-nb", func(cfg alloc.Config) (alloc.Allocator, error) {
-		st, err := Build(Spec{Variant: "4lvl-nb", Per: cfg, Depot: true})
-		if err != nil {
-			return nil, err
-		}
-		return st.Top, nil
-	})
-	alloc.Register("depot+multi4+4lvl-nb", func(cfg alloc.Config) (alloc.Allocator, error) {
-		n := registryInstances(4, cfg)
-		st, err := Build(Spec{Variant: "4lvl-nb", Per: perConfig(cfg, n), Instances: n, Depot: true})
-		if err != nil {
-			return nil, err
-		}
-		return st.Top, nil
-	})
-	// Slab composites: the size-class layer over a bare leaf, over the
-	// depot stack (runs refill through the batched depot path), and over
-	// the full mapped elastic stack (runs participate in retirement via
-	// the DrainRange fence).
-	alloc.Register("slab+4lvl-nb", func(cfg alloc.Config) (alloc.Allocator, error) {
-		st, err := Build(Spec{Variant: "4lvl-nb", Per: cfg, Slab: true})
-		if err != nil {
-			return nil, err
-		}
-		return st.Top, nil
-	})
-	alloc.Register("slab+depot+multi4+4lvl-nb", func(cfg alloc.Config) (alloc.Allocator, error) {
-		n := registryInstances(4, cfg)
-		st, err := Build(Spec{Variant: "4lvl-nb", Per: perConfig(cfg, n), Instances: n, Depot: true, Slab: true})
-		if err != nil {
-			return nil, err
-		}
-		return st.Top, nil
-	})
-	alloc.Register("slab+mapped+elastic+multi+4lvl-nb", func(cfg alloc.Config) (alloc.Allocator, error) {
-		n := registryInstances(4, cfg)
-		ec := &elastic.Config{MinInstances: 1, MaxInstances: 2 * n}
-		st, err := Build(Spec{Variant: "4lvl-nb", Per: perConfig(cfg, n), Instances: n, Elastic: ec, Mapped: true, Slab: true})
-		if err != nil {
-			return nil, err
-		}
-		return st.Top, nil
-	})
-	// Elastic composite: the capacity manager over the multi router. The
-	// initial set covers the requested global span (so conformance runs
-	// that never Poll see the usual fixed geometry); the manager may
-	// retire down to one instance at low utilization and grow up to twice
-	// the initial set at high, once something drives Poll.
-	alloc.Register("elastic+multi+4lvl-nb", func(cfg alloc.Config) (alloc.Allocator, error) {
-		n := registryInstances(4, cfg)
-		ec := &elastic.Config{MinInstances: 1, MaxInstances: 2 * n}
-		st, err := Build(Spec{Variant: "4lvl-nb", Per: perConfig(cfg, n), Instances: n, Elastic: ec})
-		if err != nil {
-			return nil, err
-		}
-		return st.Top, nil
-	})
-	// Mapped elastic composite: the same capacity manager, but every
-	// instance window is backed by platform mapped memory following the
-	// slot lifecycle — a retirement decommits its window (RSS returns to
-	// the OS) and a later grow recommits it.
-	alloc.Register("mapped+elastic+multi+4lvl-nb", func(cfg alloc.Config) (alloc.Allocator, error) {
-		n := registryInstances(4, cfg)
-		ec := &elastic.Config{MinInstances: 1, MaxInstances: 2 * n}
-		st, err := Build(Spec{Variant: "4lvl-nb", Per: perConfig(cfg, n), Instances: n, Elastic: ec, Mapped: true})
-		if err != nil {
-			return nil, err
-		}
-		return st.Top, nil
-	})
-	// Predictive elastic composite: the same mapped lifecycle under the
-	// EWMA + slope policy, which pre-grows ahead of utilization ramps and
-	// rides out transient troughs instead of draining into them. No
-	// composite enables chunk migration: registry stacks feed generic
-	// harnesses (conformance, differential) whose oracles assume stable
-	// offsets, and migration is opt-in for owners that track moves.
-	alloc.Register("predictive+mapped+elastic+multi+4lvl-nb", func(cfg alloc.Config) (alloc.Allocator, error) {
-		n := registryInstances(4, cfg)
-		ec := &elastic.Config{
-			MinInstances: 1,
-			MaxInstances: 2 * n,
-			Policy:       elastic.NewPredictivePolicy(elastic.PredictiveConfig{}),
-		}
-		st, err := Build(Spec{Variant: "4lvl-nb", Per: perConfig(cfg, n), Instances: n, Elastic: ec, Mapped: true})
-		if err != nil {
-			return nil, err
-		}
-		return st.Top, nil
-	})
-	// Sharded composite: the full PR 6 stack — per-CPU sharded routing
-	// with NUMA-aware mapped placement over the elastic manager. The
-	// instance target tracks GOMAXPROCS (rounded up to a power of two, at
-	// least 4) so each shard can have an affine instance; the usual
-	// halving rule still applies when the global span is small.
-	alloc.Register("shard+mapped+elastic+multi+4lvl-nb", func(cfg alloc.Config) (alloc.Allocator, error) {
-		want := 4
-		for want < proc.MaxHint() && want < 64 {
-			want *= 2
-		}
-		n := registryInstances(want, cfg)
-		ec := &elastic.Config{MinInstances: 1, MaxInstances: 2 * n}
-		st, err := Build(Spec{Variant: "4lvl-nb", Per: perConfig(cfg, n), Instances: n,
-			Elastic: ec, Mapped: true, Sharded: true})
-		if err != nil {
-			return nil, err
-		}
-		return st.Top, nil
-	})
+	for _, label := range composites {
+		alloc.Register(label, func(cfg alloc.Config) (alloc.Allocator, error) {
+			s, err := specFor(label, cfg)
+			if err != nil {
+				return nil, err
+			}
+			st, err := Build(s)
+			if err != nil {
+				return nil, err
+			}
+			return st.Top, nil
+		})
+	}
 }

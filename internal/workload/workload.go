@@ -222,7 +222,10 @@ func Larson(a alloc.Allocator, cfg Config) Result {
 
 	res := run("larson", a, cfg, func(id int, h alloc.Handle) {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(id)*7919))
-		for !deadline.Load() {
+		// Check the deadline after each batch, not before: every worker
+		// runs at least one, so a window that expires before a loaded
+		// machine even schedules the workers still yields operations.
+		for {
 			// Batch a few operations per deadline check to keep the
 			// atomic load off the critical path.
 			for k := 0; k < 64; k++ {
@@ -234,6 +237,9 @@ func Larson(a alloc.Allocator, cfg Config) Result {
 				if old := slot.Swap(repl); old != 0 {
 					h.Free(old - 1)
 				}
+			}
+			if deadline.Load() {
+				break
 			}
 		}
 	})

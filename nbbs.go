@@ -23,20 +23,24 @@
 // does not own (a file, a shared segment, device memory).
 //
 // A Buddy is really a layer stack (see DESIGN.md): the leaf allocator can
-// be wrapped by any combination of composable layers, selected by
-// options — WithInstances adds the multi-instance (NUMA-style) router,
-// WithFrontend adds per-worker caching magazines, WithTrace records the
-// operation stream, and WithMaterializedRegion backs the offset space
-// with real bytes so AllocBytes can hand out slices. The layers compose
-// freely, including the full production deployment the paper's
-// conclusions describe:
+// be wrapped by any combination of composable layers, all described by
+// the one Config — Backing.Instances adds the multi-instance
+// (NUMA-style) router, Frontend.Cached adds per-worker caching
+// magazines, Trace records the operation stream, and
+// Backing.Materialize backs the offset space with real bytes so
+// AllocBytes can hand out slices. The layers compose freely, including
+// the full production deployment the paper's conclusions describe:
 //
-//	b, err := nbbs.New(nbbs.Config{Total: 1 << 24, MinSize: 64, MaxSize: 1 << 18},
-//	    nbbs.WithInstances(4),            // one back-end per NUMA node
-//	    nbbs.WithFrontend(32),            // per-worker magazines
-//	    nbbs.WithMaterializedRegion())    // real memory behind the offsets
+//	b, err := nbbs.New(nbbs.Config{
+//	    Total: 1 << 24, MinSize: 64, MaxSize: 1 << 18,
+//	    Backing: nbbs.BackingConfig{
+//	        Instances:   4,    // one back-end per NUMA node
+//	        Materialize: true, // real memory behind the offsets
+//	    },
+//	    Frontend: nbbs.FrontendConfig{Cached: true, Magazine: 32}, // per-worker magazines
+//	})
 //	...
-//	h := b.NewHandle() // one per worker goroutine; caching when WithFrontend
+//	h := b.NewHandle() // one per worker goroutine; caching under Frontend.Cached
 //	off, ok := h.Alloc(4096)
 //	...
 //	h.Free(off)
@@ -48,8 +52,6 @@
 package nbbs
 
 import (
-	"fmt"
-
 	"repro/internal/alloc"
 	"repro/internal/elastic"
 	"repro/internal/fault"
@@ -57,7 +59,6 @@ import (
 	"repro/internal/geometry"
 	"repro/internal/mem"
 	"repro/internal/multi"
-	"repro/internal/shard"
 	"repro/internal/slab"
 	"repro/internal/stack"
 	"repro/internal/telemetry"
@@ -99,11 +100,13 @@ func Variants() []string { return alloc.Names() }
 
 // ConfigVersion is the revision of the Config schema. Version 1 was the
 // geometry-only struct (Total/MinSize/MaxSize) with every layer selected
-// through functional options; version 2 groups the full stack
-// description into the sub-structs below, demoting the With* options to
-// thin adapters over the same fields. The constant exists so embedders
-// that persist configurations can tag which schema they wrote.
-const ConfigVersion = 2
+// through functional options; version 2 grouped the full stack
+// description into the sub-structs below beside those options; version 3
+// makes Config the only description (New takes nothing else) and drops
+// the per-CPU shard-routing and batch-refill fields of Frontend with the
+// layer and knob they selected. The constant exists so embedders that
+// persist configurations can tag which schema they wrote.
+const ConfigVersion = 3
 
 // RoutingPolicy selects how multi-instance handles bind to back-ends:
 // RoutingRoundRobin spreads handles across instances in creation order,
@@ -129,52 +132,78 @@ type BackingConfig struct {
 	// Routing selects the handle-to-instance binding policy
 	// (RoutingRoundRobin, the default, or RoutingFixed).
 	Routing RoutingPolicy
-	// Mapped backs each instance window with platform mapped memory,
-	// committed while the instance is published and decommitted when an
-	// elastic retirement unpublishes it (see WithMappedMemory).
+	// Mapped backs each instance's offset window with platform mapped
+	// memory bound to the router (implying one routed instance when
+	// Instances is unset): on Linux the windows live in mmap-reserved
+	// address space that is committed (mprotect + touch) while the
+	// instance is published and decommitted (MADV_DONTNEED) when an
+	// elastic retirement unpublishes it — the point where a shrink
+	// actually returns RSS to the OS. Other platforms run a portable
+	// bookkeeping fallback with identical lifecycle semantics and no RSS
+	// effect. Commit accounting surfaces in LayerStats as mem_reserved /
+	// mem_committed / mem_decommits / mem_recommits, and in MemStats.
 	Mapped bool
 	// HugePages requests MADV_HUGEPAGE for mapped windows (Linux only;
-	// see WithHugePages).
+	// effective when the per-instance Total is a multiple of 2MiB — see
+	// internal/mem's alignment rule). Only meaningful with Mapped.
 	HugePages bool
 	// Materialize backs the managed region with real memory so
-	// AllocBytes/Bytes hand out slices (see WithMaterializedRegion).
+	// AllocBytes/Bytes hand out slices. Over multiple instances the arena
+	// keeps one sub-region per instance behind the global offset space;
+	// over Mapped it borrows the router's windows, so Bytes follows the
+	// commit map (the only way an elastic stack can materialize).
 	Materialize bool
-	// Faults routes the mapped region's lifecycle syscalls through a
-	// deterministic fault injector (see WithFaultInjection).
+	// Faults routes the mapped region's lifecycle syscalls
+	// (reserve/commit/hugepage-advise/bind/decommit) through a
+	// deterministic fault injector — the testing hook behind the stack's
+	// graceful-degradation ladder (see DESIGN.md, "Failure semantics").
+	// Requires Mapped. Nil injects nothing.
 	Faults *FaultInjector
 }
 
-// FrontendConfig describes the layers above the router: per-CPU sharded
-// routing, per-worker caching magazines with the shared depot, and the
-// size-class slab. The zero value adds none of them.
+// FrontendConfig describes the layers above the router: per-worker
+// caching magazines with the shared depot, and the size-class slab. The
+// zero value adds none of them.
 type FrontendConfig struct {
-	// Sharded layers per-CPU sharded routing over the router; Shards is
-	// the shard count (<= 0 = GOMAXPROCS at build time). See WithSharding.
-	Sharded bool
-	Shards  int
-	// Cached adds per-worker caching magazines; Magazine is the
-	// per-size-class capacity (0 = default). See WithFrontend.
+	// Cached layers per-worker caching magazines over the back-end: every
+	// NewHandle becomes a caching handle, frees park chunks in magazines
+	// served back to later allocations, so most operations never reach the
+	// back-end. Magazine is the per-size-class capacity (0 = default).
 	Cached   bool
 	Magazine int
-	// Depot attaches the shared magazine depot (implies Cached);
-	// DepotCapacity bounds retained full magazines per size class
-	// (0 = default). See WithDepot.
+	// Depot attaches the shared magazine depot (implies Cached): an
+	// overflowing magazine is parked whole in a per-size-class global
+	// depot in O(1), and a worker running dry grabs a full one back the
+	// same way — the cross-thread hand-off cost of remote frees becomes
+	// one pointer swap per magazine instead of a back-end round trip per
+	// chunk. Depot misses and overflows cross into the back-end as batches
+	// (AllocBatch/FreeBatch). DepotCapacity bounds the full magazines
+	// retained per size class (0 = default).
 	Depot         bool
 	DepotCapacity int
-	// BatchRefill tunes the back-end batch brought up after a depot miss
-	// (0 = half a magazine). See WithBatchRefill.
-	BatchRefill int
-	// Slab layers the size-class slab; SlabCutoff bounds the largest
-	// class (0 = default). See WithSlab.
+	// Slab layers the size-class slab over the stack (above the caching
+	// front-end, when present): requests up to the cutoff are served from
+	// fixed-size object runs carved out of buddy chunks — the class table
+	// interleaves half-steps between the powers of two, cutting worst-case
+	// internal fragmentation from 2x to 1.5x, and one buddy operation
+	// provisions hundreds of objects. Larger requests pass through
+	// untouched. SlabCutoff bounds the largest class (0 = the default,
+	// clamped to the geometry).
 	Slab       bool
 	SlabCutoff uint64
 }
 
 // TelemetrySettings turns the always-on telemetry layer on and tunes it;
 // the zero value disables telemetry entirely (and the stack pays
-// nothing). See WithTelemetry.
+// nothing).
 type TelemetrySettings struct {
-	// Enabled builds the stack with the telemetry layer.
+	// Enabled builds the stack with the telemetry layer: latency probes at
+	// every layer boundary feeding per-handle lock-free histograms
+	// (sampled, folded into retained accumulators on handle Close), and a
+	// flight-recorder event ring the lifecycle layers (elastic, mapped
+	// memory, fault injector, depot, slab) publish into. Retrieve the
+	// registry with Buddy.Telemetry. Overhead is bounded by sampling — see
+	// DESIGN.md, "Observability".
 	Enabled bool
 	// TelemetryConfig tunes sampling and ring sizing; the zero value
 	// takes every default.
@@ -188,10 +217,8 @@ type TelemetrySettings struct {
 // instances the global offset space is Instances times Total. The
 // remaining fields select and tune the composable layers, grouped by
 // where they sit in the stack; every zero value means "off" or "default",
-// so the minimal Config{Total, MinSize, MaxSize} builds the same bare
-// single-instance allocator it always has. The functional options
-// (WithInstances, WithFrontend, ...) remain supported as thin adapters
-// that rewrite these same fields after Config is read.
+// so the minimal Config{Total, MinSize, MaxSize} builds the bare
+// single-instance allocator of the paper.
 type Config struct {
 	// Total is the managed region size in bytes (per instance).
 	Total uint64
@@ -206,14 +233,21 @@ type Config struct {
 	// Backing configures the router and the memory behind it.
 	Backing BackingConfig
 	// Elastic, when non-nil, wraps the router with the elastic capacity
-	// manager (implies at least one routed instance). See WithElastic.
+	// manager (implying one routed instance when Backing.Instances is
+	// unset): the instance set grows under allocation pressure (up to
+	// MaxInstances) and drains and retires idle instances (down to
+	// MinInstances) — the deployment for diurnal or bursty workloads that
+	// a fixed region either over-provisions or OOMs. Materializes only
+	// over Backing.Mapped (a private arena cannot follow a growing offset
+	// span). Drive the lifecycle with Buddy.Elastic().Poll()
+	// (deterministic) or Buddy.Elastic().Start(interval) (background).
 	Elastic *ElasticConfig
 	// Frontend configures the layers above the router.
 	Frontend FrontendConfig
 	// Telemetry turns on and tunes the telemetry layer.
 	Telemetry TelemetrySettings
 	// Trace, when non-nil, records every handle operation for
-	// deterministic replay. See WithTrace.
+	// deterministic replay and regression debugging (internal/trace).
 	Trace *Trace
 }
 
@@ -229,7 +263,7 @@ type LayerStats = alloc.LayerStats
 // CacheStats counts front-end magazine behaviour; see CachedHandle.
 type CacheStats = frontend.CacheStats
 
-// Trace is a recorded operation stream; pass one to WithTrace to record
+// Trace is a recorded operation stream; set one on Config.Trace to record
 // every handle's operations for deterministic replay (internal/trace).
 type Trace = trace.Trace
 
@@ -244,42 +278,8 @@ type Buddy struct {
 	st *stack.Stack
 }
 
-// Option configures New.
-type Option func(*options)
-
-type options struct {
-	variant     Variant
-	instances   int
-	policy      multi.Policy
-	elastic     *elastic.Config
-	cached      bool
-	magazine    int
-	depot       bool
-	depotCap    int
-	batchRefill int
-	slab        bool
-	slabCutoff  uint64
-	record      *trace.Trace
-	materialize bool
-	mapped      bool
-	hugePages   bool
-	sharded     bool
-	shards      int
-	faults      *fault.Injector
-	telemetry   *telemetry.Registry
-}
-
-// WithVariant selects the allocator implementation (default Variant4Lvl).
-// Registered composite stacks are accepted too.
-func WithVariant(v Variant) Option { return func(o *options) { o.variant = v } }
-
-// WithInstances deploys n independent same-geometry back-ends behind one
-// offset space with round-robin handle routing and fallback — the
-// multi-instance (NUMA-style) deployment of the paper's related work.
-func WithInstances(n int) Option { return func(o *options) { o.instances = n } }
-
 // ElasticConfig is the watermark policy of the elastic capacity manager;
-// see WithElastic. Zero fields take the documented defaults.
+// see Config.Elastic. Zero fields take the documented defaults.
 type ElasticConfig = elastic.Config
 
 // ElasticManager is the capacity manager layer; see Buddy.Elastic.
@@ -317,123 +317,10 @@ var (
 // unless those layers' holdings are migration-aware.
 type MigrationConfig = elastic.MigrationConfig
 
-// WithElastic wraps the multi-instance router with the elastic capacity
-// manager: the instance set grows under allocation pressure (up to
-// MaxInstances) and drains and retires idle instances (down to
-// MinInstances) — the deployment for diurnal or bursty workloads that a
-// fixed region either over-provisions or OOMs. Implies WithInstances(1)
-// when no instance count was set; excludes WithMaterializedRegion (a
-// materialized region cannot follow a growing offset span). Drive the
-// lifecycle with Buddy.Elastic().Poll() (deterministic) or
-// Buddy.Elastic().Start(interval) (background).
-func WithElastic(cfg ElasticConfig) Option {
-	return func(o *options) {
-		o.elastic = &cfg
-		if o.instances < 1 {
-			o.instances = 1
-		}
-	}
-}
-
-// WithMappedMemory backs each instance's offset window with platform
-// mapped memory bound to the multi router (implying WithInstances(1)
-// when no instance count was set): on Linux the windows live in
-// mmap-reserved address space that is committed (mprotect + touch) while
-// the instance is published and decommitted (MADV_DONTNEED) when an
-// elastic retirement unpublishes it — the point where a shrink actually
-// returns RSS to the OS. Other platforms run a portable bookkeeping
-// fallback with identical lifecycle semantics and no RSS effect.
-// Composes with WithElastic (the lifecycle driver) and with
-// WithMaterializedRegion (the arena borrows the router's windows, so
-// Bytes follows the commit map). Commit accounting surfaces in
-// LayerStats as mem_reserved / mem_committed / mem_decommits /
-// mem_recommits, and in MemStats.
-func WithMappedMemory() Option {
-	return func(o *options) {
-		o.mapped = true
-		if o.instances < 1 {
-			o.instances = 1
-		}
-	}
-}
-
-// WithHugePages requests MADV_HUGEPAGE for mapped windows (Linux only;
-// effective when the per-instance Total is a multiple of 2MiB — see
-// internal/mem's alignment rule). Only meaningful with WithMappedMemory.
-func WithHugePages() Option { return func(o *options) { o.hugePages = true } }
-
-// WithSharding layers per-CPU sharded routing over the router (implying
-// WithInstances(1) when no instance count was set): every handle
-// operation keys to one of n shards by a cheap processor hint, and each
-// shard gets an affine router preference, a local cache of recently
-// freed chunks, and an inbound stash that remote frees are pushed
-// through — so the steady-state alloc/free path stays on CPU-local
-// state and the trees see only cache misses and batched drains
-// (internal/shard). n <= 0 takes GOMAXPROCS at build time. Combined
-// with WithMappedMemory on Linux, each instance window is additionally
-// committed onto the NUMA node of the CPU its shard runs on
-// (first-touch under an mbind preferred policy; a bookkeeping-only
-// no-op on other platforms and single-node machines). Shard counters
-// surface in LayerStats as shard_hits / shard_misses /
-// shard_remote_frees / shard_stash_drains and friends, and through
-// Buddy.Sharded().
-func WithSharding(n int) Option {
-	return func(o *options) {
-		o.sharded = true
-		o.shards = n
-		if o.instances < 1 {
-			o.instances = 1
-		}
-	}
-}
-
-// WithFrontend layers per-worker caching magazines over the back-end:
-// every NewHandle becomes a caching handle with the given per-size-class
-// magazine capacity (0 = default). Frees park chunks in magazines served
-// back to later allocations, so most operations never reach the
-// back-end.
-func WithFrontend(magazine int) Option {
-	return func(o *options) { o.cached = true; o.magazine = magazine }
-}
-
-// WithDepot attaches the shared magazine depot to the caching front-end
-// (implying WithFrontend when not set): when a worker's magazine
-// overflows it is parked whole in a per-size-class global depot in O(1),
-// and a worker running dry grabs a full magazine back the same way —
-// the cross-thread hand-off cost of remote frees becomes one pointer
-// swap per magazine instead of a back-end round trip per chunk. Depot
-// misses and overflows cross into the back-end as batches via the
-// bulk-transfer contract (AllocBatch/FreeBatch). capacity bounds the
-// full magazines retained per size class (0 = default).
-func WithDepot(capacity int) Option {
-	return func(o *options) { o.depot = true; o.depotCap = capacity }
-}
-
-// WithBatchRefill tunes how many chunks a back-end batch refill brings up
-// after a depot miss (default: half a magazine). Only meaningful with
-// WithDepot.
-func WithBatchRefill(n int) Option { return func(o *options) { o.batchRefill = n } }
-
-// WithSlab layers the size-class slab over the stack (above the caching
-// front-end, when present): requests up to the cutoff are served from
-// fixed-size object runs carved out of buddy chunks — the class table
-// interleaves half-steps between the powers of two, cutting worst-case
-// internal fragmentation from 2x to 1.5x, and one buddy operation
-// provisions hundreds of objects. Larger requests pass through
-// untouched. cutoff bounds the largest class (0 = the default, clamped
-// to the geometry).
-func WithSlab(cutoff uint64) Option {
-	return func(o *options) { o.slab = true; o.slabCutoff = cutoff }
-}
-
-// WithTrace records every handle operation into t for deterministic
-// replay and regression debugging.
-func WithTrace(t *Trace) Option { return func(o *options) { o.record = t } }
-
 // FaultInjector is a deterministic syscall-fault source for the mapped
 // backing region; build schedules with the internal/fault constructors
 // re-exported here (FailNth, FailAlways, FailRange, FailProb) and
-// install one with WithFaultInjection. Injected faults are recorded so
+// install one on BackingConfig.Faults. Injected faults are recorded so
 // a failing schedule replays exactly (internal/fault).
 type FaultInjector = fault.Injector
 
@@ -454,25 +341,13 @@ var (
 	ErrBackpressure = elastic.ErrBackpressure
 )
 
-// WithFaultInjection routes the mapped region's lifecycle syscalls
-// (reserve/commit/hugepage-advise/bind/decommit) through a
-// deterministic fault injector — the testing hook behind the stack's
-// graceful-degradation ladder (see DESIGN.md, "Failure semantics").
-// Requires WithMappedMemory. A nil injector injects nothing.
-func WithFaultInjection(in *FaultInjector) Option { return func(o *options) { o.faults = in } }
-
-// WithMaterializedRegion backs the managed region with real memory so
-// AllocBytes/Bytes can hand out slices. Composes with WithInstances: the
-// arena keeps one sub-region per instance behind the global offset space.
-func WithMaterializedRegion() Option { return func(o *options) { o.materialize = true } }
-
 // TelemetryRegistry is the always-on telemetry root of a stack built
-// WithTelemetry: per-layer-boundary latency percentiles via Latencies,
+// with Config.Telemetry enabled: per-layer-boundary latency percentiles via Latencies,
 // the flight-recorder event ring via Ring, an expvar/Prometheus-text
 // HTTP handler via Handler (internal/telemetry).
 type TelemetryRegistry = telemetry.Registry
 
-// TelemetryConfig tunes WithTelemetry; the zero value takes every
+// TelemetryConfig tunes the telemetry layer; the zero value takes every
 // default (sample one in 64 single-chunk operations, a 256-event ring
 // sharded per processor).
 type TelemetryConfig = telemetry.Config
@@ -480,96 +355,47 @@ type TelemetryConfig = telemetry.Config
 // TelemetryEvent is one flight-recorder entry; see TelemetryRegistry.Ring.
 type TelemetryEvent = telemetry.Event
 
-// WithTelemetry enables the always-on telemetry layer: latency probes at
-// every layer boundary feeding per-handle lock-free histograms (sampled,
-// folded into retained accumulators on handle Close), and a
-// flight-recorder event ring the lifecycle layers (elastic, mapped
-// memory, fault injector, depot, slab) publish into. Retrieve the
-// registry with Buddy.Telemetry. Overhead is bounded by sampling — see
-// DESIGN.md, "Observability" — and a stack built without this option
-// pays nothing at all.
-func WithTelemetry(cfg TelemetryConfig) Option {
-	return func(o *options) { o.telemetry = telemetry.New(cfg) }
-}
-
-func build(cfg Config, o options) (*Buddy, error) {
-	st, err := stack.Build(stack.Spec{
-		Variant:       o.variant,
+// New builds the buddy allocator stack its Config describes. Config is
+// the only description of a stack, and this is where it becomes the
+// internal stack.Spec — including the implication rules: an empty Variant
+// is Variant4Lvl, and Elastic or Backing.Mapped need the router, so they
+// imply one routed instance when Backing.Instances is unset.
+func New(cfg Config) (*Buddy, error) {
+	s := stack.Spec{
+		Variant:       cfg.Variant,
 		Per:           alloc.Config{Total: cfg.Total, MinSize: cfg.MinSize, MaxSize: cfg.MaxSize},
-		Instances:     o.instances,
-		Policy:        o.policy,
-		Elastic:       o.elastic,
-		Cached:        o.cached,
-		Magazine:      o.magazine,
-		Depot:         o.depot,
-		DepotCapacity: o.depotCap,
-		BatchRefill:   o.batchRefill,
-		Slab:          o.slab,
-		SlabCutoff:    o.slabCutoff,
-		Record:        o.record,
-		Materialize:   o.materialize,
-		Mapped:        o.mapped,
-		HugePages:     o.hugePages,
-		Sharded:       o.sharded,
-		Shards:        o.shards,
-		Faults:        o.faults,
-		Telemetry:     o.telemetry,
-	})
+		Instances:     cfg.Backing.Instances,
+		Policy:        cfg.Backing.Routing,
+		Mapped:        cfg.Backing.Mapped,
+		HugePages:     cfg.Backing.HugePages,
+		Materialize:   cfg.Backing.Materialize,
+		Faults:        cfg.Backing.Faults,
+		Cached:        cfg.Frontend.Cached,
+		Magazine:      cfg.Frontend.Magazine,
+		Depot:         cfg.Frontend.Depot,
+		DepotCapacity: cfg.Frontend.DepotCapacity,
+		Slab:          cfg.Frontend.Slab,
+		SlabCutoff:    cfg.Frontend.SlabCutoff,
+		Record:        cfg.Trace,
+	}
+	if s.Variant == "" {
+		s.Variant = Variant4Lvl
+	}
+	if cfg.Elastic != nil {
+		ec := *cfg.Elastic
+		s.Elastic = &ec
+	}
+	if (s.Elastic != nil || s.Mapped) && s.Instances < 1 {
+		s.Instances = 1
+	}
+	if cfg.Telemetry.Enabled {
+		s.Telemetry = telemetry.New(cfg.Telemetry.TelemetryConfig)
+	}
+	st, err := stack.Build(s)
 	if err != nil {
 		return nil, err
 	}
 	return &Buddy{st: st}, nil
-}
-
-// optionsFromConfig seeds the option state from the structured Config
-// fields, applying the same implication rules the corresponding With*
-// options apply (elastic, mapped memory and sharding all require at
-// least one routed instance).
-func optionsFromConfig(cfg Config) options {
-	o := options{
-		variant:     cfg.Variant,
-		instances:   cfg.Backing.Instances,
-		policy:      cfg.Backing.Routing,
-		mapped:      cfg.Backing.Mapped,
-		hugePages:   cfg.Backing.HugePages,
-		materialize: cfg.Backing.Materialize,
-		faults:      cfg.Backing.Faults,
-		sharded:     cfg.Frontend.Sharded,
-		shards:      cfg.Frontend.Shards,
-		cached:      cfg.Frontend.Cached,
-		magazine:    cfg.Frontend.Magazine,
-		depot:       cfg.Frontend.Depot,
-		depotCap:    cfg.Frontend.DepotCapacity,
-		batchRefill: cfg.Frontend.BatchRefill,
-		slab:        cfg.Frontend.Slab,
-		slabCutoff:  cfg.Frontend.SlabCutoff,
-		record:      cfg.Trace,
-	}
-	if o.variant == "" {
-		o.variant = Variant4Lvl
-	}
-	if cfg.Elastic != nil {
-		ec := *cfg.Elastic
-		o.elastic = &ec
-	}
-	if (o.elastic != nil || o.mapped || o.sharded) && o.instances < 1 {
-		o.instances = 1
-	}
-	if cfg.Telemetry.Enabled {
-		o.telemetry = telemetry.New(cfg.Telemetry.TelemetryConfig)
-	}
-	return o
-}
-
-// New builds a buddy allocator stack from its Config description.
-// Functional options, when given, apply on top of the Config fields —
-// the two forms describe the same stack and mix freely.
-func New(cfg Config, opts ...Option) (*Buddy, error) {
-	o := optionsFromConfig(cfg)
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return build(cfg, o)
 }
 
 // Name returns the composed stack label, e.g. "cached+multi[4x 4lvl-nb]".
@@ -579,7 +405,7 @@ func (b *Buddy) Name() string { return b.st.Top.Name() }
 func (b *Buddy) Variant() Variant { return b.st.Variant }
 
 // Total returns the global offset-space size in bytes: the managed
-// region, times the instance count under WithInstances.
+// region times the instance count.
 func (b *Buddy) Total() uint64 { return alloc.SpanOf(b.st.Top) }
 
 // MinSize returns the allocation unit.
@@ -588,8 +414,8 @@ func (b *Buddy) MinSize() uint64 { return b.st.Top.Geometry().MinSize }
 // MaxSize returns the largest single allocation.
 func (b *Buddy) MaxSize() uint64 { return b.st.Top.Geometry().MaxSize }
 
-// Instances returns the number of composed back-end instances (1 unless
-// built WithInstances).
+// Instances returns the number of composed back-end instances (1 for a
+// stack without the router).
 func (b *Buddy) Instances() int {
 	if b.st.Multi == nil {
 		return 1
@@ -615,7 +441,7 @@ func (b *Buddy) Alloc(size uint64) (offset uint64, ok bool) { return b.st.Top.Al
 func (b *Buddy) Free(offset uint64) { b.st.Top.Free(offset) }
 
 // NewHandle returns a per-worker handle; use one handle per goroutine on
-// hot paths. With WithFrontend the handle caches in per-size-class
+// hot paths. Under Frontend.Cached the handle caches in per-size-class
 // magazines.
 func (b *Buddy) NewHandle() Handle { return b.st.Top.NewHandle() }
 
@@ -635,8 +461,8 @@ func (b *Buddy) FreeBatch(offsets []uint64) { alloc.FreeBatchOf(b.st.Top, offset
 // DepotStats are the shared magazine depot's counters; see Buddy.DepotStats.
 type DepotStats = frontend.DepotStats
 
-// DepotStats returns the depot counters of a stack built WithDepot; ok is
-// false otherwise. Quiescent points only.
+// DepotStats returns the depot counters of a stack built with
+// Frontend.Depot; ok is false otherwise. Quiescent points only.
 func (b *Buddy) DepotStats() (DepotStats, bool) {
 	if b.st.Frontend == nil || b.st.Frontend.Depot() == nil {
 		return DepotStats{}, false
@@ -663,13 +489,13 @@ func (b *Buddy) ChunkSize(offset uint64) uint64 {
 func (b *Buddy) Materialized() bool { return b.st.Arena != nil }
 
 // Bytes returns the memory window of a live allocation as a slice; the
-// instance must have been built WithMaterializedRegion. The slice is valid
+// instance must have been built with Backing.Materialize. The slice is valid
 // until the chunk is freed, and only while the Buddy stays reachable —
 // it views mapped memory that is unmapped when the stack is collected,
 // so hold the Buddy for as long as any of its byte windows.
 func (b *Buddy) Bytes(offset uint64) []byte {
 	if b.st.Arena == nil {
-		panic("nbbs: Bytes on a stack without WithMaterializedRegion")
+		panic("nbbs: Bytes on a stack without Backing.Materialize")
 	}
 	return b.st.Arena.Bytes(offset)
 }
@@ -678,7 +504,7 @@ func (b *Buddy) Bytes(offset uint64) []byte {
 // returns the chunk's window. The returned offset is the Free token.
 func (b *Buddy) AllocBytes(size uint64) (buf []byte, offset uint64, ok bool) {
 	if b.st.Arena == nil {
-		panic("nbbs: AllocBytes on a stack without WithMaterializedRegion")
+		panic("nbbs: AllocBytes on a stack without Backing.Materialize")
 	}
 	return b.st.Arena.AllocBytes(size)
 }
@@ -706,20 +532,20 @@ func (b *Buddy) Backend() interface {
 	return b.st.Backend
 }
 
-// Multi exposes the multi-instance router layer (nil unless built
-// WithInstances). Router-level handles — including NewHandleOn for
+// Multi exposes the multi-instance router layer (nil for a stack without
+// routed instances). Router-level handles — including NewHandleOn for
 // explicit NUMA-style pinning — bypass any caching or tracing layers
 // stacked above it.
 func (b *Buddy) Multi() *Multi { return b.st.Multi }
 
-// Elastic exposes the capacity manager (nil unless built WithElastic).
+// Elastic exposes the capacity manager (nil unless Config.Elastic was set).
 // Poll drives one grow/drain/retire decision step; Start/Stop run the
 // policy on a background interval; Counters and Utilization report the
 // lifecycle state.
 func (b *Buddy) Elastic() *ElasticManager { return b.st.Elastic }
 
-// Telemetry exposes the telemetry registry (nil unless built
-// WithTelemetry): latency percentiles per layer boundary, the
+// Telemetry exposes the telemetry registry (nil unless Config.Telemetry
+// was enabled): latency percentiles per layer boundary, the
 // flight-recorder ring, and the HTTP/expvar exporters.
 func (b *Buddy) Telemetry() *TelemetryRegistry { return b.st.Telemetry }
 
@@ -728,16 +554,8 @@ type SlabLayer = slab.Allocator
 
 // Slab returns the slab layer for introspection (per-class occupancy
 // via ClassInfos, the fragmentation gauge via FragBytes), or nil when
-// the stack was built without WithSlab.
+// the stack was built without Frontend.Slab.
 func (b *Buddy) Slab() *SlabLayer { return b.st.Slab }
-
-// ShardRouter is the per-CPU sharded routing layer; see Buddy.Sharded.
-type ShardRouter = shard.Allocator
-
-// Sharded exposes the per-CPU sharded routing layer (nil unless built
-// WithSharding) — aggregate counters via Totals, per-shard snapshots via
-// ShardInfos. Quiescent points only.
-func (b *Buddy) Sharded() *ShardRouter { return b.st.Shard }
 
 // MemStats is the mapped backing region's commit accounting; see
 // Buddy.MemStats.
@@ -746,7 +564,7 @@ type MemStats = mem.Stats
 // MemRegion is the mapped backing region layer; see Buddy.Memory.
 type MemRegion = mem.Region
 
-// Mapped reports whether the stack was built WithMappedMemory.
+// Mapped reports whether the stack was built with Backing.Mapped.
 func (b *Buddy) Mapped() bool { return b.st.Mem != nil }
 
 // MappedBacking reports whether this platform's mapped-memory backend
@@ -754,29 +572,13 @@ func (b *Buddy) Mapped() bool { return b.st.Mem != nil }
 // or runs the portable bookkeeping fallback.
 func MappedBacking() bool { return mem.Mapped() }
 
-// NUMABacking reports whether NUMA placement is physically effective
-// here: Linux with the mbind/get_mempolicy syscalls and more than one
-// online node. When false, WithSharding stacks still record per-window
-// node assignments (see MemRegion.NodeMap) but no binding is issued.
-func NUMABacking() bool { return mem.NUMAAware() && len(mem.NUMANodes()) > 1 }
-
-// NUMANodes returns the online NUMA node ids ([0] on single-node
-// machines and non-Linux platforms).
-func NUMANodes() []int { return mem.NUMANodes() }
-
-// NodeOfWindow asks the kernel which NUMA node physically backs the
-// first page of the region's window k (the window must be committed);
-// ok is false where the kernel cannot answer (non-Linux platforms).
-// Compare against MemRegion.NodeMap to verify placement.
-func NodeOfWindow(r *MemRegion, k int) (int, bool) { return mem.NodeOfAddr(r.Window(k)) }
-
-// Memory exposes the mapped backing region (nil unless built
-// WithMappedMemory) — per-window commit states via CommitMap, lifecycle
+// Memory exposes the mapped backing region (nil unless built with
+// Backing.Mapped) — per-window commit states via CommitMap, lifecycle
 // accounting via Stats.
 func (b *Buddy) Memory() *MemRegion { return b.st.Mem }
 
 // MemStats returns the mapped backing region's commit accounting; ok is
-// false for stacks built without WithMappedMemory.
+// false for stacks built without Backing.Mapped.
 func (b *Buddy) MemStats() (MemStats, bool) {
 	if b.st.Mem == nil {
 		return MemStats{}, false
@@ -794,7 +596,7 @@ type CachedHandle struct {
 
 // NewCachedHandle returns a caching front-end handle over the stack.
 // magazine is the per-size-class capacity (0 = default). On a stack
-// built WithFrontend the handle comes from the stack's own front-end
+// built with Frontend.Cached the handle comes from the stack's own front-end
 // layer and magazine is ignored; otherwise a private front-end is
 // layered over the stack top for this handle.
 func (b *Buddy) NewCachedHandle(magazine int) (*CachedHandle, error) {
@@ -809,34 +611,11 @@ func (b *Buddy) NewCachedHandle(magazine int) (*CachedHandle, error) {
 	return &CachedHandle{fe.NewHandle().(*frontend.Handle)}, nil
 }
 
-// MultiConfig sizes a multi-instance (NUMA-style) allocator: Instances
-// independent back-ends of Per geometry behind one offset space.
-type MultiConfig struct {
-	Instances int
-	Per       Config
-}
-
 // Multi is the multi-instance router layer: a set of same-geometry
 // instances behind one offset space, with per-handle preferred-instance
 // routing and fallback — the deployment the paper describes for NUMA
 // machines.
 type Multi = multi.Multi
-
-// NewMulti builds a multi-instance allocator stack of the given variant.
-// All stack options compose — including WithMaterializedRegion, which
-// keeps one sub-region per instance behind the global offset space, and
-// WithFrontend for per-worker magazines over the router.
-func NewMulti(cfg MultiConfig, opts ...Option) (*Buddy, error) {
-	o := optionsFromConfig(cfg.Per)
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if cfg.Instances < 1 {
-		return nil, fmt.Errorf("nbbs: instance count %d must be positive", cfg.Instances)
-	}
-	o.instances = cfg.Instances
-	return build(cfg.Per, o)
-}
 
 // Geometry describes the derived tree shape of a configuration without
 // building an instance (useful for capacity planning).

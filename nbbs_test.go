@@ -1,6 +1,7 @@
 package nbbs_test
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -8,6 +9,13 @@ import (
 )
 
 var cfg = nbbs.Config{Total: 1 << 20, MinSize: 64, MaxSize: 1 << 16}
+
+// with returns the shared geometry with the given stack fields set.
+func with(edit func(*nbbs.Config)) nbbs.Config {
+	c := cfg
+	edit(&c)
+	return c
+}
 
 func TestVariantsAvailable(t *testing.T) {
 	want := []string{
@@ -23,6 +31,25 @@ func TestVariantsAvailable(t *testing.T) {
 		if !have[v] {
 			t.Errorf("variant %q not registered", v)
 		}
+	}
+}
+
+// TestVariantsClosedList pins the registry: the six leaves plus the
+// composite labels, which every by-name harness (nbbsstress -all, the
+// conformance, differential and workload suites) enumerates.
+func TestVariantsClosedList(t *testing.T) {
+	want := []string{
+		"1lvl-nb", "1lvl-sl", "4lvl-nb", "4lvl-sl", "buddy-sl",
+		"cached+4lvl-nb", "cached+multi4+4lvl-nb",
+		"depot+4lvl-nb", "depot+multi4+4lvl-nb",
+		"elastic+multi+4lvl-nb", "linux-buddy",
+		"mapped+elastic+multi+4lvl-nb", "multi4+4lvl-nb",
+		"predictive+mapped+elastic+multi+4lvl-nb",
+		"slab+4lvl-nb", "slab+depot+multi4+4lvl-nb",
+		"slab+mapped+elastic+multi+4lvl-nb",
+	}
+	if got := nbbs.Variants(); !slices.Equal(got, want) {
+		t.Fatalf("Variants() = %q, want %q", got, want)
 	}
 }
 
@@ -43,7 +70,7 @@ func TestEveryVariantAllocates(t *testing.T) {
 	for _, v := range nbbs.Variants() {
 		v := v
 		t.Run(v, func(t *testing.T) {
-			b, err := nbbs.New(cfg, nbbs.WithVariant(v))
+			b, err := nbbs.New(with(func(c *nbbs.Config) { c.Variant = v }))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,13 +90,13 @@ func TestBadConfigRejected(t *testing.T) {
 	if _, err := nbbs.New(nbbs.Config{Total: 1000, MinSize: 8, MaxSize: 64}); err == nil {
 		t.Error("non-power-of-two total accepted")
 	}
-	if _, err := nbbs.New(cfg, nbbs.WithVariant("no-such")); err == nil {
+	if _, err := nbbs.New(with(func(c *nbbs.Config) { c.Variant = "no-such" })); err == nil {
 		t.Error("unknown variant accepted")
 	}
 }
 
 func TestMaterializedBytes(t *testing.T) {
-	b, err := nbbs.New(cfg, nbbs.WithMaterializedRegion())
+	b, err := nbbs.New(with(func(c *nbbs.Config) { c.Backing.Materialize = true }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +168,7 @@ func TestScrubSupport(t *testing.T) {
 		nbbs.Variant1LvlLocked: false,
 		nbbs.VariantCloudwu:    false,
 	} {
-		b, err := nbbs.New(cfg, nbbs.WithVariant(v))
+		b, err := nbbs.New(with(func(c *nbbs.Config) { c.Variant = v }))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +205,7 @@ func TestCachedHandle(t *testing.T) {
 }
 
 func TestMulti(t *testing.T) {
-	m, err := nbbs.NewMulti(nbbs.MultiConfig{Instances: 3, Per: cfg})
+	m, err := nbbs.New(with(func(c *nbbs.Config) { c.Backing.Instances = 3 }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,15 +236,16 @@ func TestMulti(t *testing.T) {
 // public API: explicit Polls grow the fleet under pressure and retire it
 // back to the floor once drained.
 func TestElasticFacade(t *testing.T) {
-	b, err := nbbs.New(cfg,
-		nbbs.WithInstances(1),
-		nbbs.WithElastic(nbbs.ElasticConfig{MinInstances: 1, MaxInstances: 3, Hysteresis: 1}))
+	b, err := nbbs.New(with(func(c *nbbs.Config) {
+		c.Backing.Instances = 1
+		c.Elastic = &nbbs.ElasticConfig{MinInstances: 1, MaxInstances: 3, Hysteresis: 1}
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	mgr := b.Elastic()
 	if mgr == nil {
-		t.Fatal("Elastic() = nil on a WithElastic stack")
+		t.Fatal("Elastic() = nil on an elastic stack")
 	}
 	if b.Instances() != 1 {
 		t.Fatalf("initial Instances = %d", b.Instances())
@@ -254,8 +282,10 @@ func TestElasticFacade(t *testing.T) {
 		t.Fatalf("lifecycle counters: %+v", c)
 	}
 	// Elastic excludes materialized regions (the span grows at runtime).
-	if _, err := nbbs.New(cfg,
-		nbbs.WithElastic(nbbs.ElasticConfig{}), nbbs.WithMaterializedRegion()); err == nil {
+	if _, err := nbbs.New(with(func(c *nbbs.Config) {
+		c.Elastic = &nbbs.ElasticConfig{}
+		c.Backing.Materialize = true
+	})); err == nil {
 		t.Fatal("elastic+materialize accepted")
 	}
 }
@@ -263,7 +293,9 @@ func TestElasticFacade(t *testing.T) {
 // TestMaterializedMulti exercises the formerly-rejected composition:
 // materialized regions over a multi-instance router.
 func TestMaterializedMulti(t *testing.T) {
-	m, err := nbbs.NewMulti(nbbs.MultiConfig{Instances: 2, Per: cfg}, nbbs.WithMaterializedRegion())
+	m, err := nbbs.New(with(func(c *nbbs.Config) {
+		c.Backing = nbbs.BackingConfig{Instances: 2, Materialize: true}
+	}))
 	if err != nil {
 		t.Fatalf("materialized multi rejected: %v", err)
 	}
@@ -296,10 +328,10 @@ func TestMaterializedMulti(t *testing.T) {
 // paper's conclusions call for: caching front-end + 4-instance router +
 // materialized region, end to end through AllocBytes.
 func TestComposedStackEndToEnd(t *testing.T) {
-	b, err := nbbs.New(cfg,
-		nbbs.WithInstances(4),
-		nbbs.WithFrontend(8),
-		nbbs.WithMaterializedRegion())
+	b, err := nbbs.New(with(func(c *nbbs.Config) {
+		c.Backing = nbbs.BackingConfig{Instances: 4, Materialize: true}
+		c.Frontend = nbbs.FrontendConfig{Cached: true, Magazine: 8}
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,10 +399,10 @@ func TestComposedStackEndToEnd(t *testing.T) {
 // alloc/free through the batched contract, depot counters via
 // DepotStats and LayerStats, and full reclamation on Scrub.
 func TestDepotStackEndToEnd(t *testing.T) {
-	b, err := nbbs.New(cfg,
-		nbbs.WithInstances(4),
-		nbbs.WithFrontend(8),
-		nbbs.WithDepot(0))
+	b, err := nbbs.New(with(func(c *nbbs.Config) {
+		c.Backing.Instances = 4
+		c.Frontend = nbbs.FrontendConfig{Cached: true, Magazine: 8, Depot: true}
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +452,7 @@ func TestDepotStackEndToEnd(t *testing.T) {
 
 	ds, ok := b.DepotStats()
 	if !ok {
-		t.Fatal("DepotStats not available on a WithDepot stack")
+		t.Fatal("DepotStats not available on a depot stack")
 	}
 	if ds.FullPushes == 0 || ds.FullPops == 0 {
 		t.Fatalf("depot exchanged no magazines: %+v", ds)
@@ -445,7 +477,10 @@ func TestDepotStackEndToEnd(t *testing.T) {
 // (replay itself is covered by the trace package's own tests).
 func TestTraceLayer(t *testing.T) {
 	var tr nbbs.Trace
-	b, err := nbbs.New(cfg, nbbs.WithTrace(&tr), nbbs.WithFrontend(8))
+	b, err := nbbs.New(with(func(c *nbbs.Config) {
+		c.Trace = &tr
+		c.Frontend = nbbs.FrontendConfig{Cached: true, Magazine: 8}
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,16 +517,14 @@ func TestConfigGeometry(t *testing.T) {
 }
 
 // TestMappedMemoryFacade drives the mapped backing through the public
-// API: WithMappedMemory + WithElastic + WithMaterializedRegion builds
+// API: Backing.Mapped + Elastic + Backing.Materialize builds
 // (the arena borrows the router's lifecycle-following region), the
 // commit accounting is exposed, and a retire visibly decommits.
 func TestMappedMemoryFacade(t *testing.T) {
-	b, err := nbbs.New(cfg,
-		nbbs.WithInstances(2),
-		nbbs.WithElastic(nbbs.ElasticConfig{MinInstances: 1, MaxInstances: 2, Hysteresis: 1}),
-		nbbs.WithMappedMemory(),
-		nbbs.WithMaterializedRegion(),
-	)
+	b, err := nbbs.New(with(func(c *nbbs.Config) {
+		c.Backing = nbbs.BackingConfig{Instances: 2, Mapped: true, Materialize: true}
+		c.Elastic = &nbbs.ElasticConfig{MinInstances: 1, MaxInstances: 2, Hysteresis: 1}
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,62 +563,5 @@ func TestMappedMemoryFacade(t *testing.T) {
 	}
 	if committed != 1 {
 		t.Fatalf("commit map shows %d committed windows, want 1", committed)
-	}
-}
-
-func TestShardingFacade(t *testing.T) {
-	b, err := nbbs.New(cfg,
-		nbbs.WithInstances(2),
-		nbbs.WithElastic(nbbs.ElasticConfig{MinInstances: 1, MaxInstances: 4, Hysteresis: 1}),
-		nbbs.WithMappedMemory(),
-		nbbs.WithSharding(2),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := b.Sharded()
-	if sh == nil {
-		t.Fatal("stack does not report its shard layer")
-	}
-	if sh.Shards() != 2 {
-		t.Fatalf("Shards = %d, want 2", sh.Shards())
-	}
-	h := b.NewHandle()
-	off, ok := h.Alloc(256)
-	if !ok {
-		t.Fatal("alloc failed")
-	}
-	h.Free(off)
-	got, ok := h.Alloc(256)
-	if !ok {
-		t.Fatal("recycle alloc failed")
-	}
-	if got != off {
-		t.Fatalf("shard cache did not recycle: %d != %d", got, off)
-	}
-	h.Free(got)
-	if tot := sh.Totals(); tot.Hits == 0 {
-		t.Fatalf("no cache hits recorded: %+v", tot)
-	}
-	// The shard layer reports itself in LayerStats, above the manager.
-	ls := b.LayerStats()
-	if len(ls) < 3 {
-		t.Fatalf("expected shard + elastic + router entries, got %d", len(ls))
-	}
-	if ls[0].Layer != "shard[2]" {
-		t.Fatalf("top layer %q, want shard[2]", ls[0].Layer)
-	}
-	// A chunk parked in a shard cache keeps its slot live; the elastic
-	// drain hook flushes it so retirement still completes.
-	off2, _ := h.Alloc(512)
-	h.Free(off2) // parked, not tree-freed
-	b.Elastic().Poll()
-	b.Elastic().Poll()
-	if n := b.Instances(); n != 1 {
-		t.Fatalf("Instances = %d after idle polls, want 1 (drain hook must flush shard caches)", n)
-	}
-	b.Scrub()
-	if tot := sh.Totals(); tot.CachedNow != 0 || tot.StashedNow != 0 {
-		t.Fatalf("Scrub left parked chunks: %+v", tot)
 	}
 }
