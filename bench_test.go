@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/bunch"
 	_ "repro/internal/cloudwu"
-	"repro/internal/core"
 	_ "repro/internal/linuxbuddy"
 	_ "repro/internal/slbuddy"
 	_ "repro/internal/stack"
@@ -313,40 +312,28 @@ func BenchmarkAblationScatter(b *testing.B) {
 		if !scattered {
 			name = "fixed-start"
 		}
-		b.Run(fmt.Sprintf("1lvl-nb/%s/threads=%d", name, threads), func(b *testing.B) {
-			var opts []core.Option
-			if !scattered {
-				opts = append(opts, core.WithoutScatter())
-			}
-			a, err := core.New(benchInstance.Total, benchInstance.MinSize, benchInstance.MaxSize, opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			runWorkers(b, a, threads, func(h alloc.Handle, iters, _ int) {
-				for i := 0; i < iters; i++ {
-					if off, ok := h.Alloc(64); ok {
-						h.Free(off)
-					}
+		for _, leaf := range []struct {
+			name string
+			new  func(total, minSize, maxSize uint64, opts ...bunch.Option) (*bunch.Allocator, error)
+		}{{"1lvl-nb", bunch.New1Lvl}, {"4lvl-nb", bunch.New4Lvl}} {
+			b.Run(fmt.Sprintf("%s/%s/threads=%d", leaf.name, name, threads), func(b *testing.B) {
+				var opts []bunch.Option
+				if !scattered {
+					opts = append(opts, bunch.WithoutScatter())
 				}
-			})
-		})
-		b.Run(fmt.Sprintf("4lvl-nb/%s/threads=%d", name, threads), func(b *testing.B) {
-			var opts []bunch.Option
-			if !scattered {
-				opts = append(opts, bunch.WithoutScatter())
-			}
-			a, err := bunch.New(benchInstance.Total, benchInstance.MinSize, benchInstance.MaxSize, opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			runWorkers(b, a, threads, func(h alloc.Handle, iters, _ int) {
-				for i := 0; i < iters; i++ {
-					if off, ok := h.Alloc(64); ok {
-						h.Free(off)
-					}
+				a, err := leaf.new(benchInstance.Total, benchInstance.MinSize, benchInstance.MaxSize, opts...)
+				if err != nil {
+					b.Fatal(err)
 				}
+				runWorkers(b, a, threads, func(h alloc.Handle, iters, _ int) {
+					for i := 0; i < iters; i++ {
+						if off, ok := h.Alloc(64); ok {
+							h.Free(off)
+						}
+					}
+				})
 			})
-		})
+		}
 	}
 }
 

@@ -81,7 +81,7 @@ func main() {
 	fmt.Printf("\n%-6s %14s %14s %10s\n", "level", "chunk bytes", "nodes", "bunchleaf")
 	for l := 0; l <= geo.Depth; l++ {
 		leaf := ""
-		if geo.IsLeafLevel(l) {
+		if geo.LeafLevelFor(l, geometry.BunchSpan) == l {
 			leaf = "yes"
 		}
 		target := " "
@@ -91,28 +91,20 @@ func main() {
 		fmt.Printf("%-6d %14d %14d %10s %s\n", l, geo.SizeOfLevel(l), geometry.LevelWidth(l), leaf, target)
 	}
 
-	// Metadata footprints.
-	flatBytes := geo.StatusWords() * 8 // one status byte per node, word-packed
-	var words uint64
-	for _, lvl := range geo.LeafLevels() {
-		words += geometry.WordsAtLevel(lvl)
-	}
-	bunchBytes := words * 8
-	indexBytes := geo.Leaves() * 4
+	// Metadata footprints and RMW economics of the non-blocking leaf at
+	// both bunch heights: 1lvl-nb (k = 1) and 4lvl-nb (k = 4).
+	heights := []int{1, geometry.BunchSpan}
 	fmt.Printf("\nmetadata footprint:\n")
-	fmt.Printf("  1lvl tree[] : %12d bytes (%.2f%% of managed memory, %d words)\n", flatBytes, pct(flatBytes, geo.Total), geo.StatusWords())
-	fmt.Printf("  4lvl bunches: %12d bytes (%.2f%% of managed memory, %d words)\n", bunchBytes, pct(bunchBytes, geo.Total), words)
-	fmt.Printf("  index[]     : %12d bytes (%.2f%% of managed memory)\n", indexBytes, pct(indexBytes, geo.Total))
-
-	// RMW economics: climb lengths with and without bunches.
-	climb1 := geo.Depth - geo.MaxLevel
-	climb4 := 0
-	for lam := geo.LeafLevelFor(geo.Depth) - geometry.BunchSpan; lam >= geo.LeafLevelFor(geo.MaxLevel); lam -= geometry.BunchSpan {
-		climb4++
+	for _, k := range heights {
+		bytes := geo.Words(k) * 8
+		fmt.Printf("  %dlvl words  : %12d bytes (%.2f%% of managed memory, %d words)\n", k, bytes, pct(bytes, geo.Total), geo.Words(k))
 	}
+	indexBytes := geo.Leaves() * 4
+	fmt.Printf("  index[]     : %12d bytes (%.2f%% of managed memory)\n", indexBytes, pct(indexBytes, geo.Total))
 	fmt.Printf("\nworst-case RMW per allocation (min-size chunk):\n")
-	fmt.Printf("  1lvl: %d (reserve + %d climb steps)\n", climb1+1, climb1)
-	fmt.Printf("  4lvl: %d (reserve + %d climb steps)\n", climb4+1, climb4)
+	for _, k := range heights {
+		fmt.Printf("  %dlvl: %d (reserve + %d climb steps)\n", k, geo.Climb(k)+1, geo.Climb(k))
+	}
 
 	if *demoOps > 0 {
 		cfg := nbbs.Config{

@@ -1,17 +1,20 @@
 package bunch
 
-import (
-	"repro/internal/geometry"
-	"repro/internal/status"
-)
+import "repro/internal/geometry"
 
-// Native alloc.BatchAllocator implementation over the bunch layout; see
-// internal/core/batch.go for the rationale. The scan is the same as the
-// 1-level variant's batched scan with the bunch-word probe substituted.
+// This file implements the alloc.BatchAllocator contract natively: a bulk
+// allocation collects the whole batch in the same two-pass SWAR level
+// scan that a single Alloc uses for one node. A chunk-at-a-time loop
+// restarts the scan at a fresh scatter slot per call and re-walks the
+// occupied runs it already skipped; the batched scan keeps its position,
+// so the probing cost of the batch is one traversal of the level
+// regardless of n.
 
 // AllocBatch reserves up to n chunks of at least size bytes in one level
-// scan, returning their offsets. A short or empty result means the level
-// could not serve the remainder; an empty batch counts one AllocFail.
+// scan and appends their offsets to the returned slice. A short (possibly
+// empty) result means the level could not serve the remainder; a batch
+// that delivers nothing counts one AllocFail, exactly like a failed
+// Alloc. Like every handle operation it is single-goroutine.
 func (h *Handle) AllocBatch(size uint64, n int) []uint64 {
 	if n <= 0 {
 		return nil
@@ -27,16 +30,13 @@ func (h *Handle) AllocBatch(size uint64, n int) []uint64 {
 	end := base << 1
 	h.seq++
 	start := base + h.scatterSlot(level)
-	// Advance in word units: snap the bulk scan's start to the first node
-	// of its bunch word so every loaded word is consumed from its first
-	// in-level field (see the identical alignment in internal/core). A
-	// node at this level covers count fields, so a word carries
-	// 8/count nodes of the level.
-	if _, field, count, _ := h.a.nodeWord(start); field != 0 {
-		if aligned := start - uint64(field/count); aligned >= base {
-			start = aligned
-		}
-	}
+	// The bulk scan advances in word units: snapping the start down to the
+	// first node of its word makes every loaded word get consumed from its
+	// first in-level field, so consecutive batches walk whole words instead
+	// of re-loading a word for a partial tail. A word carries 8>>shift
+	// nodes of the level; a level narrower than a word starts inside its
+	// word, where the snap stops at the level's first node.
+	start = max(base, start&^(7>>h.a.levels[level].shift))
 
 	for pass := 0; pass < 2 && len(out) < n; pass++ {
 		lo, hi := start, end
@@ -44,44 +44,22 @@ func (h *Handle) AllocBatch(size uint64, n int) []uint64 {
 			lo, hi = base, start
 		}
 		i := lo
-		for i < hi && len(out) < n {
-			word, field, count, _ := h.a.nodeWord(i)
-			w := word.Load()
-			f := status.FirstFreeRun(w, field, count)
-			if f == status.LanesPerWord {
-				i += uint64((status.LanesPerWord - field) / count)
-				continue
-			}
-			cand := i + uint64((f-field)/count)
-			if cand >= hi {
-				i = hi
-				continue
-			}
-			failedAt := h.tryAlloc(cand, w)
-			if failedAt == 0 {
-				offset := geo.OffsetOf(cand)
-				h.a.index[geo.UnitIndex(offset)].Store(uint32(cand))
-				h.stats.Allocs++
-				out = append(out, offset)
-				i = cand + 1
-				continue
-			}
-			h.stats.Retries++
-			d := uint64(1) << uint(level-geometry.LevelOf(failedAt))
-			next := (failedAt + 1) * d
-			if next <= cand {
-				next = cand + 1
-			}
+		for len(out) < n {
+			off, ok, next := h.scan(level, i, hi)
 			i = next
+			if !ok {
+				break
+			}
+			out = append(out, off)
 		}
-		if i > hi {
-			i = hi // a subtree skip may overshoot the pass bound
-		}
-		// Advance the scatter sequence past everything this pass walked
-		// (see the identical rover advance in internal/core/batch.go: a
-		// +1-per-call rotation would restart every batch inside its own
-		// still-live delivery and re-probe it end to end).
-		h.seq += i - lo
+		// Advance the scatter sequence past everything this pass walked,
+		// so the next batch resumes where this scan stopped (and, after
+		// the start realignment above, on the word this scan stopped in).
+		// The single-alloc +1 rotation assumes one consumed slot per call;
+		// a batch that delivered a whole run would otherwise restart the
+		// next call inside its own still-live delivery and re-probe it
+		// end to end (quadratic in the live-run length).
+		h.seq += min(i, hi) - lo
 	}
 	if len(out) == 0 {
 		h.stats.AllocFails++
@@ -89,7 +67,10 @@ func (h *Handle) AllocBatch(size uint64, n int) []uint64 {
 	return out
 }
 
-// FreeBatch releases a batch of previously allocated chunks.
+// FreeBatch releases a batch of previously allocated chunks. The release
+// climbs are the same as chunk-at-a-time frees (coalescing is already
+// pairwise); the batch form exists so layer crossings hand the whole
+// magazine down in one call.
 func (h *Handle) FreeBatch(offsets []uint64) {
 	for _, off := range offsets {
 		h.Free(off)

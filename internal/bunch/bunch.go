@@ -1,37 +1,48 @@
-// Package bunch implements the paper's 4-levels optimization (§III.D,
-// evaluation label "4lvl-nb"): the non-blocking buddy system with four
-// tree levels packed per 64-bit word, cutting the atomic RMW instructions
-// on a climb by a factor of four.
+// Package bunch implements the paper's non-blocking buddy system
+// (§III.A-D, Algorithms 1-4) over word-packed status lanes, at two bunch
+// heights: k = 4 is the 4-levels optimization (evaluation label
+// "4lvl-nb"), k = 1 the 1-level layout ("1lvl-nb"). Both run the same
+// three-phase NBALLOC/NBFREE; k only decides how many tree levels one
+// word's lane covers.
 //
-// Only the deepest level of each 4-level group — the bunch leaves — is
-// materialized: 8 leaves × one status byte fill one word exactly (the
-// paper packs 5-bit fields into 40 bits; we spend the spare 3 bits per
-// leaf to put every field on a byte boundary, which buys the SWAR level
-// scan below). The state of the 7 interior nodes of a bunch is derived
-// from its leaves: partial occupancy is the OR of the children's
+// Tree levels are grouped into bunches of k consecutive levels (see
+// internal/geometry/bunch.go). Only the deepest level of each bunch — the
+// bunch leaves — is materialized: one status byte per bunch leaf, eight
+// per 64-bit word (the paper packs 5-bit fields into 40 bits; we spend the
+// spare 3 bits per leaf to put every field on a byte boundary, which buys
+// the SWAR level scan below). The state of the interior nodes of a bunch
+// is derived from its leaves: partial occupancy is the OR of the children's
 // occupancy, full occupancy the AND, and coalescing the OR of the
 // children's coalescing bits (paper Figure 6). Bunch-leaf levels are
 // aligned to the bottom of the tree, so tree leaves are always
-// materialized and the topmost bunch may be partial.
+// materialized and the topmost bunch may be partial. At k = 1 every level
+// is materialized and nothing is derived.
 //
-// The algorithms are the same three-phase NBAlloc/NBFree of internal/core
-// with two systematic changes:
+// Every mutation is a single-word CAS on the containing word that
+// rewrites only the target's lanes; an operation that loses a CAS race
+// either retries the same step (when the update remains coherent —
+// including a loss purely to traffic on sibling lanes of the word) or
+// aborts and moves to another node (when a conflicting allocation
+// reserved the chunk). No thread ever blocks another: the algorithm is
+// lock-free (paper appendix, Theorem A.1). The height k enters in two
+// places:
 //
 //   - a direct occupy or release of a node touches all the bunch-leaf
 //     fields covering it in one CAS (they fit a single word by layout);
-//   - climbs step from one materialized level to the next (4 levels per
-//     RMW), and the per-level buddy checks the 1-level algorithm performs
-//     in between are answered by deriving the intermediate state from the
-//     already-witnessed word, costing no extra atomic instruction.
+//   - climbs step from one materialized level to the next (k levels per
+//     RMW), and the per-level buddy checks in between are answered by
+//     deriving the intermediate state from the already-witnessed word,
+//     costing no extra atomic instruction.
 //
-// The level scan is a SWAR pass: one atomic load of a bunch word answers
-// all the nodes the word covers at the scanned level (eight at the
+// The level scan is a SWAR pass: one atomic load of a word answers all
+// the nodes the word covers at the scanned level (eight at the
 // materialized levels, fewer above them), with status.FirstFreeRun
 // locating the first free candidate by bit tricks.
 package bunch
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -41,21 +52,39 @@ import (
 )
 
 func init() {
+	alloc.Register("1lvl-nb", func(cfg alloc.Config) (alloc.Allocator, error) {
+		return New1Lvl(cfg.Total, cfg.MinSize, cfg.MaxSize)
+	})
 	alloc.Register("4lvl-nb", func(cfg alloc.Config) (alloc.Allocator, error) {
-		return NewFromConfig(cfg)
+		return New4Lvl(cfg.Total, cfg.MinSize, cfg.MaxSize)
 	})
 }
 
-// Allocator is a single 4-level non-blocking buddy-system instance.
+// Allocator is a single non-blocking buddy-system instance.
 type Allocator struct {
-	geo geometry.Geometry
+	name string
+	geo  geometry.Geometry
+	// k is the bunch height: the tree levels one materialized lane covers.
+	k int
+	// bunchLanes is the number of leaves of one bunch, 1<<(k-1).
+	bunchLanes int
+	// top is the materialized level covering MaxLevel: every climb ends
+	// there.
+	top int
+	// levels locates each tree level's state in words, so the hot paths
+	// reach a node's word without a division.
+	levels [32]levelMap
 	// words holds the bunch words of all materialized levels, deepest
-	// level first; wordBase[level] is the offset of a materialized
-	// level's words within the slice.
-	words    []atomic.Uint64
-	wordBase [64]uint64
-	// index maps allocation-unit slots to the serving node, as in core.
-	index   []atomic.Uint32
+	// level first.
+	words []atomic.Uint64
+	// index maps allocation-unit slots (offset/MinSize) to the tree node
+	// that served the allocation starting there; 0 means "not delivered",
+	// which is what makes double frees detectable.
+	index []atomic.Uint32
+	// unitShift is log2(MinSize): offset>>unitShift is an offset's slot in
+	// index, with no division on the hot path.
+	unitShift uint
+	// scatter disables the scattered scan start when false (ablation A2).
 	scatter bool
 
 	mu      sync.Mutex
@@ -65,72 +94,94 @@ type Allocator struct {
 	pool    sync.Pool
 }
 
+// levelMap locates one tree level in the words: lam is the materialized
+// level carrying its state and a node of the level covers 1<<shift lanes
+// (shift = lam - level). Bunch leaf f of lam sits in lane f&7 of word
+// off+f>>3: every level of width >= 8 starts on a word boundary, and each
+// narrower one gets a word of its own in which its leaves keep their lane
+// f&7, so a lane never needs the level's first node subtracted.
+type levelMap struct {
+	lam   int
+	shift uint
+	off   uint64
+}
+
 // Option tweaks allocator construction.
 type Option func(*Allocator)
 
-// WithoutScatter disables the scattered scan start (ablation A2).
+// WithoutScatter makes every allocation scan its target level from the
+// first node, the configuration the scattered-start ablation compares
+// against.
 func WithoutScatter() Option { return func(a *Allocator) { a.scatter = false } }
 
-// New builds an instance managing total bytes with the given allocation
-// unit and maximum request size (all powers of two).
-func New(total, minSize, maxSize uint64, opts ...Option) (*Allocator, error) {
+// New1Lvl builds a "1lvl-nb" instance (bunch height 1) managing total
+// bytes with the given allocation unit and maximum request size (all
+// powers of two).
+func New1Lvl(total, minSize, maxSize uint64, opts ...Option) (*Allocator, error) {
+	return newAllocator("1lvl-nb", 1, total, minSize, maxSize, opts)
+}
+
+// New4Lvl builds a "4lvl-nb" instance (bunch height 4), as New1Lvl.
+func New4Lvl(total, minSize, maxSize uint64, opts ...Option) (*Allocator, error) {
+	return newAllocator("4lvl-nb", geometry.BunchSpan, total, minSize, maxSize, opts)
+}
+
+func newAllocator(name string, k int, total, minSize, maxSize uint64, opts []Option) (*Allocator, error) {
 	geo, err := geometry.New(total, minSize, maxSize)
 	if err != nil {
 		return nil, err
 	}
-	return NewWithGeometry(geo, opts...), nil
-}
-
-// NewFromConfig adapts New to the registry factory signature.
-func NewFromConfig(cfg alloc.Config) (*Allocator, error) {
-	return New(cfg.Total, cfg.MinSize, cfg.MaxSize)
-}
-
-// NewWithGeometry builds an instance from an already-validated geometry.
-func NewWithGeometry(geo geometry.Geometry, opts ...Option) *Allocator {
 	if geo.Depth > 31 {
-		panic(fmt.Sprintf("bunch: depth %d exceeds the uint32 node-index range", geo.Depth))
+		return nil, fmt.Errorf("bunch: depth %d exceeds the uint32 node-index range", geo.Depth)
 	}
 	a := &Allocator{
-		geo:     geo,
-		index:   make([]atomic.Uint32, geo.Leaves()),
-		scatter: true,
+		name:       name,
+		geo:        geo,
+		k:          k,
+		bunchLanes: 1 << (k - 1),
+		top:        geo.LeafLevelFor(geo.MaxLevel, k),
+		index:      make([]atomic.Uint32, geo.Leaves()),
+		unitShift:  uint(bits.TrailingZeros64(minSize)),
+		scatter:    true,
 	}
-	var total uint64
-	for _, lvl := range geo.LeafLevels() {
-		a.wordBase[lvl] = total
-		total += geometry.WordsAtLevel(lvl)
+	var words uint64
+	for _, lam := range geo.LeafLevels(k) {
+		off := words - geometry.FirstOfLevel(lam)>>3 // may wrap below zero; off+f>>3 does not
+		for l := lam; l > lam-k && l >= 0; l-- {
+			a.levels[l] = levelMap{lam: lam, shift: uint(lam - l), off: off}
+		}
+		words += geometry.WordsAtLevel(lam)
 	}
-	a.words = make([]atomic.Uint64, total)
+	a.words = make([]atomic.Uint64, words)
 	for _, o := range opts {
 		o(a)
 	}
 	a.pool.New = func() any { return a.NewHandle() }
-	return a
+	return a, nil
 }
 
 // Name implements alloc.Allocator.
-func (a *Allocator) Name() string { return "4lvl-nb" }
+func (a *Allocator) Name() string { return a.name }
 
 // Geometry implements alloc.Allocator.
 func (a *Allocator) Geometry() geometry.Geometry { return a.geo }
 
-// wordOf returns the bunch word holding leaf (which must be at the
-// materialized level leafLevel) and the field position of leaf within it.
-func (a *Allocator) wordOf(leaf uint64, leafLevel int) (*atomic.Uint64, int) {
-	w, f := geometry.WordOf(leaf, leafLevel)
-	return &a.words[a.wordBase[leafLevel]+w], f
+// wordOf returns the word holding leaf (which must be at the materialized
+// level lam) and the field position of leaf within it.
+func (a *Allocator) wordOf(leaf uint64, lam int) (*atomic.Uint64, int) {
+	return &a.words[a.levels[lam].off+leaf>>3], int(leaf & 7)
 }
 
-// nodeWord locates the word and covered field range of an arbitrary node.
-func (a *Allocator) nodeWord(n uint64) (word *atomic.Uint64, field, count int, leafLevel int) {
-	first, cnt := a.geo.CoveredLeaves(n)
-	leafLevel = a.geo.LeafLevelFor(geometry.LevelOf(n))
-	w, f := a.wordOf(first, leafLevel)
-	return w, f, cnt, leafLevel
+// nodeWord locates the word and covered field range of an arbitrary node,
+// and the materialized level lam of those fields.
+func (a *Allocator) nodeWord(n uint64) (word *atomic.Uint64, field, count, lam int) {
+	m := &a.levels[geometry.LevelOf(n)]
+	first := n << m.shift
+	return &a.words[m.off+first>>3], int(first & 7), 1 << m.shift, m.lam
 }
 
-// Alloc serves a one-off request through a pooled handle.
+// Alloc serves a one-off request through a pooled handle. Hot loops should
+// use NewHandle instead.
 func (a *Allocator) Alloc(size uint64) (uint64, bool) {
 	h := a.pool.Get().(*Handle)
 	off, ok := h.Alloc(size)
@@ -169,7 +220,8 @@ func (a *Allocator) Stats() alloc.Stats {
 }
 
 // Handle is the per-worker face of the allocator (not safe for concurrent
-// use).
+// use). It carries the scattered scan start that spreads concurrent
+// same-level allocations over different nodes, and private counters.
 type Handle struct {
 	a      *Allocator
 	id     uint64
@@ -211,9 +263,13 @@ func (a *Allocator) Handles() int {
 	return len(a.handles)
 }
 
-// scatterSlot spreads handles across the level by golden-ratio hashing
-// and rotates each handle's start between allocations (see the identical
-// method in internal/core).
+// scatterSlot picks the slot within a level where this handle starts
+// scanning — the paper's "starting from scattered points" refinement.
+// Multiplying the handle id by the 64-bit golden ratio and keeping the
+// top bits spreads any number of handles evenly across the level, and the
+// per-handle sequence rotates the start between allocations so a handle
+// does not re-walk its own previously delivered (still live) run of nodes
+// on every call.
 func (h *Handle) scatterSlot(level int) uint64 {
 	if !h.a.scatter || level == 0 {
 		return 0
@@ -222,9 +278,9 @@ func (h *Handle) scatterSlot(level int) uint64 {
 	return (base + h.seq) & (geometry.LevelWidth(level) - 1)
 }
 
-// Alloc is NBALLOC over the bunch layout: identical scan and subtree-skip
-// logic to the 1-level variant; only the per-node state probe and the
-// reservation differ.
+// Alloc is the paper's NBALLOC (Algorithm 1). It identifies the target
+// level for the request, then scans that level for a free node from this
+// handle's scattered start, wrapping around once.
 func (h *Handle) Alloc(size uint64) (uint64, bool) {
 	geo := h.a.geo
 	if size > geo.MaxSize {
@@ -233,62 +289,79 @@ func (h *Handle) Alloc(size uint64) (uint64, bool) {
 	}
 	level := geo.LevelForSize(size)
 	base := geometry.FirstOfLevel(level)
-	end := base << 1
+	end := base << 1 // one past the last node of the level
 	h.seq++
 	start := base + h.scatterSlot(level)
 
-	for pass := 0; pass < 2; pass++ {
-		lo, hi := start, end
-		if pass == 1 {
-			lo, hi = base, start
-		}
-		for i := lo; i < hi; {
-			// Probe a whole bunch word at once with the busy mask only, as
-			// the 1-level IsFree does: transient coalescing bits do not
-			// disqualify a node (the reservation CAS inside tryAlloc still
-			// requires them clear). FirstFreeRun yields the first candidate
-			// among the 8/count nodes the word covers at this level.
-			word, field, count, _ := h.a.nodeWord(i)
-			w := word.Load()
-			f := status.FirstFreeRun(w, field, count)
-			if f == status.LanesPerWord {
-				i += uint64((status.LanesPerWord - field) / count) // next word's first node
-				continue
-			}
-			cand := i + uint64((f-field)/count)
-			if cand >= hi {
-				i = hi
-				continue
-			}
-			failedAt := h.tryAlloc(cand, w)
-			if failedAt == 0 {
-				offset := geo.OffsetOf(cand)
-				h.a.index[geo.UnitIndex(offset)].Store(uint32(cand))
-				h.stats.Allocs++
-				return offset, true
-			}
-			h.stats.Retries++
-			d := uint64(1) << uint(level-geometry.LevelOf(failedAt))
-			next := (failedAt + 1) * d
-			if next <= cand {
-				next = cand + 1
-			}
-			i = next
-		}
+	// Scan [start, end) and then wrap to [base, start): two linear passes
+	// keep the subtree-skip arithmetic identical to the paper's.
+	off, ok, _ := h.scan(level, start, end)
+	if !ok {
+		off, ok, _ = h.scan(level, base, start)
 	}
-	h.stats.AllocFails++
-	return 0, false
+	if !ok {
+		h.stats.AllocFails++
+	}
+	return off, ok
 }
 
-// tryAlloc reserves node n and propagates partial occupancy to the max
-// level in 4-level steps. It returns 0 on success or the index of the
-// conflicting node, after rolling back its own updates. scanned is the
-// caller's already-loaded value of n's word, seeding the first
-// reservation attempt so the hot path issues no redundant atomic load.
+// scan walks the nodes [i, hi) of a level and reserves the first free
+// node it can with tryAlloc, returning its offset and the node after it.
+// When it reserves none, it returns ok false and the node where the walk
+// stopped, which a word step or a subtree skip may have carried past hi.
+//
+// The walk is a SWAR pass: one load of a word answers every node the word
+// covers at this level, and status.FirstFreeRun picks the first whose
+// covered fields have no Busy bit. Transient coalescing bits do not
+// disqualify a node, as in the paper's IsFree (the reservation CAS inside
+// tryAlloc still requires them clear). It runs over the lanes the nodes
+// cover (node<<shift), so the step from word to word is an add. When
+// tryAlloc fails because of an occupied ancestor the walk skips the whole
+// subtree of the conflicting node (lines A18-A19) before probing further.
+func (h *Handle) scan(level int, i, hi uint64) (offset uint64, ok bool, next uint64) {
+	a := h.a
+	m := a.levels[level]
+	count := 1 << m.shift
+	lane, end := i<<m.shift, hi<<m.shift
+	for lane < end {
+		w := a.words[m.off+lane>>3].Load()
+		f := status.FirstFreeRun(w, int(lane&7), count)
+		// The candidate's first lane, or the next word's first when the
+		// word has none.
+		lane = lane&^7 + uint64(f)
+		if f == status.LanesPerWord || lane >= end {
+			continue
+		}
+		cand := lane >> m.shift
+		failedAt := h.tryAlloc(cand, w)
+		if failedAt == 0 {
+			offset = a.geo.OffsetOf(cand)
+			a.index[offset>>a.unitShift].Store(uint32(cand))
+			h.stats.Allocs++
+			return offset, true, cand + 1
+		}
+		// The allocation lost to a chunk reserved at failedAt: every
+		// descendant of failedAt at this level is equally taken, so jump
+		// past the whole subtree.
+		h.stats.Retries++
+		d := uint64(1) << uint(level-geometry.LevelOf(failedAt))
+		lane = max((failedAt+1)*d, cand+1) << m.shift
+	}
+	return 0, false, lane >> m.shift
+}
+
+// tryAlloc is the paper's TRYALLOC (Algorithm 2). It reserves node n and
+// propagates partial occupancy to the max level, one materialized level
+// per step, clearing the branch's coalescing bit so racing releases notice
+// the branch was reused. It returns 0 on success or the index of the
+// conflicting node, after rolling back its own updates through freeNode.
+// scanned is the caller's already-loaded value of n's word, seeding the
+// first reservation attempt so the hot path issues no redundant atomic
+// load.
 func (h *Handle) tryAlloc(n, scanned uint64) uint64 {
-	geo := h.a.geo
+	a := h.a
 	nLevel := geometry.LevelOf(n)
-	word, field, count, leafLevel := h.a.nodeWord(n)
+	word, field, count, leafLevel := a.nodeWord(n)
 
 	// Reserve n: all covered leaf fields must be exactly clear (as in the
 	// 1-level CAS from 0 to BUSY: pending coalescing bits also fail the
@@ -309,69 +382,85 @@ func (h *Handle) tryAlloc(n, scanned uint64) uint64 {
 	// Climb. Interior bunch ancestors of n derive their state from the
 	// fields just set; explicit updates happen at each materialized level
 	// above n's bunch, down to the one that covers MaxLevel.
-	lamStop := geo.LeafLevelFor(geo.MaxLevel)
-	for lam := leafLevel - geometry.BunchSpan; lam >= lamStop; lam -= geometry.BunchSpan {
-		anc := geometry.AncestorAt(n, nLevel, lam)
-		child := geometry.AncestorAt(n, nLevel, lam+1)
-		ancWord, ancField := h.a.wordOf(anc, lam)
+	k := a.k
+	cur := n << uint(leafLevel-nLevel) // climbs from n's first covered leaf
+	for lam := leafLevel - k; lam >= a.top; lam -= k {
+		child := cur >> uint(k-1)
+		anc := child >> 1
+		ancWord, ancField := a.wordOf(anc, lam)
+		occ := status.ShiftToLane(status.Occ, ancField)
+		coal := status.ShiftToLane(status.CoalBit(child), ancField)
+		mark := status.ShiftToLane(status.Mark(0, child), ancField)
 		for {
 			w := ancWord.Load()
-			f := status.Field(w, ancField)
-			if status.IsOcc(f) {
-				// A fully reserved ancestor: roll back the climb (which
-				// has updated materialized levels (lam, leafLevel-4]) and
-				// n's own reservation, then report the conflict.
-				h.freeNode(n, lam+geometry.BunchSpan)
+			if w&occ != 0 {
+				// A fully reserved ancestor: this chunk cannot be
+				// fragmented. Roll back the climb (which has updated
+				// materialized levels (lam, leafLevel-k]) and n's own
+				// reservation, then report the conflict.
+				h.freeNode(n, lam+k)
 				return anc
 			}
-			nf := status.Mark(status.CleanCoal(f, child), child)
 			h.stats.RMW++
-			if ancWord.CompareAndSwap(w, status.WithField(w, ancField, nf)) {
+			if ancWord.CompareAndSwap(w, w&^coal|mark) {
 				break
 			}
+			// A concurrent operation changed this node's other bits or a
+			// sibling lane; the marking is still coherent, so re-read and
+			// retry the step.
 			h.stats.CASFail++
 		}
+		cur = anc
 	}
 	return 0
 }
 
-// Free is NBFREE: recover the serving node from index[] and release it all
-// the way up to the level covering MaxLevel.
+// Free is the paper's NBFREE (Algorithm 3): it recovers the node that
+// served the offset from index[] and releases it all the way up to the
+// level covering MaxLevel. Freeing an offset that is not currently
+// delivered (a double free or a foreign pointer) panics, mirroring the
+// abort-on-misuse convention of production allocators.
 func (h *Handle) Free(offset uint64) {
-	geo := h.a.geo
-	if offset >= geo.Total || offset%geo.MinSize != 0 {
+	a := h.a
+	if offset >= a.geo.Total || offset&(a.geo.MinSize-1) != 0 {
 		panic(fmt.Sprintf("bunch: Free(%#x): offset outside the managed region or unaligned", offset))
 	}
-	n := h.a.index[geo.UnitIndex(offset)].Swap(0)
+	n := a.index[offset>>a.unitShift].Swap(0)
 	if n == 0 {
 		panic(fmt.Sprintf("bunch: Free(%#x): offset not currently allocated (double free?)", offset))
 	}
-	h.freeNode(uint64(n), geo.LeafLevelFor(geo.MaxLevel))
+	h.freeNode(uint64(n), a.top)
 	h.stats.Frees++
 }
 
-// freeNode releases node n, propagating through materialized levels down
-// to ubLam (the bunch-leaf level the release must reach). For a real free
-// ubLam covers MaxLevel; for a TryAlloc rollback it is the level just
-// below the conflict point.
+// freeNode is the paper's FREENODE (Algorithm 3). It releases node n,
+// propagating through materialized levels down to ubLam (the bunch-leaf
+// level the release must reach). For a real free ubLam covers MaxLevel;
+// for a tryAlloc rollback it is the level just below the conflict point.
 func (h *Handle) freeNode(n uint64, ubLam int) {
+	a := h.a
 	nLevel := geometry.LevelOf(n)
-	word, field, count, leafLevel := h.a.nodeWord(n)
+	word, field, count, leafLevel := a.nodeWord(n)
+	first := n << uint(leafLevel-nLevel) // n's first covered leaf
 
-	// Phase 1: mark the climb path as coalescing. The 1-level algorithm
-	// checks at every step whether the buddy branch is occupied (and not
-	// itself coalescing) to arrest the climb; here the buddies at the
-	// levels interior to the bunch just left are derived from the
-	// witnessed word, and the buddy at the explicit step is read from the
-	// ancestor's own field.
-	lowWord, lowField, lowCount := word.Load(), field, count
-	for lam := leafLevel - geometry.BunchSpan; lam >= ubLam; lam -= geometry.BunchSpan {
-		if derivedArrest(lowWord, lowField, lowCount) {
+	// Phase 1: mark the climb path as coalescing so racing operations know
+	// a release is in flight (lines F2-F18). The climb is arrested at a
+	// node whose other branch is occupied (and not itself coalescing),
+	// because the merge cannot proceed past a fragmented buddy (paper
+	// Figure 4). The buddies at the levels interior to the bunch just
+	// left are derived from the witnessed word, and the buddy at the
+	// explicit step is read from the ancestor's own field.
+	k, lanes := a.k, a.bunchLanes
+	cur, low, lowCount := first, word.Load(), count
+	for lam := leafLevel - k; lam >= ubLam; lam -= k {
+		// Only a node covering less than its whole bunch has derived
+		// buddies (never at k = 1).
+		if lowCount < lanes && derivedArrest(low, int(cur&7), lowCount, lanes) {
 			break
 		}
-		anc := geometry.AncestorAt(n, nLevel, lam)
-		child := geometry.AncestorAt(n, nLevel, lam+1)
-		ancWord, ancField := h.a.wordOf(anc, lam)
+		child := cur >> uint(k-1)
+		anc := child >> 1
+		ancWord, ancField := a.wordOf(anc, lam)
 		// Setting one coalescing bit would be a natural atomic Or — but
 		// the value-returning atomic.Uint64.Or/And intrinsics miscompile
 		// this climb shape on go1.24.0/amd64 (a register holding a live
@@ -399,13 +488,14 @@ func (h *Handle) freeNode(n uint64, ubLam int) {
 		}
 		// The next iteration's derived checks look at the word we just
 		// left the mark in, from the ancestor's field upward.
-		lowWord, lowField, lowCount = witnessed, ancField, 1
+		cur, low, lowCount = anc, witnessed, 1
 	}
 
-	// Phase 2: release n itself by clearing all its covered fields. A CAS
-	// loop (rather than the 1-level plain store) tolerates concurrent
-	// traffic on sibling fields of the word. (An atomic And would do it
-	// in one guaranteed RMW, but see the intrinsic caveat in phase 1.)
+	// Phase 2: release n itself by clearing all its covered fields (line
+	// F19). The paper's plain store becomes a CAS loop because sibling
+	// lanes of the word may be mutating concurrently and must not be
+	// clobbered. (An atomic And would do it in one guaranteed RMW, but see
+	// the intrinsic caveat in phase 1.)
 	clearMask := status.FieldMask(field, count)
 	var afterRelease uint64
 	for {
@@ -418,49 +508,60 @@ func (h *Handle) freeNode(n uint64, ubLam int) {
 		h.stats.CASFail++
 	}
 
-	// Phase 3: propagate the release (UNMARK). Climbing one materialized
-	// step asserts that the whole subtree under the ancestor's child
-	// branch is free, which is exactly "the word just updated holds no
-	// busy field": that one test answers every per-level buddy check the
-	// 1-level algorithm would perform in between. The coalescing bit in
-	// the ancestor's field protects the step against racing allocations,
-	// which clear it when they reuse the branch.
-	if nLevel <= ubLam { // n is at (or above) the destination level: no climb happened
-		return
+	// Phase 3: propagate the release towards the upper bound.
+	if nLevel > ubLam { // else n is at (or above) the destination level: no climb happened
+		h.unmark(first, leafLevel, ubLam, afterRelease)
 	}
-	lowAfter := afterRelease
-	for lam := leafLevel - geometry.BunchSpan; lam >= ubLam; lam -= geometry.BunchSpan {
-		if anyBusyWord(lowAfter) {
+}
+
+// unmark is the paper's UNMARK (Algorithm 4): climb from the bunch-leaf
+// level leafLevel of a just-released node (first is its first covered
+// leaf, low the word after its release) towards ubLam, clearing the
+// occupancy and coalescing bits of the branch being left. Climbing one
+// materialized step asserts that the whole subtree under the ancestor's
+// child branch is free, which is exactly "the bunch just left holds no
+// busy field": that one test answers every per-level buddy check in
+// between. The coalescing bit in the ancestor's field protects the step
+// against racing allocations, which clear it when they reuse the branch;
+// found already cleared, it means a concurrent operation took the branch
+// over and the climb stops.
+func (h *Handle) unmark(first uint64, leafLevel, ubLam int, low uint64) {
+	a := h.a
+	k, lanes := a.k, a.bunchLanes
+	cur := first
+	for lam := leafLevel - k; lam >= ubLam; lam -= k {
+		if status.AnyBusy(low, int(cur&7)&^(lanes-1), lanes) {
 			return
 		}
-		anc := geometry.AncestorAt(n, nLevel, lam)
-		child := geometry.AncestorAt(n, nLevel, lam+1)
-		ancWord, ancField := h.a.wordOf(anc, lam)
+		child := cur >> uint(k-1)
+		anc := child >> 1
+		ancWord, ancField := a.wordOf(anc, lam)
+		coal := status.ShiftToLane(status.CoalBit(child), ancField)
+		branch := coal | status.ShiftToLane(status.Mark(0, child), ancField)
 		var updated uint64
 		for {
 			w := ancWord.Load()
-			f := status.Field(w, ancField)
-			if !status.IsCoal(f, child) {
+			if w&coal == 0 {
 				return
 			}
-			nf := status.Unmark(f, child)
-			updated = status.WithField(w, ancField, nf)
+			updated = w &^ branch
 			h.stats.RMW++
 			if ancWord.CompareAndSwap(w, updated) {
 				break
 			}
 			h.stats.CASFail++
 		}
-		lowAfter = updated
+		cur, low = anc, updated
 	}
 }
 
-// derivedArrest walks the within-word buddy tree from the fields [j,j+count)
-// towards the word root and reports whether some derived buddy is occupied
-// while not coalescing — the condition that arrests a release climb in the
-// 1-level algorithm, answered here without touching memory.
-func derivedArrest(w uint64, j, count int) bool {
-	for count < 8 {
+// derivedArrest walks the within-bunch buddy tree from the fields
+// [j,j+count) towards the bunch root (a bunch spans lanes fields) and
+// reports whether some derived buddy is occupied while not coalescing —
+// the condition that arrests a release climb at a materialized level,
+// answered here for the derived levels without touching memory.
+func derivedArrest(w uint64, j, count, lanes int) bool {
+	for count < lanes {
 		buddy := j ^ count
 		busy := w&status.Fill(buddy, count, status.Busy) != 0
 		coal := w&status.Fill(buddy, count, status.CoalLeft|status.CoalRight) != 0
@@ -472,6 +573,3 @@ func derivedArrest(w uint64, j, count int) bool {
 	}
 	return false
 }
-
-// anyBusyWord reports whether any field of a bunch word has a busy bit.
-func anyBusyWord(w uint64) bool { return w&status.Fill(0, 8, status.Busy) != 0 }

@@ -9,18 +9,20 @@ import (
 // ChunkSize implements alloc.ChunkSizer: the reserved size of a delivered
 // chunk is the size of the serving tree node recorded in index[].
 func (a *Allocator) ChunkSize(offset uint64) uint64 {
-	if offset >= a.geo.Total || offset%a.geo.MinSize != 0 {
+	if offset >= a.geo.Total || offset&(a.geo.MinSize-1) != 0 {
 		panic(fmt.Sprintf("bunch: ChunkSize(%#x): offset outside the managed region or unaligned", offset))
 	}
-	n := a.index[a.geo.UnitIndex(offset)].Load()
+	n := a.index[offset>>a.unitShift].Load()
 	if n == 0 {
 		panic(fmt.Sprintf("bunch: ChunkSize(%#x): offset not currently allocated", offset))
 	}
 	return a.geo.SizeOf(uint64(n))
 }
 
-// WalkLive implements alloc.LiveWalker (see the identical method on the
-// 1-level allocator for the concurrency contract).
+// WalkLive implements alloc.LiveWalker: it enumerates delivered chunks
+// from the live-allocation index, calling fn with each chunk's offset and
+// reserved size until fn returns false. See the interface doc for the
+// concurrency contract.
 func (a *Allocator) WalkLive(fn func(offset, size uint64) bool) {
 	for slot := range a.index {
 		if n := a.index[slot].Load(); n != 0 {
@@ -31,8 +33,9 @@ func (a *Allocator) WalkLive(fn func(offset, size uint64) bool) {
 	}
 }
 
-// FreeBytes returns an estimate of the currently allocatable memory (see
-// the identical method on the 1-level allocator).
+// FreeBytes returns an estimate of the currently allocatable memory: the
+// managed total minus the reserved sizes of all live chunks. Like Stats,
+// it is meaningful at quiescent points.
 func (a *Allocator) FreeBytes() uint64 {
 	used := uint64(0)
 	for slot := range a.index {

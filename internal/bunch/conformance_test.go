@@ -5,7 +5,9 @@ import (
 
 	"repro/internal/alloctest"
 
-	_ "repro/internal/bunch" // register 4lvl-nb
+	_ "repro/internal/bunch" // register 1lvl-nb and 4lvl-nb
 )
 
 func TestConformance(t *testing.T) { alloctest.Run(t, "4lvl-nb") }
+
+func TestConformance1Lvl(t *testing.T) { alloctest.Run(t, "1lvl-nb") }

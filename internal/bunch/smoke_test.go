@@ -1,0 +1,148 @@
+package bunch
+
+import (
+	"sync"
+	"testing"
+
+	"repro/internal/status"
+)
+
+func TestSequentialAllocFreeReuse(t *testing.T) {
+	for _, k := range heights {
+		a := mustNew(t, k, 1024, 8, 1024)
+		seen := map[uint64]bool{}
+		var offs []uint64
+		for i := 0; i < 128; i++ {
+			off, ok := a.Alloc(8)
+			if !ok {
+				t.Fatalf("k=%d: alloc %d failed with free memory", k, i)
+			}
+			if seen[off] {
+				t.Fatalf("k=%d: alloc %d returned already-delivered offset %d", k, i, off)
+			}
+			seen[off] = true
+			offs = append(offs, off)
+		}
+		if _, ok := a.Alloc(8); ok {
+			t.Fatalf("k=%d: alloc succeeded on an exhausted instance", k)
+		}
+		for _, off := range offs {
+			a.Free(off)
+		}
+		// After releasing everything the full region must be allocatable again.
+		if off, ok := a.Alloc(1024); !ok || off != 0 {
+			t.Fatalf("k=%d: whole-region alloc after drain = (%d,%v), want (0,true)", k, off, ok)
+		}
+	}
+}
+
+func TestSplitAndCoalesce(t *testing.T) {
+	for _, k := range heights {
+		a := mustNew(t, k, 1024, 8, 1024)
+		small, ok := a.Alloc(8)
+		if !ok {
+			t.Fatalf("k=%d: small alloc failed", k)
+		}
+		// The 512-byte half not containing the 8-byte chunk must be available.
+		big, ok := a.Alloc(512)
+		if !ok {
+			t.Fatalf("k=%d: half-region alloc failed alongside a small chunk", k)
+		}
+		if (small < 512) == (big < 512) {
+			t.Fatalf("k=%d: overlapping halves: small=%d big=%d", k, small, big)
+		}
+		// But the full region must not be.
+		if _, ok := a.Alloc(1024); ok {
+			t.Fatalf("k=%d: whole-region alloc succeeded while fragmented", k)
+		}
+		a.Free(small)
+		a.Free(big)
+		if _, ok := a.Alloc(1024); !ok {
+			t.Fatalf("k=%d: whole-region alloc failed after coalescing", k)
+		}
+	}
+}
+
+func TestQuiescentTreeClean(t *testing.T) {
+	for _, k := range heights {
+		a := mustNew(t, k, 4096, 8, 4096)
+		var offs []uint64
+		for _, size := range []uint64{8, 16, 64, 8, 256, 32} {
+			off, ok := a.Alloc(size)
+			if !ok {
+				t.Fatalf("k=%d: alloc(%d) failed", k, size)
+			}
+			offs = append(offs, off)
+		}
+		for _, off := range offs {
+			a.Free(off)
+		}
+		if i := dirtyWord(a); i >= 0 {
+			t.Fatalf("k=%d: word %d not clean after drain: %#x", k, i, a.words[i].Load())
+		}
+	}
+}
+
+func TestConcurrentNoOverlap(t *testing.T) {
+	const workers = 8
+	for _, k := range heights {
+		a := mustNew(t, k, 1<<20, 8, 1<<14)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				h := a.NewHandle()
+				live := map[uint64]uint64{}
+				sizes := []uint64{8, 8, 8, 128, 128, 1024, 1 << 14}
+				rng := uint64(w)*2654435761 + 12345
+				for i := 0; i < 20000; i++ {
+					rng ^= rng << 13
+					rng ^= rng >> 7
+					rng ^= rng << 17
+					if len(live) > 0 && rng%3 == 0 {
+						for off := range live {
+							h.Free(off)
+							delete(live, off)
+							break
+						}
+						continue
+					}
+					size := sizes[rng%uint64(len(sizes))]
+					if off, ok := h.Alloc(size); ok {
+						live[off] = size
+					}
+				}
+				for off := range live {
+					h.Free(off)
+				}
+			}()
+		}
+		wg.Wait()
+		// Conservative occupied/coalescing residue on interior nodes is a
+		// documented property of racing releases (the unmark climb stops
+		// early), but a stale OCC bit would be a real leak: OCC is only ever
+		// cleared by the owner's release, which all completed above.
+		residue := 0
+		for i, w := range words(a) {
+			if w&status.Fill(0, status.LanesPerWord, status.Occ) != 0 {
+				t.Fatalf("k=%d: word %d still has an OCC field after concurrent drain: %#x", k, i, w)
+			}
+			if w != 0 {
+				residue++
+			}
+		}
+		if a.LiveNodes() != 0 {
+			t.Fatalf("k=%d: %d live index entries after drain", k, a.LiveNodes())
+		}
+		t.Logf("k=%d: benign residue on %d words after drain", k, residue)
+		// Scrub must restore a pristine tree on a drained instance.
+		a.Scrub()
+		if i := dirtyWord(a); i >= 0 {
+			t.Fatalf("k=%d: word %d not clean after Scrub: %#x", k, i, a.words[i].Load())
+		}
+		if _, ok := a.Alloc(1 << 14); !ok {
+			t.Fatalf("k=%d: max-size alloc failed after drain and Scrub", k)
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	_ "repro/internal/bunch"
-	_ "repro/internal/core"
 )
 
 // TestRunHoldsInvariantsAndRecovers is the in-tree slice of the chaos

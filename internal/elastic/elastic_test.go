@@ -12,7 +12,6 @@ import (
 	"repro/internal/multi"
 
 	_ "repro/internal/bunch"
-	_ "repro/internal/core"
 )
 
 var per = alloc.Config{Total: 1 << 16, MinSize: 64, MaxSize: 1 << 14}

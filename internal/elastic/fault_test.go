@@ -11,7 +11,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/multi"
 
-	_ "repro/internal/core"
+	_ "repro/internal/bunch"
 )
 
 // faultedManager builds an elastic manager over a region whose lifecycle

@@ -8,7 +8,6 @@ import (
 	"repro/internal/frontend"
 
 	_ "repro/internal/bunch"
-	_ "repro/internal/core"
 	_ "repro/internal/linuxbuddy"
 )
 

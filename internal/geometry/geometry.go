@@ -1,7 +1,7 @@
 // Package geometry implements the tree geometry of an array-embedded buddy
 // system: level arithmetic, the index/size/address correspondence of paper
-// equations (1)-(3), and the bunch-leaf layout used by the 4-level
-// optimization (paper §III.D).
+// equations (1)-(3), and the bunch-leaf layout of the non-blocking leaf
+// at bunch height k (paper §III.D at k = 4).
 //
 // Conventions (matching the paper): the tree is a static complete binary
 // tree stored in an array with the root at index 1; the left child of node

@@ -151,45 +151,3 @@ func TestQuickLevelForSizeFits(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestWordLevelAlignment pins the guarantee the SWAR level scan relies
-// on: no level straddles a packed status word mid-level. Levels of width
-// >= 8 start on a word boundary and fill whole words; narrower levels
-// fit entirely inside word 0.
-func TestWordLevelAlignment(t *testing.T) {
-	for level := 0; level <= 24; level++ {
-		base, width := FirstOfLevel(level), LevelWidth(level)
-		if width >= StatusLanes {
-			if base%StatusLanes != 0 || width%StatusLanes != 0 {
-				t.Fatalf("level %d: base %d width %d not word-aligned", level, base, width)
-			}
-			continue
-		}
-		if WordIndex(base) != 0 || WordIndex(base+width-1) != 0 {
-			t.Fatalf("level %d (nodes %d..%d) leaks outside word 0", level, base, base+width-1)
-		}
-	}
-}
-
-func TestStatusWords(t *testing.T) {
-	cases := []struct {
-		total, min uint64
-		want       uint64
-	}{
-		{64, 64, 1},       // depth 0: 2 node slots, 1 word
-		{1 << 5, 8, 1},    // depth 2: 8 slots, 1 word
-		{1 << 6, 8, 2},    // depth 3: 16 slots, 2 words
-		{1 << 12, 8, 128}, // depth 9: 1024 slots, 128 words
-	}
-	for _, c := range cases {
-		g := MustNew(c.total, c.min, c.total)
-		if got := g.StatusWords(); got != c.want {
-			t.Errorf("StatusWords(total=%d,min=%d) = %d, want %d", c.total, c.min, got, c.want)
-		}
-	}
-	for n := uint64(0); n < 64; n++ {
-		if WordIndex(n) != n/8 || LaneOf(n) != int(n%8) {
-			t.Fatalf("node %d: word/lane = %d/%d", n, WordIndex(n), LaneOf(n))
-		}
-	}
-}

@@ -9,7 +9,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/mem"
 
-	_ "repro/internal/core"
+	_ "repro/internal/bunch"
 )
 
 var faultCfg = alloc.Config{Total: 1 << 12, MinSize: 64, MaxSize: 1 << 10}

@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/alloc"
 
-	_ "repro/internal/core"
+	_ "repro/internal/bunch"
 )
 
 // TestSyncTableDropsRetiredSubHandles pins the release semantics of the

@@ -8,7 +8,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/multi"
 
-	_ "repro/internal/core"
+	_ "repro/internal/bunch"
 )
 
 var per = alloc.Config{Total: 1 << 16, MinSize: 64, MaxSize: 1 << 14}

@@ -1,15 +1,18 @@
 // Package slbuddy implements the paper's own-data-structure blocking
-// baselines "1lvl-sl" and "4lvl-sl": the exact tree layouts of the
-// non-blocking buddy system, but with every operation executed as a
-// critical section under one global spin-lock instead of via RMW
-// instructions (paper §IV). Inside the lock the updates are plain stores,
-// and no coalescing bits are needed — the transient states they flag
-// cannot be observed by other threads.
+// baselines "1lvl-sl" and "4lvl-sl": the tree layouts of the non-blocking
+// buddy system, but with every operation executed as a critical section
+// under one global spin-lock instead of via RMW instructions (paper §IV).
+// Inside the lock the updates are plain stores, and no coalescing bits are
+// needed — the transient states they flag cannot be observed by other
+// threads.
 //
 // These baselines isolate the cost of the synchronization discipline: the
-// data structure and traversal logic are held constant with internal/core
-// and internal/bunch, so any performance gap is attributable to spin-lock
-// serialization versus non-blocking conflict detection.
+// status algebra, the climbs and the subtree-skipping level scan are held
+// constant with internal/bunch's "1lvl-nb" (bunch height 1) and "4lvl-nb"
+// (bunch height 4), so any performance gap is attributable to spin-lock
+// serialization versus non-blocking conflict detection. The 1-level
+// layout here keeps one uint32 per node and probes node by node; only
+// "4lvl-sl" shares the non-blocking leaf's packed words.
 package slbuddy
 
 import (
@@ -302,7 +305,7 @@ type bunchLayout struct {
 func newBunchLayout(geo geometry.Geometry) *bunchLayout {
 	l := &bunchLayout{geo: geo}
 	var total uint64
-	for _, lvl := range geo.LeafLevels() {
+	for _, lvl := range geo.LeafLevels(geometry.BunchSpan) {
 		l.wordBase[lvl] = total
 		total += geometry.WordsAtLevel(lvl)
 	}
@@ -311,8 +314,8 @@ func newBunchLayout(geo geometry.Geometry) *bunchLayout {
 }
 
 func (l *bunchLayout) locate(n uint64) (word *uint64, field, count, leafLevel int) {
-	first, cnt := l.geo.CoveredLeaves(n)
-	leafLevel = l.geo.LeafLevelFor(geometry.LevelOf(n))
+	first, cnt := l.geo.CoveredLeaves(n, geometry.BunchSpan)
+	leafLevel = l.geo.LeafLevelFor(geometry.LevelOf(n), geometry.BunchSpan)
 	w, f := geometry.WordOf(first, leafLevel)
 	return &l.words[l.wordBase[leafLevel]+w], f, cnt, leafLevel
 }
@@ -333,7 +336,7 @@ func (l *bunchLayout) occAncestor(n uint64) uint64 {
 	// materialized ancestor leaves above the bunch need checking.
 	nLevel := geometry.LevelOf(n)
 	_, _, _, leafLevel := l.locate(n)
-	lamStop := l.geo.LeafLevelFor(l.geo.MaxLevel)
+	lamStop := l.geo.LeafLevelFor(l.geo.MaxLevel, geometry.BunchSpan)
 	for lam := leafLevel - geometry.BunchSpan; lam >= lamStop; lam -= geometry.BunchSpan {
 		anc := geometry.AncestorAt(n, nLevel, lam)
 		word, field := l.leafField(anc, lam)
@@ -348,7 +351,7 @@ func (l *bunchLayout) occupy(n uint64) {
 	nLevel := geometry.LevelOf(n)
 	word, field, count, leafLevel := l.locate(n)
 	*word |= status.Fill(field, count, status.Busy)
-	lamStop := l.geo.LeafLevelFor(l.geo.MaxLevel)
+	lamStop := l.geo.LeafLevelFor(l.geo.MaxLevel, geometry.BunchSpan)
 	for lam := leafLevel - geometry.BunchSpan; lam >= lamStop; lam -= geometry.BunchSpan {
 		anc := geometry.AncestorAt(n, nLevel, lam)
 		child := geometry.AncestorAt(n, nLevel, lam+1)
@@ -361,7 +364,7 @@ func (l *bunchLayout) release(n uint64) {
 	nLevel := geometry.LevelOf(n)
 	word, field, count, leafLevel := l.locate(n)
 	*word &^= status.FieldMask(field, count)
-	lamStop := l.geo.LeafLevelFor(l.geo.MaxLevel)
+	lamStop := l.geo.LeafLevelFor(l.geo.MaxLevel, geometry.BunchSpan)
 	low := *word
 	for lam := leafLevel - geometry.BunchSpan; lam >= lamStop; lam -= geometry.BunchSpan {
 		if low&status.Fill(0, 8, status.Busy) != 0 {

@@ -10,7 +10,6 @@ import (
 	"repro/internal/trace"
 
 	_ "repro/internal/bunch"
-	_ "repro/internal/core"
 )
 
 // instancesFor picks the largest instance count (up to want) whose share

@@ -9,7 +9,6 @@ import (
 	"repro/internal/trace"
 
 	_ "repro/internal/bunch"
-	_ "repro/internal/core"
 	_ "repro/internal/slbuddy"
 )
 

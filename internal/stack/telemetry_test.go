@@ -9,7 +9,7 @@ import (
 	"repro/internal/stack"
 	"repro/internal/telemetry"
 
-	_ "repro/internal/core"
+	_ "repro/internal/bunch"
 )
 
 // TestDifferentialTelemetry fuzzes telemetry-probed stacks against the

@@ -2,10 +2,10 @@ package status
 
 import "math/bits"
 
-// Word packing shared by both non-blocking leaves: one status byte per
-// node, eight nodes per 64-bit atomic word. The five status bits of a
-// node occupy the low bits of its byte (lane); the upper three bits of
-// every lane stay zero. The byte-per-node layout (rather than the
+// Word packing of the non-blocking leaf (internal/bunch): one status byte
+// per materialized node, eight per 64-bit atomic word. The five status
+// bits of a node occupy the low bits of its byte (lane); the upper three
+// bits of every lane stay zero. The byte-per-node layout (rather than the
 // paper's §III.D 5-bit fields) trades 37% of the footprint for lanes
 // that sit on natural byte boundaries, which is what makes the SWAR
 // level scan below possible: one atomic 64-bit load yields eight node
@@ -35,44 +35,6 @@ const (
 // clearing a node outright is And(^ShiftToLane(Mask, j)).
 func ShiftToLane(val uint32, j int) uint64 {
 	return uint64(val&Mask) << (FieldBits * j)
-}
-
-// OccLane reports whether lane j's node is itself reserved (its Occ bit
-// set) without extracting the lane.
-func OccLane(word uint64, j int) bool {
-	return word&ShiftToLane(Occ, j) != 0
-}
-
-// MarkLane returns word with the child's branch marked occupied and its
-// coalescing bit cleared in lane j — the word-level form of
-// Mark(CleanCoal(field, child), child), saving the extract/reinsert of
-// the climb's hottest step.
-func MarkLane(word uint64, j int, child uint64) uint64 {
-	return word&^ShiftToLane(CoalLeft>>mod2(child), j) | ShiftToLane(OccLeft>>mod2(child), j)
-}
-
-// CoalLane reports whether lane j carries the coalescing bit of the
-// child's branch (word-level IsCoal).
-func CoalLane(word uint64, j int, child uint64) bool {
-	return word&ShiftToLane(CoalLeft>>mod2(child), j) != 0
-}
-
-// UnmarkLane returns word with the child's branch occupancy and
-// coalescing bits cleared in lane j (word-level Unmark).
-func UnmarkLane(word uint64, j int, child uint64) uint64 {
-	return word &^ ShiftToLane((OccLeft|CoalLeft)>>mod2(child), j)
-}
-
-// OccBuddyLane reports whether lane j carries the occupancy bit of the
-// buddy of child (word-level IsOccBuddy).
-func OccBuddyLane(word uint64, j int, child uint64) bool {
-	return word&ShiftToLane(OccRight<<mod2(child), j) != 0
-}
-
-// CoalBuddyLane reports whether lane j carries the coalescing bit of the
-// buddy of child (word-level IsCoalBuddy).
-func CoalBuddyLane(word uint64, j int, child uint64) bool {
-	return word&ShiftToLane(CoalRight<<mod2(child), j) != 0
 }
 
 // Field extracts the status of lane j from a packed word.
@@ -115,22 +77,6 @@ func busyLanes(word uint64) uint64 {
 	return ((m + lane7F) | m) & laneMSB
 }
 
-// FirstFreeLane returns the lowest lane index j in [from, LanesPerWord)
-// whose status byte has no Busy bit (pending coalescing bits do not
-// disqualify a lane, matching IsFree), or LanesPerWord when every
-// remaining lane is busy. It is the word-level form of the NBALLOC level
-// probe: the classic free-byte trick (w - 0x0101…) & ^w & 0x8080… flags
-// the first zero byte of the busy-masked word, and the first flag is
-// exact even though borrow propagation can spuriously flag lanes above
-// it — the scan only ever consumes the first.
-func FirstFreeLane(word uint64, from int) int {
-	m := word & busyAll
-	// Lanes below the scan start must not surface: force them busy.
-	m |= laneLSB & (1<<(FieldBits*from) - 1)
-	z := (m - laneLSB) & ^m & laneMSB
-	return bits.TrailingZeros64(z) / FieldBits // TrailingZeros64(0) = 64 -> 8
-}
-
 // alignedMSB[k] holds the high bits of the lanes that can start an
 // aligned run of 1<<k lanes: every lane for runs of 1, lanes 0/2/4/6
 // for pairs, lanes 0/4 for quads, lane 0 for a whole-word run.
@@ -141,10 +87,12 @@ var alignedMSB = [4]uint64{
 	0x0000000000000080,
 }
 
-// FirstFreeRun generalizes FirstFreeLane to nodes covering count
-// consecutive lanes (interior nodes of a bunch word): it returns the
-// lowest count-aligned lane index f in [from, LanesPerWord) such that
-// lanes [f, f+count) are all Busy-free, or LanesPerWord when no such run
+// FirstFreeRun is the word-level form of the NBALLOC level probe for
+// nodes covering count consecutive lanes (count 1 at materialized levels,
+// more for interior nodes of a bunch): it returns the lowest
+// count-aligned lane index f in [from, LanesPerWord) such that lanes
+// [f, f+count) are all Busy-free (pending coalescing bits do not
+// disqualify a lane, matching IsFree), or LanesPerWord when no such run
 // remains. from must itself be count-aligned and count a power of two
 // (the bunch layout guarantees both). The exact busy-lane bitmap is
 // folded so each run start accumulates its whole run's occupancy, then

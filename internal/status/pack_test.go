@@ -87,50 +87,31 @@ func TestQuickAnyBusyDefinition(t *testing.T) {
 	}
 }
 
-// firstFreeLaneRef is the per-lane reference the SWAR form must match.
-func firstFreeLaneRef(w uint64, from int) int {
-	for j := from; j < LanesPerWord; j++ {
-		if Field(w, j)&Busy == 0 {
-			return j
-		}
-	}
-	return LanesPerWord
-}
-
-func TestFirstFreeLane(t *testing.T) {
+func TestFirstFreeRun(t *testing.T) {
 	cases := []struct {
-		w    uint64
-		from int
-		want int
+		w           uint64
+		from, count int
+		want        int
 	}{
-		{0, 0, 0},
-		{0, 5, 5},
-		{0, 8, 8},
-		{Fill(0, 8, Busy), 0, 8},
-		{Fill(0, 3, Busy), 0, 3},
-		{Fill(0, 3, Busy), 4, 4},
-		{WithField(0, 0, Occ), 0, 1},
+		{0, 0, 1, 0},
+		{0, 5, 1, 5},
+		{0, 8, 1, 8},
+		{Fill(0, 8, Busy), 0, 1, 8},
+		{Fill(0, 3, Busy), 0, 1, 3},
+		{Fill(0, 3, Busy), 4, 1, 4},
+		{WithField(0, 0, Occ), 0, 1, 1},
 		// Coalescing-only lanes count as free, exactly like IsFree.
-		{Fill(0, 8, CoalLeft), 0, 0},
-		{WithField(Fill(0, 8, Busy), 6, CoalRight), 0, 6},
+		{Fill(0, 8, CoalLeft), 0, 1, 0},
+		{WithField(Fill(0, 8, Busy), 6, CoalRight), 0, 1, 6},
+		// Runs: one busy lane disqualifies its whole aligned run.
+		{WithField(0, 1, OccLeft), 0, 2, 2},
+		{WithField(0, 3, Occ), 0, 4, 4},
+		{WithField(0, 7, Occ), 0, 8, 8},
 	}
 	for _, c := range cases {
-		if got := FirstFreeLane(c.w, c.from); got != c.want {
-			t.Errorf("FirstFreeLane(%#x, %d) = %d, want %d", c.w, c.from, got, c.want)
+		if got := FirstFreeRun(c.w, c.from, c.count); got != c.want {
+			t.Errorf("FirstFreeRun(%#x, %d, %d) = %d, want %d", c.w, c.from, c.count, got, c.want)
 		}
-	}
-}
-
-// Property: the SWAR first-free-lane scan agrees with the per-lane
-// reference on every status word and scan start.
-func TestQuickFirstFreeLane(t *testing.T) {
-	f := func(w uint64, from uint8) bool {
-		w &= statMask
-		ff := int(from % 9) // 0..8 inclusive: the one-past-the-end start is legal
-		return FirstFreeLane(w, ff) == firstFreeLaneRef(w, ff)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
 	}
 }
 

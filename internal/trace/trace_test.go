@@ -10,7 +10,6 @@ import (
 	"repro/internal/trace"
 
 	_ "repro/internal/bunch"
-	_ "repro/internal/core"
 )
 
 func build(t *testing.T, variant string) alloc.Allocator {

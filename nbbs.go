@@ -11,7 +11,7 @@
 // so threads proceed in parallel and only retry when they genuinely
 // conflicted on the same chunk.
 //
-// Two non-blocking layouts are provided — Variant1Lvl with one status word
+// Two non-blocking layouts are provided — Variant1Lvl with one status byte
 // per tree node, and Variant4Lvl (the default) packing four tree levels
 // into each 64-bit word to quarter the atomic instructions per operation —
 // along with the spin-lock baselines used by the paper's evaluation
@@ -67,7 +67,6 @@ import (
 	// Register all allocator variants and composed stacks.
 	_ "repro/internal/bunch"
 	_ "repro/internal/cloudwu"
-	_ "repro/internal/core"
 	_ "repro/internal/linuxbuddy"
 	_ "repro/internal/slbuddy"
 )
