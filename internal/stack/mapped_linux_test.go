@@ -125,6 +125,11 @@ func TestMappedSawtoothAccountingReconciles(t *testing.T) {
 	if got := m.Instances(); got != floor {
 		t.Fatalf("drain did not retire to the floor: %d instances", got)
 	}
+	for _, info := range m.InstanceInfos() {
+		if info.State == multi.Draining {
+			t.Fatalf("slot %d still draining after the drained sawtooth (live=%d)", info.Slot, info.Live)
+		}
+	}
 	reconcile("trough")
 	s := st.Mem.Stats()
 	if s.Decommits < cap_-floor {

@@ -12,9 +12,6 @@ import (
 type Summary struct {
 	N    int
 	Mean float64
-	Min  float64
-	Max  float64
-	Std  float64
 }
 
 // Summarize computes a Summary of the samples.
@@ -23,26 +20,11 @@ func Summarize(samples []float64) Summary {
 	if s.N == 0 {
 		return s
 	}
-	s.Min, s.Max = samples[0], samples[0]
 	var sum float64
 	for _, v := range samples {
 		sum += v
-		if v < s.Min {
-			s.Min = v
-		}
-		if v > s.Max {
-			s.Max = v
-		}
 	}
 	s.Mean = sum / float64(s.N)
-	if s.N > 1 {
-		var sq float64
-		for _, v := range samples {
-			d := v - s.Mean
-			sq += d * d
-		}
-		s.Std = math.Sqrt(sq / float64(s.N-1))
-	}
 	return s
 }
 
