@@ -23,9 +23,8 @@
 //	nbbsinfo -instances 2 -elastic -mem -latency -events -demo-ops 400000
 //	    # per-layer latency percentile table and the flight-recorder dump
 //	nbbsinfo -instances 2 -elastic -elastic-policy predictive \
-//	    -elastic-migrate -mem -demo-ops 400000
-//	    # EWMA/slope estimator state, the live-chunk migration showcase,
-//	    # per-slot drain ages and time-to-retire
+//	    -mem -demo-ops 400000
+//	    # EWMA/slope estimator state, per-slot drain ages and time-to-retire
 package main
 
 import (
@@ -39,7 +38,6 @@ import (
 
 	nbbs "repro"
 	"repro/internal/geometry"
-	"repro/internal/multi"
 )
 
 func main() {
@@ -60,7 +58,6 @@ func main() {
 		elasticMin  = flag.Int("elastic-min", 1, "elastic instance floor")
 		elasticMax  = flag.Int("elastic-max", 0, "elastic instance cap (0 = twice the initial instances)")
 		elasticPol  = flag.String("elastic-policy", "watermark", "elastic decision rule: watermark | predictive")
-		elasticMig  = flag.Bool("elastic-migrate", false, "enable live-chunk migration off draining instances")
 		demoOps     = flag.Int("demo-ops", 0, "drive this many ops through the stack and report per-layer stats")
 		workers     = flag.Int("workers", 8, "worker goroutines for -demo-ops")
 		latency     = flag.Bool("latency", false, "enable telemetry and print the per-layer latency percentile table (with -demo-ops)")
@@ -125,7 +122,6 @@ func main() {
 			cfg.Elastic = &nbbs.ElasticConfig{
 				MinInstances: *elasticMin,
 				MaxInstances: *elasticMax,
-				Migration:    nbbs.MigrationConfig{Enabled: *elasticMig},
 			}
 			switch *elasticPol {
 			case "", "watermark":
@@ -148,16 +144,11 @@ func demo(cfg nbbs.Config, ops, workers int, latency, events bool) {
 		fmt.Fprintln(os.Stderr, "nbbsinfo:", err)
 		os.Exit(1)
 	}
-	migrate := cfg.Elastic != nil && cfg.Elastic.Migration.Enabled
 
 	fmt.Printf("\nstack demo: %s, %d ops over %d workers\n", b.Name(), ops, workers)
-	if mgr := b.Elastic(); mgr != nil && !migrate {
+	if mgr := b.Elastic(); mgr != nil {
 		// Run the capacity policy in the background while the demo load is
 		// on, so the printed lifecycle counters reflect real transitions.
-		// With -elastic-migrate the poller stays off during the load: a
-		// migrating Poll must not race the workers freeing their held
-		// chunks (the quiescence contract) — the migration showcase runs
-		// single-threaded after the workers join.
 		mgr.Start(500 * time.Microsecond)
 		defer mgr.Stop()
 	}
@@ -258,9 +249,9 @@ func demo(cfg nbbs.Config, ops, workers int, latency, events bool) {
 			r.Windows(), r.WindowSize(), s.ReservedBytes, s.CommittedBytes)
 		fmt.Printf("  lifecycle: commits=%d decommits=%d recommits=%d\n",
 			s.Commits, s.Decommits, s.Recommits)
-		if s.HugeFallbacks+s.BindFailures+s.ReserveFails+s.CommitFails+s.DecommitFails > 0 {
-			fmt.Printf("  degradation: huge_fallbacks=%d bind_failures=%d reserve_fails=%d commit_fails=%d decommit_fails=%d\n",
-				s.HugeFallbacks, s.BindFailures, s.ReserveFails, s.CommitFails, s.DecommitFails)
+		if s.HugeFallbacks+s.ReserveFails+s.CommitFails+s.DecommitFails > 0 {
+			fmt.Printf("  degradation: huge_fallbacks=%d reserve_fails=%d commit_fails=%d decommit_fails=%d\n",
+				s.HugeFallbacks, s.ReserveFails, s.CommitFails, s.DecommitFails)
 		}
 		fmt.Printf("  commit map:\n")
 		for k, committed := range r.CommitMap() {
@@ -271,14 +262,6 @@ func demo(cfg nbbs.Config, ops, workers int, latency, events bool) {
 			fmt.Printf("    window %-3d [%#012x, %#012x)  %s\n",
 				k, uint64(k)*r.WindowSize(), uint64(k+1)*r.WindowSize(), state)
 		}
-	}
-
-	// Migration showcase: strand a few chunks on a slot, drain it, and
-	// let the Migrate step move them — everything from this single
-	// goroutine (the workers have joined), so the quiescence contract of
-	// migration holds by construction.
-	if mgr := b.Elastic(); mgr != nil && migrate {
-		migrationShowcase(b, mgr)
 	}
 
 	if mgr := b.Elastic(); mgr != nil {
@@ -300,12 +283,8 @@ func demo(cfg nbbs.Config, ops, workers int, latency, events bool) {
 			fmt.Printf("  degradation: grow_failures=%d grow_retries=%d denied_backpressure=%d retire_failures=%d\n",
 				c.GrowFailures, c.GrowRetries, c.DeniedBackpressure, c.RetireFailures)
 		}
-		if cfg.Migration.Enabled {
-			fmt.Printf("  migration: moved=%d chunk(s), %d bytes, refused_passes=%d\n",
-				c.MigratedChunks, c.MigratedBytes, c.MigrateFails)
-			if c.Retires > 0 {
-				fmt.Printf("  last retirement: %d poll(s) from drain start\n", c.LastRetirePolls)
-			}
+		if c.Retires > 0 {
+			fmt.Printf("  last retirement: %d poll(s) from drain start\n", c.LastRetirePolls)
 		}
 		if ages := mgr.DrainAges(); len(ages) > 0 {
 			fmt.Printf("  still draining (time-to-retire pending):\n")
@@ -321,85 +300,6 @@ func demo(cfg nbbs.Config, ops, workers int, latency, events bool) {
 				info.Slot, info.State, info.Live, info.LiveBytes,
 				float64(info.LiveBytes)/float64(span)*100)
 		}
-	}
-}
-
-// migrationShowcase strands a few min-size chunks on a draining slot and
-// polls until the Migrate step has moved them and retired the slot. It
-// runs on the caller's goroutine only, after the demo workers joined:
-// migration requires that no owner frees a chunk concurrently with a
-// migrating Poll. The OnMigrate hook rewrites the held offsets — the
-// ownership contract every migration-aware owner implements.
-func migrationShowcase(b *nbbs.Buddy, mgr *nbbs.ElasticManager) {
-	m := b.Multi()
-	if m == nil {
-		return
-	}
-	// Make sure a second active slot exists to strand chunks on.
-	active := func() (n, highest int) {
-		highest = -1
-		for _, info := range m.InstanceInfos() {
-			if info.State == multi.Active {
-				n++
-				highest = info.Slot
-			}
-		}
-		return n, highest
-	}
-	n, victim := active()
-	if n < 2 {
-		if _, err := mgr.Grow(); err != nil {
-			fmt.Printf("\nlive-chunk migration showcase skipped: %v\n", err)
-			return
-		}
-		n, victim = active()
-		if n < 2 {
-			return
-		}
-	}
-	h := m.NewHandleOn(victim)
-	var held []uint64
-	for len(held) < 4 {
-		off, ok := h.Alloc(b.MinSize())
-		if !ok {
-			break
-		}
-		if m.InstanceOf(off) != victim {
-			h.Free(off) // fallback landed it elsewhere; not a straggler
-			break
-		}
-		held = append(held, off)
-	}
-	if len(held) == 0 {
-		return
-	}
-	mgr.OnMigrate(func(oldOff, newOff, _ uint64) {
-		for i := range held {
-			if held[i] == oldOff {
-				held[i] = newOff
-			}
-		}
-	})
-	if err := m.StartDrain(victim); err != nil {
-		for _, off := range held {
-			h.Free(off)
-		}
-		return
-	}
-	fmt.Printf("\nlive-chunk migration showcase: %d straggler(s) stranded on draining slot %d\n",
-		len(held), victim)
-	for i := 0; i < 8; i++ {
-		act := mgr.Poll()
-		if act.Migrated > 0 {
-			fmt.Printf("  poll %d moved %d chunk(s) onto active slots\n", i+1, act.Migrated)
-		}
-		if len(act.Retired) > 0 {
-			fmt.Printf("  poll %d retired slot(s) %v — retirement bounded by migration\n", i+1, act.Retired)
-			break
-		}
-	}
-	for _, off := range held {
-		h.Free(off) // final — possibly rewritten — addresses
 	}
 }
 

@@ -74,7 +74,7 @@ func CloseHandle(h Handle) {
 //
 // ChunkSizer is part of the composable-layer contract (see DESIGN.md):
 // every layer — leaf allocator, multi-instance router, caching front-end,
-// trace recorder, materialized arena — implements it, which is what lets
+// slab, materialized arena — implements it, which is what lets
 // layers stack in any order.
 type ChunkSizer interface {
 	ChunkSize(offset uint64) uint64
@@ -96,21 +96,6 @@ func SpanOf(a Allocator) uint64 {
 		return s.OffsetSpan()
 	}
 	return a.Geometry().Total
-}
-
-// LiveWalker is implemented by leaf allocators that can enumerate their
-// currently delivered chunks from the live-allocation index. WalkLive
-// calls fn with each live chunk's offset and reserved size until fn
-// returns false or the index is exhausted.
-//
-// The walk reads the index with atomic loads but takes no snapshot:
-// chunks allocated or freed concurrently may or may not be observed. The
-// one caller that acts on the result — the elastic manager's migration
-// step — only walks instances behind the router's draining fence, where
-// the live set can shrink but never grow, and operates under the same
-// quiescence contract as Scrub for the chunks it moves.
-type LiveWalker interface {
-	WalkLive(fn func(offset, size uint64) bool)
 }
 
 // Scrubber is the quiescent maintenance hook of the non-blocking

@@ -19,20 +19,6 @@ func (a *Allocator) ChunkSize(offset uint64) uint64 {
 	return a.geo.SizeOf(uint64(n))
 }
 
-// WalkLive implements alloc.LiveWalker: it enumerates delivered chunks
-// from the live-allocation index, calling fn with each chunk's offset and
-// reserved size until fn returns false. See the interface doc for the
-// concurrency contract.
-func (a *Allocator) WalkLive(fn func(offset, size uint64) bool) {
-	for slot := range a.index {
-		if n := a.index[slot].Load(); n != 0 {
-			if !fn(uint64(slot)*a.geo.MinSize, a.geo.SizeOf(uint64(n))) {
-				return
-			}
-		}
-	}
-}
-
 // FreeBytes returns an estimate of the currently allocatable memory: the
 // managed total minus the reserved sizes of all live chunks. Like Stats,
 // it is meaningful at quiescent points.

@@ -68,8 +68,7 @@ var (
 
 // Config is the capacity policy of a manager: fleet bounds, the
 // watermark thresholds (which parameterize the default WatermarkPolicy
-// and remain the vocabulary of both built-in policies), grow backoff,
-// and the optional migration step of the retire path.
+// and remain the vocabulary of both built-in policies) and grow backoff.
 type Config struct {
 	// MinInstances is the floor the manager never drains below (>= 1;
 	// 0 means 1).
@@ -100,9 +99,6 @@ type Config struct {
 	// behavior, bit for bit. The instance must not be shared between
 	// managers (policies keep per-fleet state).
 	Policy Policy
-	// Migration tunes the live-chunk migration step of the retire path;
-	// the zero value disables it (see MigrationConfig).
-	Migration MigrationConfig
 }
 
 func (c Config) withDefaults(initial int) Config {
@@ -130,9 +126,6 @@ func (c Config) withDefaults(initial int) Config {
 	if c.GrowRetryMax < c.GrowRetryBase {
 		c.GrowRetryMax = c.GrowRetryBase
 	}
-	if c.Migration.Enabled {
-		c.Migration = c.Migration.withDefaults()
-	}
 	return c
 }
 
@@ -159,16 +152,8 @@ type Counters struct {
 	// RetireFailures counts TryRetire calls that errored (decommit
 	// failure); the slot stays draining and a later Poll retries.
 	RetireFailures uint64
-	// MigratedChunks/MigratedBytes count live chunks (and their reserved
-	// bytes) the migration step copied off draining slots.
-	MigratedChunks uint64
-	MigratedBytes  uint64
-	// MigrateFails counts migration passes cut short because the active
-	// fleet could not host a replacement chunk; the pass retries on a
-	// later Poll, after frees or a grow made room.
-	MigrateFails uint64
 	// LastRetirePolls is the drain age (in Poll steps) of the most recent
-	// retirement — the time-to-retire the straggler tests bound.
+	// retirement — its time-to-retire.
 	LastRetirePolls uint64
 }
 
@@ -185,8 +170,6 @@ type Action struct {
 	DrainStarted int
 	// Retired lists slots unpublished by this step.
 	Retired []int
-	// Migrated counts live chunks moved off draining slots this step.
-	Migrated int
 	// DeniedAtCap reports a grow decision refused by MaxInstances.
 	DeniedAtCap bool
 	// DeniedBackpressure reports a grow decision suppressed by the
@@ -207,7 +190,7 @@ type DrainHook func(lo, hi uint64)
 // Manager wraps the multi-instance router with the elastic capacity
 // policy. It implements the full composable layer contract — every
 // allocator operation forwards to the router — so caching front-ends and
-// trace recorders stack over it transparently.
+// the slab stack over it transparently.
 type Manager struct {
 	inner *multi.Multi
 	cfg   Config
@@ -219,13 +202,9 @@ type Manager struct {
 	policy   Policy
 	counters Counters
 	hooks    []DrainHook
-
-	// Migration state (under mu): the observer hooks, the manager's own
-	// router handle for alloc-new/free-old moves, and per-slot drain
-	// start steps for the time-to-retire gauge and the AfterPolls gate.
-	migrateHooks []MigrateHook
-	mig          alloc.Handle
-	drainSince   map[int]uint64
+	// drainSince is each draining slot's drain start step (under mu), for
+	// the time-to-retire gauge (DrainAges, LastRetirePolls).
+	drainSince map[int]uint64
 
 	// Grow-failure backoff state (under mu). growStreak counts
 	// consecutive environmental failures; nextGrowAt gates the next
@@ -367,11 +346,10 @@ func (mgr *Manager) drainRange(k int) {
 }
 
 // Poll performs one observation/decision step: finish pending retires
-// whose slots reached zero live chunks (migrating stragglers off slots
-// that waited long enough, when migration is enabled), then hand the
-// policy one observation and act on its decision. Poll is safe to call
-// concurrently with allocator traffic; decision steps serialize on the
-// manager's mutex.
+// whose slots reached zero live chunks, then hand the policy one
+// observation and act on its decision. Poll is safe to call concurrently
+// with allocator traffic; decision steps serialize on the manager's
+// mutex.
 func (mgr *Manager) Poll() Action {
 	mgr.mu.Lock()
 	defer mgr.mu.Unlock()
@@ -380,9 +358,9 @@ func (mgr *Manager) Poll() Action {
 
 	// Phase 1: push pending drains toward zero live and retire the ones
 	// that got there. The depot hook runs first so magazines parked since
-	// the last Poll go back down before the live check; migration runs
-	// last, once a slot has waited AfterPolls steps — the cheap paths get
-	// that long to empty it for free before chunks are copied.
+	// the last Poll go back down before the live check. A slot pinned by
+	// a straggler stays draining until its owner frees (DrainAges shows
+	// how long it has waited).
 	for _, info := range mgr.inner.InstanceInfos() {
 		if info.State != multi.Draining {
 			continue
@@ -394,12 +372,6 @@ func (mgr *Manager) Poll() Action {
 		}
 		mgr.drainRange(info.Slot)
 		done, err := mgr.inner.TryRetire(info.Slot)
-		if err == nil && !done && mgr.cfg.Migration.Enabled &&
-			mgr.counters.Polls-mgr.drainSince[info.Slot] >= uint64(mgr.cfg.Migration.AfterPolls) {
-			if mgr.migrateSlot(info.Slot, &act) > 0 {
-				done, err = mgr.inner.TryRetire(info.Slot)
-			}
-		}
 		switch {
 		case err != nil:
 			// A decommit failure left the slot published and draining;
@@ -471,6 +443,35 @@ func (mgr *Manager) retireAge(k int) {
 		mgr.counters.LastRetirePolls = mgr.counters.Polls - since
 		delete(mgr.drainSince, k)
 	}
+}
+
+// DrainAge is one draining slot's time-to-retire-so-far.
+type DrainAge struct {
+	// Slot is the table position.
+	Slot int
+	// Polls is how many Poll steps the slot has been draining.
+	Polls uint64
+	// Live is the chunk count still pinning it.
+	Live int64
+}
+
+// DrainAges reports how long each currently draining slot has waited,
+// in Poll steps — the per-slot time-to-retire gauge nbbsinfo prints.
+func (mgr *Manager) DrainAges() []DrainAge {
+	mgr.mu.Lock()
+	defer mgr.mu.Unlock()
+	var out []DrainAge
+	for _, info := range mgr.inner.InstanceInfos() {
+		if info.State != multi.Draining {
+			continue
+		}
+		age := uint64(0)
+		if since, ok := mgr.drainSince[info.Slot]; ok {
+			age = mgr.counters.Polls - since
+		}
+		out = append(out, DrainAge{Slot: info.Slot, Polls: age, Live: info.Live})
+	}
+	return out
 }
 
 // grow publishes capacity: a draining slot is re-activated when one
@@ -755,13 +756,6 @@ func (mgr *Manager) LayerStats() []alloc.LayerStats {
 	}
 	if c.RetireFailures > 0 {
 		entry.Extra["elastic_retire_failures"] = c.RetireFailures
-	}
-	if c.MigratedChunks > 0 {
-		entry.Extra["elastic_migrated"] = c.MigratedChunks
-		entry.Extra["elastic_migrated_bytes"] = c.MigratedBytes
-	}
-	if c.MigrateFails > 0 {
-		entry.Extra["elastic_migrate_fails"] = c.MigrateFails
 	}
 	return append([]alloc.LayerStats{entry}, alloc.StackStats(mgr.inner)...)
 }

@@ -173,6 +173,44 @@ func TestRetireWaitsForLiveChunks(t *testing.T) {
 	}
 }
 
+// TestStragglerStallsWithoutMigration pins the straggler contract: a
+// draining slot whose last chunk belongs to a long-lived owner stays
+// draining for any number of polls, DrainAges reports how long it has
+// waited, and it retires only when the owner finally frees.
+func TestStragglerStallsWithoutMigration(t *testing.T) {
+	mgr := manager(t, 2, elastic.Config{MinInstances: 1, MaxInstances: 2, Hysteresis: 100})
+	m := mgr.Router()
+	h := m.NewHandleOn(1)
+	off, ok := h.Alloc(per.MinSize)
+	if !ok || m.InstanceOf(off) != 1 {
+		t.Fatalf("pinned alloc = (%v, instance %d)", ok, m.InstanceOf(off))
+	}
+	// Drained directly on the router: the manager adopts it on its first
+	// Poll, with its age starting there.
+	if err := m.StartDrain(1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if act := mgr.Poll(); len(act.Retired) != 0 {
+			t.Fatalf("poll %d retired a slot pinned by a straggler: %+v", i, act)
+		}
+	}
+	ages := mgr.DrainAges()
+	if len(ages) != 1 || ages[0].Slot != 1 || ages[0].Polls != 19 || ages[0].Live != 1 {
+		t.Fatalf("DrainAges after 20 stalled polls: %+v", ages)
+	}
+	mgr.Free(off)
+	if act := mgr.Poll(); len(act.Retired) != 1 {
+		t.Fatalf("poll after the owner's free: %+v", act)
+	}
+	if c := mgr.Counters(); c.LastRetirePolls != 20 {
+		t.Fatalf("LastRetirePolls = %d, want 20", c.LastRetirePolls)
+	}
+	if ages := mgr.DrainAges(); len(ages) != 0 {
+		t.Fatalf("DrainAges after retirement: %+v", ages)
+	}
+}
+
 func TestReactivateUnderPressure(t *testing.T) {
 	mgr := manager(t, 2, elastic.Config{MinInstances: 1, MaxInstances: 2, Hysteresis: 1})
 	m := mgr.Router()

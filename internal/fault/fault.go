@@ -6,7 +6,7 @@
 // The paper's claims are progress guarantees: the allocator keeps
 // serving under contention. The layers grown over it (mapped memory,
 // elastic capacity, the multi router's lifecycle) lean on syscalls —
-// mmap, mprotect, madvise, mbind — that fail in production for
+// mmap, mprotect, madvise — that fail in production for
 // environmental reasons (ENOMEM under pressure, EAGAIN from the kernel,
 // THP disabled). Those failures are nearly impossible to provoke
 // naturally in a test, so every recovery path they guard would otherwise
@@ -46,14 +46,12 @@ const (
 	// (MADV_HUGEPAGE); its failure is the first rung of the degradation
 	// ladder — the window falls back to base 4KiB pages.
 	Huge Site = "huge"
-	// Bind is the NUMA placement call (mbind); best-effort by contract.
-	Bind Site = "bind"
 	// Decommit is the return-to-OS transition (MADV_DONTNEED).
 	Decommit Site = "decommit"
 )
 
 // Sites lists every injectable site.
-func Sites() []Site { return []Site{Reserve, Commit, Huge, Bind, Decommit} }
+func Sites() []Site { return []Site{Reserve, Commit, Huge, Decommit} }
 
 // Fault is one injected failure: the N-th call (1-based) at Site failed
 // with Err. A []Fault is a complete, replayable schedule — the JSON form

@@ -70,26 +70,10 @@ func TestInjectedLifecycleFailures(t *testing.T) {
 				}
 			},
 		},
-		{
-			name: "bind failure is counted, commit proceeds",
-			rule: fault.FailAlways(fault.Bind, syscall.EPERM),
-			run: func(t *testing.T, r *mem.Region, in *fault.Injector) {
-				if err := r.Commit(0); err != nil {
-					t.Fatalf("bind failure must not fail the commit: %v", err)
-				}
-				if s := r.Stats(); s.BindFailures != 1 || s.Commits != 1 {
-					t.Fatalf("stats after bind fault: %+v", s)
-				}
-			},
-		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			in := fault.New(1, tc.rule)
-			opts := []mem.Option{mem.WithFaultInjector(in)}
-			if tc.rule.Site == fault.Bind {
-				opts = append(opts, mem.WithNUMAPolicy())
-			}
-			r, err := mem.New(winSize, 1, opts...)
+			r, err := mem.New(winSize, 1, mem.WithFaultInjector(in))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -78,9 +78,6 @@ type Stats struct {
 	// back to base 4KiB pages — the first rung of the degradation ladder:
 	// the commit still succeeds, only the large-TLB win is lost.
 	HugeFallbacks uint64
-	// BindFailures counts NUMA placements that could not be installed;
-	// best-effort by contract, so the commit proceeds without locality.
-	BindFailures uint64
 	// ReserveFails, CommitFails and DecommitFails count lifecycle
 	// transitions that returned an error to the caller (environmental or
 	// injected). A failed transition leaves the window in its prior state.
@@ -101,9 +98,6 @@ type window struct {
 	// recommit.
 	committed   bool
 	decommitted bool
-	// node is the NUMA node the window was assigned at commit time under
-	// WithNUMAPolicy (-1 = never placed).
-	node int
 }
 
 // Region is a growable set of same-size windows with independent
@@ -111,19 +105,17 @@ type window struct {
 type Region struct {
 	winSize uint64
 	huge    bool
-	numa    bool
 	inj     *fault.Injector
 
 	mu   sync.Mutex
 	wins []*window
 
-	commits, decommits, recommits       uint64
-	hugeFallbacks, bindFails            uint64
-	reserveFails, commitFails, decFails uint64
+	commits, decommits, recommits                      uint64
+	hugeFallbacks, reserveFails, commitFails, decFails uint64
 
 	// sink, when non-nil, receives one call per degradation-ladder rung
-	// taken (huge-fallback, bind-fail, commit-fail, reserve-fail,
-	// decommit-fail) for the telemetry flight recorder. Invoked with mu
+	// taken (huge-fallback, commit-fail, reserve-fail, decommit-fail) for
+	// the telemetry flight recorder. Invoked with mu
 	// held, so events order like the transitions they describe.
 	sink func(event string, a, b uint64)
 }
@@ -174,7 +166,7 @@ func New(windowSize uint64, windows int, opts ...Option) (*Region, error) {
 
 // SetEventSink installs the flight-recorder publish hook for the
 // degradation ladder: every counted rung (hugepage fallback, failed
-// bind, failed reserve/commit/decommit) is published with the window
+// reserve/commit/decommit) is published with the window
 // index as operand a. Install during stack construction; nil uninstalls.
 func (r *Region) SetEventSink(fn func(event string, a, b uint64)) {
 	r.mu.Lock()
@@ -219,7 +211,7 @@ func (r *Region) Ensure(n int) error {
 			r.emit("reserve-fail", uint64(len(r.wins)))
 			return fmt.Errorf("mem: reserving window %d (%d bytes): %w", len(r.wins), r.winSize, err)
 		}
-		r.wins = append(r.wins, &window{raw: raw, buf: buf, node: -1})
+		r.wins = append(r.wins, &window{raw: raw, buf: buf})
 	}
 	return nil
 }
@@ -258,26 +250,6 @@ func (r *Region) Commit(k int) error {
 		r.commitFails++
 		r.emit("commit-fail", uint64(k))
 		return fmt.Errorf("mem: committing window %d: %w", k, err)
-	}
-	if r.numa {
-		// Install the placement BEFORE the commit touch: mbind sets the
-		// VMA's policy and the touch loop then first-faults every page
-		// onto the preferred node. On single-node machines and platforms
-		// without the syscalls the bind is a no-op but the assignment
-		// still lands in NodeMap.
-		w.node = r.nodeForWindow(k)
-		// Best-effort: a failed bind costs locality, not correctness. The
-		// injector check runs even on single-node machines so bind-fault
-		// schedules exercise this rung of the ladder portably.
-		if err := r.inj.Check(fault.Bind); err != nil {
-			r.bindFails++
-			r.emit("bind-fail", uint64(k))
-		} else if len(numaNodeIDs()) > 1 {
-			if err := osBindNode(w.buf, w.node); err != nil {
-				r.bindFails++
-				r.emit("bind-fail", uint64(k))
-			}
-		}
 	}
 	if err := osProtectRW(w.buf); err != nil {
 		r.commitFails++
@@ -392,7 +364,6 @@ func (r *Region) Stats() Stats {
 		Decommits:     r.decommits,
 		Recommits:     r.recommits,
 		HugeFallbacks: r.hugeFallbacks,
-		BindFailures:  r.bindFails,
 		ReserveFails:  r.reserveFails,
 		CommitFails:   r.commitFails,
 		DecommitFails: r.decFails,

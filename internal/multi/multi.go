@@ -533,9 +533,6 @@ func (m *Multi) LayerStats() []alloc.LayerStats {
 		if ms.HugeFallbacks > 0 {
 			entry.Extra["mem_commit_fallbacks"] = ms.HugeFallbacks
 		}
-		if ms.BindFailures > 0 {
-			entry.Extra["mem_bind_failures"] = ms.BindFailures
-		}
 		if n := ms.ReserveFails + ms.CommitFails + ms.DecommitFails; n > 0 {
 			entry.Extra["mem_lifecycle_failures"] = n
 		}
@@ -745,42 +742,6 @@ func (m *Multi) InstanceInfos() []InstanceInfo {
 			Name:      s.a.Name(),
 		}
 	}
-	return out
-}
-
-// Straggler is one live chunk still pinning a draining slot, in global
-// offsets.
-type Straggler struct {
-	Offset uint64
-	Size   uint64
-}
-
-// Stragglers enumerates up to max live chunks on draining slot k, in
-// global offsets — the input of the elastic manager's migration step. It
-// returns nil when the slot is not draining or its leaf cannot walk its
-// live index (alloc.LiveWalker). The draining fence guarantees the slot's
-// live set only shrinks during the walk; chunks freed concurrently may
-// still appear, which callers tolerate (migration runs under the Scrub
-// quiescence contract for the chunks it moves).
-func (m *Multi) Stragglers(k, max int) []Straggler {
-	t := m.tab.Load()
-	if k < 0 || k >= len(t.slots) || t.slots[k] == nil {
-		return nil
-	}
-	s := t.slots[k]
-	if s.state.Load() != slotDraining {
-		return nil
-	}
-	w, ok := s.a.(alloc.LiveWalker)
-	if !ok {
-		return nil
-	}
-	base := uint64(k) * m.span
-	var out []Straggler
-	w.WalkLive(func(off, size uint64) bool {
-		out = append(out, Straggler{Offset: base + off, Size: size})
-		return max <= 0 || len(out) < max
-	})
 	return out
 }
 

@@ -7,7 +7,6 @@ import (
 	"repro/internal/alloctest"
 	"repro/internal/multi"
 	"repro/internal/stack"
-	"repro/internal/trace"
 
 	_ "repro/internal/bunch"
 )
@@ -39,11 +38,6 @@ func specBuilder(template stack.Spec, wantInstances int) alloctest.Builder {
 			s.Instances = 0
 		}
 		s.Per = alloc.Config{Total: total / uint64(n), MinSize: minSize, MaxSize: maxSize}
-		if template.Record != nil {
-			// A fresh trace per instance, or replays of earlier sub-tests
-			// would interleave.
-			s.Record = &trace.Trace{}
-		}
 		st, err := stack.Build(s)
 		if err != nil {
 			t.Fatalf("stack.Build: %v", err)
@@ -61,17 +55,6 @@ func TestConformanceCachedMulti(t *testing.T) {
 		Variant: "4lvl-nb",
 		Cached:  true, Magazine: 8,
 	}, 4))
-}
-
-// TestConformanceTraceCached runs the suite over the trace recorder
-// stacked on the caching front-end: every handle operation is recorded
-// while the magazines reshape the back-end traffic underneath.
-func TestConformanceTraceCached(t *testing.T) {
-	alloctest.RunBuilder(t, specBuilder(stack.Spec{
-		Variant: "1lvl-nb",
-		Cached:  true, Magazine: 8,
-		Record: &trace.Trace{},
-	}, 1))
 }
 
 // TestConformanceMultiMaterialized runs the suite over a materialized

@@ -7,7 +7,6 @@ import (
 	"repro/internal/elastic"
 	"repro/internal/multi"
 	"repro/internal/stack"
-	"repro/internal/trace"
 )
 
 // TestElasticRetireWithIdleParkedWorker is the regression test for the
@@ -119,14 +118,12 @@ func TestElasticRetireWithIdleParkedWorker(t *testing.T) {
 // registry to its baseline size instead of leaking an entry per worker.
 func TestHandleRegistriesStayFlat(t *testing.T) {
 	t.Parallel()
-	tr := &trace.Trace{}
 	st, err := stack.Build(stack.Spec{
 		Variant:   "4lvl-nb",
 		Per:       alloc.Config{Total: 1 << 20, MinSize: 64, MaxSize: 1 << 16},
 		Instances: 2,
 		Depot:     true,
 		Slab:      true,
-		Record:    tr,
 	})
 	if err != nil {
 		t.Fatalf("stack.Build: %v", err)

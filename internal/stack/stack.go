@@ -3,8 +3,8 @@
 // multi-instance router (internal/multi) with its optional mapped
 // backing (internal/mem), the elastic capacity manager
 // (internal/elastic), the caching front-end (internal/frontend), the
-// size-class slab (internal/slab), the trace recorder (internal/trace)
-// and the materialized arena (internal/arena).
+// size-class slab (internal/slab) and the materialized arena
+// (internal/arena).
 //
 // Every layer implements the full composable contract (alloc.Allocator +
 // alloc.ChunkSizer, forwarding alloc.Spanner, alloc.Scrubber and
@@ -12,7 +12,7 @@
 // canonical production order the paper's conclusions call for:
 //
 //	leaf variant(s) -> multi router -> elastic manager
-//	                -> caching front-end -> slab -> trace -> arena
+//	                -> caching front-end -> slab -> arena
 //
 // A Spec is the one description of a stack: nbbs.New maps its Config
 // onto one, and the registry composites ("cached+multi4+4lvl-nb",
@@ -39,7 +39,6 @@ import (
 	"repro/internal/multi"
 	"repro/internal/slab"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // Spec describes a layer stack bottom-up.
@@ -80,9 +79,6 @@ type Spec struct {
 	// slab.DefaultCutoff, clamped to the geometry).
 	Slab       bool
 	SlabCutoff uint64
-	// Record, when non-nil, inserts the trace-recording layer appending
-	// to this trace.
-	Record *trace.Trace
 	// Materialize wraps the stack in a real-memory arena sized to the
 	// global offset span (per-instance sub-arenas over a multi router).
 	// Over a Mapped stack the arena borrows the router's region instead of
@@ -120,7 +116,7 @@ type Stack struct {
 	// Top is the outermost layer; use it as the allocator.
 	Top alloc.Allocator
 	// Backend is the leaf allocator or the multi router over the leaves —
-	// the stack below any caching/tracing/materializing layers.
+	// the stack below any caching/materializing layers.
 	Backend alloc.Allocator
 	// Multi is the router layer (nil for single-instance stacks).
 	Multi *multi.Multi
@@ -130,8 +126,6 @@ type Stack struct {
 	Frontend *frontend.Allocator
 	// Slab is the size-class layer (nil when not Spec.Slab).
 	Slab *slab.Allocator
-	// Trace is the recording layer (nil when Record was nil).
-	Trace *trace.Allocator
 	// Arena is the materialized-region layer (nil when not Materialize).
 	Arena *arena.Allocator
 	// Mem is the mapped backing region (nil when not Mapped).
@@ -290,14 +284,6 @@ func Build(s Spec) (*Stack, error) {
 			return nil, err
 		}
 	}
-	if s.Record != nil {
-		tr, err := trace.NewAllocator(st.Top, s.Record)
-		if err != nil {
-			return nil, err
-		}
-		st.Trace = tr
-		st.Top = tr
-	}
 	if s.Materialize {
 		ar, err := arena.Materialize(st.Top)
 		if err != nil {
@@ -370,10 +356,7 @@ var composites = []string{
 	// instance window is backed by platform mapped memory following the
 	// slot lifecycle (a retirement decommits its window, a later grow
 	// recommits it); "predictive" swaps the watermark rule for the EWMA +
-	// slope policy. No composite enables chunk migration: registry stacks
-	// feed generic harnesses (conformance, differential) whose oracles
-	// assume stable offsets, and migration is opt-in for owners that track
-	// moves.
+	// slope policy.
 	"elastic+multi+4lvl-nb",
 	"mapped+elastic+multi+4lvl-nb",
 	"predictive+mapped+elastic+multi+4lvl-nb",

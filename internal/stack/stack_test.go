@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/stack"
-	"repro/internal/trace"
 
 	_ "repro/internal/bunch"
 	_ "repro/internal/slbuddy"
@@ -90,7 +89,6 @@ func TestSpanThroughLayers(t *testing.T) {
 		Variant: "4lvl-nb", Per: per,
 		Instances:   4,
 		Cached:      true,
-		Record:      &trace.Trace{},
 		Materialize: true,
 	})
 	if err != nil {
@@ -100,11 +98,11 @@ func TestSpanThroughLayers(t *testing.T) {
 	if got := alloc.SpanOf(st.Top); got != want {
 		t.Fatalf("SpanOf(top) = %d, want %d", got, want)
 	}
-	if st.Top.Name() != "mat+trace+cached+multi[4x 4lvl-nb]" {
+	if st.Top.Name() != "mat+cached+multi[4x 4lvl-nb]" {
 		t.Fatalf("Name = %q", st.Top.Name())
 	}
-	if len(st.LayerStats()) != 5 {
-		t.Fatalf("LayerStats entries = %d, want 5", len(st.LayerStats()))
+	if len(st.LayerStats()) != 4 {
+		t.Fatalf("LayerStats entries = %d, want 4", len(st.LayerStats()))
 	}
 }
 

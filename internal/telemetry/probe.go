@@ -8,8 +8,8 @@ import (
 	"repro/internal/geometry"
 )
 
-// Probe is the latency-recording layer: a transparent wrapper (the
-// trace layer's shape) inserted at a layer boundary by stack.Build when
+// Probe is the latency-recording layer: a transparent wrapper inserted
+// at a layer boundary by stack.Build when
 // telemetry is enabled. Its handles time a sampled fraction of their
 // single-chunk operations and every batch operation into the boundary's
 // Series; everything else forwards untouched. Name is forwarded

@@ -26,9 +26,8 @@
 // be wrapped by any combination of composable layers, all described by
 // the one Config — Backing.Instances adds the multi-instance
 // (NUMA-style) router, Frontend.Cached adds per-worker caching
-// magazines, Trace records the operation stream, and
-// Backing.Materialize backs the offset space with real bytes so
-// AllocBytes can hand out slices. The layers compose freely, including
+// magazines, and Backing.Materialize backs the offset space with real
+// bytes so AllocBytes can hand out slices. The layers compose freely, including
 // the full production deployment the paper's conclusions describe:
 //
 //	b, err := nbbs.New(nbbs.Config{
@@ -62,7 +61,6 @@ import (
 	"repro/internal/slab"
 	"repro/internal/stack"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 
 	// Register all allocator variants and composed stacks.
 	_ "repro/internal/bunch"
@@ -103,9 +101,11 @@ func Variants() []string { return alloc.Names() }
 // description into the sub-structs below beside those options; version 3
 // makes Config the only description (New takes nothing else) and drops
 // the per-CPU shard-routing and batch-refill fields of Frontend with the
-// layer and knob they selected. The constant exists so embedders that
+// layer and knob they selected; version 4 drops Trace with the
+// operation recorder it enabled, and ElasticConfig's opt-in live-chunk
+// relocation settings. The constant exists so embedders that
 // persist configurations can tag which schema they wrote.
-const ConfigVersion = 3
+const ConfigVersion = 4
 
 // RoutingPolicy selects how multi-instance handles bind to back-ends:
 // RoutingRoundRobin spreads handles across instances in creation order,
@@ -153,7 +153,7 @@ type BackingConfig struct {
 	// commit map (the only way an elastic stack can materialize).
 	Materialize bool
 	// Faults routes the mapped region's lifecycle syscalls
-	// (reserve/commit/hugepage-advise/bind/decommit) through a
+	// (reserve/commit/hugepage-advise/decommit) through a
 	// deterministic fault injector — the testing hook behind the stack's
 	// graceful-degradation ladder (see DESIGN.md, "Failure semantics").
 	// Requires Mapped. Nil injects nothing.
@@ -245,9 +245,6 @@ type Config struct {
 	Frontend FrontendConfig
 	// Telemetry turns on and tunes the telemetry layer.
 	Telemetry TelemetrySettings
-	// Trace, when non-nil, records every handle operation for
-	// deterministic replay and regression debugging (internal/trace).
-	Trace *Trace
 }
 
 // Stats are the operation counters aggregated across an instance's
@@ -262,17 +259,13 @@ type LayerStats = alloc.LayerStats
 // CacheStats counts front-end magazine behaviour; see CachedHandle.
 type CacheStats = frontend.CacheStats
 
-// Trace is a recorded operation stream; set one on Config.Trace to record
-// every handle's operations for deterministic replay (internal/trace).
-type Trace = trace.Trace
-
 // Handle is a per-worker allocation interface; obtain one per goroutine
 // from Buddy.NewHandle. It is not safe for concurrent use.
 type Handle = alloc.Handle
 
 // Buddy is a buddy-system allocator stack: a leaf variant, optionally
-// wrapped by the multi-instance router, the caching front-end, the trace
-// recorder and the materialized arena.
+// wrapped by the multi-instance router, the elastic manager, the caching
+// front-end, the slab and the materialized arena.
 type Buddy struct {
 	st *stack.Stack
 }
@@ -306,15 +299,6 @@ var (
 	NewWatermarkPolicy  = elastic.NewWatermarkPolicy
 	NewPredictivePolicy = elastic.NewPredictivePolicy
 )
-
-// MigrationConfig tunes the elastic manager's live-chunk migration step
-// (ElasticConfig.Migration): stragglers on a draining slot are copied
-// onto active slots so retirement completes in bounded polls. Moving a
-// chunk changes its offset, so only enable it when every chunk owner
-// tracks moves through ElasticManager.OnMigrate — and leave it off under
-// offset-caching layers (the front-end's magazines, the slab's runs)
-// unless those layers' holdings are migration-aware.
-type MigrationConfig = elastic.MigrationConfig
 
 // FaultInjector is a deterministic syscall-fault source for the mapped
 // backing region; build schedules with the internal/fault constructors
@@ -375,7 +359,6 @@ func New(cfg Config) (*Buddy, error) {
 		DepotCapacity: cfg.Frontend.DepotCapacity,
 		Slab:          cfg.Frontend.Slab,
 		SlabCutoff:    cfg.Frontend.SlabCutoff,
-		Record:        cfg.Trace,
 	}
 	if s.Variant == "" {
 		s.Variant = Variant4Lvl
@@ -520,7 +503,7 @@ type Scrubber = alloc.Scrubber
 // scrubbing.
 func (b *Buddy) Scrub() bool { return b.st.Scrub() }
 
-// Backend exposes the allocator below the caching/tracing/materializing
+// Backend exposes the allocator below the caching/materializing
 // layers — the leaf instance, or the multi-instance router — for
 // composition and back-end-level statistics.
 func (b *Buddy) Backend() interface {
@@ -533,7 +516,7 @@ func (b *Buddy) Backend() interface {
 
 // Multi exposes the multi-instance router layer (nil for a stack without
 // routed instances). Router-level handles — including NewHandleOn for
-// explicit NUMA-style pinning — bypass any caching or tracing layers
+// explicit NUMA-style pinning — bypass any caching layers
 // stacked above it.
 func (b *Buddy) Multi() *Multi { return b.st.Multi }
 

@@ -473,36 +473,6 @@ func TestDepotStackEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTraceLayer records every handle operation through a composed stack
-// (replay itself is covered by the trace package's own tests).
-func TestTraceLayer(t *testing.T) {
-	var tr nbbs.Trace
-	b, err := nbbs.New(with(func(c *nbbs.Config) {
-		c.Trace = &tr
-		c.Frontend = nbbs.FrontendConfig{Cached: true, Magazine: 8}
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := b.NewHandle()
-	var live []uint64
-	for i := 0; i < 100; i++ {
-		if off, ok := h.Alloc(64 << (i % 3)); ok {
-			live = append(live, off)
-		}
-		if len(live) > 4 {
-			h.Free(live[0])
-			live = live[1:]
-		}
-	}
-	for _, off := range live {
-		h.Free(off)
-	}
-	if len(tr.Ops) != 200 {
-		t.Fatalf("trace recorded %d ops, want 200", len(tr.Ops))
-	}
-}
-
 func TestConfigGeometry(t *testing.T) {
 	depth, maxLevel, err := cfg.Geometry()
 	if err != nil {
