@@ -17,14 +17,12 @@
 //	nbbsinfo -instances 4 -depot -demo-ops 200000   # depot_* layer counters
 //	nbbsinfo -instances 4 -depot -slab -demo-ops 200000  # per-class slab table
 //	nbbsinfo -instances 2 -elastic -elastic-max 4 -demo-ops 400000
-//	    # watermark config, per-instance utilization, lifecycle counters
+//	    # watermark config, per-instance utilization, lifecycle counters,
+//	    # per-slot drain ages and time-to-retire
 //	nbbsinfo -instances 2 -elastic -elastic-max 4 -mem -demo-ops 400000
 //	    # mapped windows: per-slot commit map and commit/decommit totals
 //	nbbsinfo -instances 2 -elastic -mem -latency -events -demo-ops 400000
 //	    # per-layer latency percentile table and the flight-recorder dump
-//	nbbsinfo -instances 2 -elastic -elastic-policy predictive \
-//	    -mem -demo-ops 400000
-//	    # EWMA/slope estimator state, per-slot drain ages and time-to-retire
 package main
 
 import (
@@ -57,7 +55,6 @@ func main() {
 		elastic     = flag.Bool("elastic", false, "wrap the router with the elastic capacity manager (demo polls it in the background)")
 		elasticMin  = flag.Int("elastic-min", 1, "elastic instance floor")
 		elasticMax  = flag.Int("elastic-max", 0, "elastic instance cap (0 = twice the initial instances)")
-		elasticPol  = flag.String("elastic-policy", "watermark", "elastic decision rule: watermark | predictive")
 		demoOps     = flag.Int("demo-ops", 0, "drive this many ops through the stack and report per-layer stats")
 		workers     = flag.Int("workers", 8, "worker goroutines for -demo-ops")
 		latency     = flag.Bool("latency", false, "enable telemetry and print the per-layer latency percentile table (with -demo-ops)")
@@ -122,14 +119,6 @@ func main() {
 			cfg.Elastic = &nbbs.ElasticConfig{
 				MinInstances: *elasticMin,
 				MaxInstances: *elasticMax,
-			}
-			switch *elasticPol {
-			case "", "watermark":
-			case "predictive":
-				cfg.Elastic.Policy = nbbs.NewPredictivePolicy(nbbs.PredictiveConfig{})
-			default:
-				fmt.Fprintf(os.Stderr, "nbbsinfo: unknown -elastic-policy %q (watermark | predictive)\n", *elasticPol)
-				os.Exit(1)
 			}
 		}
 		demo(cfg, *demoOps, *workers, *latency, *events)
@@ -268,14 +257,8 @@ func demo(cfg nbbs.Config, ops, workers int, latency, events bool) {
 		cfg := mgr.Config()
 		c := mgr.Counters()
 		fmt.Printf("\nelastic capacity manager:\n")
-		fmt.Printf("  policy: %s\n", mgr.Policy().Name())
-		if p, ok := mgr.Policy().(*nbbs.PredictivePolicy); ok {
-			ewma, slope := p.State()
-			fmt.Printf("  estimator: ewma=%.3f utilization, slope=%+.5f per poll\n", ewma, slope)
-		} else {
-			fmt.Printf("  watermarks: grow >= %.0f%% utilization, shrink <= %.0f%% (hysteresis %d polls)\n",
-				cfg.HighWater*100, cfg.LowWater*100, cfg.Hysteresis)
-		}
+		fmt.Printf("  watermarks: grow >= %.0f%% utilization, shrink <= %.0f%% (hysteresis %d polls)\n",
+			cfg.HighWater*100, cfg.LowWater*100, cfg.Hysteresis)
 		fmt.Printf("  fleet bounds: %d..%d instances\n", cfg.MinInstances, cfg.MaxInstances)
 		fmt.Printf("  lifecycle: polls=%d grows=%d reactivations=%d drains=%d retires=%d denied_at_cap=%d\n",
 			c.Polls, c.Grows, c.Reactivations, c.Drains, c.Retires, c.DeniedAtCap)

@@ -96,28 +96,3 @@ func TestConfigImplications(t *testing.T) {
 		})
 	}
 }
-
-// TestConfigElasticPolicy builds an elastic stack with the predictive
-// policy through the structured Config and checks it is wired through.
-func TestConfigElasticPolicy(t *testing.T) {
-	cfg := nbbs.Config{Total: 1 << 20, MinSize: 64, MaxSize: 1 << 16}
-	cfg.Backing.Instances = 2
-	cfg.Elastic = &nbbs.ElasticConfig{
-		MaxInstances: 4,
-		Policy:       nbbs.NewPredictivePolicy(nbbs.PredictiveConfig{}),
-	}
-	b, err := nbbs.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr := b.Elastic()
-	if mgr == nil {
-		t.Fatal("no elastic manager")
-	}
-	if got := mgr.Policy().Name(); got != "predictive" {
-		t.Fatalf("policy %q, want predictive", got)
-	}
-	if _, ok := mgr.Policy().(*nbbs.PredictivePolicy); !ok {
-		t.Fatalf("policy type %T", mgr.Policy())
-	}
-}

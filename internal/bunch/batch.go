@@ -77,17 +77,19 @@ func (h *Handle) FreeBatch(offsets []uint64) {
 	}
 }
 
-// AllocBatch implements alloc.BatchAllocator through a pooled handle.
+// AllocBatch implements alloc.BatchAllocator through a recycled
+// convenience handle.
 func (a *Allocator) AllocBatch(size uint64, n int) []uint64 {
-	h := a.pool.Get().(*Handle)
+	h := a.conv.Borrow()
 	out := h.AllocBatch(size, n)
-	a.pool.Put(h)
+	a.conv.Return(h)
 	return out
 }
 
-// FreeBatch implements alloc.BatchAllocator through a pooled handle.
+// FreeBatch implements alloc.BatchAllocator through a recycled
+// convenience handle.
 func (a *Allocator) FreeBatch(offsets []uint64) {
-	h := a.pool.Get().(*Handle)
+	h := a.conv.Borrow()
 	h.FreeBatch(offsets)
-	a.pool.Put(h)
+	a.conv.Return(h)
 }

@@ -1,6 +1,7 @@
 package bunch
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -79,6 +80,29 @@ func TestQuiescentTreeClean(t *testing.T) {
 		}
 		if i := dirtyWord(a); i >= 0 {
 			t.Fatalf("k=%d: word %d not clean after drain: %#x", k, i, a.words[i].Load())
+		}
+	}
+}
+
+// TestConvenienceHandlesStayBounded regresses the convenience-path
+// registration leak: the allocator-level Alloc, Free, AllocBatch and
+// FreeBatch borrow a registered handle, and a pool that drops idle
+// handles at GC left every dropped one registered forever.
+func TestConvenienceHandlesStayBounded(t *testing.T) {
+	for _, k := range heights {
+		a := mustNew(t, k, 1<<16, 64, 1<<12)
+		for i := 0; i < 100; i++ {
+			off, ok := a.Alloc(64)
+			if !ok {
+				t.Fatalf("k=%d: alloc %d failed", k, i)
+			}
+			runtime.GC()
+			a.Free(off)
+			runtime.GC()
+			a.FreeBatch(a.AllocBatch(64, 4))
+		}
+		if n := a.Handles(); n > 2 {
+			t.Fatalf("k=%d: %d handles registered after 100 sequential convenience round trips", k, n)
 		}
 	}
 }

@@ -67,8 +67,7 @@ var (
 )
 
 // Config is the capacity policy of a manager: fleet bounds, the
-// watermark thresholds (which parameterize the default WatermarkPolicy
-// and remain the vocabulary of both built-in policies) and grow backoff.
+// watermark rule and grow backoff.
 type Config struct {
 	// MinInstances is the floor the manager never drains below (>= 1;
 	// 0 means 1).
@@ -91,14 +90,9 @@ type Config struct {
 	// consecutive failure with deterministic jitter (0 means
 	// DefaultGrowRetryBase).
 	GrowRetryBase time.Duration
-	// GrowRetryMax caps the grow backoff (0 means DefaultGrowRetryMax).
+	// GrowRetryMax caps the grow backoff (0 means DefaultGrowRetryMax; a
+	// value below GrowRetryBase is raised to it).
 	GrowRetryMax time.Duration
-	// Policy, when non-nil, replaces the built-in watermark rule as the
-	// grow/shrink decision maker (see Policy). Nil builds a
-	// WatermarkPolicy from the watermark fields above — the pre-policy
-	// behavior, bit for bit. The instance must not be shared between
-	// managers (policies keep per-fleet state).
-	Policy Policy
 }
 
 func (c Config) withDefaults(initial int) Config {
@@ -120,12 +114,10 @@ func (c Config) withDefaults(initial int) Config {
 	if c.GrowRetryBase <= 0 {
 		c.GrowRetryBase = DefaultGrowRetryBase
 	}
-	if c.GrowRetryMax < c.GrowRetryBase {
+	if c.GrowRetryMax <= 0 {
 		c.GrowRetryMax = DefaultGrowRetryMax
 	}
-	if c.GrowRetryMax < c.GrowRetryBase {
-		c.GrowRetryMax = c.GrowRetryBase
-	}
+	c.GrowRetryMax = max(c.GrowRetryMax, c.GrowRetryBase)
 	return c
 }
 
@@ -199,9 +191,11 @@ type Manager struct {
 	// table mutations have their own mutex; this one makes the policy
 	// read-decide-act sequence atomic).
 	mu       sync.Mutex
-	policy   Policy
 	counters Counters
 	hooks    []DrainHook
+	// hiStreak and loStreak count the consecutive Polls at or above the
+	// high watermark and at or below the low one (under mu).
+	hiStreak, loStreak int
 	// drainSince is each draining slot's drain start step (under mu), for
 	// the time-to-retire gauge (DrainAges, LastRetirePolls).
 	drainSince map[int]uint64
@@ -244,22 +238,14 @@ func New(inner *multi.Multi, cfg Config) (*Manager, error) {
 		return nil, fmt.Errorf("elastic: router starts with %d instances, above the %d cap", n, cfg.MaxInstances)
 	}
 	inner.EnableLiveTracking()
-	pol := cfg.Policy
-	if pol == nil {
-		pol = NewWatermarkPolicy(cfg.HighWater, cfg.LowWater, cfg.Hysteresis)
-	}
 	return &Manager{
 		inner:      inner,
 		cfg:        cfg,
-		policy:     pol,
 		drainSince: make(map[int]uint64),
 		clock:      time.Now,
 		jitter:     0x9E3779B97F4A7C15,
 	}, nil
 }
-
-// Policy returns the active decision rule.
-func (mgr *Manager) Policy() Policy { return mgr.policy }
 
 // SetClock replaces the manager's time source, which only backoff
 // decisions consult — tests and the chaos harness install a logical
@@ -346,10 +332,9 @@ func (mgr *Manager) drainRange(k int) {
 }
 
 // Poll performs one observation/decision step: finish pending retires
-// whose slots reached zero live chunks, then hand the policy one
-// observation and act on its decision. Poll is safe to call concurrently
-// with allocator traffic; decision steps serialize on the manager's
-// mutex.
+// whose slots reached zero live chunks, then apply the watermark rule to
+// the active set's utilization. Poll is safe to call concurrently with
+// allocator traffic; decision steps serialize on the manager's mutex.
 func (mgr *Manager) Poll() Action {
 	mgr.mu.Lock()
 	defer mgr.mu.Unlock()
@@ -387,53 +372,32 @@ func (mgr *Manager) Poll() Action {
 		}
 	}
 
-	// Phase 2: the policy decides over one observation of the active set.
+	// Phase 2: the watermark rule. Utilization at or above HighWater for
+	// Hysteresis consecutive Polls grows by one; at or below LowWater for
+	// Hysteresis consecutive Polls drains the active slot with the fewest
+	// live bytes; a Poll in between resets both streaks.
 	used, capacity := mgr.usage()
 	if capacity == 0 {
 		return act
 	}
 	act.Utilization = float64(used) / float64(capacity)
-	switch d := mgr.policy.Decide(mgr.observe(act.Utilization, used, capacity)); d.Kind {
-	case GrowOne:
-		mgr.grow(&act)
-	case DrainSlot:
-		mgr.shrinkSlot(d.Slot, &act)
+	switch {
+	case act.Utilization >= mgr.cfg.HighWater:
+		mgr.loStreak = 0
+		if mgr.hiStreak++; mgr.hiStreak >= mgr.cfg.Hysteresis {
+			mgr.hiStreak = 0
+			mgr.grow(&act)
+		}
+	case act.Utilization <= mgr.cfg.LowWater:
+		mgr.hiStreak = 0
+		if mgr.loStreak++; mgr.loStreak >= mgr.cfg.Hysteresis {
+			mgr.loStreak = 0
+			mgr.shrinkSlot(&act)
+		}
+	default:
+		mgr.hiStreak, mgr.loStreak = 0, 0
 	}
 	return act
-}
-
-// observe assembles the policy input for one step. Called with mu held,
-// Polls already incremented — the step clock is the Poll counter, so
-// policies reasoning about time replay deterministically.
-func (mgr *Manager) observe(utilization float64, used, capacity int64) Observation {
-	infos := mgr.inner.InstanceInfos()
-	o := Observation{
-		Step:        mgr.counters.Polls,
-		Utilization: utilization,
-		Floor:       mgr.cfg.MinInstances,
-		Cap:         mgr.cfg.MaxInstances,
-		Slots:       make([]SlotObs, len(infos)),
-	}
-	span := float64(mgr.inner.InstanceSpan())
-	for i, info := range infos {
-		o.Slots[i] = SlotObs{
-			Slot:      info.Slot,
-			State:     info.State,
-			Live:      info.Live,
-			LiveBytes: info.LiveBytes,
-		}
-		if span > 0 {
-			o.Slots[i].Utilization = float64(info.LiveBytes) / span
-		}
-		switch info.State {
-		case multi.Active:
-			o.Active++
-			o.Published++
-		case multi.Draining:
-			o.Published++
-		}
-	}
-	return o
 }
 
 // retireAge folds a retiring slot's drain age into the bookkeeping.
@@ -545,22 +509,19 @@ func (mgr *Manager) backoff() time.Duration {
 	return d + time.Duration(mgr.jitter%uint64(d/2+1))
 }
 
-// shrinkSlot starts draining the given active slot (victim < 0 picks the
-// least-utilized one), keeping at least MinInstances active. Called with
-// mu held.
-func (mgr *Manager) shrinkSlot(victim int, act *Action) {
+// shrinkSlot starts draining the active slot with the fewest live bytes,
+// keeping at least MinInstances active. Called with mu held.
+func (mgr *Manager) shrinkSlot(act *Action) {
 	if mgr.inner.ActiveInstances() <= mgr.cfg.MinInstances {
 		return
 	}
-	if victim < 0 {
-		best := int64(0)
-		for _, info := range mgr.inner.InstanceInfos() {
-			if info.State != multi.Active {
-				continue
-			}
-			if victim < 0 || info.LiveBytes < best {
-				victim, best = info.Slot, info.LiveBytes
-			}
+	victim, best := -1, int64(0)
+	for _, info := range mgr.inner.InstanceInfos() {
+		if info.State != multi.Active {
+			continue
+		}
+		if victim < 0 || info.LiveBytes < best {
+			victim, best = info.Slot, info.LiveBytes
 		}
 	}
 	if victim < 0 {
@@ -626,7 +587,7 @@ func (mgr *Manager) Shrink() (int, error) {
 	defer mgr.mu.Unlock()
 	var act Action
 	act.Grew, act.Reactivated, act.DrainStarted = -1, -1, -1
-	mgr.shrinkSlot(-1, &act)
+	mgr.shrinkSlot(&act)
 	if act.DrainStarted < 0 {
 		return -1, fmt.Errorf("elastic: at the %d-instance floor", mgr.cfg.MinInstances)
 	}

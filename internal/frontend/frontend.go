@@ -27,8 +27,8 @@ package frontend
 
 import (
 	"fmt"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/alloc"
 	"repro/internal/geometry"
@@ -50,22 +50,15 @@ type Allocator struct {
 	depot  *Depot
 	refill int
 
-	mu          sync.Mutex
-	handles     []*Handle
-	conv        alloc.Stats // ops served by the pass-through convenience path
-	closed      alloc.Stats // retained counters of closed handles
-	closedCache CacheStats
+	reg         alloc.Registry[*Handle]
+	closedCache CacheStats // guarded by the registry lock
 
-	// Drain fence: DrainDepotRange records the retiring window, then bumps
-	// the epoch; handles compare epochs on their next operation and flush
-	// magazines overlapping a recorded window, so a draining instance's
-	// live count converges without waiting for an idle worker to churn or
-	// for a quiescent Scrub. Windows are never pruned — a stale window is
-	// harmless because magazines can never hold offsets of memory that was
-	// actually retired.
-	drainEpoch atomic.Uint64
-	drainMu    sync.Mutex
-	drainWins  map[uint64]uint64 // lo -> hi
+	convMu sync.Mutex
+	conv   alloc.Stats // ops served by the pass-through convenience path
+
+	// fence is armed by DrainDepotRange; handles flush magazines
+	// overlapping a retiring window on their next operation.
+	fence alloc.DrainFence
 }
 
 // Option tunes the front-end beyond the magazine capacity.
@@ -95,8 +88,7 @@ func New(backend alloc.Allocator, magCap int, opts ...Option) (*Allocator, error
 	if magCap <= 0 {
 		magCap = DefaultMagazine
 	}
-	a := &Allocator{backend: backend, sizer: sizer, geo: backend.Geometry(), magCap: magCap,
-		drainWins: make(map[uint64]uint64)}
+	a := &Allocator{backend: backend, sizer: sizer, geo: backend.Geometry(), magCap: magCap}
 	a.refill = magCap / 2
 	if a.refill == 0 {
 		a.refill = 1
@@ -149,22 +141,22 @@ func (a *Allocator) ChunkSize(offset uint64) uint64 { return a.sizer.ChunkSize(o
 // caching only pays per-worker, so the convenience path does not cache.
 func (a *Allocator) Alloc(size uint64) (uint64, bool) {
 	off, ok := a.backend.Alloc(size)
-	a.mu.Lock()
+	a.convMu.Lock()
 	if ok {
 		a.conv.Allocs++
 	} else {
 		a.conv.AllocFails++
 	}
-	a.mu.Unlock()
+	a.convMu.Unlock()
 	return off, ok
 }
 
 // Free implements alloc.Allocator (pass-through, see Alloc).
 func (a *Allocator) Free(offset uint64) {
 	a.backend.Free(offset)
-	a.mu.Lock()
+	a.convMu.Lock()
 	a.conv.Frees++
-	a.mu.Unlock()
+	a.convMu.Unlock()
 }
 
 // AllocBatch implements alloc.BatchAllocator: like the convenience Alloc,
@@ -172,21 +164,21 @@ func (a *Allocator) Free(offset uint64) {
 // the back-end (natively or via the shim).
 func (a *Allocator) AllocBatch(size uint64, n int) []uint64 {
 	out := alloc.AllocBatchOf(a.backend, size, n)
-	a.mu.Lock()
+	a.convMu.Lock()
 	a.conv.Allocs += uint64(len(out))
 	if len(out) == 0 && n > 0 {
 		a.conv.AllocFails++
 	}
-	a.mu.Unlock()
+	a.convMu.Unlock()
 	return out
 }
 
 // FreeBatch implements alloc.BatchAllocator (pass-through, see AllocBatch).
 func (a *Allocator) FreeBatch(offsets []uint64) {
 	alloc.FreeBatchOf(a.backend, offsets)
-	a.mu.Lock()
+	a.convMu.Lock()
 	a.conv.Frees += uint64(len(offsets))
-	a.mu.Unlock()
+	a.convMu.Unlock()
 }
 
 // Stats implements alloc.Allocator with this layer's view of the traffic:
@@ -195,36 +187,27 @@ func (a *Allocator) FreeBatch(offsets []uint64) {
 // counters — how much traffic the magazines did NOT absorb — remain
 // available via Backend().Stats() and LayerStats. Quiescent points only.
 func (a *Allocator) Stats() alloc.Stats {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	total := a.conv
-	total.Add(a.closed)
-	for _, h := range a.handles {
-		total.Add(h.stats)
-	}
+	total := a.reg.Stats()
+	a.convMu.Lock()
+	total.Add(a.conv)
+	a.convMu.Unlock()
 	return total
 }
 
 // Handles returns the number of registered (not yet closed) handles — a
 // diagnostic for the handle-leak regression tests.
-func (a *Allocator) Handles() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.handles)
-}
+func (a *Allocator) Handles() int { return a.reg.Len() }
 
 // CacheTotals aggregates the magazine counters of every handle created so
 // far; quiescent points only.
 func (a *Allocator) CacheTotals() CacheStats {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	total := a.closedCache
-	for _, h := range a.handles {
-		total.Hits += h.cache.Hits
-		total.Misses += h.cache.Misses
-		total.Spills += h.cache.Spills
-		total.Refills += h.cache.Refills
-	}
+	var total CacheStats
+	a.reg.Walk(func(live []*Handle) {
+		total = a.closedCache
+		for _, h := range live {
+			total.add(h.cache)
+		}
+	})
 	return total
 }
 
@@ -235,9 +218,8 @@ func (a *Allocator) CacheTotals() CacheStats {
 // per-worker state, so this is strictly quiescent-only — no handle may be
 // in use concurrently.
 func (a *Allocator) Scrub() {
-	a.mu.Lock()
-	handles := append([]*Handle(nil), a.handles...)
-	a.mu.Unlock()
+	var handles []*Handle
+	a.reg.Walk(func(live []*Handle) { handles = append(handles, live...) })
 	for _, h := range handles {
 		h.Flush()
 	}
@@ -274,23 +256,7 @@ func (a *Allocator) DrainDepotRange(lo, hi uint64) {
 			alloc.FreeBatchOf(a.backend, mag)
 		}
 	}
-	a.drainMu.Lock()
-	if hi > a.drainWins[lo] {
-		a.drainWins[lo] = hi
-	}
-	a.drainMu.Unlock()
-	a.drainEpoch.Add(1)
-}
-
-// drainWindows snapshots the recorded draining windows.
-func (a *Allocator) drainWindows() map[uint64]uint64 {
-	a.drainMu.Lock()
-	defer a.drainMu.Unlock()
-	wins := make(map[uint64]uint64, len(a.drainWins))
-	for lo, hi := range a.drainWins {
-		wins[lo] = hi
-	}
-	return wins
+	a.fence.Arm(lo, hi)
 }
 
 // LayerStats implements alloc.LayerStatser: the front-end entry with its
@@ -331,11 +297,9 @@ func (a *Allocator) NewHandle() alloc.Handle {
 		a:     a,
 		back:  a.backend.NewHandle(),
 		mags:  make([][]uint64, classes),
-		epoch: a.drainEpoch.Load(),
+		epoch: a.fence.Epoch(),
 	}
-	a.mu.Lock()
-	a.handles = append(a.handles, h)
-	a.mu.Unlock()
+	a.reg.Add(h)
 	return h
 }
 
@@ -347,17 +311,28 @@ type CacheStats struct {
 	Refills uint64 // frees absorbed into a magazine
 }
 
+func (c *CacheStats) add(o CacheStats) {
+	c.Hits += o.Hits
+	c.Misses += o.Misses
+	c.Spills += o.Spills
+	c.Refills += o.Refills
+}
+
 // Handle is the per-worker caching face. It is not safe for concurrent
 // use. Call Flush before dropping a handle, or its cached chunks stay
 // reserved in the back-end until the allocator-level Scrub reclaims them.
 type Handle struct {
-	a      *Allocator
-	back   alloc.Handle
-	mags   [][]uint64 // per level-class stacks of cached offsets
-	stats  alloc.Stats
-	cache  CacheStats
-	epoch  uint64
-	closed bool
+	a     *Allocator
+	back  alloc.Handle
+	mags  [][]uint64 // per level-class stacks of cached offsets
+	stats alloc.Stats
+	cache CacheStats
+	epoch uint64
+	// Workers' handles are allocated back to back and every operation
+	// writes the counters, so the pad rounds the handle up to three whole
+	// cache lines and no worker's counters share a line with the next
+	// handle's fields.
+	_ [48]byte
 }
 
 func (h *Handle) class(level int) int { return level - h.a.geo.MaxLevel }
@@ -368,22 +343,9 @@ func (h *Handle) class(level int) int { return level - h.a.geo.MaxLevel }
 // this worker stays idle-but-alive afterwards.
 func (h *Handle) syncDrain(epoch uint64) {
 	h.epoch = epoch
-	wins := h.a.drainWindows()
-	if len(wins) == 0 {
-		return
-	}
+	wins := h.a.fence.Windows()
 	for cls, mag := range h.mags {
-		hit := false
-	scan:
-		for _, off := range mag {
-			for lo, hi := range wins {
-				if off >= lo && off < hi {
-					hit = true
-					break scan
-				}
-			}
-		}
-		if hit {
+		if slices.ContainsFunc(mag, wins.Contains) {
 			alloc.HandleFreeBatch(h.back, mag)
 			h.cache.Spills += uint64(len(mag))
 			h.mags[cls] = mag[:0]
@@ -393,7 +355,7 @@ func (h *Handle) syncDrain(epoch uint64) {
 
 // checkDrain is the one-atomic-load fast path of the drain fence.
 func (h *Handle) checkDrain() {
-	if e := h.a.drainEpoch.Load(); e != h.epoch {
+	if e := h.a.fence.Epoch(); e != h.epoch {
 		h.syncDrain(e)
 	}
 }
@@ -544,25 +506,9 @@ func (h *Handle) Stats() *alloc.Stats { return &h.stats }
 // unregister, and close the wrapped back-end handle. The handle must not
 // be used afterwards.
 func (h *Handle) Close() {
-	if h.closed {
-		return
-	}
-	h.closed = true
 	h.Flush()
 	a := h.a
-	a.mu.Lock()
-	for i, other := range a.handles {
-		if other == h {
-			a.handles[i] = a.handles[len(a.handles)-1]
-			a.handles = a.handles[:len(a.handles)-1]
-			break
-		}
+	if a.reg.Remove(h, func() { a.closedCache.add(h.cache) }) {
+		alloc.CloseHandle(h.back)
 	}
-	a.closed.Add(h.stats)
-	a.closedCache.Hits += h.cache.Hits
-	a.closedCache.Misses += h.cache.Misses
-	a.closedCache.Spills += h.cache.Spills
-	a.closedCache.Refills += h.cache.Refills
-	a.mu.Unlock()
-	alloc.CloseHandle(h.back)
 }

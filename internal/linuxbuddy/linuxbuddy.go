@@ -15,7 +15,6 @@ package linuxbuddy
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"repro/internal/alloc"
 	"repro/internal/geometry"
@@ -54,10 +53,7 @@ type Allocator struct {
 	pages    []page
 	freeHead []int64 // freeHead[order] -> first free block head, nilPage if empty
 	maxOrder int     // largest order servable (log2(MaxSize/MinSize))
-
-	mu      sync.Mutex
-	handles []*Handle
-	closed  alloc.Stats // retained counters of closed handles
+	reg      alloc.Registry[*Handle]
 }
 
 // New builds a "linux-buddy" instance.
@@ -108,29 +104,18 @@ func (a *Allocator) Free(offset uint64) {
 
 // NewHandle implements alloc.Allocator.
 func (a *Allocator) NewHandle() alloc.Handle {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	h := &Handle{a: a}
-	a.handles = append(a.handles, h)
+	a.reg.Add(h)
 	return h
 }
 
 // Stats implements alloc.Allocator; call it only at quiescent points.
-func (a *Allocator) Stats() alloc.Stats {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	total := a.closed
-	for _, h := range a.handles {
-		total.Add(h.stats)
-	}
-	return total
-}
+func (a *Allocator) Stats() alloc.Stats { return a.reg.Stats() }
 
 // Handle is the per-worker face of the allocator.
 type Handle struct {
-	a      *Allocator
-	stats  alloc.Stats
-	closed bool
+	a     *Allocator
+	stats alloc.Stats
 }
 
 // Stats implements alloc.Handle.
@@ -140,31 +125,11 @@ func (h *Handle) Stats() *alloc.Stats { return &h.stats }
 // the allocator's retained totals and unregister it, so handle-churning
 // callers do not grow the registry without bound. The handle must not be
 // used afterwards.
-func (h *Handle) Close() {
-	if h.closed {
-		return
-	}
-	h.closed = true
-	a := h.a
-	a.mu.Lock()
-	for i, other := range a.handles {
-		if other == h {
-			a.handles[i] = a.handles[len(a.handles)-1]
-			a.handles = a.handles[:len(a.handles)-1]
-			break
-		}
-	}
-	a.closed.Add(h.stats)
-	a.mu.Unlock()
-}
+func (h *Handle) Close() { h.a.reg.Remove(h, nil) }
 
 // Handles returns the number of registered (not yet closed) handles — a
 // diagnostic for the handle-leak regression tests.
-func (a *Allocator) Handles() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.handles)
-}
+func (a *Allocator) Handles() int { return a.reg.Len() }
 
 // Alloc implements alloc.Handle.
 func (h *Handle) Alloc(size uint64) (uint64, bool) { return h.a.alloc(size, &h.stats) }

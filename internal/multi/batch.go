@@ -122,15 +122,15 @@ func (h *Handle) FreeBatch(offsets []uint64) {
 // AllocBatch implements alloc.BatchAllocator through a recycled
 // convenience handle (see Multi.Alloc for why handles are pooled).
 func (m *Multi) AllocBatch(size uint64, n int) []uint64 {
-	h := m.getConv()
+	h := m.conv.Borrow()
 	out := h.AllocBatch(size, n)
-	m.putConv(h)
+	m.conv.Return(h)
 	return out
 }
 
 // FreeBatch implements alloc.BatchAllocator through a recycled handle.
 func (m *Multi) FreeBatch(offsets []uint64) {
-	h := m.getConv()
+	h := m.conv.Borrow()
 	h.FreeBatch(offsets)
-	m.putConv(h)
+	m.conv.Return(h)
 }

@@ -60,29 +60,3 @@ func TestSyncTableDropsRetiredSubHandles(t *testing.T) {
 	}
 	h2.Free(off)
 }
-
-// TestGetConvTakesFromSiblingPools pins the registration bound of the
-// convenience path: putConv files a handle under whichever P the
-// goroutine is on when it returns, so an idle handle can sit in any pool,
-// and getConv must find it there instead of registering a new one.
-func TestGetConvTakesFromSiblingPools(t *testing.T) {
-	cfg := alloc.Config{Total: 1 << 12, MinSize: 64, MaxSize: 1 << 10}
-	m, err := New("1lvl-nb", 1, cfg, RoundRobin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.conv, m.convMask = make([]convShard, 4), 3 // independent of GOMAXPROCS
-	h := m.getConv()
-	if got := m.Handles(); got != 1 {
-		t.Fatalf("first getConv registered %d handles, want 1", got)
-	}
-	for i := range m.conv {
-		m.conv[i].free = []*Handle{h} // wherever the caller's own pool is, 3 of 4 rounds are a local miss
-		if got := m.getConv(); got != h {
-			t.Fatalf("handle idle in pool %d: getConv returned a different handle", i)
-		}
-		if got := m.Handles(); got != 1 {
-			t.Fatalf("handle idle in pool %d: registry grew to %d handles", i, got)
-		}
-	}
-}

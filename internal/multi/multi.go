@@ -28,14 +28,12 @@ package multi
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/alloc"
 	"repro/internal/geometry"
 	"repro/internal/mem"
-	"repro/internal/proc"
 )
 
 // Policy selects the preferred instance for a handle.
@@ -139,30 +137,13 @@ type Multi struct {
 
 	mu     sync.Mutex
 	nextID uint64
-	// handles is the registry of live handles (for stats aggregation at
-	// quiescent points); closed handles fold their routing counters into
-	// closedRouting/closedFallbacks and leave the registry.
-	handles         []*Handle
-	closedRouting   alloc.Stats
+	// reg holds the live handles (the routing counters of closed ones
+	// retained); closedFallbacks, guarded by the registry lock, retains the
+	// closed handles' fallback counts. conv holds the idle convenience
+	// handles behind Multi.Alloc/Free.
+	reg             alloc.Registry[*Handle]
 	closedFallbacks uint64
-	// conv holds the idle convenience handles for Multi.Alloc/Free,
-	// sharded per P (indexed by proc.Hint masked to the pool count) so
-	// concurrent convenience callers stop bouncing one pool lock's cache
-	// line. Plain free lists (not sync.Pool) keep the
-	// permanently-registered handle count bounded by the convenience
-	// path's peak concurrency — sync.Pool deliberately drops items
-	// (always under the race detector), which would regrow the
-	// registration leak.
-	conv     []convShard
-	convMask int
-}
-
-// convShard is one per-P free list of idle convenience handles, padded
-// out to a cache line so neighboring shards' locks do not false-share.
-type convShard struct {
-	mu   sync.Mutex
-	free []*Handle
-	_    [32]byte
+	conv            alloc.ConvPool[*Handle]
 }
 
 // New builds count instances of the named back-end variant.
@@ -171,12 +152,7 @@ func New(variant string, count int, cfg alloc.Config, policy Policy) (*Multi, er
 		return nil, fmt.Errorf("multi: instance count %d must be positive", count)
 	}
 	m := &Multi{variant: variant, cfg: cfg, policy: policy, span: cfg.Total}
-	pools := 1
-	for pools < runtime.GOMAXPROCS(0) && pools < 64 {
-		pools *= 2
-	}
-	m.conv = make([]convShard, pools)
-	m.convMask = pools - 1
+	m.conv.New = func() *Handle { return m.newHandle(m.prefer()) }
 	slots := make([]*slot, count)
 	for i := 0; i < count; i++ {
 		s, err := m.buildSlot()
@@ -341,54 +317,25 @@ func (m *Multi) reservedFor(size uint64) uint64 {
 	return m.geo.SizeOfLevel(m.geo.LevelForSize(size))
 }
 
-// getConv pops an idle convenience handle from the calling P's pool
-// shard. A handle taken from shard i may be returned to shard j after a
-// migration, so a miss on the local shard tries the sibling shards before
-// registering a new handle: the registration count stays at the
-// convenience path's peak concurrency instead of growing by one per P a
-// migrating goroutine ever ran on.
-func (m *Multi) getConv() *Handle {
-	local := proc.Hint() & m.convMask
-	for d := range m.conv {
-		c := &m.conv[(local+d)&m.convMask]
-		c.mu.Lock()
-		if n := len(c.free); n > 0 {
-			h := c.free[n-1]
-			c.free = c.free[:n-1]
-			c.mu.Unlock()
-			return h
-		}
-		c.mu.Unlock()
-	}
-	return m.newHandle(m.prefer())
-}
-
-func (m *Multi) putConv(h *Handle) {
-	c := &m.conv[proc.Hint()&m.convMask]
-	c.mu.Lock()
-	c.free = append(c.free, h)
-	c.mu.Unlock()
-}
-
 // Alloc implements alloc.Allocator through a recycled convenience
 // handle. Earlier revisions built a fresh handle per call; every handle
 // permanently registers sub-handles on every instance, so the
-// convenience path leaked without bound. The free list keeps the
+// convenience path leaked without bound. The pool's free lists keep the
 // registration count at the peak concurrency of the convenience path
 // instead.
 func (m *Multi) Alloc(size uint64) (uint64, bool) {
-	h := m.getConv()
+	h := m.conv.Borrow()
 	off, ok := h.Alloc(size)
-	m.putConv(h)
+	m.conv.Return(h)
 	return off, ok
 }
 
 // Free implements alloc.Allocator (through a recycled handle, so the
 // routing layer's Frees counter stays in balance with Allocs).
 func (m *Multi) Free(offset uint64) {
-	h := m.getConv()
+	h := m.conv.Borrow()
 	h.Free(offset)
-	m.putConv(h)
+	m.conv.Return(h)
 }
 
 // ChunkSize implements alloc.ChunkSizer by routing the global offset to
@@ -448,9 +395,7 @@ func (m *Multi) NewHandleOn(instance int) alloc.Handle {
 
 func (m *Multi) newHandle(pref int) *Handle {
 	h := &Handle{m: m, pref: pref}
-	m.mu.Lock()
-	m.handles = append(m.handles, h)
-	m.mu.Unlock()
+	m.reg.Add(h)
 	return h
 }
 
@@ -480,40 +425,33 @@ type RouteStats struct {
 // Handles returns the number of handles registered so far (pooled
 // convenience handles included) — a diagnostic for the handle-leak
 // regression test and capacity monitoring.
-func (m *Multi) Handles() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.handles)
+func (m *Multi) Handles() int { return m.reg.Len() }
+
+// routing totals the handle-level routing counters and fallbacks, closed
+// handles included; quiescent points only.
+func (m *Multi) routing() (alloc.Stats, uint64) {
+	var fallbacks uint64
+	m.reg.Walk(func(live []*Handle) {
+		fallbacks = m.closedFallbacks
+		for _, h := range live {
+			fallbacks += h.fallbacks
+		}
+	})
+	return m.reg.Stats(), fallbacks
 }
 
 // RouteStats aggregates the routing counters of all handles; quiescent
 // points only.
 func (m *Multi) RouteStats() RouteStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	total := RouteStats{
-		Routed:    m.closedRouting.Allocs - m.closedFallbacks,
-		Fallbacks: m.closedFallbacks,
-	}
-	for _, h := range m.handles {
-		total.Routed += h.stats.Allocs - h.fallbacks
-		total.Fallbacks += h.fallbacks
-	}
-	return total
+	routing, fallbacks := m.routing()
+	return RouteStats{Routed: routing.Allocs - fallbacks, Fallbacks: fallbacks}
 }
 
 // LayerStats implements alloc.LayerStatser: the routing layer's entry
 // (handle-level ops plus fallback counters) followed by one aggregated
 // entry for the instance fleet.
 func (m *Multi) LayerStats() []alloc.LayerStats {
-	m.mu.Lock()
-	routing := m.closedRouting
-	fallbacks := m.closedFallbacks
-	for _, h := range m.handles {
-		routing.Add(h.stats)
-		fallbacks += h.fallbacks
-	}
-	m.mu.Unlock()
+	routing, fallbacks := m.routing()
 	entry := alloc.LayerStats{
 		Layer: m.Name(),
 		Stats: routing,
@@ -886,9 +824,6 @@ func (h *Handle) Stats() *alloc.Stats { return &h.stats }
 // sub-handle, fold the routing counters into the router's retained
 // totals, and unregister. The handle must not be used afterwards.
 func (h *Handle) Close() {
-	if h.m == nil {
-		return
-	}
 	for k, sub := range h.subs {
 		if sub != nil {
 			alloc.CloseHandle(sub)
@@ -897,16 +832,5 @@ func (h *Handle) Close() {
 		}
 	}
 	m := h.m
-	h.m = nil
-	m.mu.Lock()
-	for i, other := range m.handles {
-		if other == h {
-			m.handles[i] = m.handles[len(m.handles)-1]
-			m.handles = m.handles[:len(m.handles)-1]
-			break
-		}
-	}
-	m.closedRouting.Add(h.stats)
-	m.closedFallbacks += h.fallbacks
-	m.mu.Unlock()
+	m.reg.Remove(h, func() { m.closedFallbacks += h.fallbacks })
 }

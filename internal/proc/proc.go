@@ -1,6 +1,6 @@
 // Package proc provides a cheap current-processor hint for per-P sharded
-// data structures — the router's convenience-handle pools
-// (internal/multi) and the telemetry event ring (internal/telemetry): an
+// data structures — the convenience-handle free lists of alloc.Registry
+// (internal/alloc) and the telemetry event ring (internal/telemetry): an
 // index that is stable for as long as the calling goroutine stays on the
 // same P and cheap enough to query on every allocator operation.
 //

@@ -1,6 +1,8 @@
 package slab
 
 import (
+	"slices"
+
 	"repro/internal/alloc"
 )
 
@@ -33,13 +35,17 @@ type entry struct {
 // central store in batches; larger requests forward to the wrapped
 // per-worker handle. Not safe for concurrent use, like every Handle.
 type Handle struct {
-	a      *Allocator
-	inner  alloc.Handle
-	mags   [][]entry // per class; nil slices until first use
-	stats  alloc.Stats
-	extra  handleExtra
-	epoch  uint64
-	closed bool
+	a     *Allocator
+	inner alloc.Handle
+	mags  [][]entry // per class; nil slices until first use
+	stats alloc.Stats
+	extra handleExtra
+	epoch uint64
+	// Workers' handles are allocated back to back and every operation
+	// writes the counters, so the pad rounds the handle up to three whole
+	// cache lines and no worker's counters share a line with the next
+	// handle's fields.
+	_ [40]byte
 }
 
 // syncDrain catches the handle up with the drain fence: flush every
@@ -48,23 +54,9 @@ type Handle struct {
 // waiting for a quiescent Scrub.
 func (h *Handle) syncDrain(epoch uint64) {
 	h.epoch = epoch
-	wins := h.a.drainWindows()
-	if len(wins) == 0 {
-		return
-	}
-	for ci := range h.mags {
-		m := h.mags[ci]
-		hit := false
-	scan:
-		for _, e := range m {
-			for lo, hi := range wins {
-				if e.off >= lo && e.off < hi {
-					hit = true
-					break scan
-				}
-			}
-		}
-		if hit {
+	wins := h.a.fence.Windows()
+	for ci, m := range h.mags {
+		if slices.ContainsFunc(m, func(e entry) bool { return wins.Contains(e.off) }) {
 			h.a.putEntries(ci, m)
 			h.mags[ci] = m[:0]
 			h.extra.drainFlushes++
@@ -75,7 +67,7 @@ func (h *Handle) syncDrain(epoch uint64) {
 
 // checkDrain is the one-atomic-load fast path of the drain fence.
 func (h *Handle) checkDrain() {
-	if e := h.a.drainEpoch.Load(); e != h.epoch {
+	if e := h.a.fence.Epoch(); e != h.epoch {
 		h.syncDrain(e)
 	}
 }
@@ -221,22 +213,9 @@ func (h *Handle) Flush() {
 // counters into the allocator's retained totals, unregister, and close
 // the wrapped handle. The handle must not be used afterwards.
 func (h *Handle) Close() {
-	if h.closed {
-		return
-	}
-	h.closed = true
 	h.Flush()
 	a := h.a
-	a.mu.Lock()
-	for i, other := range a.handles {
-		if other == h {
-			a.handles[i] = a.handles[len(a.handles)-1]
-			a.handles = a.handles[:len(a.handles)-1]
-			break
-		}
+	if a.reg.Remove(h, func() { a.closedExtra.add(h.extra) }) {
+		alloc.CloseHandle(h.inner)
 	}
-	a.closed.stats.Add(h.stats)
-	a.closed.extra.add(h.extra)
-	a.mu.Unlock()
-	alloc.CloseHandle(h.inner)
 }

@@ -132,22 +132,16 @@ type Allocator struct {
 	idxMu sync.Mutex // guards index install/remove/grow
 	idx   atomic.Pointer[runIndex]
 
-	mu      sync.Mutex // guards handles and the closed accumulators
-	handles []*Handle
-	closed  closedStats
+	reg         alloc.Registry[*Handle]
+	closedExtra handleExtra // guarded by the registry lock
 
 	convMu    sync.Mutex // guards the conv-path counters
 	convStats alloc.Stats
 	convExtra handleExtra
 
-	// Drain fence: DrainRange records the retiring window, then bumps the
-	// epoch; handles compare epochs on their next operation and flush
-	// magazines overlapping a recorded window. Windows are never pruned —
-	// a stale window is harmless because magazines can never hold offsets
-	// from memory that was actually retired.
-	drainEpoch atomic.Uint64
-	drainMu    sync.Mutex
-	drainWins  map[uint64]uint64 // lo -> hi
+	// fence is armed by DrainRange; handles flush magazines overlapping a
+	// retiring window on their next operation.
+	fence alloc.DrainFence
 
 	// sink, when non-nil, receives one call per magazine refill, spill
 	// and drain-fence flush for the telemetry flight recorder (a = class
@@ -167,13 +161,6 @@ func (a *Allocator) emit(event string, x, y uint64) {
 	if a.sink != nil {
 		a.sink(event, x, y)
 	}
-}
-
-// closedStats retains the contribution of closed handles so quiescent
-// Stats/LayerStats keep adding up across worker churn.
-type closedStats struct {
-	stats alloc.Stats
-	extra handleExtra
 }
 
 // handleExtra is the slab-specific counter block shared by handles, the
@@ -204,12 +191,7 @@ func New(inner alloc.Allocator, cutoff uint64) (*Allocator, error) {
 		return nil, fmt.Errorf("slab: inner allocator %s does not implement ChunkSize", inner.Name())
 	}
 	geo := inner.Geometry()
-	a := &Allocator{
-		inner:     inner,
-		sizer:     sizer,
-		geo:       geo,
-		drainWins: make(map[uint64]uint64),
-	}
+	a := &Allocator{inner: inner, sizer: sizer, geo: geo}
 	a.runChunk = min(maxRunChunk, geo.MaxSize, geo.Total/4)
 	if a.runChunk < geo.MinSize {
 		a.runChunk = geo.MinSize
@@ -694,9 +676,8 @@ func (a *Allocator) ChunkSize(off uint64) uint64 {
 // inward. Like the other layers' Scrub, it is a quiescent maintenance
 // hook: no handle may be mid-operation.
 func (a *Allocator) Scrub() {
-	a.mu.Lock()
-	hs := append([]*Handle(nil), a.handles...)
-	a.mu.Unlock()
+	var hs []*Handle
+	a.reg.Walk(func(live []*Handle) { hs = append(hs, live...) })
 	for _, h := range hs {
 		h.Flush()
 	}
@@ -735,34 +716,13 @@ func (a *Allocator) DrainRange(lo, hi uint64) {
 		cs.empty = kept
 		cs.mu.Unlock()
 	}
-	a.drainMu.Lock()
-	if hi > a.drainWins[lo] {
-		a.drainWins[lo] = hi
-	}
-	a.drainMu.Unlock()
-	a.drainEpoch.Add(1)
-}
-
-// drainWindows snapshots the recorded draining windows.
-func (a *Allocator) drainWindows() map[uint64]uint64 {
-	a.drainMu.Lock()
-	defer a.drainMu.Unlock()
-	wins := make(map[uint64]uint64, len(a.drainWins))
-	for lo, hi := range a.drainWins {
-		wins[lo] = hi
-	}
-	return wins
+	a.fence.Arm(lo, hi)
 }
 
 // Stats implements alloc.Allocator: the sum of all live handles, closed
 // handles and the conv path. For quiescent points.
 func (a *Allocator) Stats() alloc.Stats {
-	a.mu.Lock()
-	s := a.closed.stats
-	for _, h := range a.handles {
-		s.Add(h.stats)
-	}
-	a.mu.Unlock()
+	s := a.reg.Stats()
 	a.convMu.Lock()
 	s.Add(a.convStats)
 	a.convMu.Unlock()
@@ -774,34 +734,29 @@ func (a *Allocator) NewHandle() alloc.Handle {
 	h := &Handle{
 		a:     a,
 		inner: a.inner.NewHandle(),
-		epoch: a.drainEpoch.Load(),
+		epoch: a.fence.Epoch(),
 	}
 	if a.cutoff != 0 {
 		h.mags = make([][]entry, len(a.classes))
 	}
-	a.mu.Lock()
-	a.handles = append(a.handles, h)
-	a.mu.Unlock()
+	a.reg.Add(h)
 	return h
 }
 
 // Handles returns the number of registered (not yet closed) handles — a
 // diagnostic for the handle-leak regression tests.
-func (a *Allocator) Handles() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.handles)
-}
+func (a *Allocator) Handles() int { return a.reg.Len() }
 
 // extraTotals sums the slab-specific counters across live handles, closed
-// handles and the conv path. Caller must not hold a.mu.
+// handles and the conv path.
 func (a *Allocator) extraTotals() handleExtra {
-	a.mu.Lock()
-	e := a.closed.extra
-	for _, h := range a.handles {
-		e.add(h.extra)
-	}
-	a.mu.Unlock()
+	var e handleExtra
+	a.reg.Walk(func(live []*Handle) {
+		e = a.closedExtra
+		for _, h := range live {
+			e.add(h.extra)
+		}
+	})
 	a.convMu.Lock()
 	e.add(a.convExtra)
 	a.convMu.Unlock()

@@ -25,7 +25,6 @@ func TestDifferentialRegistryComposites(t *testing.T) {
 		"depot+multi4+4lvl-nb",
 		"elastic+multi+4lvl-nb",
 		"mapped+elastic+multi+4lvl-nb",
-		"predictive+mapped+elastic+multi+4lvl-nb",
 		"slab+4lvl-nb",
 		"slab+depot+multi4+4lvl-nb",
 		"slab+mapped+elastic+multi+4lvl-nb",

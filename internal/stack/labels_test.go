@@ -11,18 +11,16 @@ import (
 
 // TestCompositeLabelsBuildGoldenStacks pins what every registered
 // composite label builds — the stack's display name, global span, routed
-// instance count and elastic fleet bounds and policy — to the values the
-// twelve hand-written registration closures produced before the label
-// parser replaced them. MaxSize is half of the small total, so the 1 MiB
-// rows exercise the instance-halving rule.
+// instance count and elastic fleet bounds — to the values the
+// hand-written registration closures produced before the label parser
+// replaced them. MaxSize is half of the small total, so the 1 MiB rows
+// exercise the instance-halving rule.
 func TestCompositeLabelsBuildGoldenStacks(t *testing.T) {
 	type golden struct {
 		name      string
 		instances int // 0 = no router
 		min, max  int // elastic fleet bounds (0 = no manager)
-		policy    string
 	}
-	const watermark, predictive = "*elastic.WatermarkPolicy", "*elastic.PredictivePolicy"
 	// Per label: the stack at Total = 1 MiB, then at 16 MiB.
 	want := map[string][2]golden{
 		"cached+4lvl-nb": {
@@ -47,17 +45,14 @@ func TestCompositeLabelsBuildGoldenStacks(t *testing.T) {
 			{name: "slab+depot+multi[2x 4lvl-nb]", instances: 2},
 			{name: "slab+depot+multi[4x 4lvl-nb]", instances: 4}},
 		"slab+mapped+elastic+multi+4lvl-nb": {
-			{name: "slab+elastic+mapped+multi[2x 4lvl-nb]", instances: 2, min: 1, max: 4, policy: watermark},
-			{name: "slab+elastic+mapped+multi[4x 4lvl-nb]", instances: 4, min: 1, max: 8, policy: watermark}},
+			{name: "slab+elastic+mapped+multi[2x 4lvl-nb]", instances: 2, min: 1, max: 4},
+			{name: "slab+elastic+mapped+multi[4x 4lvl-nb]", instances: 4, min: 1, max: 8}},
 		"elastic+multi+4lvl-nb": {
-			{name: "elastic+multi[2x 4lvl-nb]", instances: 2, min: 1, max: 4, policy: watermark},
-			{name: "elastic+multi[4x 4lvl-nb]", instances: 4, min: 1, max: 8, policy: watermark}},
+			{name: "elastic+multi[2x 4lvl-nb]", instances: 2, min: 1, max: 4},
+			{name: "elastic+multi[4x 4lvl-nb]", instances: 4, min: 1, max: 8}},
 		"mapped+elastic+multi+4lvl-nb": {
-			{name: "elastic+mapped+multi[2x 4lvl-nb]", instances: 2, min: 1, max: 4, policy: watermark},
-			{name: "elastic+mapped+multi[4x 4lvl-nb]", instances: 4, min: 1, max: 8, policy: watermark}},
-		"predictive+mapped+elastic+multi+4lvl-nb": {
-			{name: "elastic+mapped+multi[2x 4lvl-nb]", instances: 2, min: 1, max: 4, policy: predictive},
-			{name: "elastic+mapped+multi[4x 4lvl-nb]", instances: 4, min: 1, max: 8, policy: predictive}},
+			{name: "elastic+mapped+multi[2x 4lvl-nb]", instances: 2, min: 1, max: 4},
+			{name: "elastic+mapped+multi[4x 4lvl-nb]", instances: 4, min: 1, max: 8}},
 	}
 	if len(want) != len(composites) {
 		t.Fatalf("golden table has %d labels, the registry list %d", len(want), len(composites))
@@ -84,7 +79,6 @@ func TestCompositeLabelsBuildGoldenStacks(t *testing.T) {
 				if st.Elastic != nil {
 					c := st.Elastic.Config()
 					got.min, got.max = c.MinInstances, c.MaxInstances
-					got.policy = fmt.Sprintf("%T", st.Elastic.Policy())
 				}
 				if got != w[i] {
 					t.Errorf("built %+v, want %+v", got, w[i])
@@ -118,7 +112,7 @@ func TestLabelGrammarRejects(t *testing.T) {
 		{"out of order", "multi4+cached+4lvl-nb"},
 		{"mapped without multi", "mapped+4lvl-nb"},
 		{"elastic without multi", "elastic+4lvl-nb"},
-		{"predictive without elastic", "predictive+multi4+4lvl-nb"},
+		{"predictive policy removed", "predictive+mapped+elastic+multi+4lvl-nb"},
 		{"missing leaf", "cached+multi4"},
 		{"unregistered leaf", "cached+no-such-leaf"},
 		{"empty label", ""},

@@ -355,18 +355,16 @@ var composites = []string{
 	// The capacity manager over the multi router; with "mapped" every
 	// instance window is backed by platform mapped memory following the
 	// slot lifecycle (a retirement decommits its window, a later grow
-	// recommits it); "predictive" swaps the watermark rule for the EWMA +
-	// slope policy.
+	// recommits it).
 	"elastic+multi+4lvl-nb",
 	"mapped+elastic+multi+4lvl-nb",
-	"predictive+mapped+elastic+multi+4lvl-nb",
 }
 
 // specFor parses a composite label into the Spec of the stack it names,
 // sized for cfg as the global geometry. A label is '+'-separated layer
-// tokens in top-down order — "slab", "depot" or "cached", "predictive",
-// "mapped", "elastic", "multi" or "multiN" (N wanted instances; plain
-// "multi" wants 4) — followed by the leaf's registered name.
+// tokens in top-down order — "slab", "depot" or "cached", "mapped",
+// "elastic", "multi" or "multiN" (N wanted instances; plain "multi" wants
+// 4) — followed by the leaf's registered name.
 //
 // The router splits cfg.Total over the wanted instance count, halved
 // until each instance's share can still serve MaxSize. An elastic stack
@@ -387,7 +385,6 @@ func specFor(label string, cfg alloc.Config) (Spec, error) {
 	if s.Depot = take("depot"); !s.Depot {
 		s.Cached = take("cached")
 	}
-	predictive := take("predictive")
 	s.Mapped = take("mapped")
 	elast := take("elastic")
 	want := 0
@@ -406,8 +403,6 @@ func specFor(label string, cfg alloc.Config) (Spec, error) {
 		return Spec{}, fmt.Errorf("stack: label %q: unknown, duplicate or out-of-order layer %q", label, toks[0])
 	case (s.Mapped || elast) && want == 0:
 		return Spec{}, fmt.Errorf("stack: label %q: mapped and elastic need the multi router", label)
-	case predictive && !elast:
-		return Spec{}, fmt.Errorf("stack: label %q: predictive is a policy of the elastic manager", label)
 	case want == 0:
 		return s, nil
 	}
@@ -419,9 +414,6 @@ func specFor(label string, cfg alloc.Config) (Spec, error) {
 	s.Per.Total = cfg.Total / uint64(n)
 	if elast {
 		s.Elastic = &elastic.Config{MinInstances: 1, MaxInstances: 2 * n}
-		if predictive {
-			s.Elastic.Policy = elastic.NewPredictivePolicy(elastic.PredictiveConfig{})
-		}
 	}
 	return s, nil
 }

@@ -103,9 +103,11 @@ func Variants() []string { return alloc.Names() }
 // the per-CPU shard-routing and batch-refill fields of Frontend with the
 // layer and knob they selected; version 4 drops Trace with the
 // operation recorder it enabled, and ElasticConfig's opt-in live-chunk
-// relocation settings. The constant exists so embedders that
-// persist configurations can tag which schema they wrote.
-const ConfigVersion = 4
+// relocation settings; version 5 drops ElasticConfig.Policy, leaving the
+// watermark rule as the manager's only grow/shrink decision. The
+// constant exists so embedders that persist configurations can tag which
+// schema they wrote.
+const ConfigVersion = 5
 
 // RoutingPolicy selects how multi-instance handles bind to back-ends:
 // RoutingRoundRobin spreads handles across instances in creation order,
@@ -276,29 +278,6 @@ type ElasticConfig = elastic.Config
 
 // ElasticManager is the capacity manager layer; see Buddy.Elastic.
 type ElasticManager = elastic.Manager
-
-// ElasticPolicy is the pluggable grow/shrink decision rule of the
-// elastic manager; set one on ElasticConfig.Policy. Nil builds the
-// reactive WatermarkPolicy from the config's watermark fields.
-type ElasticPolicy = elastic.Policy
-
-// The built-in elastic policies and their configuration, re-exported
-// from the elastic layer: WatermarkPolicy is the reactive hysteresis
-// rule (the default), PredictivePolicy the EWMA + slope estimator that
-// pre-grows ahead of utilization ramps and holds shrink through
-// transient troughs.
-type (
-	WatermarkPolicy  = elastic.WatermarkPolicy
-	PredictivePolicy = elastic.PredictivePolicy
-	PredictiveConfig = elastic.PredictiveConfig
-)
-
-// NewWatermarkPolicy and NewPredictivePolicy build the built-in elastic
-// policies (zero arguments/fields take the documented defaults).
-var (
-	NewWatermarkPolicy  = elastic.NewWatermarkPolicy
-	NewPredictivePolicy = elastic.NewPredictivePolicy
-)
 
 // FaultInjector is a deterministic syscall-fault source for the mapped
 // backing region; build schedules with the internal/fault constructors

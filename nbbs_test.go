@@ -44,7 +44,6 @@ func TestVariantsClosedList(t *testing.T) {
 		"depot+4lvl-nb", "depot+multi4+4lvl-nb",
 		"elastic+multi+4lvl-nb", "linux-buddy",
 		"mapped+elastic+multi+4lvl-nb", "multi4+4lvl-nb",
-		"predictive+mapped+elastic+multi+4lvl-nb",
 		"slab+4lvl-nb", "slab+depot+multi4+4lvl-nb",
 		"slab+mapped+elastic+multi+4lvl-nb",
 	}
