@@ -506,23 +506,28 @@ func BenchmarkAblationFragmentation(b *testing.B) {
 
 // BenchmarkLevelScan isolates the NBALLOC level-scan cost the packed
 // status words target, away from the full drivers: a single worker
-// ping-pongs one min-class chunk over three pre-planted landscapes.
-// "empty" is the best case (the first probed word has a free lane);
-// "checkerboard" plants long-lived chunks with one hole per 16, so the
-// rotating scatter start walks ~8 occupied statuses per allocation; and
-// "near-full" leaves one hole per 64, walking ~32. The occupied-run
-// traversal is where the SWAR pass replaces one atomic load per node
-// with one per eight nodes.
+// allocates min-class chunks over pre-planted landscapes and a second
+// handle frees them, so the allocating handle's rover is never rewound
+// and every allocation walks on to the next hole. "empty" is the best
+// case (the first probed word has a free lane); "checkerboard" plants
+// long-lived chunks with one hole per 16, so an allocation walks ~15
+// occupied statuses; "near-full" leaves one hole per 64, walking ~63. Those
+// three ping-pong one chunk; "near-full-run" takes 256 chunks in a row
+// before freeing them (untimed), the run a worker filling a cache makes.
+// The occupied-run traversal is where the SWAR pass replaces one atomic
+// load per node with one per eight nodes.
 func BenchmarkLevelScan(b *testing.B) {
 	cfg := alloc.Config{Total: 1 << 22, MinSize: 8, MaxSize: 16 << 10}
 	const size = 64
 	landscapes := []struct {
 		name      string
 		holeEvery int // plant chunks, then free every holeEvery-th (0 = plant nothing)
+		run       int // chunks taken before they are freed
 	}{
-		{"empty", 0},
-		{"checkerboard", 16},
-		{"near-full", 64},
+		{"empty", 0, 1},
+		{"checkerboard", 16, 1},
+		{"near-full", 64, 1},
+		{"near-full-run", 64, 256},
 	}
 	for _, land := range landscapes {
 		for _, variant := range []string{"1lvl-nb", "4lvl-nb"} {
@@ -547,11 +552,25 @@ func BenchmarkLevelScan(b *testing.B) {
 						}
 					}
 				}
-				h := a.NewHandle()
+				h, freer := a.NewHandle(), a.NewHandle()
+				taken := make([]uint64, 0, land.run)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if off, ok := h.Alloc(size); ok {
-						h.Free(off)
+						taken = append(taken, off)
+					}
+					if len(taken) < land.run && i+1 < b.N {
+						continue
+					}
+					if land.run > 1 {
+						b.StopTimer()
+					}
+					for _, off := range taken {
+						freer.Free(off)
+					}
+					taken = taken[:0]
+					if land.run > 1 {
+						b.StartTimer()
 					}
 				}
 				b.StopTimer()

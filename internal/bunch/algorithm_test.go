@@ -301,15 +301,15 @@ func TestScatterSpreadsStarts(t *testing.T) {
 		a := mustNew(t, k, 1<<16, 8, 1<<16)
 		starts := map[uint64]bool{}
 		for i := 0; i < 16; i++ {
-			starts[a.newHandle().scatterSlot(10)] = true
+			starts[a.newHandle().start(10)] = true
 		}
 		if len(starts) < 12 {
 			t.Fatalf("k=%d: 16 handles share %d distinct scan starts; want well spread", k, len(starts))
 		}
 		b := mustNew(t, k, 1<<16, 8, 1<<16, WithoutScatter())
 		for i := 0; i < 4; i++ {
-			if b.newHandle().scatterSlot(10) != 0 {
-				t.Fatalf("k=%d: no-scatter handle does not start at slot 0", k)
+			if b.newHandle().start(10) != geometry.FirstOfLevel(10) {
+				t.Fatalf("k=%d: no-scatter handle does not start at the level's first node", k)
 			}
 		}
 	}

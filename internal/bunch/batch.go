@@ -4,11 +4,9 @@ import "repro/internal/geometry"
 
 // This file implements the alloc.BatchAllocator contract natively: a bulk
 // allocation collects the whole batch in the same two-pass SWAR level
-// scan that a single Alloc uses for one node. A chunk-at-a-time loop
-// restarts the scan at a fresh scatter slot per call and re-walks the
-// occupied runs it already skipped; the batched scan keeps its position,
-// so the probing cost of the batch is one traversal of the level
-// regardless of n.
+// scan that a single Alloc uses for one node, starting from the same
+// rover and leaving it one past the last node delivered, so the probing
+// cost of the batch is one traversal of the level regardless of n.
 
 // AllocBatch reserves up to n chunks of at least size bytes in one level
 // scan and appends their offsets to the returned slice. A short (possibly
@@ -28,38 +26,28 @@ func (h *Handle) AllocBatch(size uint64, n int) []uint64 {
 	level := geo.LevelForSize(size)
 	base := geometry.FirstOfLevel(level)
 	end := base << 1
-	h.seq++
-	start := base + h.scatterSlot(level)
 	// The bulk scan advances in word units: snapping the start down to the
-	// first node of its word makes every loaded word get consumed from its
-	// first in-level field, so consecutive batches walk whole words instead
-	// of re-loading a word for a partial tail. A word carries 8>>shift
-	// nodes of the level; a level narrower than a word starts inside its
-	// word, where the snap stops at the level's first node.
-	start = max(base, start&^(7>>h.a.levels[level].shift))
+	// first node of its word costs no extra load (the rover's word is read
+	// either way) and lets the batch take the free nodes that word holds
+	// before the rover, so every loaded word is consumed from its first
+	// in-level field. A word carries 8>>shift nodes of the level; a level
+	// narrower than a word starts inside its word, where the snap stops at
+	// the level's first node.
+	start := max(base, h.start(level)&^(7>>h.a.levels[level].shift))
 
 	for pass := 0; pass < 2 && len(out) < n; pass++ {
 		lo, hi := start, end
 		if pass == 1 {
 			lo, hi = base, start
 		}
-		i := lo
-		for len(out) < n {
+		for i := lo; len(out) < n; {
 			off, ok, next := h.scan(level, i, hi)
-			i = next
 			if !ok {
 				break
 			}
 			out = append(out, off)
+			i = next
 		}
-		// Advance the scatter sequence past everything this pass walked,
-		// so the next batch resumes where this scan stopped (and, after
-		// the start realignment above, on the word this scan stopped in).
-		// The single-alloc +1 rotation assumes one consumed slot per call;
-		// a batch that delivered a whole run would otherwise restart the
-		// next call inside its own still-live delivery and re-probe it
-		// end to end (quadratic in the live-run length).
-		h.seq += min(i, hi) - lo
 	}
 	if len(out) == 0 {
 		h.stats.AllocFails++

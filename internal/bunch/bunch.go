@@ -37,7 +37,11 @@
 // The level scan is a SWAR pass: one atomic load of a word answers all
 // the nodes the word covers at the scanned level (eight at the
 // materialized levels, fewer above them), with status.FirstFreeRun
-// locating the first free candidate by bit tricks.
+// locating the first free candidate by bit tricks. Each handle starts its
+// scan of a level at a roving point (Knuth's roving pointer): one past the
+// last node it delivered there, rewound to any lower node it frees, both
+// counted from the handle's scattered home slot. A handle therefore never
+// re-walks its own live deliveries, and its frees keep the scan first-fit.
 package bunch
 
 import (
@@ -206,19 +210,21 @@ func (a *Allocator) newHandle() *Handle {
 func (a *Allocator) Stats() alloc.Stats { return a.reg.Stats() }
 
 // Handle is the per-worker face of the allocator (not safe for concurrent
-// use). It carries the scattered scan start that spreads concurrent
+// use). It carries the roving scan start that spreads concurrent
 // same-level allocations over different nodes, and private counters.
 type Handle struct {
 	a     *Allocator
 	id    uint64
-	seq   uint64
 	stats alloc.Stats
+	// rover[l] is where the next scan of level l starts, as a slot offset
+	// from this handle's home at l (see start).
+	rover [32]uint32
 	// Workers' handles are allocated back to back and every operation
-	// writes the counters, so the pad rounds the handle up to two whole
-	// cache lines: at 80 bytes one worker's counters share a line with the
-	// next handle's allocator pointer, which tripled tree-nearfull's free
-	// p50 on a 2-vCPU host.
-	_ [48]byte
+	// writes the counters and the rover, so the pad rounds the handle up
+	// to four whole cache lines: at 80 bytes one worker's counters shared
+	// a line with the next handle's allocator pointer, which tripled
+	// tree-nearfull's free p50 on a 2-vCPU host.
+	_ [56]byte
 }
 
 // Stats implements alloc.Handle.
@@ -234,24 +240,34 @@ func (h *Handle) Close() { h.a.reg.Remove(h, nil) }
 // diagnostic for the handle-leak regression tests.
 func (a *Allocator) Handles() int { return a.reg.Len() }
 
-// scatterSlot picks the slot within a level where this handle starts
-// scanning — the paper's "starting from scattered points" refinement.
-// Multiplying the handle id by the 64-bit golden ratio and keeping the
-// top bits spreads any number of handles evenly across the level, and the
-// per-handle sequence rotates the start between allocations so a handle
-// does not re-walk its own previously delivered (still live) run of nodes
-// on every call.
-func (h *Handle) scatterSlot(level int) uint64 {
-	if !h.a.scatter || level == 0 {
-		return 0
+// home is this handle's slot at a level — the paper's "starting from
+// scattered points" refinement. Multiplying the handle id by the 64-bit
+// golden ratio and keeping the top level bits spreads any number of
+// handles evenly across the level (the root level has one slot, 0).
+func (h *Handle) home(level int) uint64 {
+	return (h.id * 0x9E3779B97F4A7C15) >> uint(64-level)
+}
+
+// rel returns node n's slot at its level counted from this handle's home,
+// i.e. its position in the handle's cyclic scan order of the level.
+func (h *Handle) rel(n uint64, level int) uint32 {
+	return uint32((n - h.home(level)) & (geometry.LevelWidth(level) - 1))
+}
+
+// start returns the node where this handle's next scan of a level begins:
+// its home advanced by the level's rover, or the level's first node
+// without scatter (ablation A2), which ignores the rover.
+func (h *Handle) start(level int) uint64 {
+	base := geometry.FirstOfLevel(level)
+	if !h.a.scatter {
+		return base
 	}
-	base := (h.id * 0x9E3779B97F4A7C15) >> uint(64-level)
-	return (base + h.seq) & (geometry.LevelWidth(level) - 1)
+	return base + (h.home(level)+uint64(h.rover[level]))&(base-1)
 }
 
 // Alloc is the paper's NBALLOC (Algorithm 1). It identifies the target
 // level for the request, then scans that level for a free node from this
-// handle's scattered start, wrapping around once.
+// handle's roving start, wrapping around once.
 func (h *Handle) Alloc(size uint64) (uint64, bool) {
 	geo := h.a.geo
 	if size > geo.MaxSize {
@@ -261,8 +277,7 @@ func (h *Handle) Alloc(size uint64) (uint64, bool) {
 	level := geo.LevelForSize(size)
 	base := geometry.FirstOfLevel(level)
 	end := base << 1 // one past the last node of the level
-	h.seq++
-	start := base + h.scatterSlot(level)
+	start := h.start(level)
 
 	// Scan [start, end) and then wrap to [base, start): two linear passes
 	// keep the subtree-skip arithmetic identical to the paper's.
@@ -277,7 +292,8 @@ func (h *Handle) Alloc(size uint64) (uint64, bool) {
 }
 
 // scan walks the nodes [i, hi) of a level and reserves the first free
-// node it can with tryAlloc, returning its offset and the node after it.
+// node it can with tryAlloc, returning its offset and the node after it,
+// where it also leaves the level's rover.
 // When it reserves none, it returns ok false and the node where the walk
 // stopped, which a word step or a subtree skip may have carried past hi.
 //
@@ -309,6 +325,7 @@ func (h *Handle) scan(level int, i, hi uint64) (offset uint64, ok bool, next uin
 			offset = a.geo.OffsetOf(cand)
 			a.index[offset>>a.unitShift].Store(uint32(cand))
 			h.stats.Allocs++
+			h.rover[level] = h.rel(cand+1, level)
 			return offset, true, cand + 1
 		}
 		// The allocation lost to a chunk reserved at failedAt: every
@@ -388,9 +405,11 @@ func (h *Handle) tryAlloc(n, scanned uint64) uint64 {
 
 // Free is the paper's NBFREE (Algorithm 3): it recovers the node that
 // served the offset from index[] and releases it all the way up to the
-// level covering MaxLevel. Freeing an offset that is not currently
-// delivered (a double free or a foreign pointer) panics, mirroring the
-// abort-on-misuse convention of production allocators.
+// level covering MaxLevel. A node below the rover of its level rewinds
+// the rover to it, so this handle's next scan of the level starts there
+// (the tryAlloc rollback goes through freeNode and leaves it). Freeing an offset that is not currently delivered (a double free
+// or a foreign pointer) panics, mirroring the abort-on-misuse convention
+// of production allocators.
 func (h *Handle) Free(offset uint64) {
 	a := h.a
 	if offset >= a.geo.Total || offset&(a.geo.MinSize-1) != 0 {
@@ -402,6 +421,10 @@ func (h *Handle) Free(offset uint64) {
 	}
 	h.freeNode(uint64(n), a.top)
 	h.stats.Frees++
+	l := geometry.LevelOf(uint64(n))
+	if r := h.rel(uint64(n), l); r < h.rover[l] {
+		h.rover[l] = r
+	}
 }
 
 // freeNode is the paper's FREENODE (Algorithm 3). It releases node n,

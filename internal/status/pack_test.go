@@ -115,10 +115,15 @@ func TestFirstFreeRun(t *testing.T) {
 	}
 }
 
-// firstFreeRunRef is the per-run reference for FirstFreeRun.
+// firstFreeRunRef is the per-lane reference for FirstFreeRun: it tests
+// every lane of every count-aligned run on its own, with no SWAR.
 func firstFreeRunRef(w uint64, from, count int) int {
 	for f := from; f < LanesPerWord; f += count {
-		if !AnyBusy(w, f, count) {
+		free := true
+		for j := f; j < f+count; j++ {
+			free = free && Field(w, j)&Busy == 0
+		}
+		if free {
 			return f
 		}
 	}
@@ -135,4 +140,33 @@ func TestQuickFirstFreeRun(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzFirstFreeRun checks FirstFreeRun against the per-lane reference for
+// every run width and every aligned start on arbitrary words, including
+// bits outside the status mask, which the scan must ignore. Run it with
+// go test -run '^$' -fuzz '^FuzzFirstFreeRun$' ./internal/status.
+func FuzzFirstFreeRun(f *testing.F) {
+	for _, w := range []uint64{
+		0,
+		^uint64(0),
+		statMask,
+		Fill(0, 8, Busy),
+		Fill(0, 8, CoalLeft|CoalRight),
+		WithField(0, 7, Occ),
+		WithField(Fill(0, 8, Busy), 0, CoalRight),
+		Fill(1, 3, OccRight) | Fill(5, 2, OccLeft),
+		laneMSB | 0x6060606060606060, // only the bits above the status mask
+	} {
+		f.Add(w)
+	}
+	f.Fuzz(func(t *testing.T, w uint64) {
+		for count := 1; count <= LanesPerWord; count <<= 1 {
+			for from := 0; from <= LanesPerWord; from += count {
+				if got, want := FirstFreeRun(w, from, count), firstFreeRunRef(w, from, count); got != want {
+					t.Fatalf("FirstFreeRun(%#x, %d, %d) = %d, want %d", w, from, count, got, want)
+				}
+			}
+		}
+	})
 }
