@@ -20,7 +20,6 @@ import (
 	"repro/internal/bunch"
 	_ "repro/internal/cloudwu"
 	_ "repro/internal/linuxbuddy"
-	_ "repro/internal/slbuddy"
 	_ "repro/internal/stack"
 )
 

@@ -22,7 +22,6 @@ import (
 	_ "repro/internal/bunch"
 	_ "repro/internal/cloudwu"
 	_ "repro/internal/linuxbuddy"
-	_ "repro/internal/slbuddy"
 )
 
 func main() {

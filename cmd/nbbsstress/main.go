@@ -40,7 +40,6 @@ import (
 	_ "repro/internal/bunch"
 	_ "repro/internal/cloudwu"
 	_ "repro/internal/linuxbuddy"
-	_ "repro/internal/slbuddy"
 	_ "repro/internal/stack"
 )
 

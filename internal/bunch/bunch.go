@@ -42,15 +42,25 @@
 // last node it delivered there, rewound to any lower node it frees, both
 // counted from the handle's scattered home slot. A handle therefore never
 // re-walks its own live deliveries, and its frees keep the scan first-fit.
+//
+// The same code, at the same two heights, is also the paper's spin-locked
+// baseline ("1lvl-sl", "4lvl-sl"; see locked.go): every operation runs as
+// one critical section under one spin-lock, and each word update the
+// climbs would CAS is a plain store instead. Which of the two an update
+// is gets decided in two inlined helpers, Handle.cas for the words and
+// Handle.swapIndex for index[], so the NB-vs-SL gap measures the
+// synchronization discipline and nothing else.
 package bunch
 
 import (
 	"fmt"
 	"math/bits"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/alloc"
 	"repro/internal/geometry"
+	"repro/internal/spinlock"
 	"repro/internal/status"
 )
 
@@ -61,9 +71,16 @@ func init() {
 	alloc.Register("4lvl-nb", func(cfg alloc.Config) (alloc.Allocator, error) {
 		return New4Lvl(cfg.Total, cfg.MinSize, cfg.MaxSize)
 	})
+	alloc.Register("1lvl-sl", func(cfg alloc.Config) (alloc.Allocator, error) {
+		return newLocked("1lvl-sl", 1, cfg)
+	})
+	alloc.Register("4lvl-sl", func(cfg alloc.Config) (alloc.Allocator, error) {
+		return newLocked("4lvl-sl", geometry.BunchSpan, cfg)
+	})
 }
 
-// Allocator is a single non-blocking buddy-system instance.
+// Allocator is a single buddy-system instance, non-blocking unless lock is
+// set.
 type Allocator struct {
 	name string
 	geo  geometry.Geometry
@@ -89,6 +106,8 @@ type Allocator struct {
 	unitShift uint
 	// scatter disables the scattered scan start when false (ablation A2).
 	scatter bool
+	// lock is the SL discipline's spin-lock, nil under the NB discipline.
+	lock spinlock.Locker
 
 	reg    alloc.Registry[*Handle]
 	conv   alloc.ConvPool[*Handle] // handles behind Alloc/Free/AllocBatch/FreeBatch
@@ -179,6 +198,38 @@ func (a *Allocator) nodeWord(n uint64) (word *atomic.Uint64, field, count, lam i
 	m := &a.levels[geometry.LevelOf(n)]
 	first := n << m.shift
 	return &a.words[m.off+first>>3], int(first & 7), 1 << m.shift, m.lam
+}
+
+// cas replaces word's value w, which the caller has just loaded, with to.
+// Without the lock it is a CAS, counted in RMW and CASFail, that fails when
+// another operation changed the word in between. Under the lock no other
+// operation can have, so it is a plain store that counts nothing; the
+// lock's acquire and release order it against every other access.
+func (h *Handle) cas(word *atomic.Uint64, w, to uint64) bool {
+	if h.a.lock == nil {
+		h.stats.RMW++
+		if word.CompareAndSwap(w, to) {
+			return true
+		}
+		h.stats.CASFail++
+		return false
+	}
+	*(*uint64)(unsafe.Pointer(word)) = to
+	return true
+}
+
+// swapIndex stores n into index slot and returns the node it held: an
+// atomic swap without the lock, a plain load and store under it. Neither
+// counts as an RMW; the paper's tallies cover the tree words only.
+func (h *Handle) swapIndex(slot uint64, n uint32) uint32 {
+	p := &h.a.index[slot]
+	if h.a.lock == nil {
+		return p.Swap(n)
+	}
+	q := (*uint32)(unsafe.Pointer(p))
+	old := *q
+	*q = n
+	return old
 }
 
 // Alloc serves a one-off request through a recycled convenience handle.
@@ -323,7 +374,7 @@ func (h *Handle) scan(level int, i, hi uint64) (offset uint64, ok bool, next uin
 		failedAt := h.tryAlloc(cand, w)
 		if failedAt == 0 {
 			offset = a.geo.OffsetOf(cand)
-			a.index[offset>>a.unitShift].Store(uint32(cand))
+			h.swapIndex(offset>>a.unitShift, uint32(cand))
 			h.stats.Allocs++
 			h.rover[level] = h.rel(cand+1, level)
 			return offset, true, cand + 1
@@ -360,11 +411,9 @@ func (h *Handle) tryAlloc(n, scanned uint64) uint64 {
 		if w&status.Fill(field, count, status.Mask) != 0 {
 			return n
 		}
-		h.stats.RMW++
-		if word.CompareAndSwap(w, w|occupyMask) {
+		if h.cas(word, w, w|occupyMask) {
 			break
 		}
-		h.stats.CASFail++
 	}
 
 	// Climb. Interior bunch ancestors of n derive their state from the
@@ -389,14 +438,12 @@ func (h *Handle) tryAlloc(n, scanned uint64) uint64 {
 				h.freeNode(n, lam+k)
 				return anc
 			}
-			h.stats.RMW++
-			if ancWord.CompareAndSwap(w, w&^coal|mark) {
+			if h.cas(ancWord, w, w&^coal|mark) {
 				break
 			}
 			// A concurrent operation changed this node's other bits or a
 			// sibling lane; the marking is still coherent, so re-read and
 			// retry the step.
-			h.stats.CASFail++
 		}
 		cur = anc
 	}
@@ -415,7 +462,7 @@ func (h *Handle) Free(offset uint64) {
 	if offset >= a.geo.Total || offset&(a.geo.MinSize-1) != 0 {
 		panic(fmt.Sprintf("bunch: Free(%#x): offset outside the managed region or unaligned", offset))
 	}
-	n := a.index[offset>>a.unitShift].Swap(0)
+	n := h.swapIndex(offset>>a.unitShift, 0)
 	if n == 0 {
 		panic(fmt.Sprintf("bunch: Free(%#x): offset not currently allocated (double free?)", offset))
 	}
@@ -467,14 +514,9 @@ func (h *Handle) freeNode(n uint64, ubLam int) {
 		for {
 			w := ancWord.Load()
 			witnessed = w
-			if w&coal != 0 {
+			if w&coal != 0 || h.cas(ancWord, w, w|coal) {
 				break
 			}
-			h.stats.RMW++
-			if ancWord.CompareAndSwap(w, w|coal) {
-				break
-			}
-			h.stats.CASFail++
 		}
 		wf := status.Field(witnessed, ancField)
 		if status.IsOccBuddy(wf, child) && !status.IsCoalBuddy(wf, child) {
@@ -489,17 +531,16 @@ func (h *Handle) freeNode(n uint64, ubLam int) {
 	// F19). The paper's plain store becomes a CAS loop because sibling
 	// lanes of the word may be mutating concurrently and must not be
 	// clobbered. (An atomic And would do it in one guaranteed RMW, but see
-	// the intrinsic caveat in phase 1.)
+	// the intrinsic caveat in phase 1.) Under the lock it is the plain store
+	// again.
 	clearMask := status.FieldMask(field, count)
 	var afterRelease uint64
 	for {
 		w := word.Load()
 		afterRelease = w &^ clearMask
-		h.stats.RMW++
-		if word.CompareAndSwap(w, afterRelease) {
+		if h.cas(word, w, afterRelease) {
 			break
 		}
-		h.stats.CASFail++
 	}
 
 	// Phase 3: propagate the release towards the upper bound.
@@ -539,11 +580,9 @@ func (h *Handle) unmark(first uint64, leafLevel, ubLam int, low uint64) {
 				return
 			}
 			updated = w &^ branch
-			h.stats.RMW++
-			if ancWord.CompareAndSwap(w, updated) {
+			if h.cas(ancWord, w, updated) {
 				break
 			}
-			h.stats.CASFail++
 		}
 		cur, low = anc, updated
 	}

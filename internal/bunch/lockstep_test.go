@@ -6,12 +6,15 @@ import (
 	"repro/internal/alloc"
 )
 
-// TestLockstepHeights drives k = 1 and k = 4 with one seeded
-// single-goroutine tape of mixed allocations and frees and requires the
-// same (offset, ok) from both at every step: the bunch height changes the
-// storage, not the algorithm. The k = 1 totals are pinned so that any
-// change to where the scan starts or how it walks shows up as a moved
-// RMW, retry or failure count. maxFails caps the failed allocations at
+// TestLockstepHeights drives k = 1 and k = 4, under both disciplines
+// (1lvl-nb, 4lvl-nb, 1lvl-sl, 4lvl-sl), with one seeded single-goroutine
+// tape of mixed allocations and frees and requires the same (offset, ok)
+// from all four at every step: neither the bunch height nor the spin-lock
+// changes the algorithm. The k = 1 totals are pinned so that any change
+// to where the scan starts or how it walks shows up as a moved RMW, retry
+// or failure count; the SL ones are the NB golden with no RMW or CAS
+// failure and one lock acquisition per operation, so the discipline moves
+// nothing but its own counters. maxFails caps the failed allocations at
 // the counts the leaf had before its scans started at a per-level rover
 // (when each call's start moved one slot past the previous one): the
 // rover must not buy its speed with fragmentation.
@@ -24,9 +27,11 @@ func TestLockstepHeights(t *testing.T) {
 		{16 << 10, 16 << 10, 1, alloc.Stats{Allocs: 22626, Frees: 22626, AllocFails: 14838, RMW: 329743, Retries: 12792}, 14852},
 		{1 << 20, 64 << 10, 2, alloc.Stats{Allocs: 24965, Frees: 24965, AllocFails: 12430, RMW: 697969, Retries: 130005}, 12703},
 	} {
+		cfg := alloc.Config{Total: c.total, MinSize: 8, MaxSize: c.maxSize}
 		a1 := mustNew(t, 1, c.total, 8, c.maxSize)
 		a4 := mustNew(t, 4, c.total, 8, c.maxSize)
-		runTape(t, c.seed, 60000, a1, a4)
+		sl1, sl4 := mustBuild(t, "1lvl-sl", cfg), mustBuild(t, "4lvl-sl", cfg)
+		runTape(t, c.seed, 60000, a1, a4, sl1, sl4)
 		got := a1.Stats()
 		if got != c.golden {
 			t.Errorf("total=%d: k=1 stats %+v, want %+v", c.total, got, c.golden)
@@ -34,11 +39,15 @@ func TestLockstepHeights(t *testing.T) {
 		if got.AllocFails > c.maxFails {
 			t.Errorf("total=%d: %d failed allocations, want at most %d", c.total, got.AllocFails, c.maxFails)
 		}
-		if i := dirtyWord(a1); i >= 0 {
-			t.Errorf("total=%d: k=1 word %d dirty after the tape drained", c.total, i)
+		want := c.golden
+		want.RMW, want.CASFail, want.LockAcq = 0, 0, want.Allocs+want.AllocFails+want.Frees
+		if got := sl1.Stats(); got != want {
+			t.Errorf("total=%d: 1lvl-sl stats %+v, want %+v", c.total, got, want)
 		}
-		if i := dirtyWord(a4); i >= 0 {
-			t.Errorf("total=%d: k=4 word %d dirty after the tape drained", c.total, i)
+		for _, a := range []*Allocator{a1, a4, sl1.(lockedAllocator).Allocator, sl4.(lockedAllocator).Allocator} {
+			if i := dirtyWord(a); i >= 0 {
+				t.Errorf("total=%d: %s word %d dirty after the tape drained", c.total, a.Name(), i)
+			}
 		}
 	}
 }
@@ -95,4 +104,13 @@ func runTape(t *testing.T, seed uint64, ops int, as ...alloc.Allocator) {
 			hs[i][0].Free(off)
 		}
 	}
+}
+
+func mustBuild(t *testing.T, label string, cfg alloc.Config) alloc.Allocator {
+	t.Helper()
+	a, err := alloc.Build(label, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
 }

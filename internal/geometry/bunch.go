@@ -46,14 +46,6 @@ func (g Geometry) CoveredLeaves(n uint64, k int) (first uint64, count int) {
 	return n << shift, 1 << shift
 }
 
-// WordOf locates the word holding a bunch-leaf node: the per-level slot of
-// the leaf divided by 8, and the field position within the word.
-// leafLevel must be the (materialized) level of leaf.
-func WordOf(leaf uint64, leafLevel int) (word uint64, field int) {
-	slot := leaf - FirstOfLevel(leafLevel)
-	return slot >> 3, int(slot & 7)
-}
-
 // WordsAtLevel returns how many words a materialized level needs.
 func WordsAtLevel(level int) uint64 {
 	w := LevelWidth(level)

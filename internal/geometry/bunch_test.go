@@ -62,15 +62,6 @@ func TestCoveredLeaves(t *testing.T) {
 	}
 }
 
-func TestWordOf(t *testing.T) {
-	if w, f := WordOf(1<<11, 11); w != 0 || f != 0 {
-		t.Errorf("WordOf(first leaf) = (%d,%d)", w, f)
-	}
-	if w, f := WordOf(1<<11+13, 11); w != 1 || f != 5 {
-		t.Errorf("WordOf(leaf 13) = (%d,%d)", w, f)
-	}
-}
-
 func TestWordsAtLevel(t *testing.T) {
 	if WordsAtLevel(11) != 256 {
 		t.Errorf("WordsAtLevel(11) = %d, want 256", WordsAtLevel(11))
@@ -116,9 +107,10 @@ func TestQuickCoveredLeavesWordContainment(t *testing.T) {
 			if LevelOf(first) != lam {
 				return false
 			}
-			w1, f1 := WordOf(first, lam)
-			w2, f2 := WordOf(first+uint64(count)-1, lam)
-			return w1 == w2 && f2 == f1+count-1
+			// Slots within the level; a word holds eight of them.
+			s1 := first - FirstOfLevel(lam)
+			s2 := s1 + uint64(count) - 1
+			return s1>>3 == s2>>3 && s2&7 == s1&7+uint64(count)-1
 		}
 		if err := quick.Check(f, nil); err != nil {
 			t.Errorf("k=%d: %v", k, err)

@@ -126,15 +126,9 @@ func (g Geometry) LevelForSize(size uint64) int {
 	return level
 }
 
-// Parent, Left, Right, Sibling navigate the array-embedded tree.
-func Parent(n uint64) uint64  { return n >> 1 }
-func Left(n uint64) uint64    { return n << 1 }
-func Right(n uint64) uint64   { return n<<1 | 1 }
-func Sibling(n uint64) uint64 { return n ^ 1 }
-
-// IsLeftChild reports whether n is the left child of its parent. With the
-// root at index 1, left children have even indexes.
-func IsLeftChild(n uint64) bool { return n&1 == 0 }
+// Left and Right navigate the array-embedded tree.
+func Left(n uint64) uint64  { return n << 1 }
+func Right(n uint64) uint64 { return n<<1 | 1 }
 
 // AncestorAt returns n's ancestor at the given (shallower or equal) level.
 func AncestorAt(n uint64, fromLevel, toLevel int) uint64 {

@@ -83,11 +83,8 @@ func TestLevelForSize(t *testing.T) {
 }
 
 func TestNavigation(t *testing.T) {
-	if Parent(7) != 3 || Left(3) != 6 || Right(3) != 7 || Sibling(6) != 7 || Sibling(7) != 6 {
+	if Left(3) != 6 || Right(3) != 7 {
 		t.Error("tree navigation broken")
-	}
-	if !IsLeftChild(6) || IsLeftChild(7) {
-		t.Error("IsLeftChild parity wrong")
 	}
 	if AncestorAt(100, 6, 3) != 12 {
 		t.Errorf("AncestorAt(100,6,3) = %d, want 12", AncestorAt(100, 6, 3))
@@ -108,7 +105,7 @@ func TestQuickOffsetInverseAndNesting(t *testing.T) {
 		if n == 1 {
 			return true
 		}
-		p := Parent(n)
+		p := AncestorAt(n, level, level-1)
 		pOff, pSize := g.OffsetOf(p), g.SizeOf(p)
 		return off >= pOff && off+g.SizeOf(n) <= pOff+pSize
 	}

@@ -11,7 +11,6 @@ import (
 	_ "repro/internal/bunch"
 	_ "repro/internal/cloudwu"
 	_ "repro/internal/linuxbuddy"
-	_ "repro/internal/slbuddy"
 )
 
 var tinyInstance = alloc.Config{Total: 1 << 22, MinSize: 8, MaxSize: 16 << 10}

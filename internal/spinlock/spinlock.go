@@ -5,6 +5,13 @@
 // and a ticket lock (the fair lock used by the Linux kernel of the paper's
 // era).
 //
+// In every flavor Lock ends with an atomic read-modify-write or load that
+// observes the previous holder's atomic release in Unlock. Those two edges
+// are the baselines' only synchronization: internal/bunch's SL discipline
+// updates its tree words and index with plain stores inside the critical
+// section, and they are race-free (also to the race detector) only because
+// each holder's stores happen before the next holder's acquisition.
+//
 // Spinning goroutines periodically yield to the scheduler so a lock holder
 // that has been descheduled can run; this mirrors the preemption behaviour
 // the paper discusses for CPU-stealing contexts and keeps the benchmarks

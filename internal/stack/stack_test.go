@@ -8,7 +8,7 @@ import (
 	"repro/internal/stack"
 
 	_ "repro/internal/bunch"
-	_ "repro/internal/slbuddy"
+	_ "repro/internal/cloudwu"
 )
 
 var per = alloc.Config{Total: 1 << 18, MinSize: 64, MaxSize: 1 << 14}
@@ -108,7 +108,7 @@ func TestSpanThroughLayers(t *testing.T) {
 
 // TestCanScrub reports leaf scrubbability through any stack.
 func TestCanScrub(t *testing.T) {
-	for variant, want := range map[string]bool{"4lvl-nb": true, "1lvl-sl": false} {
+	for variant, want := range map[string]bool{"4lvl-nb": true, "buddy-sl": false} {
 		st, err := stack.Build(stack.Spec{
 			Variant: variant, Per: per, Instances: 2, Cached: true,
 		})

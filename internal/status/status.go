@@ -1,8 +1,8 @@
 // Package status implements the 5-bit per-node state of the non-blocking
 // buddy system (paper §III.A, Figure 1) and the manipulation functions the
-// algorithms are written in terms of. The same bit algebra is reused by
-// the spin-lock tree baselines and, through the word packing in pack.go,
-// by the 4-level bunch layout.
+// algorithms are written in terms of. Through the word packing in pack.go
+// the same bit algebra serves every bunch height of internal/bunch, under
+// either synchronization discipline.
 //
 // Bit layout (low to high): occupied-right, occupied-left, coalescent-right,
 // coalescent-left, occupied.
@@ -38,20 +38,9 @@ func Mark(val uint32, child uint64) uint32 {
 	return val | (OccLeft >> mod2(child))
 }
 
-// Unmark clears both the coalescing and the occupancy bits of the child's
-// branch.
-func Unmark(val uint32, child uint64) uint32 {
-	return val &^ ((OccLeft | CoalLeft) >> mod2(child))
-}
-
 // CoalBit returns the coalescing mask of the child's branch (used to OR it
 // in during the first phase of FreeNode).
 func CoalBit(child uint64) uint32 { return CoalLeft >> mod2(child) }
-
-// IsCoal reports whether the coalescing bit of the child's branch is set.
-func IsCoal(val uint32, child uint64) bool {
-	return val&(CoalLeft>>mod2(child)) != 0
-}
 
 // IsOccBuddy reports whether the occupancy bit of the buddy of child is set.
 func IsOccBuddy(val uint32, child uint64) bool {

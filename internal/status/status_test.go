@@ -30,9 +30,6 @@ func TestBranchSelection(t *testing.T) {
 	if got := CleanCoal(CoalLeft|CoalRight, 2); got != CoalRight {
 		t.Errorf("CleanCoal(CL|CR, even) = %#x, want CR only", got)
 	}
-	if got := Unmark(Busy|CoalLeft|CoalRight, 2); got != Occ|OccRight|CoalRight {
-		t.Errorf("Unmark(full, even) = %#x", got)
-	}
 }
 
 func TestBuddyPredicates(t *testing.T) {
@@ -68,25 +65,6 @@ func TestStatusString(t *testing.T) {
 	}
 }
 
-// Property: Mark then Unmark restores the branch's occupancy bit to clear,
-// whatever the other bits, and never touches the buddy branch.
-func TestQuickMarkUnmarkRoundtrip(t *testing.T) {
-	f := func(val uint32, child uint64) bool {
-		val &= Mask
-		buddyBits := val & ((OccRight | CoalRight) << (child & 1)) // buddy branch bits
-		after := Unmark(Mark(val, child), child)
-		// Branch occupancy and coalescing cleared.
-		if IsCoal(after, child) || after&(OccLeft>>uint32(child&1)) != 0 {
-			return false
-		}
-		// Buddy branch untouched.
-		return after&((OccRight|CoalRight)<<(child&1)) == buddyBits
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: CleanCoal only ever clears, Mark only ever sets, and the OCC
 // bit is invariant under all branch operations.
 func TestQuickMonotonicity(t *testing.T) {
@@ -94,11 +72,9 @@ func TestQuickMonotonicity(t *testing.T) {
 		val &= Mask
 		cc := CleanCoal(val, child)
 		mk := Mark(val, child)
-		um := Unmark(val, child)
 		return cc&^val == 0 && // CleanCoal never sets bits
 			mk&val == val && // Mark never clears bits
-			um&^val == 0 && // Unmark never sets bits
-			cc&Occ == val&Occ && mk&Occ == val&Occ && um&Occ == val&Occ
+			cc&Occ == val&Occ && mk&Occ == val&Occ
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

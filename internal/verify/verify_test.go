@@ -11,7 +11,6 @@ import (
 	_ "repro/internal/bunch"
 	_ "repro/internal/cloudwu"
 	_ "repro/internal/linuxbuddy"
-	_ "repro/internal/slbuddy"
 )
 
 func TestCheckerDetectsOverlap(t *testing.T) {

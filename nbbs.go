@@ -66,7 +66,6 @@ import (
 	_ "repro/internal/bunch"
 	_ "repro/internal/cloudwu"
 	_ "repro/internal/linuxbuddy"
-	_ "repro/internal/slbuddy"
 )
 
 // Variant names an allocator implementation.
@@ -80,8 +79,8 @@ const (
 	// Variant1Lvl is the non-blocking buddy system with one status word
 	// per node (paper §III.A-C).
 	Variant1Lvl Variant = "1lvl-nb"
-	// Variant4LvlLocked and Variant1LvlLocked are the same layouts
-	// serialized by a global spin-lock (evaluation baselines).
+	// Variant4LvlLocked and Variant1LvlLocked are the same two leaves run
+	// under one spin-lock with plain stores (evaluation baselines).
 	Variant4LvlLocked Variant = "4lvl-sl"
 	Variant1LvlLocked Variant = "1lvl-sl"
 	// VariantCloudwu is the cloudwu/buddy tree allocator under a spin-lock.
@@ -470,8 +469,8 @@ func (b *Buddy) AllocBytes(size uint64) (buf []byte, offset uint64, ok bool) {
 	return b.st.Arena.AllocBytes(size)
 }
 
-// Scrubber is implemented by the non-blocking variants and every stack
-// layer: Scrub rebuilds the metadata from the live-allocation index at a
+// Scrubber is implemented by the 1lvl/4lvl variants (both disciplines)
+// and every stack layer: Scrub rebuilds the metadata from the live-allocation index at a
 // quiescent point, shedding the conservative residue racing releases may
 // strand, and layers forward it inward — the caching front-end flushes
 // its magazines first (see DESIGN.md).

@@ -164,7 +164,8 @@ func TestScrubSupport(t *testing.T) {
 	for v, want := range map[nbbs.Variant]bool{
 		nbbs.Variant1Lvl:       true,
 		nbbs.Variant4Lvl:       true,
-		nbbs.Variant1LvlLocked: false,
+		nbbs.Variant1LvlLocked: true,
+		nbbs.Variant4LvlLocked: true,
 		nbbs.VariantCloudwu:    false,
 	} {
 		b, err := nbbs.New(with(func(c *nbbs.Config) { c.Variant = v }))
