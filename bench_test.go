@@ -20,7 +20,7 @@ import (
 	"repro/internal/bunch"
 	_ "repro/internal/cloudwu"
 	_ "repro/internal/linuxbuddy"
-	_ "repro/internal/stack"
+	"repro/internal/stack"
 )
 
 // benchInstance mirrors the paper's user-space configuration: 8-byte
@@ -359,7 +359,7 @@ func BenchmarkAblationLockKind(b *testing.B) {
 
 // BenchmarkAblationFrontend measures the future-work composition: the
 // Larson pattern straight on the back-end versus through per-worker
-// caching magazines.
+// caching magazines and their depot.
 func BenchmarkAblationFrontend(b *testing.B) {
 	threads := runtime.GOMAXPROCS(0)
 	const slots = 2048
@@ -410,7 +410,7 @@ func BenchmarkAblationFrontend(b *testing.B) {
 		a := build(b, "4lvl-nb", benchInstance)
 		run(b, a.NewHandle, a)
 	})
-	b.Run(fmt.Sprintf("cached/threads=%d", threads), func(b *testing.B) {
+	b.Run(fmt.Sprintf("depot/threads=%d", threads), func(b *testing.B) {
 		a := build(b, "4lvl-nb", benchInstance)
 		fe, err := frontend.New(a, 32)
 		if err != nil {
@@ -420,21 +420,36 @@ func BenchmarkAblationFrontend(b *testing.B) {
 	})
 }
 
-// BenchmarkStackCachedMulti measures the composed layer stacks on the
+// BenchmarkStackDepotMulti measures the composed layer stacks on the
 // Larson pattern (cross-worker frees, the workload that exercises both
 // the magazines and the router): the bare back-end against the
-// multi-instance router, the caching front-end, and the full
-// cached+multi production composition the paper's conclusions call for.
-func BenchmarkStackCachedMulti(b *testing.B) {
+// multi-instance router, the caching front-end over each, and the slab
+// on top of that — the production composition the paper's conclusions
+// call for. Every stack spans benchInstance.Total in all.
+func BenchmarkStackDepotMulti(b *testing.B) {
 	const slots = 2048
-	stacks := []string{
-		"4lvl-nb", "multi4+4lvl-nb", "cached+4lvl-nb", "cached+multi4+4lvl-nb",
-		"depot+4lvl-nb", "depot+multi4+4lvl-nb",
+	quarter := benchInstance
+	quarter.Total /= 4
+	stacks := []struct {
+		name string
+		spec stack.Spec
+	}{
+		{"4lvl-nb", stack.Spec{Per: benchInstance}},
+		{"multi4+4lvl-nb", stack.Spec{Per: quarter, Instances: 4}},
+		{"depot+4lvl-nb", stack.Spec{Per: benchInstance, Depot: true}},
+		{"depot+multi4+4lvl-nb", stack.Spec{Per: quarter, Instances: 4, Depot: true}},
+		{"slab+depot+multi4+4lvl-nb", stack.Spec{Per: quarter, Instances: 4, Depot: true, Slab: true}},
 	}
-	for _, variant := range stacks {
+	for _, sc := range stacks {
 		for _, threads := range benchThreads() {
-			b.Run(fmt.Sprintf("%s/threads=%d", variant, threads), func(b *testing.B) {
-				a := build(b, variant, benchInstance)
+			b.Run(fmt.Sprintf("%s/threads=%d", sc.name, threads), func(b *testing.B) {
+				spec := sc.spec
+				spec.Variant = "4lvl-nb"
+				st, err := stack.Build(spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				a := st.Top
 				table := make([]atomic.Uint64, slots)
 				runWorkers(b, a, threads, func(h alloc.Handle, iters, id int) {
 					rng := rand.New(rand.NewSource(int64(id) + 1))

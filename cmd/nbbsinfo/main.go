@@ -13,8 +13,7 @@
 //
 //	nbbsinfo -total 67108864 -min 8 -max 16384
 //	nbbsinfo -total 16777216 -min 64 -max 65536 \
-//	    -instances 4 -cached -materialize -demo-ops 200000
-//	nbbsinfo -instances 4 -depot -demo-ops 200000   # depot_* layer counters
+//	    -instances 4 -depot -materialize -demo-ops 200000   # depot_* layer counters
 //	nbbsinfo -instances 4 -depot -slab -demo-ops 200000  # per-class slab table
 //	nbbsinfo -instances 2 -elastic -elastic-max 4 -demo-ops 400000
 //	    # watermark config, per-instance utilization, lifecycle counters,
@@ -45,9 +44,7 @@ func main() {
 		maxSize     = flag.Uint64("max", 16<<10, "maximum request size in bytes (power of two)")
 		variant     = flag.String("variant", nbbs.Variant4Lvl, "allocator variant for -demo-ops")
 		instances   = flag.Int("instances", 1, "back-end instances (multi-instance router layer)")
-		cached      = flag.Bool("cached", false, "layer the caching front-end over the back-end")
-		magazine    = flag.Int("magazine", 0, "front-end per-class magazine capacity (0 = default)")
-		depot       = flag.Bool("depot", false, "attach the shared magazine depot to the front-end (implies -cached)")
+		depot       = flag.Bool("depot", false, "layer the caching front-end (magazines and their shared depot) over the back-end")
 		slabFlag    = flag.Bool("slab", false, "layer the size-class slab over the stack (prints the per-class run/occupancy table)")
 		slabCutoff  = flag.Uint64("slab-cutoff", 0, "largest slab class in bytes (0 = default, clamped to the geometry)")
 		materialize = flag.Bool("materialize", false, "back the offset space with real memory")
@@ -106,7 +103,6 @@ func main() {
 			Variant: *variant,
 			Backing: nbbs.BackingConfig{Mapped: *mapped, Materialize: *materialize},
 			Frontend: nbbs.FrontendConfig{
-				Cached: *cached, Magazine: *magazine,
 				Depot: *depot,
 				Slab:  *slabFlag, SlabCutoff: *slabCutoff,
 			},

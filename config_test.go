@@ -49,7 +49,7 @@ func TestConfigImplications(t *testing.T) {
 			label: "elastic+mapped+multi[3x 4lvl-nb]", instances: 3,
 			layers: "multi elastic mapped"},
 		{name: "frontend-depot-slab", cfg: with(func(c *nbbs.Config) {
-			c.Frontend = nbbs.FrontendConfig{Cached: true, Magazine: 16, Depot: true, DepotCapacity: 8, Slab: true}
+			c.Frontend = nbbs.FrontendConfig{Depot: true, Slab: true}
 		}),
 			label: "slab+depot+4lvl-nb", instances: 1,
 			layers: "slab"},

@@ -7,7 +7,7 @@
 // parks it in a shared connection table, and releases whatever buffer the
 // displaced connection held — usually one allocated by a different worker.
 // The allocator is a composed layer stack (the paper's front-end /
-// back-end composition: Frontend.Cached and optionally
+// back-end composition: Frontend.Depot and optionally
 // Backing.Instances): every NewHandle is a caching handle, so most requests
 // never touch the back-end at all; the run reports each layer's share of
 // the traffic.
@@ -52,7 +52,7 @@ func main() {
 		MinSize:   64,
 		MaxSize:   64 << 10,
 		Variant:   *variant,
-		Frontend:  nbbs.FrontendConfig{Cached: true, Magazine: 32},
+		Frontend:  nbbs.FrontendConfig{Depot: true},
 		Telemetry: nbbs.TelemetrySettings{Enabled: true},
 	}
 	if *instances > 1 {
@@ -91,7 +91,7 @@ func main() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// The stack has Frontend.Cached, so NewHandle is a caching
+			// The stack has Frontend.Depot, so NewHandle is a caching
 			// handle; the assertions below reach its magazine face.
 			h := b.NewHandle().(interface {
 				nbbs.Handle
@@ -121,12 +121,14 @@ func main() {
 	}
 	wg.Wait()
 
-	// Tear down live connections.
+	// Tear down live connections, then drain the magazines the workers
+	// parked in the depot so every layer below reconciles.
 	for i := range table {
 		if v := table[i].Swap(0); v != 0 {
 			b.Free(v - 1)
 		}
 	}
+	b.Scrub()
 	fmt.Printf("\nserved %d requests in %v (%.0f req/s) on %s\n",
 		served.Load(), *duration, float64(served.Load())/duration.Seconds(), b.Name())
 	fmt.Printf("per-layer traffic (top-down):\n")

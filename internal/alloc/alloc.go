@@ -110,7 +110,7 @@ type Scrubber interface{ Scrub() }
 // operations observed at that layer plus layer-specific extras (magazine
 // hits, routing fallbacks, arena bytes, ...).
 type LayerStats struct {
-	// Layer labels the layer, e.g. "cached", "multi[4x 4lvl-nb]".
+	// Layer labels the layer, e.g. "depot", "multi[4x 4lvl-nb]".
 	Layer string
 	// Stats are the allocator-contract counters at this layer.
 	Stats Stats

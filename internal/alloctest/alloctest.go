@@ -49,6 +49,7 @@ func RunBuilder(t *testing.T, build Builder) {
 	t.Run("SizeRounding", func(t *testing.T) { testSizeRounding(t, build) })
 	t.Run("Oversize", func(t *testing.T) { testOversize(t, build) })
 	t.Run("ZeroSize", func(t *testing.T) { testZeroSize(t, build) })
+	t.Run("EmptyBatch", func(t *testing.T) { testEmptyBatch(t, build) })
 	t.Run("DoubleFreePanics", func(t *testing.T) { testDoubleFreePanics(t, build) })
 	t.Run("ForeignFreePanics", func(t *testing.T) { testForeignFreePanics(t, build) })
 	t.Run("MinimalGeometry", func(t *testing.T) { testMinimalGeometry(t, build) })
@@ -226,6 +227,32 @@ func testZeroSize(t *testing.T, build builder) {
 		t.Fatal("zero-size alloc failed; it should round to one allocation unit")
 	}
 	a.Free(off)
+}
+
+// testEmptyBatch: a batch request for no chunks (n <= 0) is not an
+// allocation attempt, whatever the size — it returns nil and counts
+// nothing, at the handle and at the allocator, exactly like an empty
+// FreeBatch.
+func testEmptyBatch(t *testing.T, build builder) {
+	a := build(t, 1024, 8, 512)
+	h := a.NewHandle()
+	before, hBefore := a.Stats(), *h.Stats()
+	for _, size := range []uint64{64, 513} {
+		for _, n := range []int{0, -1} {
+			if out := alloc.HandleAllocBatch(h, size, n); out != nil {
+				t.Errorf("handle AllocBatch(%d, %d) = %v, want nil", size, n, out)
+			}
+			if out := alloc.AllocBatchOf(a, size, n); out != nil {
+				t.Errorf("AllocBatch(%d, %d) = %v, want nil", size, n, out)
+			}
+		}
+	}
+	if got := *h.Stats(); got != hBefore {
+		t.Errorf("handle stats moved on empty batches: %+v, was %+v", got, hBefore)
+	}
+	if got := a.Stats(); got != before {
+		t.Errorf("allocator stats moved on empty batches: %+v, was %+v", got, before)
+	}
 }
 
 func testDoubleFreePanics(t *testing.T, build builder) {

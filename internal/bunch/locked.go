@@ -34,7 +34,8 @@ func (h *Handle) lock() {
 func (a lockedAllocator) NewHandle() alloc.Handle { return lockedHandle{a.newHandle()} }
 
 // Alloc, Free, AllocBatch and FreeBatch implement alloc.Handle and
-// alloc.BatchHandle, one critical section per call.
+// alloc.BatchHandle, one critical section per call; an empty batch
+// request (n <= 0) opens none and, like the NB path, counts nothing.
 func (h lockedHandle) Alloc(size uint64) (uint64, bool) {
 	h.lock()
 	defer h.a.lock.Unlock()
@@ -48,6 +49,9 @@ func (h lockedHandle) Free(offset uint64) {
 }
 
 func (h lockedHandle) AllocBatch(size uint64, n int) []uint64 {
+	if n <= 0 {
+		return nil
+	}
 	h.lock()
 	defer h.a.lock.Unlock()
 	return h.Handle.AllocBatch(size, n)
@@ -77,6 +81,9 @@ func (a lockedAllocator) Alloc(size uint64) (off uint64, ok bool) {
 func (a lockedAllocator) Free(offset uint64) { a.section(func(h *Handle) { h.Free(offset) }) }
 
 func (a lockedAllocator) AllocBatch(size uint64, n int) (out []uint64) {
+	if n <= 0 {
+		return nil
+	}
 	a.section(func(h *Handle) { out = h.AllocBatch(size, n) })
 	return out
 }

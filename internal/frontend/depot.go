@@ -59,12 +59,10 @@ type DepotStats struct {
 	RefilledChunks uint64 // chunks those refills brought up
 }
 
-// newDepot builds a depot for the given number of size classes.
-func newDepot(classes, capacity int) *Depot {
-	if capacity <= 0 {
-		capacity = DefaultDepotCapacity
-	}
-	return &Depot{cap: capacity, full: make([][][]uint64, classes)}
+// newDepot builds a depot of DefaultDepotCapacity for the given number
+// of size classes.
+func newDepot(classes int) *Depot {
+	return &Depot{cap: DefaultDepotCapacity, full: make([][][]uint64, classes)}
 }
 
 // ExchangeFull trades an exhausted magazine for a full one of the class.

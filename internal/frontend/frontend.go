@@ -6,18 +6,15 @@
 //
 // Each worker handle keeps small per-size-class magazines of chunks
 // obtained from the back-end: allocations are served from the magazine
-// when possible and frees refill it, spilling half back to the back-end
-// when a magazine overflows. This is the classic quick-list/magazine
-// discipline of cached kernel allocators [3]; the interesting property in
-// combination with the non-blocking back-end is that magazine misses and
-// spills — the cross-thread contention points of a cached design — hit an
-// allocator that does not serialize them.
-//
-// With WithDepot the spill path changes discipline: full magazines are
-// exchanged whole with a shared per-size-class depot in O(1), and only
+// when possible and frees refill it. Full and empty magazines are
+// exchanged whole with a shared per-size-class depot in O(1) — the
+// magazine/depot discipline of cached kernel allocators [3] — and only
 // depot misses (batch refill) and depot overflows (batch drain) cross
 // into the back-end, through the alloc.BatchAllocator bulk contract (see
-// DESIGN.md, "The bulk-transfer contract and the magazine depot").
+// DESIGN.md, "The bulk-transfer contract and the magazine depot"). The
+// interesting property in combination with the non-blocking back-end is
+// that those crossings — the cross-thread contention points of a cached
+// design — hit an allocator that does not serialize them.
 //
 // The front-end is a composable layer (see DESIGN.md): it works over any
 // alloc.Allocator that implements alloc.ChunkSizer — a leaf variant, a
@@ -43,10 +40,9 @@ type Allocator struct {
 	sizer   alloc.ChunkSizer
 	geo     geometry.Geometry
 	magCap  int
-	// depot, when non-nil, is the shared magazine exchange: overflowing
-	// handles park full magazines there in O(1) instead of spilling
-	// chunk-at-a-time, and dry handles grab them back. refill is the
-	// batch size of a back-end refill after a depot miss.
+	// depot is the shared magazine exchange: overflowing handles park
+	// full magazines there in O(1), and dry handles grab them back.
+	// refill is the batch size of a back-end refill after a depot miss.
 	depot  *Depot
 	refill int
 
@@ -64,15 +60,13 @@ type Allocator struct {
 // Option tunes the front-end beyond the magazine capacity.
 type Option func(*Allocator)
 
-// WithDepot attaches the shared magazine depot: full magazines are
-// exchanged with a per-size-class global pool in O(1), and only depot
-// misses (refill) and overflows (drain) cross into the back-end — as
-// batches via the alloc.BatchAllocator contract, not chunk-at-a-time.
-// capacity bounds the full magazines retained per class (0 = default).
+// WithDepot sets the depot's bound on full magazines retained per class
+// (0 = DefaultDepotCapacity).
 func WithDepot(capacity int) Option {
 	return func(a *Allocator) {
-		classes := a.geo.Depth - a.geo.MaxLevel + 1
-		a.depot = newDepot(classes, capacity)
+		if capacity > 0 {
+			a.depot.cap = capacity
+		}
 	}
 }
 
@@ -88,10 +82,11 @@ func New(backend alloc.Allocator, magCap int, opts ...Option) (*Allocator, error
 	if magCap <= 0 {
 		magCap = DefaultMagazine
 	}
-	a := &Allocator{backend: backend, sizer: sizer, geo: backend.Geometry(), magCap: magCap}
-	a.refill = magCap / 2
-	if a.refill == 0 {
-		a.refill = 1
+	geo := backend.Geometry()
+	a := &Allocator{
+		backend: backend, sizer: sizer, geo: geo, magCap: magCap,
+		depot:  newDepot(geo.Depth - geo.MaxLevel + 1),
+		refill: max(1, magCap/2),
 	}
 	for _, o := range opts {
 		o(a)
@@ -100,24 +95,10 @@ func New(backend alloc.Allocator, magCap int, opts ...Option) (*Allocator, error
 }
 
 // Name implements alloc.Allocator.
-func (a *Allocator) Name() string {
-	if a.depot != nil {
-		return "depot+" + a.backend.Name()
-	}
-	return "cached+" + a.backend.Name()
-}
+func (a *Allocator) Name() string { return "depot+" + a.backend.Name() }
 
-// Depot exposes the shared magazine depot (nil without WithDepot).
+// Depot exposes the shared magazine depot.
 func (a *Allocator) Depot() *Depot { return a.depot }
-
-// SetEventSink installs the flight-recorder publish hook on the depot's
-// back-end crossings (refill/drain). A no-op without WithDepot — the
-// depot-less spill path has no batched crossings worth recording.
-func (a *Allocator) SetEventSink(fn func(event string, a, b uint64)) {
-	if a.depot != nil {
-		a.depot.SetEventSink(fn)
-	}
-}
 
 // Geometry implements alloc.Allocator.
 func (a *Allocator) Geometry() geometry.Geometry { return a.geo }
@@ -223,10 +204,8 @@ func (a *Allocator) Scrub() {
 	for _, h := range handles {
 		h.Flush()
 	}
-	if a.depot != nil {
-		for _, mag := range a.depot.DrainAll() {
-			alloc.FreeBatchOf(a.backend, mag)
-		}
+	for _, mag := range a.depot.DrainAll() {
+		alloc.FreeBatchOf(a.backend, mag)
 	}
 	if s, ok := a.backend.(alloc.Scrubber); ok {
 		s.Scrub()
@@ -249,12 +228,10 @@ func (a *Allocator) Scrub() {
 // every parking worker has performed one operation — no idle-worker
 // churn or quiescent Scrub required.
 func (a *Allocator) DrainDepotRange(lo, hi uint64) {
-	if a.depot != nil {
-		// No front-end stats here: a drained chunk's free was counted when
-		// a worker parked it, exactly like the Scrub-path depot drain.
-		for _, mag := range a.depot.DrainRange(lo, hi) {
-			alloc.FreeBatchOf(a.backend, mag)
-		}
+	// No front-end stats here: a drained chunk's free was counted when a
+	// worker parked it, exactly like the Scrub-path depot drain.
+	for _, mag := range a.depot.DrainRange(lo, hi) {
+		alloc.FreeBatchOf(a.backend, mag)
 	}
 	a.fence.Arm(lo, hi)
 }
@@ -263,29 +240,24 @@ func (a *Allocator) DrainDepotRange(lo, hi uint64) {
 // magazine counters, then the wrapped stack's entries.
 func (a *Allocator) LayerStats() []alloc.LayerStats {
 	cache := a.CacheTotals()
-	layer := "cached"
-	extra := map[string]uint64{
-		"hits":    cache.Hits,
-		"misses":  cache.Misses,
-		"spills":  cache.Spills,
-		"refills": cache.Refills,
-	}
-	if a.depot != nil {
-		layer = "depot"
-		ds := a.depot.Stats()
-		extra["depot_full_pushes"] = ds.FullPushes
-		extra["depot_full_pops"] = ds.FullPops
-		extra["depot_pop_misses"] = ds.PopMisses
-		extra["depot_drains"] = ds.Drains
-		extra["depot_drained_chunks"] = ds.DrainedChunks
-		extra["depot_batch_refills"] = ds.Refills
-		extra["depot_refilled_chunks"] = ds.RefilledChunks
-		extra["depot_retained_chunks"] = uint64(a.depot.Retained())
-	}
+	ds := a.depot.Stats()
 	entry := alloc.LayerStats{
-		Layer: layer,
+		Layer: "depot",
 		Stats: a.Stats(),
-		Extra: extra,
+		Extra: map[string]uint64{
+			"hits":                  cache.Hits,
+			"misses":                cache.Misses,
+			"spills":                cache.Spills,
+			"refills":               cache.Refills,
+			"depot_full_pushes":     ds.FullPushes,
+			"depot_full_pops":       ds.FullPops,
+			"depot_pop_misses":      ds.PopMisses,
+			"depot_drains":          ds.Drains,
+			"depot_drained_chunks":  ds.DrainedChunks,
+			"depot_batch_refills":   ds.Refills,
+			"depot_refilled_chunks": ds.RefilledChunks,
+			"depot_retained_chunks": uint64(a.depot.Retained()),
+		},
 	}
 	return append([]alloc.LayerStats{entry}, alloc.StackStats(a.backend)...)
 }
@@ -306,8 +278,8 @@ func (a *Allocator) NewHandle() alloc.Handle {
 // CacheStats counts magazine behaviour per handle.
 type CacheStats struct {
 	Hits    uint64 // allocations served from a magazine
-	Misses  uint64 // allocations that went to the back-end
-	Spills  uint64 // chunks returned to the back-end on magazine overflow
+	Misses  uint64 // allocations the depot could not serve (one back-end refill each)
+	Spills  uint64 // chunks drained or flushed from magazines to the back-end
 	Refills uint64 // frees absorbed into a magazine
 }
 
@@ -360,10 +332,9 @@ func (h *Handle) checkDrain() {
 	}
 }
 
-// Alloc serves from the size class magazine. On an empty magazine a
-// depot-backed handle exchanges it for a full one in O(1), and only a
-// depot miss reaches the back-end — as one batch refill. Without a depot
-// the miss goes straight down, chunk-at-a-time (the PR-1 discipline).
+// Alloc serves from the size class magazine. An empty magazine is
+// exchanged for a full one from the depot in O(1), and only a depot miss
+// reaches the back-end — as one batch refill.
 func (h *Handle) Alloc(size uint64) (uint64, bool) {
 	h.checkDrain()
 	if size > h.a.geo.MaxSize {
@@ -379,67 +350,48 @@ func (h *Handle) Alloc(size uint64) (uint64, bool) {
 		h.stats.Allocs++
 		return off, true
 	}
-	if d := h.a.depot; d != nil {
-		if mag, ok := d.ExchangeFull(cls, h.mags[cls]); ok {
-			off := mag[len(mag)-1]
-			h.mags[cls] = mag[:len(mag)-1]
-			h.cache.Hits++
-			h.stats.Allocs++
-			return off, true
-		}
-		// Depot miss: one back-end trip restocks the magazine. The batch
-		// requests the class's reserved size so every refilled chunk
-		// classifies back into this magazine.
-		batch := alloc.HandleAllocBatch(h.back, h.a.geo.SizeOfLevel(level), h.a.refill)
-		h.cache.Misses++
-		if len(batch) == 0 {
-			h.stats.AllocFails++
-			return 0, false
-		}
-		off := batch[len(batch)-1]
-		h.mags[cls] = append(h.mags[cls], batch[:len(batch)-1]...)
-		d.noteRefill(len(batch))
+	d := h.a.depot
+	if mag, ok := d.ExchangeFull(cls, h.mags[cls]); ok {
+		off := mag[len(mag)-1]
+		h.mags[cls] = mag[:len(mag)-1]
+		h.cache.Hits++
 		h.stats.Allocs++
 		return off, true
 	}
+	// Depot miss: one back-end trip restocks the magazine. The batch
+	// requests the class's reserved size so every refilled chunk
+	// classifies back into this magazine.
+	batch := alloc.HandleAllocBatch(h.back, h.a.geo.SizeOfLevel(level), h.a.refill)
 	h.cache.Misses++
-	off, ok := h.back.Alloc(size)
-	if ok {
-		h.stats.Allocs++
-	} else {
+	if len(batch) == 0 {
 		h.stats.AllocFails++
+		return 0, false
 	}
-	return off, ok
+	off := batch[len(batch)-1]
+	h.mags[cls] = append(h.mags[cls], batch[:len(batch)-1]...)
+	d.noteRefill(len(batch))
+	h.stats.Allocs++
+	return off, true
 }
 
-// Free pushes the chunk into its class magazine. When the magazine is
-// full a depot-backed handle parks it whole in the depot in O(1) (or, at
-// depot capacity, drains it to the back-end as one batch); without a
-// depot the older half spills chunk-at-a-time as before.
+// Free pushes the chunk into its class magazine. A full magazine is
+// parked whole in the depot in O(1) or, at depot capacity, drained to the
+// back-end as one batch.
 func (h *Handle) Free(offset uint64) {
 	h.checkDrain()
 	size := h.a.sizer.ChunkSize(offset)
 	cls := h.class(h.a.geo.LevelForSize(size))
 	mag := h.mags[cls]
 	if len(mag) >= h.a.magCap {
-		if d := h.a.depot; d != nil {
-			if fresh, ok := d.ExchangeEmpty(cls, mag); ok {
-				if fresh == nil {
-					fresh = make([]uint64, 0, h.a.magCap)
-				}
-				mag = fresh
-			} else {
-				alloc.HandleFreeBatch(h.back, mag)
-				h.cache.Spills += uint64(len(mag))
-				mag = mag[:0]
+		if fresh, ok := h.a.depot.ExchangeEmpty(cls, mag); ok {
+			if fresh == nil {
+				fresh = make([]uint64, 0, h.a.magCap)
 			}
+			mag = fresh
 		} else {
-			spill := len(mag) / 2
-			for _, off := range mag[:spill] {
-				h.back.Free(off)
-				h.cache.Spills++
-			}
-			mag = append(mag[:0], mag[spill:]...)
+			alloc.HandleFreeBatch(h.back, mag)
+			h.cache.Spills += uint64(len(mag))
+			mag = mag[:0]
 		}
 	}
 	h.mags[cls] = append(mag, offset)
@@ -455,13 +407,16 @@ func (h *Handle) Free(offset uint64) {
 // a 512-chunk fill through per-chunk magazine misses would turn one scan
 // into 512.
 func (h *Handle) AllocBatch(size uint64, n int) []uint64 {
+	if n <= 0 {
+		return nil
+	}
 	if size > h.a.geo.MaxSize {
 		h.stats.AllocFails++
 		return nil
 	}
 	out := alloc.HandleAllocBatch(h.back, size, n)
 	h.stats.Allocs += uint64(len(out))
-	if len(out) == 0 && n > 0 {
+	if len(out) == 0 {
 		h.stats.AllocFails++
 	}
 	return out

@@ -75,9 +75,12 @@ func TestSizeClassSeparation(t *testing.T) {
 	h.Flush()
 }
 
+// TestSpillOnOverflow: a magazine never grows past its capacity, and once
+// the depot holds its capacity of full magazines, further overflow drains
+// whole magazines to the back-end.
 func TestSpillOnOverflow(t *testing.T) {
 	const mag = 4
-	fe, err := frontend.New(backend(t, "1lvl-nb"), mag)
+	fe, err := frontend.New(backend(t, "1lvl-nb"), mag, frontend.WithDepot(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +103,10 @@ func TestSpillOnOverflow(t *testing.T) {
 	if h.Cached() > mag {
 		t.Fatalf("magazine holds %d chunks, cap %d", h.Cached(), mag)
 	}
-	h.Flush()
+	if got := fe.Depot().Retained(); got != mag {
+		t.Fatalf("depot retains %d chunks, want one full magazine (%d)", got, mag)
+	}
+	fe.Scrub()
 	s := fe.Backend().Stats()
 	if s.Allocs != s.Frees {
 		t.Fatalf("back-end leaked: %d allocs vs %d frees", s.Allocs, s.Frees)
@@ -169,6 +175,7 @@ func TestConcurrentCachedWorkers(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	fe.Scrub() // the depot still parks the magazines workers overflowed
 	s := fe.Backend().Stats()
 	if s.Allocs != s.Frees {
 		t.Fatalf("back-end leaked under concurrency: %d allocs vs %d frees", s.Allocs, s.Frees)
@@ -180,7 +187,7 @@ func TestPassThroughConvenience(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fe.Name() != "cached+1lvl-nb" {
+	if fe.Name() != "depot+1lvl-nb" {
 		t.Fatalf("Name = %q", fe.Name())
 	}
 	off, ok := fe.Alloc(64)

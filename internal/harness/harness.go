@@ -77,7 +77,7 @@ func (s Sweep) Run(progress io.Writer) ([]Cell, error) {
 					last = driver(a, cfg)
 					// Key the cell by the requested registry label: for
 					// composed stacks the display name differs (e.g.
-					// "cached+multi[4x 4lvl-nb]" vs "cached+multi4+4lvl-nb")
+					// "slab+depot+multi[4x 4lvl-nb]" vs "slab+depot+multi4+4lvl-nb")
 					// and tables match on the sweep's labels.
 					last.Allocator = name
 					samples = append(samples, last.Elapsed.Seconds())

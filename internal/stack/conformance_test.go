@@ -46,14 +46,14 @@ func specBuilder(template stack.Spec, wantInstances int) alloctest.Builder {
 	}
 }
 
-// TestConformanceCachedMulti runs the full conformance suite over the
+// TestConformanceDepotMulti runs the full conformance suite over the
 // caching front-end stacked on a 4-instance router — the composition the
 // seed rejected outright (frontend.New failed on Multi's missing
 // ChunkSizer).
-func TestConformanceCachedMulti(t *testing.T) {
+func TestConformanceDepotMulti(t *testing.T) {
 	alloctest.RunBuilder(t, specBuilder(stack.Spec{
 		Variant: "4lvl-nb",
-		Cached:  true, Magazine: 8,
+		Depot:   true, Magazine: 8,
 	}, 4))
 }
 
@@ -72,7 +72,7 @@ func TestConformanceMultiMaterialized(t *testing.T) {
 func TestConformanceFullStack(t *testing.T) {
 	alloctest.RunBuilder(t, specBuilder(stack.Spec{
 		Variant: "4lvl-nb",
-		Cached:  true, Magazine: 8,
+		Depot:   true, Magazine: 8,
 		Materialize: true,
 	}, 4))
 }
@@ -81,8 +81,7 @@ func TestConformanceFullStack(t *testing.T) {
 // variants registered for the benchmark harness, by name like any leaf.
 func TestConformanceRegistryComposites(t *testing.T) {
 	for _, name := range []string{
-		"cached+4lvl-nb", "multi4+4lvl-nb", "cached+multi4+4lvl-nb",
-		"depot+4lvl-nb", "depot+multi4+4lvl-nb", "elastic+multi+4lvl-nb",
+		"multi4+4lvl-nb", "elastic+multi+4lvl-nb",
 		"mapped+elastic+multi+4lvl-nb",
 		"slab+4lvl-nb", "slab+depot+multi4+4lvl-nb",
 		"slab+mapped+elastic+multi+4lvl-nb",

@@ -65,7 +65,7 @@ func TestGeometryEdgeCases(t *testing.T) {
 	builds := []build{
 		{"1lvl-nb", leaf("1lvl-nb")},
 		{"4lvl-nb", leaf("4lvl-nb")},
-		{"cached", stacked(stack.Spec{Variant: "4lvl-nb", Cached: true, Magazine: 4})},
+		{"depot-mag8", stacked(stack.Spec{Variant: "4lvl-nb", Depot: true, Magazine: 8})},
 		{"depot", stacked(stack.Spec{Variant: "4lvl-nb", Depot: true, Magazine: 4, DepotCapacity: 2})},
 		{"depot+multi2", stacked(stack.Spec{Variant: "4lvl-nb", Depot: true, Magazine: 4, Instances: 2})},
 	}

@@ -23,21 +23,9 @@ func TestCompositeLabelsBuildGoldenStacks(t *testing.T) {
 	}
 	// Per label: the stack at Total = 1 MiB, then at 16 MiB.
 	want := map[string][2]golden{
-		"cached+4lvl-nb": {
-			{name: "cached+4lvl-nb"},
-			{name: "cached+4lvl-nb"}},
 		"multi4+4lvl-nb": {
 			{name: "multi[2x 4lvl-nb]", instances: 2},
 			{name: "multi[4x 4lvl-nb]", instances: 4}},
-		"cached+multi4+4lvl-nb": {
-			{name: "cached+multi[2x 4lvl-nb]", instances: 2},
-			{name: "cached+multi[4x 4lvl-nb]", instances: 4}},
-		"depot+4lvl-nb": {
-			{name: "depot+4lvl-nb"},
-			{name: "depot+4lvl-nb"}},
-		"depot+multi4+4lvl-nb": {
-			{name: "depot+multi[2x 4lvl-nb]", instances: 2},
-			{name: "depot+multi[4x 4lvl-nb]", instances: 4}},
 		"slab+4lvl-nb": {
 			{name: "slab+4lvl-nb"},
 			{name: "slab+4lvl-nb"}},
@@ -108,13 +96,14 @@ func TestLabelGrammarRejects(t *testing.T) {
 		{"unknown token", "turbo+multi4+4lvl-nb"},
 		{"malformed instance count", "multi0+4lvl-nb"},
 		{"duplicate token", "slab+slab+4lvl-nb"},
-		{"depot already implies cached", "depot+cached+4lvl-nb"},
-		{"out of order", "multi4+cached+4lvl-nb"},
+		{"cached token removed", "cached+4lvl-nb"},
+		{"cached token removed", "cached+multi4+4lvl-nb"},
+		{"out of order", "multi4+depot+4lvl-nb"},
 		{"mapped without multi", "mapped+4lvl-nb"},
 		{"elastic without multi", "elastic+4lvl-nb"},
 		{"predictive policy removed", "predictive+mapped+elastic+multi+4lvl-nb"},
-		{"missing leaf", "cached+multi4"},
-		{"unregistered leaf", "cached+no-such-leaf"},
+		{"missing leaf", "depot+multi4"},
+		{"unregistered leaf", "depot+no-such-leaf"},
 		{"empty label", ""},
 	} {
 		s, err := specFor(tc.label, cfg)

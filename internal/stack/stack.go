@@ -15,7 +15,7 @@
 //	                -> caching front-end -> slab -> arena
 //
 // A Spec is the one description of a stack: nbbs.New maps its Config
-// onto one, and the registry composites ("cached+multi4+4lvl-nb",
+// onto one, and the registry composites ("slab+depot+multi4+4lvl-nb",
 // "slab+mapped+elastic+multi+4lvl-nb", ...) are Specs parsed from their
 // own labels (see specFor), which makes them first-class citizens of
 // every harness in the repository: stress verification, the paper's
@@ -61,16 +61,14 @@ type Spec struct {
 	// Instances >= 1 and excludes Materialize (a materialized region
 	// cannot follow a growing offset span).
 	Elastic *elastic.Config
-	// Cached inserts the caching front-end; Magazine is the per-class
-	// capacity (0 = frontend.DefaultMagazine).
-	Cached   bool
-	Magazine int
-	// Depot attaches the shared magazine depot to the front-end (implies
-	// Cached): full magazines are exchanged with a per-size-class global
-	// pool in O(1), and refills/drains cross into the back-end as batches
-	// through the alloc.BatchAllocator contract. DepotCapacity bounds the
-	// full magazines retained per class (0 = default).
+	// Depot inserts the caching front-end: per-worker magazines whose
+	// full and empty magazines are exchanged with a per-size-class depot
+	// in O(1), and whose refills/drains cross into the back-end as batches
+	// through the alloc.BatchAllocator contract. Magazine is the per-class
+	// magazine capacity (0 = frontend.DefaultMagazine); DepotCapacity
+	// bounds the full magazines retained per class (0 = default).
 	Depot         bool
+	Magazine      int
 	DepotCapacity int
 	// Slab inserts the size-class layer above the caching front-end (or
 	// whatever sits below it): requests up to the cutoff are served from
@@ -122,7 +120,7 @@ type Stack struct {
 	Multi *multi.Multi
 	// Elastic is the capacity manager (nil when Spec.Elastic was nil).
 	Elastic *elastic.Manager
-	// Frontend is the caching layer (nil when not Cached).
+	// Frontend is the caching layer (nil when not Spec.Depot).
 	Frontend *frontend.Allocator
 	// Slab is the size-class layer (nil when not Spec.Slab).
 	Slab *slab.Allocator
@@ -245,12 +243,8 @@ func Build(s Spec) (*Stack, error) {
 			return nil, err
 		}
 	}
-	if s.Cached || s.Depot {
-		var feOpts []frontend.Option
-		if s.Depot {
-			feOpts = append(feOpts, frontend.WithDepot(s.DepotCapacity))
-		}
-		fe, err := frontend.New(st.Top, s.Magazine, feOpts...)
+	if s.Depot {
+		fe, err := frontend.New(st.Top, s.Magazine, frontend.WithDepot(s.DepotCapacity))
 		if err != nil {
 			return nil, err
 		}
@@ -259,7 +253,7 @@ func Build(s Spec) (*Stack, error) {
 		if st.Elastic != nil {
 			// Depot cooperation: a shrink must be able to pull depot-parked
 			// magazines of the draining instance back down, or its live
-			// count never reaches zero. (No-op without a depot.)
+			// count never reaches zero.
 			st.Elastic.OnDrainRange(fe.DrainDepotRange)
 		}
 		if err := probe("frontend"); err != nil {
@@ -306,7 +300,7 @@ func Build(s Spec) (*Stack, error) {
 		}
 		s.Faults.SetEventSink(s.Telemetry.Sink("fault"))
 		if st.Frontend != nil {
-			st.Frontend.SetEventSink(s.Telemetry.Sink("depot"))
+			st.Frontend.Depot().SetEventSink(s.Telemetry.Sink("depot"))
 		}
 		if st.Slab != nil {
 			st.Slab.SetEventSink(s.Telemetry.Sink("slab"))
@@ -337,18 +331,11 @@ func (st *Stack) LayerStats() []alloc.LayerStats { return alloc.StackStats(st.To
 // paper's fastest leaf. Each label is its own description: specFor parses
 // it into the Spec that Build assembles.
 var composites = []string{
-	"cached+4lvl-nb",
 	"multi4+4lvl-nb",
-	"cached+multi4+4lvl-nb",
-	// The caching front-end with the shared magazine depot, exchanging
-	// full magazines in O(1) and crossing into the back-end only in
-	// batches.
-	"depot+4lvl-nb",
-	"depot+multi4+4lvl-nb",
-	// The size-class layer over a bare leaf, over the depot stack (runs
-	// refill through the batched depot path), and over the full mapped
-	// elastic stack (runs participate in retirement via the DrainRange
-	// fence).
+	// The size-class layer over a bare leaf, over the caching front-end
+	// and its depot (runs refill through the batched depot path), and over
+	// the full mapped elastic stack (runs participate in retirement via
+	// the DrainRange fence).
 	"slab+4lvl-nb",
 	"slab+depot+multi4+4lvl-nb",
 	"slab+mapped+elastic+multi+4lvl-nb",
@@ -362,7 +349,7 @@ var composites = []string{
 
 // specFor parses a composite label into the Spec of the stack it names,
 // sized for cfg as the global geometry. A label is '+'-separated layer
-// tokens in top-down order — "slab", "depot" or "cached", "mapped",
+// tokens in top-down order — "slab", "depot", "mapped",
 // "elastic", "multi" or "multiN" (N wanted instances; plain "multi" wants
 // 4) — followed by the leaf's registered name.
 //
@@ -382,9 +369,7 @@ func specFor(label string, cfg alloc.Config) (Spec, error) {
 		return true
 	}
 	s.Slab = take("slab")
-	if s.Depot = take("depot"); !s.Depot {
-		s.Cached = take("cached")
-	}
+	s.Depot = take("depot")
 	s.Mapped = take("mapped")
 	elast := take("elastic")
 	want := 0

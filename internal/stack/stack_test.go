@@ -15,13 +15,14 @@ var per = alloc.Config{Total: 1 << 18, MinSize: 64, MaxSize: 1 << 14}
 
 // TestStatsReconcile drives a caching + multi stack and checks that the
 // per-layer counters reconcile: every front-end allocation was served
-// either by a magazine hit or by a back-end allocation, and the routing
-// layer saw exactly the back-end's traffic.
+// either by a magazine hit or by a depot miss's batch refill, every
+// back-end allocation arrived in such a refill, and the routing layer saw
+// exactly the back-end's traffic.
 func TestStatsReconcile(t *testing.T) {
 	st, err := stack.Build(stack.Spec{
 		Variant: "4lvl-nb", Per: per,
 		Instances: 4,
-		Cached:    true, Magazine: 8,
+		Depot:     true, Magazine: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -51,6 +52,7 @@ func TestStatsReconcile(t *testing.T) {
 
 	front := st.Frontend.Stats()
 	cache := st.Frontend.CacheTotals()
+	depot := st.Frontend.Depot().Stats()
 	router := st.Multi.Stats() // aggregated instance (back-end) counters
 
 	// Every alloc attempt that reached the magazines either hit or missed.
@@ -58,14 +60,19 @@ func TestStatsReconcile(t *testing.T) {
 		t.Fatalf("Hits+Misses = %d, want front-end attempts %d",
 			got, front.Allocs+front.AllocFails)
 	}
-	// Front-end successes decompose into magazine serves + back-end allocs.
-	if front.Allocs != cache.Hits+router.Allocs {
-		t.Fatalf("front-end Allocs %d != Hits %d + back-end Allocs %d",
-			front.Allocs, cache.Hits, router.Allocs)
+	// Front-end successes decompose into magazine serves (depot exchanges
+	// included) + one chunk of each batch refill.
+	if front.Allocs != cache.Hits+depot.Refills {
+		t.Fatalf("front-end Allocs %d != Hits %d + batch refills %d",
+			front.Allocs, cache.Hits, depot.Refills)
 	}
-	// What the magazines did not absorb or still hold went back down:
-	// back-end frees are the spills plus flushes.
-	st.Scrub() // flush magazines
+	// The back-end is reached only by those refills.
+	if router.Allocs != depot.RefilledChunks {
+		t.Fatalf("back-end Allocs %d != refilled chunks %d", router.Allocs, depot.RefilledChunks)
+	}
+	// What the magazines and the depot did not absorb or still hold went
+	// back down: back-end frees are the drains plus flushes.
+	st.Scrub() // flush magazines, drain the depot
 	routerAfter := st.Multi.Stats()
 	if routerAfter.Allocs != routerAfter.Frees {
 		t.Fatalf("back-end unbalanced after flush: %d allocs vs %d frees",
@@ -73,7 +80,7 @@ func TestStatsReconcile(t *testing.T) {
 	}
 	// The routing layer's handle-level view matches the instance fleet.
 	layers := st.LayerStats()
-	if len(layers) != 3 { // cached, multi, leaf fleet
+	if len(layers) != 3 { // depot, multi, leaf fleet
 		t.Fatalf("LayerStats = %d entries, want 3", len(layers))
 	}
 	routing := layers[1].Stats
@@ -88,7 +95,7 @@ func TestSpanThroughLayers(t *testing.T) {
 	st, err := stack.Build(stack.Spec{
 		Variant: "4lvl-nb", Per: per,
 		Instances:   4,
-		Cached:      true,
+		Depot:       true,
 		Materialize: true,
 	})
 	if err != nil {
@@ -98,7 +105,7 @@ func TestSpanThroughLayers(t *testing.T) {
 	if got := alloc.SpanOf(st.Top); got != want {
 		t.Fatalf("SpanOf(top) = %d, want %d", got, want)
 	}
-	if st.Top.Name() != "mat+cached+multi[4x 4lvl-nb]" {
+	if st.Top.Name() != "mat+depot+multi[4x 4lvl-nb]" {
 		t.Fatalf("Name = %q", st.Top.Name())
 	}
 	if len(st.LayerStats()) != 4 {
@@ -110,7 +117,7 @@ func TestSpanThroughLayers(t *testing.T) {
 func TestCanScrub(t *testing.T) {
 	for variant, want := range map[string]bool{"4lvl-nb": true, "buddy-sl": false} {
 		st, err := stack.Build(stack.Spec{
-			Variant: variant, Per: per, Instances: 2, Cached: true,
+			Variant: variant, Per: per, Instances: 2, Depot: true,
 		})
 		if err != nil {
 			t.Fatal(err)

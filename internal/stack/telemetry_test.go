@@ -24,12 +24,12 @@ func TestDifferentialTelemetry(t *testing.T) {
 		name string
 		spec stack.Spec
 	}{
-		{"cached+multi", stack.Spec{Variant: "4lvl-nb", Cached: true, Magazine: 8}},
-		{"slab+cached+mapped+elastic+multi", stack.Spec{
+		{"depot+multi", stack.Spec{Variant: "4lvl-nb", Depot: true, Magazine: 8}},
+		{"slab+depot+mapped+elastic+multi", stack.Spec{
 			Variant: "4lvl-nb",
 			Elastic: &elastic.Config{MinInstances: 1},
 			Mapped:  true,
-			Cached:  true, Magazine: 8,
+			Depot:   true, Magazine: 8,
 			Slab: true,
 		}},
 	}
@@ -68,7 +68,7 @@ func TestTelemetryProbesRecord(t *testing.T) {
 	st, err := stack.Build(stack.Spec{
 		Variant: "4lvl-nb",
 		Per:     alloc.Config{Total: 1 << 20, MinSize: 64, MaxSize: 1 << 14},
-		Cached:  true, Magazine: 8,
+		Depot:   true, Magazine: 8,
 	})
 	if err != nil {
 		t.Fatalf("stack.Build: %v", err)
@@ -77,7 +77,7 @@ func TestTelemetryProbesRecord(t *testing.T) {
 	st, err = stack.Build(stack.Spec{
 		Variant: "4lvl-nb",
 		Per:     alloc.Config{Total: 1 << 20, MinSize: 64, MaxSize: 1 << 14},
-		Cached:  true, Magazine: 8,
+		Depot:   true, Magazine: 8,
 		Telemetry: reg,
 	})
 	if err != nil {

@@ -29,7 +29,7 @@ func TestDriversCompleteOnEveryAllocator(t *testing.T) {
 				if res.Workload != name {
 					t.Fatalf("result workload = %q, want %q", res.Workload, name)
 				}
-				// Composed stacks display structural names ("cached+multi[4x
+				// Composed stacks display structural names ("slab+depot+multi[4x
 				// 4lvl-nb]") that differ from their registry label; the
 				// harness re-keys its cells for that. Drivers must label the
 				// result with the allocator they actually ran.

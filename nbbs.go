@@ -25,10 +25,11 @@
 // A Buddy is really a layer stack (see DESIGN.md): the leaf allocator can
 // be wrapped by any combination of composable layers, all described by
 // the one Config — Backing.Instances adds the multi-instance
-// (NUMA-style) router, Frontend.Cached adds per-worker caching
-// magazines, and Backing.Materialize backs the offset space with real
-// bytes so AllocBytes can hand out slices. The layers compose freely, including
-// the full production deployment the paper's conclusions describe:
+// (NUMA-style) router, Frontend.Depot adds per-worker caching
+// magazines with their shared depot, and Backing.Materialize backs the
+// offset space with real bytes so AllocBytes can hand out slices. The
+// layers compose freely, including the full production deployment the
+// paper's conclusions describe:
 //
 //	b, err := nbbs.New(nbbs.Config{
 //	    Total: 1 << 24, MinSize: 64, MaxSize: 1 << 18,
@@ -36,10 +37,10 @@
 //	        Instances:   4,    // one back-end per NUMA node
 //	        Materialize: true, // real memory behind the offsets
 //	    },
-//	    Frontend: nbbs.FrontendConfig{Cached: true, Magazine: 32}, // per-worker magazines
+//	    Frontend: nbbs.FrontendConfig{Depot: true}, // per-worker magazines + depot
 //	})
 //	...
-//	h := b.NewHandle() // one per worker goroutine; caching under Frontend.Cached
+//	h := b.NewHandle() // one per worker goroutine; caching under Frontend.Depot
 //	off, ok := h.Alloc(4096)
 //	...
 //	h.Free(off)
@@ -91,7 +92,7 @@ const (
 )
 
 // Variants lists every registered allocator label, composed stacks
-// included (e.g. "cached+multi4+4lvl-nb").
+// included (e.g. "slab+depot+multi4+4lvl-nb").
 func Variants() []string { return alloc.Names() }
 
 // ConfigVersion is the revision of the Config schema. Version 1 was the
@@ -103,10 +104,12 @@ func Variants() []string { return alloc.Names() }
 // layer and knob they selected; version 4 drops Trace with the
 // operation recorder it enabled, and ElasticConfig's opt-in live-chunk
 // relocation settings; version 5 drops ElasticConfig.Policy, leaving the
-// watermark rule as the manager's only grow/shrink decision. The
-// constant exists so embedders that persist configurations can tag which
-// schema they wrote.
-const ConfigVersion = 5
+// watermark rule as the manager's only grow/shrink decision; version 6
+// drops FrontendConfig's Cached, Magazine and DepotCapacity, leaving
+// Depot as the one switch for the caching front-end at its default
+// sizes. The constant exists so embedders that persist configurations
+// can tag which schema they wrote.
+const ConfigVersion = 6
 
 // RoutingPolicy selects how multi-instance handles bind to back-ends:
 // RoutingRoundRobin spreads handles across instances in creation order,
@@ -165,22 +168,16 @@ type BackingConfig struct {
 // caching magazines with the shared depot, and the size-class slab. The
 // zero value adds none of them.
 type FrontendConfig struct {
-	// Cached layers per-worker caching magazines over the back-end: every
-	// NewHandle becomes a caching handle, frees park chunks in magazines
-	// served back to later allocations, so most operations never reach the
-	// back-end. Magazine is the per-size-class capacity (0 = default).
-	Cached   bool
-	Magazine int
-	// Depot attaches the shared magazine depot (implies Cached): an
-	// overflowing magazine is parked whole in a per-size-class global
-	// depot in O(1), and a worker running dry grabs a full one back the
-	// same way — the cross-thread hand-off cost of remote frees becomes
-	// one pointer swap per magazine instead of a back-end round trip per
-	// chunk. Depot misses and overflows cross into the back-end as batches
-	// (AllocBatch/FreeBatch). DepotCapacity bounds the full magazines
-	// retained per size class (0 = default).
-	Depot         bool
-	DepotCapacity int
+	// Depot layers per-worker caching magazines with their shared depot
+	// over the back-end: every NewHandle becomes a caching handle, frees
+	// park chunks in magazines served back to later allocations, so most
+	// operations never reach the back-end. An overflowing magazine is
+	// parked whole in a per-size-class global depot in O(1), and a worker
+	// running dry grabs a full one back the same way — the cross-thread
+	// hand-off cost of remote frees becomes one pointer swap per magazine
+	// instead of a back-end round trip per chunk. Depot misses and
+	// overflows cross into the back-end as batches (AllocBatch/FreeBatch).
+	Depot bool
 	// Slab layers the size-class slab over the stack (above the caching
 	// front-end, when present): requests up to the cutoff are served from
 	// fixed-size object runs carved out of buddy chunks — the class table
@@ -257,7 +254,8 @@ type Stats = alloc.Stats
 // Buddy.LayerStats.
 type LayerStats = alloc.LayerStats
 
-// CacheStats counts front-end magazine behaviour; see CachedHandle.
+// CacheStats counts front-end magazine behaviour: the handles NewHandle
+// returns on a stack built with Frontend.Depot report it via CacheStats().
 type CacheStats = frontend.CacheStats
 
 // Handle is a per-worker allocation interface; obtain one per goroutine
@@ -323,20 +321,17 @@ type TelemetryEvent = telemetry.Event
 // imply one routed instance when Backing.Instances is unset.
 func New(cfg Config) (*Buddy, error) {
 	s := stack.Spec{
-		Variant:       cfg.Variant,
-		Per:           alloc.Config{Total: cfg.Total, MinSize: cfg.MinSize, MaxSize: cfg.MaxSize},
-		Instances:     cfg.Backing.Instances,
-		Policy:        cfg.Backing.Routing,
-		Mapped:        cfg.Backing.Mapped,
-		HugePages:     cfg.Backing.HugePages,
-		Materialize:   cfg.Backing.Materialize,
-		Faults:        cfg.Backing.Faults,
-		Cached:        cfg.Frontend.Cached,
-		Magazine:      cfg.Frontend.Magazine,
-		Depot:         cfg.Frontend.Depot,
-		DepotCapacity: cfg.Frontend.DepotCapacity,
-		Slab:          cfg.Frontend.Slab,
-		SlabCutoff:    cfg.Frontend.SlabCutoff,
+		Variant:     cfg.Variant,
+		Per:         alloc.Config{Total: cfg.Total, MinSize: cfg.MinSize, MaxSize: cfg.MaxSize},
+		Instances:   cfg.Backing.Instances,
+		Policy:      cfg.Backing.Routing,
+		Mapped:      cfg.Backing.Mapped,
+		HugePages:   cfg.Backing.HugePages,
+		Materialize: cfg.Backing.Materialize,
+		Faults:      cfg.Backing.Faults,
+		Depot:       cfg.Frontend.Depot,
+		Slab:        cfg.Frontend.Slab,
+		SlabCutoff:  cfg.Frontend.SlabCutoff,
 	}
 	if s.Variant == "" {
 		s.Variant = Variant4Lvl
@@ -358,7 +353,7 @@ func New(cfg Config) (*Buddy, error) {
 	return &Buddy{st: st}, nil
 }
 
-// Name returns the composed stack label, e.g. "cached+multi[4x 4lvl-nb]".
+// Name returns the composed stack label, e.g. "depot+multi[4x 4lvl-nb]".
 func (b *Buddy) Name() string { return b.st.Top.Name() }
 
 // Variant returns the leaf implementation label of this instance.
@@ -401,7 +396,7 @@ func (b *Buddy) Alloc(size uint64) (offset uint64, ok bool) { return b.st.Top.Al
 func (b *Buddy) Free(offset uint64) { b.st.Top.Free(offset) }
 
 // NewHandle returns a per-worker handle; use one handle per goroutine on
-// hot paths. Under Frontend.Cached the handle caches in per-size-class
+// hot paths. Under Frontend.Depot the handle caches in per-size-class
 // magazines.
 func (b *Buddy) NewHandle() Handle { return b.st.Top.NewHandle() }
 
@@ -424,7 +419,7 @@ type DepotStats = frontend.DepotStats
 // DepotStats returns the depot counters of a stack built with
 // Frontend.Depot; ok is false otherwise. Quiescent points only.
 func (b *Buddy) DepotStats() (DepotStats, bool) {
-	if b.st.Frontend == nil || b.st.Frontend.Depot() == nil {
+	if b.st.Frontend == nil {
 		return DepotStats{}, false
 	}
 	return b.st.Frontend.Depot().Stats(), true
@@ -544,31 +539,6 @@ func (b *Buddy) MemStats() (MemStats, bool) {
 		return MemStats{}, false
 	}
 	return b.st.Mem.Stats(), true
-}
-
-// CachedHandle is a per-worker handle with magazine caching in front of
-// the instance (the paper's front-end/back-end composition). Frees park
-// chunks in per-size-class magazines served back to later allocations;
-// Flush returns everything to the back-end.
-type CachedHandle struct {
-	*frontend.Handle
-}
-
-// NewCachedHandle returns a caching front-end handle over the stack.
-// magazine is the per-size-class capacity (0 = default). On a stack
-// built with Frontend.Cached the handle comes from the stack's own front-end
-// layer and magazine is ignored; otherwise a private front-end is
-// layered over the stack top for this handle.
-func (b *Buddy) NewCachedHandle(magazine int) (*CachedHandle, error) {
-	fe := b.st.Frontend
-	if fe == nil {
-		var err error
-		fe, err = frontend.New(b.st.Top, magazine)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return &CachedHandle{fe.NewHandle().(*frontend.Handle)}, nil
 }
 
 // Multi is the multi-instance router layer: a set of same-geometry

@@ -40,8 +40,6 @@ func TestVariantsAvailable(t *testing.T) {
 func TestVariantsClosedList(t *testing.T) {
 	want := []string{
 		"1lvl-nb", "1lvl-sl", "4lvl-nb", "4lvl-sl", "buddy-sl",
-		"cached+4lvl-nb", "cached+multi4+4lvl-nb",
-		"depot+4lvl-nb", "depot+multi4+4lvl-nb",
 		"elastic+multi+4lvl-nb", "linux-buddy",
 		"mapped+elastic+multi+4lvl-nb", "multi4+4lvl-nb",
 		"slab+4lvl-nb", "slab+depot+multi4+4lvl-nb",
@@ -178,15 +176,19 @@ func TestScrubSupport(t *testing.T) {
 	}
 }
 
-func TestCachedHandle(t *testing.T) {
-	b, err := nbbs.New(cfg)
+// TestDepotHandleCaches: on a Frontend.Depot stack NewHandle returns the
+// caching handle — a freed chunk parks in its magazine and serves the
+// next allocation of its class, and Flush hands every parked chunk back.
+func TestDepotHandleCaches(t *testing.T) {
+	b, err := nbbs.New(with(func(c *nbbs.Config) { c.Frontend.Depot = true }))
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := b.NewCachedHandle(8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := b.NewHandle().(interface {
+		nbbs.Handle
+		Flush()
+		CacheStats() nbbs.CacheStats
+	})
 	off, ok := h.Alloc(512)
 	if !ok {
 		t.Fatal("alloc failed")
@@ -196,10 +198,13 @@ func TestCachedHandle(t *testing.T) {
 	if !ok || off2 != off {
 		t.Fatalf("magazine miss: got %d, want parked %d", off2, off)
 	}
+	if cs := h.CacheStats(); cs.Hits != 1 || cs.Misses != 1 {
+		t.Fatalf("cache stats = %+v, want 1 hit / 1 miss", cs)
+	}
 	h.Free(off2)
 	h.Flush()
-	s := b.Stats()
-	if s.Allocs != s.Frees {
+	layers := b.LayerStats()
+	if s := layers[len(layers)-1].Stats; s.Allocs != s.Frees {
 		t.Fatalf("back-end leaked: %d/%d", s.Allocs, s.Frees)
 	}
 }
@@ -330,12 +335,12 @@ func TestMaterializedMulti(t *testing.T) {
 func TestComposedStackEndToEnd(t *testing.T) {
 	b, err := nbbs.New(with(func(c *nbbs.Config) {
 		c.Backing = nbbs.BackingConfig{Instances: 4, Materialize: true}
-		c.Frontend = nbbs.FrontendConfig{Cached: true, Magazine: 8}
+		c.Frontend = nbbs.FrontendConfig{Depot: true}
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Name() != "mat+cached+multi[4x 4lvl-nb]" {
+	if b.Name() != "mat+depot+multi[4x 4lvl-nb]" {
 		t.Fatalf("Name = %q", b.Name())
 	}
 	if b.Total() != 4*cfg.Total {
@@ -374,10 +379,10 @@ func TestComposedStackEndToEnd(t *testing.T) {
 		t.Fatal("non-blocking leaves should scrub")
 	}
 	layers := b.LayerStats()
-	if len(layers) != 4 { // mat, cached, multi, leaf fleet
+	if len(layers) != 4 { // mat, depot, multi, leaf fleet
 		t.Fatalf("LayerStats = %d entries, want 4", len(layers))
 	}
-	if layers[0].Layer != "mat" || layers[1].Layer != "cached" {
+	if layers[0].Layer != "mat" || layers[1].Layer != "depot" {
 		t.Fatalf("layer order = %q, %q", layers[0].Layer, layers[1].Layer)
 	}
 	front := layers[1].Stats
@@ -387,7 +392,8 @@ func TestComposedStackEndToEnd(t *testing.T) {
 	if layers[1].Extra["hits"] == 0 {
 		t.Fatal("magazines absorbed no traffic")
 	}
-	// After Scrub flushed the magazines, the back-end must balance too.
+	// After Scrub flushed the magazines and drained the depot, the
+	// back-end must balance too.
 	back := layers[3].Stats
 	if back.Allocs != back.Frees {
 		t.Fatalf("back-end leaked: %d allocs vs %d frees", back.Allocs, back.Frees)
@@ -401,7 +407,7 @@ func TestComposedStackEndToEnd(t *testing.T) {
 func TestDepotStackEndToEnd(t *testing.T) {
 	b, err := nbbs.New(with(func(c *nbbs.Config) {
 		c.Backing.Instances = 4
-		c.Frontend = nbbs.FrontendConfig{Cached: true, Magazine: 8, Depot: true}
+		c.Frontend = nbbs.FrontendConfig{Depot: true}
 	}))
 	if err != nil {
 		t.Fatal(err)
