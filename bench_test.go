@@ -20,7 +20,7 @@ import (
 	"repro/internal/bunch"
 	_ "repro/internal/cloudwu"
 	_ "repro/internal/linuxbuddy"
-	"repro/internal/stack"
+	_ "repro/internal/stack"
 )
 
 // benchInstance mirrors the paper's user-space configuration: 8-byte
@@ -425,31 +425,17 @@ func BenchmarkAblationFrontend(b *testing.B) {
 // the magazines and the router): the bare back-end against the
 // multi-instance router, the caching front-end over each, and the slab
 // on top of that — the production composition the paper's conclusions
-// call for. Every stack spans benchInstance.Total in all.
+// call for.
 func BenchmarkStackDepotMulti(b *testing.B) {
 	const slots = 2048
-	quarter := benchInstance
-	quarter.Total /= 4
-	stacks := []struct {
-		name string
-		spec stack.Spec
-	}{
-		{"4lvl-nb", stack.Spec{Per: benchInstance}},
-		{"multi4+4lvl-nb", stack.Spec{Per: quarter, Instances: 4}},
-		{"depot+4lvl-nb", stack.Spec{Per: benchInstance, Depot: true}},
-		{"depot+multi4+4lvl-nb", stack.Spec{Per: quarter, Instances: 4, Depot: true}},
-		{"slab+depot+multi4+4lvl-nb", stack.Spec{Per: quarter, Instances: 4, Depot: true, Slab: true}},
+	stacks := []string{
+		"4lvl-nb", "multi4+4lvl-nb", "depot+4lvl-nb", "depot+multi4+4lvl-nb",
+		"slab+depot+multi4+4lvl-nb",
 	}
-	for _, sc := range stacks {
+	for _, variant := range stacks {
 		for _, threads := range benchThreads() {
-			b.Run(fmt.Sprintf("%s/threads=%d", sc.name, threads), func(b *testing.B) {
-				spec := sc.spec
-				spec.Variant = "4lvl-nb"
-				st, err := stack.Build(spec)
-				if err != nil {
-					b.Fatal(err)
-				}
-				a := st.Top
+			b.Run(fmt.Sprintf("%s/threads=%d", variant, threads), func(b *testing.B) {
+				a := build(b, variant, benchInstance)
 				table := make([]atomic.Uint64, slots)
 				runWorkers(b, a, threads, func(h alloc.Handle, iters, id int) {
 					rng := rand.New(rand.NewSource(int64(id) + 1))

@@ -46,11 +46,11 @@ func specBuilder(template stack.Spec, wantInstances int) alloctest.Builder {
 	}
 }
 
-// TestConformanceDepotMulti runs the full conformance suite over the
+// TestConformanceCachedMulti runs the full conformance suite over the
 // caching front-end stacked on a 4-instance router — the composition the
 // seed rejected outright (frontend.New failed on Multi's missing
 // ChunkSizer).
-func TestConformanceDepotMulti(t *testing.T) {
+func TestConformanceCachedMulti(t *testing.T) {
 	alloctest.RunBuilder(t, specBuilder(stack.Spec{
 		Variant: "4lvl-nb",
 		Depot:   true, Magazine: 8,
@@ -81,7 +81,8 @@ func TestConformanceFullStack(t *testing.T) {
 // variants registered for the benchmark harness, by name like any leaf.
 func TestConformanceRegistryComposites(t *testing.T) {
 	for _, name := range []string{
-		"multi4+4lvl-nb", "elastic+multi+4lvl-nb",
+		"multi4+4lvl-nb", "depot+4lvl-nb", "depot+multi4+4lvl-nb",
+		"elastic+multi+4lvl-nb",
 		"mapped+elastic+multi+4lvl-nb",
 		"slab+4lvl-nb", "slab+depot+multi4+4lvl-nb",
 		"slab+mapped+elastic+multi+4lvl-nb",

@@ -10,15 +10,17 @@ import (
 )
 
 // TestDifferentialRegistryComposites fuzzes every registry composite —
-// the router, the slab stacks, and the elastic composites (whose runs
-// additionally interleave Poll-driven grow/drain/retire) —
-// against the map-based oracle: random single/batched alloc/free
+// the router, the depot stacks, the slab stacks, and the elastic
+// composites (whose runs additionally interleave Poll-driven
+// grow/drain/retire) — against the map-based oracle: random single/batched alloc/free
 // sequences with interleaved quiescent Scrubs, checking no
 // double-hand-out, exact ChunkSize reporting, and per-layer stats
 // reconciliation after the drain.
 func TestDifferentialRegistryComposites(t *testing.T) {
 	composites := []string{
 		"multi4+4lvl-nb",
+		"depot+4lvl-nb",
+		"depot+multi4+4lvl-nb",
 		"elastic+multi+4lvl-nb",
 		"mapped+elastic+multi+4lvl-nb",
 		"slab+4lvl-nb",

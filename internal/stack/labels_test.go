@@ -26,6 +26,12 @@ func TestCompositeLabelsBuildGoldenStacks(t *testing.T) {
 		"multi4+4lvl-nb": {
 			{name: "multi[2x 4lvl-nb]", instances: 2},
 			{name: "multi[4x 4lvl-nb]", instances: 4}},
+		"depot+4lvl-nb": {
+			{name: "depot+4lvl-nb"},
+			{name: "depot+4lvl-nb"}},
+		"depot+multi4+4lvl-nb": {
+			{name: "depot+multi[2x 4lvl-nb]", instances: 2},
+			{name: "depot+multi[4x 4lvl-nb]", instances: 4}},
 		"slab+4lvl-nb": {
 			{name: "slab+4lvl-nb"},
 			{name: "slab+4lvl-nb"}},

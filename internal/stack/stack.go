@@ -332,6 +332,11 @@ func (st *Stack) LayerStats() []alloc.LayerStats { return alloc.StackStats(st.To
 // it into the Spec that Build assembles.
 var composites = []string{
 	"multi4+4lvl-nb",
+	// The caching front-end with its shared magazine depot, exchanging
+	// full magazines in O(1) and crossing into the back-end only in
+	// batches.
+	"depot+4lvl-nb",
+	"depot+multi4+4lvl-nb",
 	// The size-class layer over a bare leaf, over the caching front-end
 	// and its depot (runs refill through the batched depot path), and over
 	// the full mapped elastic stack (runs participate in retirement via

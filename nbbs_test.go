@@ -40,6 +40,7 @@ func TestVariantsAvailable(t *testing.T) {
 func TestVariantsClosedList(t *testing.T) {
 	want := []string{
 		"1lvl-nb", "1lvl-sl", "4lvl-nb", "4lvl-sl", "buddy-sl",
+		"depot+4lvl-nb", "depot+multi4+4lvl-nb",
 		"elastic+multi+4lvl-nb", "linux-buddy",
 		"mapped+elastic+multi+4lvl-nb", "multi4+4lvl-nb",
 		"slab+4lvl-nb", "slab+depot+multi4+4lvl-nb",
