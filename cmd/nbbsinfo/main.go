@@ -5,7 +5,7 @@
 //
 // With -demo-ops it additionally builds a composed allocator stack
 // (variant, optional multi-instance router, optional caching front-end,
-// optional materialized region), drives a short concurrent workload, and
+// optional mapped memory), drives a short concurrent workload, and
 // reports each layer's counters separately: front-end magazine hits and
 // spills, routing fallbacks, back-end RMW/CAS traffic.
 //
@@ -13,7 +13,7 @@
 //
 //	nbbsinfo -total 67108864 -min 8 -max 16384
 //	nbbsinfo -total 16777216 -min 64 -max 65536 \
-//	    -instances 4 -depot -materialize -demo-ops 200000   # depot_* layer counters
+//	    -instances 4 -depot -mem -demo-ops 200000   # depot_* layer counters
 //	nbbsinfo -instances 4 -depot -slab -demo-ops 200000  # per-class slab table
 //	nbbsinfo -instances 2 -elastic -elastic-max 4 -demo-ops 400000
 //	    # watermark config, per-instance utilization, lifecycle counters,
@@ -39,23 +39,22 @@ import (
 
 func main() {
 	var (
-		total       = flag.Uint64("total", 64<<20, "managed bytes (power of two; per instance with -instances)")
-		minSize     = flag.Uint64("min", 8, "allocation unit in bytes (power of two)")
-		maxSize     = flag.Uint64("max", 16<<10, "maximum request size in bytes (power of two)")
-		variant     = flag.String("variant", nbbs.Variant4Lvl, "allocator variant for -demo-ops")
-		instances   = flag.Int("instances", 1, "back-end instances (multi-instance router layer)")
-		depot       = flag.Bool("depot", false, "layer the caching front-end (magazines and their shared depot) over the back-end")
-		slabFlag    = flag.Bool("slab", false, "layer the size-class slab over the stack (prints the per-class run/occupancy table)")
-		slabCutoff  = flag.Uint64("slab-cutoff", 0, "largest slab class in bytes (0 = default, clamped to the geometry)")
-		materialize = flag.Bool("materialize", false, "back the offset space with real memory")
-		mapped      = flag.Bool("mem", false, "back instance windows with mapped memory following the slot lifecycle (prints the commit map)")
-		elastic     = flag.Bool("elastic", false, "wrap the router with the elastic capacity manager (demo polls it in the background)")
-		elasticMin  = flag.Int("elastic-min", 1, "elastic instance floor")
-		elasticMax  = flag.Int("elastic-max", 0, "elastic instance cap (0 = twice the initial instances)")
-		demoOps     = flag.Int("demo-ops", 0, "drive this many ops through the stack and report per-layer stats")
-		workers     = flag.Int("workers", 8, "worker goroutines for -demo-ops")
-		latency     = flag.Bool("latency", false, "enable telemetry and print the per-layer latency percentile table (with -demo-ops)")
-		events      = flag.Bool("events", false, "enable telemetry and dump the flight-recorder event ring (with -demo-ops)")
+		total      = flag.Uint64("total", 64<<20, "managed bytes (power of two; per instance with -instances)")
+		minSize    = flag.Uint64("min", 8, "allocation unit in bytes (power of two)")
+		maxSize    = flag.Uint64("max", 16<<10, "maximum request size in bytes (power of two)")
+		variant    = flag.String("variant", nbbs.Variant4Lvl, "allocator variant for -demo-ops")
+		instances  = flag.Int("instances", 1, "back-end instances (multi-instance router layer)")
+		depot      = flag.Bool("depot", false, "layer the caching front-end (magazines and their shared depot) over the back-end")
+		slabFlag   = flag.Bool("slab", false, "layer the size-class slab over the stack (prints the per-class run/occupancy table)")
+		slabCutoff = flag.Uint64("slab-cutoff", 0, "largest slab class in bytes (0 = default, clamped to the geometry)")
+		mapped     = flag.Bool("mem", false, "back instance windows with mapped memory following the slot lifecycle (the demo touches every chunk's bytes; prints the commit map)")
+		elastic    = flag.Bool("elastic", false, "wrap the router with the elastic capacity manager (demo polls it in the background)")
+		elasticMin = flag.Int("elastic-min", 1, "elastic instance floor")
+		elasticMax = flag.Int("elastic-max", 0, "elastic instance cap (0 = twice the initial instances)")
+		demoOps    = flag.Int("demo-ops", 0, "drive this many ops through the stack and report per-layer stats")
+		workers    = flag.Int("workers", 8, "worker goroutines for -demo-ops")
+		latency    = flag.Bool("latency", false, "enable telemetry and print the per-layer latency percentile table (with -demo-ops)")
+		events     = flag.Bool("events", false, "enable telemetry and dump the flight-recorder event ring (with -demo-ops)")
 	)
 	flag.Parse()
 
@@ -101,7 +100,7 @@ func main() {
 		cfg := nbbs.Config{
 			Total: *total, MinSize: *minSize, MaxSize: *maxSize,
 			Variant: *variant,
-			Backing: nbbs.BackingConfig{Mapped: *mapped, Materialize: *materialize},
+			Backing: nbbs.BackingConfig{Mapped: *mapped},
 			Frontend: nbbs.FrontendConfig{
 				Depot: *depot,
 				Slab:  *slabFlag, SlabCutoff: *slabCutoff,
@@ -149,7 +148,7 @@ func demo(cfg nbbs.Config, ops, workers int, latency, events bool) {
 			var live []uint64
 			for i := 0; i < ops/workers; i++ {
 				if off, ok := h.Alloc(sizes[rng.Intn(len(sizes))]); ok {
-					if cfg.Backing.Materialize {
+					if cfg.Backing.Mapped {
 						b.Bytes(off)[0] = byte(w) // touch the real memory
 					}
 					live = append(live, off)
@@ -234,9 +233,9 @@ func demo(cfg nbbs.Config, ops, workers int, latency, events bool) {
 			r.Windows(), r.WindowSize(), s.ReservedBytes, s.CommittedBytes)
 		fmt.Printf("  lifecycle: commits=%d decommits=%d recommits=%d\n",
 			s.Commits, s.Decommits, s.Recommits)
-		if s.HugeFallbacks+s.ReserveFails+s.CommitFails+s.DecommitFails > 0 {
-			fmt.Printf("  degradation: huge_fallbacks=%d reserve_fails=%d commit_fails=%d decommit_fails=%d\n",
-				s.HugeFallbacks, s.ReserveFails, s.CommitFails, s.DecommitFails)
+		if s.ReserveFails+s.CommitFails+s.DecommitFails > 0 {
+			fmt.Printf("  degradation: reserve_fails=%d commit_fails=%d decommit_fails=%d\n",
+				s.ReserveFails, s.CommitFails, s.DecommitFails)
 		}
 		fmt.Printf("  commit map:\n")
 		for k, committed := range r.CommitMap() {

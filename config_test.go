@@ -18,7 +18,7 @@ func TestConfigImplications(t *testing.T) {
 		cfg       nbbs.Config
 		label     string
 		instances int
-		layers    string // of multi, elastic, slab, mapped, materialized, telemetry
+		layers    string // of multi, elastic, slab, mapped, telemetry
 	}{
 		{name: "bare", cfg: cfg,
 			label: "4lvl-nb", instances: 1},
@@ -53,9 +53,6 @@ func TestConfigImplications(t *testing.T) {
 		}),
 			label: "slab+depot+4lvl-nb", instances: 1,
 			layers: "slab"},
-		{name: "materialized", cfg: with(func(c *nbbs.Config) { c.Backing.Materialize = true }),
-			label: "mat+4lvl-nb", instances: 1,
-			layers: "materialized"},
 		{name: "telemetry", cfg: with(func(c *nbbs.Config) { c.Telemetry.Enabled = true }),
 			label: "4lvl-nb", instances: 1,
 			layers: "telemetry"},
@@ -78,7 +75,7 @@ func TestConfigImplications(t *testing.T) {
 				present bool
 			}{
 				{"multi", b.Multi() != nil}, {"elastic", b.Elastic() != nil}, {"slab", b.Slab() != nil},
-				{"mapped", b.Mapped()}, {"materialized", b.Materialized()}, {"telemetry", b.Telemetry() != nil},
+				{"mapped", b.Mapped()}, {"telemetry", b.Telemetry() != nil},
 			} {
 				if l.present {
 					layers = append(layers, l.name)

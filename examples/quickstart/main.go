@@ -1,6 +1,7 @@
-// Quickstart: build a non-blocking buddy instance over a real memory
+// Quickstart: build a non-blocking buddy instance over a mapped memory
 // region, allocate from several goroutines, write into the delivered
-// chunks, and release everything.
+// chunks, and release everything. It exits non-zero when an allocation
+// it relies on fails or a byte view panics.
 package main
 
 import (
@@ -13,12 +14,13 @@ import (
 
 func main() {
 	// 16 MB region, 64-byte allocation units, up to 1 MB per request,
-	// backed by real memory so we can use the chunks.
+	// backed by mapped memory so we can use the chunks (Mapped builds the
+	// leaf behind a 1-instance router that owns the region).
 	b, err := nbbs.New(nbbs.Config{
 		Total:   16 << 20,
 		MinSize: 64,
 		MaxSize: 1 << 20,
-		Backing: nbbs.BackingConfig{Materialize: true},
+		Backing: nbbs.BackingConfig{Mapped: true},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -68,8 +70,10 @@ func main() {
 	s := b.Stats()
 	fmt.Printf("completed: %d allocations, %d frees, %d atomic RMW (%.2f per op), %d CAS retries\n",
 		s.Allocs, s.Frees, s.RMW, float64(s.RMW)/float64(s.Allocs+s.Frees), s.CASFail)
-	if whole, ok := b.Alloc(1 << 20); ok {
-		fmt.Printf("after full drain a max-size chunk is allocatable again (offset %d)\n", whole)
-		b.Free(whole)
+	whole, ok := b.Alloc(1 << 20)
+	if !ok {
+		log.Fatal("a max-size chunk is not allocatable after the full drain")
 	}
+	fmt.Printf("after full drain a max-size chunk is allocatable again (offset %d)\n", whole)
+	b.Free(whole)
 }

@@ -74,8 +74,7 @@ func CloseHandle(h Handle) {
 //
 // ChunkSizer is part of the composable-layer contract (see DESIGN.md):
 // every layer — leaf allocator, multi-instance router, caching front-end,
-// slab, materialized arena — implements it, which is what lets
-// layers stack in any order.
+// slab — implements it, which is what lets layers stack in any order.
 type ChunkSizer interface {
 	ChunkSize(offset uint64) uint64
 }
@@ -90,7 +89,7 @@ type Spanner interface {
 
 // SpanOf returns the size of an allocator's global offset space: the
 // OffsetSpan when the allocator (or stack) reports one, the managed
-// region size otherwise. Arena layers size their backing memory with it.
+// region size otherwise.
 func SpanOf(a Allocator) uint64 {
 	if s, ok := a.(Spanner); ok {
 		return s.OffsetSpan()
@@ -108,7 +107,7 @@ type Scrubber interface{ Scrub() }
 
 // LayerStats is one layer's contribution to a stack's counters: the
 // operations observed at that layer plus layer-specific extras (magazine
-// hits, routing fallbacks, arena bytes, ...).
+// hits, routing fallbacks, committed bytes, ...).
 type LayerStats struct {
 	// Layer labels the layer, e.g. "depot", "multi[4x 4lvl-nb]".
 	Layer string

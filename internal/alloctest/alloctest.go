@@ -32,7 +32,7 @@ func Run(t *testing.T, name string) {
 
 // Builder constructs an allocator for one conformance sub-test. The
 // returned allocator's global offset space must be [0, total) — composed
-// stacks (multi routers, caching front-ends, arenas) qualify as long as
+// stacks (multi routers, caching front-ends, slabs) qualify as long as
 // their instance spans multiply out to total.
 type Builder = func(t *testing.T, total, minSize, maxSize uint64) alloc.Allocator
 

@@ -125,10 +125,7 @@ func buildComposite(label string, in *fault.Injector, reg *telemetry.Registry) (
 	return stack.Build(spec)
 }
 
-// schedule builds the probabilistic rule set over the fault sites the
-// composites reach. The hugepage site is left out: the harness's 64 KiB
-// windows never qualify for hugepages, so its fallback rung is covered
-// by internal/mem's own tests instead.
+// schedule builds the probabilistic rule set over every fault site.
 func schedule(p float64) []fault.Rule {
 	return []fault.Rule{
 		fault.FailProb(fault.Reserve, p, syscall.ENOMEM),

@@ -681,8 +681,8 @@ func (mgr *Manager) Scrub() { mgr.inner.Scrub() }
 
 // LayerStats implements alloc.LayerStatser: the elastic entry carries the
 // lifecycle counters and the current fleet shape, followed by the
-// router's entries. Like the arena layer it contributes no operation
-// counters of its own — operations are accounted where they are served.
+// router's entries. It contributes no operation counters of its own —
+// operations are accounted where they are served.
 func (mgr *Manager) LayerStats() []alloc.LayerStats {
 	c := mgr.Counters()
 	active, draining := 0, 0

@@ -7,10 +7,10 @@
 // serving under contention. The layers grown over it (mapped memory,
 // elastic capacity, the multi router's lifecycle) lean on syscalls —
 // mmap, mprotect, madvise — that fail in production for
-// environmental reasons (ENOMEM under pressure, EAGAIN from the kernel,
-// THP disabled). Those failures are nearly impossible to provoke
-// naturally in a test, so every recovery path they guard would otherwise
-// ship untested. The injector closes that gap deterministically:
+// environmental reasons (ENOMEM under pressure, EAGAIN from the kernel).
+// Those failures are nearly impossible to provoke naturally in a test, so
+// every recovery path they guard would otherwise ship untested. The
+// injector closes that gap deterministically:
 //
 //   - every call site is a named Site with a per-site call counter;
 //   - a schedule of Rules decides which calls fail: the Nth call, every
@@ -42,16 +42,12 @@ const (
 	Reserve Site = "reserve"
 	// Commit is the make-resident transition (mprotect RW + touch).
 	Commit Site = "commit"
-	// Huge is the transparent-huge-page advise inside a commit
-	// (MADV_HUGEPAGE); its failure is the first rung of the degradation
-	// ladder — the window falls back to base 4KiB pages.
-	Huge Site = "huge"
 	// Decommit is the return-to-OS transition (MADV_DONTNEED).
 	Decommit Site = "decommit"
 )
 
 // Sites lists every injectable site.
-func Sites() []Site { return []Site{Reserve, Commit, Huge, Decommit} }
+func Sites() []Site { return []Site{Reserve, Commit, Decommit} }
 
 // Fault is one injected failure: the N-th call (1-based) at Site failed
 // with Err. A []Fault is a complete, replayable schedule — the JSON form

@@ -146,8 +146,8 @@ func TestPhasedScheduleKeepsOneRecord(t *testing.T) {
 }
 
 func TestDefaultError(t *testing.T) {
-	in := fault.New(1, fault.FailAlways(fault.Huge, nil))
-	if err := in.Check(fault.Huge); err == nil {
+	in := fault.New(1, fault.FailAlways(fault.Commit, nil))
+	if err := in.Check(fault.Commit); err == nil {
 		t.Fatal("nil rule error must fall back to a generic injected error")
 	}
 }

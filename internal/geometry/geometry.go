@@ -104,10 +104,6 @@ func (g Geometry) NodeAt(level int, offset uint64) uint64 {
 	return FirstOfLevel(level) + offset/g.SizeOfLevel(level)
 }
 
-// UnitIndex returns the allocation-unit slot of an offset: offset/MinSize.
-// This is the subscript used by the paper's index[] array.
-func (g Geometry) UnitIndex(offset uint64) uint64 { return offset / g.MinSize }
-
 // LevelForSize maps a request size to the target level, rounding the
 // request up to the next managed size: level = floor(log2(Total/size)),
 // upper-bounded by Depth (paper line A5-A8). Sizes below MinSize round to

@@ -86,33 +86,6 @@ func TestInjectedLifecycleFailures(t *testing.T) {
 	}
 }
 
-// TestInjectedHugeFallback pins the first rung of the degradation
-// ladder: a hugepage-advise fault demotes the window to 4KiB pages —
-// counted, never an error.
-func TestInjectedHugeFallback(t *testing.T) {
-	in := fault.New(1, fault.FailAlways(fault.Huge, syscall.EINVAL))
-	r, err := mem.New(mem.HugePageSize, 2, mem.WithHugePages(), mem.WithFaultInjector(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Release()
-	if !r.HugePages() {
-		t.Skip("hugepage advise not active on this configuration")
-	}
-	for k := 0; k < 2; k++ {
-		if err := r.Commit(k); err != nil {
-			t.Fatalf("hugepage fallback must not fail Commit(%d): %v", k, err)
-		}
-		// The demoted window is still fully usable.
-		b := r.Window(k)
-		b[0], b[len(b)-1] = 1, 1
-	}
-	s := r.Stats()
-	if s.HugeFallbacks != 2 || s.Commits != 2 || s.CommitFails != 0 {
-		t.Fatalf("stats after hugepage faults: %+v", s)
-	}
-}
-
 // TestInjectedReserveFailure pins that Ensure surfaces a reserve fault
 // without growing the region, and that New propagates it.
 func TestInjectedReserveFailure(t *testing.T) {

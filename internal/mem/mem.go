@@ -3,13 +3,12 @@
 // the operating system actually accounts for.
 //
 // The source paper's buddy system manages *offsets* — its benchmarks
-// never touch the allocated payload — and until now the repository kept
-// that discipline even in "materialized" deployments: internal/arena
-// backed the offset span with one fixed make([]byte), so a region's
-// resident footprint was decided once, at construction, forever. That
-// breaks the elastic story of PR 4: the manager retires instances, but
-// not a single page goes back to the OS, so a diurnal workload's peak
-// RSS is permanent.
+// never touch the allocated payload. A Region is the one provider of the
+// bytes behind them: the multi router binds it (one window per slot), the
+// elastic lifecycle commits and decommits its windows, and the stack's
+// byte views (stack.Stack.Bytes) read it. A fixed make([]byte) would
+// decide a region's resident footprint once, at construction; a Region
+// lets a retired instance give its pages back to the OS.
 //
 // A Region is a set of equally sized windows — one per back-end instance
 // slot — each with an independent reserve → commit → decommit → recommit
@@ -25,7 +24,7 @@
 //	recommit  commit after a decommit; the window comes back zero-filled.
 //
 // The platform split lives behind build-tagged hooks (osReserve /
-// osProtectRW / osAdviseHuge / osTouch / osDecommit / osRelease): Linux
+// osProtectRW / osTouch / osDecommit / osRelease): Linux
 // uses mmap + mprotect + madvise; every other platform falls back to one
 // heap []byte per window with commit/decommit as pure bookkeeping, so
 // the package — and every stack built over it — compiles and behaves
@@ -52,13 +51,6 @@ import (
 	"repro/internal/fault"
 )
 
-// HugePageSize is the transparent-huge-page extent MADV_HUGEPAGE can
-// coalesce on Linux/amd64. Windows are only hugepage-advised when their
-// size is a multiple of it, and the reservation is over-allocated so the
-// window starts on a HugePageSize boundary — THP only materializes on
-// aligned 2MiB extents, so an unaligned advise would silently do nothing.
-const HugePageSize = 2 << 20
-
 // Stats is the region's commit accounting; all counters are lifetime
 // totals except the byte gauges. Reads are consistent snapshots.
 type Stats struct {
@@ -74,10 +66,6 @@ type Stats struct {
 	// Recommits counts the subset of Commits that revived a previously
 	// decommitted window — the elastic grow-into-a-hole path.
 	Recommits uint64
-	// HugeFallbacks counts commits whose hugepage advise failed and fell
-	// back to base 4KiB pages — the first rung of the degradation ladder:
-	// the commit still succeeds, only the large-TLB win is lost.
-	HugeFallbacks uint64
 	// ReserveFails, CommitFails and DecommitFails count lifecycle
 	// transitions that returned an error to the caller (environmental or
 	// injected). A failed transition leaves the window in its prior state.
@@ -88,10 +76,8 @@ type Stats struct {
 
 // window is one lifecycle unit of the region.
 type window struct {
-	// raw is the whole OS mapping (the munmap token); buf is the aligned
-	// WindowSize view handed to callers. They differ only when hugepage
-	// alignment padded the reservation.
-	raw []byte
+	// buf is the WindowSize OS mapping: the view handed to callers and
+	// the munmap token.
 	buf []byte
 	// committed is the lifecycle state; decommitted remembers that the
 	// window went through a decommit, so the next commit counts as a
@@ -104,30 +90,23 @@ type window struct {
 // commit/decommit lifecycles. All methods are safe for concurrent use.
 type Region struct {
 	winSize uint64
-	huge    bool
 	inj     *fault.Injector
 
 	mu   sync.Mutex
 	wins []*window
 
-	commits, decommits, recommits                      uint64
-	hugeFallbacks, reserveFails, commitFails, decFails uint64
+	commits, decommits, recommits       uint64
+	reserveFails, commitFails, decFails uint64
 
 	// sink, when non-nil, receives one call per degradation-ladder rung
-	// taken (huge-fallback, commit-fail, reserve-fail, decommit-fail) for
-	// the telemetry flight recorder. Invoked with mu
-	// held, so events order like the transitions they describe.
+	// taken (commit-fail, reserve-fail, decommit-fail) for the telemetry
+	// flight recorder. Invoked with mu held, so events order like the
+	// transitions they describe.
 	sink func(event string, a, b uint64)
 }
 
 // Option tunes a Region.
 type Option func(*Region)
-
-// WithHugePages requests MADV_HUGEPAGE on commit. It only takes effect
-// when the window size is a multiple of HugePageSize (the alignment rule
-// documented on HugePageSize); smaller windows silently stay on base
-// pages. No-op on non-Linux platforms.
-func WithHugePages() Option { return func(r *Region) { r.huge = true } }
 
 // WithFaultInjector routes every lifecycle syscall through the given
 // injector (nil is valid and injects nothing). The check runs before the
@@ -165,9 +144,9 @@ func New(windowSize uint64, windows int, opts ...Option) (*Region, error) {
 }
 
 // SetEventSink installs the flight-recorder publish hook for the
-// degradation ladder: every counted rung (hugepage fallback, failed
-// reserve/commit/decommit) is published with the window
-// index as operand a. Install during stack construction; nil uninstalls.
+// degradation ladder: every counted rung (failed reserve/commit/decommit)
+// is published with the window index as operand a. Install during stack
+// construction; nil uninstalls.
 func (r *Region) SetEventSink(fn func(event string, a, b uint64)) {
 	r.mu.Lock()
 	r.sink = fn
@@ -195,34 +174,30 @@ func (r *Region) Windows() int {
 	return len(r.wins)
 }
 
-// HugePages reports whether commits advise transparent huge pages (only
-// meaningful when the window size meets the HugePageSize alignment rule).
-func (r *Region) HugePages() bool { return r.huge && r.winSize%HugePageSize == 0 }
-
 // Ensure reserves windows until the region holds at least n of them.
 // Existing windows and their lifecycle states are untouched.
 func (r *Region) Ensure(n int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for len(r.wins) < n {
-		raw, buf, err := r.osReserveChecked()
+		buf, err := r.osReserveChecked()
 		if err != nil {
 			r.reserveFails++
 			r.emit("reserve-fail", uint64(len(r.wins)))
 			return fmt.Errorf("mem: reserving window %d (%d bytes): %w", len(r.wins), r.winSize, err)
 		}
-		r.wins = append(r.wins, &window{raw: raw, buf: buf})
+		r.wins = append(r.wins, &window{buf: buf})
 	}
 	return nil
 }
 
 // osReserveChecked runs the reserve fault check and then the platform
 // reserve. Called with mu held.
-func (r *Region) osReserveChecked() (raw, buf []byte, err error) {
+func (r *Region) osReserveChecked() ([]byte, error) {
 	if err := r.inj.Check(fault.Reserve); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return osReserve(r.winSize, r.HugePages())
+	return osReserve(r.winSize)
 }
 
 // Injector returns the region's fault injector (nil when none was
@@ -255,19 +230,6 @@ func (r *Region) Commit(k int) error {
 		r.commitFails++
 		r.emit("commit-fail", uint64(k))
 		return fmt.Errorf("mem: committing window %d: %w", k, err)
-	}
-	if r.HugePages() {
-		// Degradation ladder, rung one: a failed hugepage advise (THP
-		// disabled, or injected) leaves the window on base 4KiB pages —
-		// counted, never fatal.
-		err := r.inj.Check(fault.Huge)
-		if err == nil {
-			err = osAdviseHuge(w.buf)
-		}
-		if err != nil {
-			r.hugeFallbacks++
-			r.emit("huge-fallback", uint64(k))
-		}
 	}
 	osTouch(w.buf)
 	w.committed = true
@@ -344,8 +306,8 @@ func (r *Region) Window(k int) []byte {
 	return w.buf
 }
 
-// Bytes returns the [off, off+size) view of committed window k, with the
-// same bounds discipline as arena.Bytes.
+// Bytes returns the [off, off+size) view of committed window k. A range
+// outside the window panics, like an uncommitted window does.
 func (r *Region) Bytes(k int, off, size uint64) []byte {
 	b := r.Window(k)
 	if off+size > r.winSize || off+size < off {
@@ -363,7 +325,6 @@ func (r *Region) Stats() Stats {
 		Commits:       r.commits,
 		Decommits:     r.decommits,
 		Recommits:     r.recommits,
-		HugeFallbacks: r.hugeFallbacks,
 		ReserveFails:  r.reserveFails,
 		CommitFails:   r.commitFails,
 		DecommitFails: r.decFails,
@@ -384,10 +345,10 @@ func (r *Region) Release() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, w := range r.wins {
-		if w.raw != nil {
-			osRelease(w.raw)
+		if w.buf != nil {
+			osRelease(w.buf)
 		}
-		w.raw, w.buf = nil, nil
+		w.buf = nil
 		w.committed = false
 	}
 	r.wins = nil

@@ -11,16 +11,10 @@ const osMapped = false
 // osReserve allocates the window's backing slice up front. Go zero-fills
 // it and the OS pages it in lazily, which is as close to "reserved" as a
 // portable allocation gets.
-func osReserve(winSize uint64, huge bool) (raw, buf []byte, err error) {
-	b := make([]byte, winSize)
-	return b, b, nil
-}
+func osReserve(winSize uint64) ([]byte, error) { return make([]byte, winSize), nil }
 
 // osProtectRW is bookkeeping: the slice already exists and is writable.
 func osProtectRW(buf []byte) error { return nil }
-
-// osAdviseHuge is bookkeeping; the fallback has no THP to advise.
-func osAdviseHuge(buf []byte) error { return nil }
 
 // osTouch is bookkeeping: Go already zero-filled the slice.
 func osTouch(buf []byte) {}
@@ -35,4 +29,4 @@ func osDecommit(buf []byte) error {
 }
 
 // osRelease lets the GC take the slice.
-func osRelease(raw []byte) {}
+func osRelease(buf []byte) {}

@@ -2,10 +2,7 @@
 
 package mem
 
-import (
-	"syscall"
-	"unsafe"
-)
+import "syscall"
 
 // osMapped: this platform really maps and unmaps pages; decommit returns
 // RSS to the OS.
@@ -13,30 +10,11 @@ const osMapped = true
 
 // osReserve maps winSize bytes of inaccessible address space. PROT_NONE +
 // MAP_NORESERVE means the reservation costs neither RSS nor commit
-// charge; any touch before Commit faults. When hugepage alignment is
-// requested the mapping is padded by one huge-page extent and the
-// returned view starts on a HugePageSize boundary (see HugePageSize).
-func osReserve(winSize uint64, huge bool) (raw, buf []byte, err error) {
-	size := winSize
-	if huge {
-		size += HugePageSize
-	}
-	raw, err = syscall.Mmap(-1, 0, int(size),
+// charge; any touch before Commit faults.
+func osReserve(winSize uint64) ([]byte, error) {
+	return syscall.Mmap(-1, 0, int(winSize),
 		syscall.PROT_NONE,
 		syscall.MAP_PRIVATE|syscall.MAP_ANONYMOUS|syscall.MAP_NORESERVE)
-	if err != nil {
-		return nil, nil, err
-	}
-	buf = raw
-	if huge {
-		base := uintptr(unsafe.Pointer(&raw[0]))
-		pad := uint64(0)
-		if rem := uint64(base) % HugePageSize; rem != 0 {
-			pad = HugePageSize - rem
-		}
-		buf = raw[pad : pad+winSize : pad+winSize]
-	}
-	return raw, buf, nil
 }
 
 // osProtectRW opens the window for access. Nothing else has happened
@@ -46,17 +24,9 @@ func osProtectRW(buf []byte) error {
 	return syscall.Mprotect(buf, syscall.PROT_READ|syscall.PROT_WRITE)
 }
 
-// osAdviseHuge requests THP coalescing. A failure (kernel built without
-// THP, or an injected fault) is the first rung of the degradation
-// ladder: the caller counts it and the window stays on base 4KiB pages.
-func osAdviseHuge(buf []byte) error {
-	return syscall.Madvise(buf, syscall.MADV_HUGEPAGE)
-}
-
 // osTouch faults one byte per page so the pages are resident when the
 // commit returns — committed bytes are meant to reconcile with RSS, not
-// with a lazy first-fault promise. Runs after the hugepage advise so
-// the first faults can materialize 2MiB extents.
+// with a lazy first-fault promise.
 func osTouch(buf []byte) {
 	step := syscall.Getpagesize()
 	for i := 0; i < len(buf); i += step {
@@ -74,5 +44,5 @@ func osDecommit(buf []byte) error {
 	return syscall.Mprotect(buf, syscall.PROT_NONE)
 }
 
-// osRelease unmaps the whole original reservation.
-func osRelease(raw []byte) { _ = syscall.Munmap(raw) }
+// osRelease unmaps the reservation.
+func osRelease(buf []byte) { _ = syscall.Munmap(buf) }

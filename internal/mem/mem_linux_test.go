@@ -8,7 +8,6 @@ import (
 	"strings"
 	"syscall"
 	"testing"
-	"unsafe"
 )
 
 // rss returns the process resident set in bytes via /proc/self/statm
@@ -56,35 +55,5 @@ func TestMappedRSSLifecycle(t *testing.T) {
 	atDecommit := rss(t)
 	if atDecommit > atCommit-win/2 {
 		t.Fatalf("decommit did not return RSS: committed=%d decommitted=%d (want <= -%d)", atCommit, atDecommit, win/2)
-	}
-}
-
-// TestHugePageAlignment checks the alignment rule: a hugepage-advised
-// window starts on a HugePageSize boundary, and windows that are not a
-// multiple of the extent never request the advice.
-func TestHugePageAlignment(t *testing.T) {
-	r, err := New(HugePageSize, 1, WithHugePages())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Release()
-	if !r.HugePages() {
-		t.Fatal("2MiB-multiple window with WithHugePages must be hugepage-eligible")
-	}
-	if err := r.Commit(0); err != nil {
-		t.Fatal(err)
-	}
-	w := r.Window(0)
-	if addr := uintptr(unsafe.Pointer(&w[0])); addr%HugePageSize != 0 {
-		t.Fatalf("hugepage window not 2MiB-aligned: %#x", addr)
-	}
-
-	small, err := New(1<<16, 1, WithHugePages())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer small.Release()
-	if small.HugePages() {
-		t.Fatal("64KiB window must not be hugepage-eligible (alignment rule)")
 	}
 }

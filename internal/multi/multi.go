@@ -9,8 +9,9 @@
 // exactly the paper's point — multi-instance data separation and
 // non-blocking single-instance management compose. It is a full citizen
 // of the composable layer contract (alloc.ChunkSizer, alloc.Spanner,
-// alloc.LayerStatser, alloc.Scrubber), so caching front-ends and
-// materialized arenas stack over it transparently.
+// alloc.LayerStatser, alloc.Scrubber), so caching front-ends and the
+// slab stack over it transparently, and its bound mapped region (mem) is
+// what puts bytes behind the offsets.
 //
 // The instance set is no longer fixed at construction: the router keeps a
 // copy-on-write slot table behind an atomic pointer, so an elastic
@@ -188,9 +189,6 @@ func (m *Multi) buildSlot() (*slot, error) {
 // it at construction); chunks delivered before tracking was enabled would
 // be invisible to the counters and break the retirement argument.
 func (m *Multi) EnableLiveTracking() { m.trackLive = true }
-
-// LiveTracking reports whether per-slot live accounting is enabled.
-func (m *Multi) LiveTracking() bool { return m.trackLive }
 
 // BindMemory attaches a mapped region as the router's memory backing:
 // slot k's offset window [k*Total, (k+1)*Total) is backed by region
@@ -468,9 +466,6 @@ func (m *Multi) LayerStats() []alloc.LayerStats {
 		entry.Extra["mem_committed"] = ms.CommittedBytes
 		entry.Extra["mem_decommits"] = ms.Decommits
 		entry.Extra["mem_recommits"] = ms.Recommits
-		if ms.HugeFallbacks > 0 {
-			entry.Extra["mem_commit_fallbacks"] = ms.HugeFallbacks
-		}
 		if n := ms.ReserveFails + ms.CommitFails + ms.DecommitFails; n > 0 {
 			entry.Extra["mem_lifecycle_failures"] = n
 		}

@@ -23,7 +23,8 @@ func instancesFor(want int, total, maxSize uint64) int {
 
 // specBuilder adapts a Spec template to the conformance suite: the
 // suite's (total, minSize, maxSize) describes the GLOBAL offset space,
-// which multi specs split over their instances.
+// which multi specs split over their instances. A Mapped template keeps
+// the router even at one instance (the mapped region binds to it).
 func specBuilder(template stack.Spec, wantInstances int) alloctest.Builder {
 	return func(t *testing.T, total, minSize, maxSize uint64) alloc.Allocator {
 		t.Helper()
@@ -32,9 +33,12 @@ func specBuilder(template stack.Spec, wantInstances int) alloctest.Builder {
 		if wantInstances > 1 {
 			n = instancesFor(wantInstances, total, maxSize)
 		}
-		if n > 1 {
+		switch {
+		case n > 1:
 			s.Instances = n
-		} else {
+		case s.Mapped:
+			s.Instances = 1
+		default:
 			s.Instances = 0
 		}
 		s.Per = alloc.Config{Total: total / uint64(n), MinSize: minSize, MaxSize: maxSize}
@@ -57,23 +61,23 @@ func TestConformanceCachedMulti(t *testing.T) {
 	}, 4))
 }
 
-// TestConformanceMultiMaterialized runs the suite over a materialized
-// 4-instance router — the composition nbbs.NewMulti used to reject.
+// TestConformanceMultiMaterialized runs the suite over a 4-instance
+// router whose windows are backed by mapped memory.
 func TestConformanceMultiMaterialized(t *testing.T) {
 	alloctest.RunBuilder(t, specBuilder(stack.Spec{
-		Variant:     "4lvl-nb",
-		Materialize: true,
+		Variant: "4lvl-nb",
+		Mapped:  true,
 	}, 4))
 }
 
 // TestConformanceFullStack runs the suite over the complete production
 // composition of the acceptance criteria: caching front-end + 4-instance
-// router + materialized region.
+// router + mapped region.
 func TestConformanceFullStack(t *testing.T) {
 	alloctest.RunBuilder(t, specBuilder(stack.Spec{
 		Variant: "4lvl-nb",
 		Depot:   true, Magazine: 8,
-		Materialize: true,
+		Mapped: true,
 	}, 4))
 }
 

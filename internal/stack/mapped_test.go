@@ -9,39 +9,27 @@ import (
 )
 
 // TestMappedSpecValidation pins the composition rules: mapped backing
-// lives at the router (Instances >= 1), and the elastic+materialize
-// combination — rejected since PR 4 — is admitted exactly when Mapped
-// lets the arena borrow the router's lifecycle-following region.
+// lives at the router (Instances >= 1), and composes with the elastic
+// manager.
 func TestMappedSpecValidation(t *testing.T) {
 	if _, err := stack.Build(stack.Spec{Variant: "4lvl-nb", Per: per, Mapped: true}); err == nil {
 		t.Fatal("Mapped without the multi router must be rejected")
 	}
-	if _, err := stack.Build(stack.Spec{
-		Variant: "4lvl-nb", Per: per, Instances: 2,
-		Elastic:     &elastic.Config{},
-		Materialize: true,
-	}); err == nil {
-		t.Fatal("Elastic+Materialize without Mapped must still be rejected")
-	}
 	st, err := stack.Build(stack.Spec{
 		Variant: "4lvl-nb", Per: per, Instances: 2,
-		Elastic:     &elastic.Config{},
-		Mapped:      true,
-		Materialize: true,
+		Elastic: &elastic.Config{},
+		Mapped:  true,
 	})
 	if err != nil {
-		t.Fatalf("Elastic+Mapped+Materialize must build: %v", err)
+		t.Fatalf("Elastic+Mapped must build: %v", err)
 	}
 	if st.Mem == nil {
 		t.Fatal("mapped stack carries no region")
 	}
-	if st.Arena.Region() != st.Mem {
-		t.Fatal("the arena must borrow the router's region, not allocate its own")
-	}
 }
 
-// TestMappedElasticMaterializedBytes drives the full new composition:
-// byte windows over an elastic fleet whose backing follows the
+// TestMappedElasticMaterializedBytes drives the full composition: byte
+// windows over an elastic fleet whose backing follows the
 // commit/decommit lifecycle. Chunks written at the peak survive the
 // drain of *other* instances, a retired window decommits, and a
 // re-growth recommits it with zeroed, usable bytes.
@@ -49,14 +37,14 @@ func TestMappedElasticMaterializedBytes(t *testing.T) {
 	st, err := stack.Build(stack.Spec{
 		Variant: "4lvl-nb", Per: per, Instances: 2,
 		Elastic: &elastic.Config{MinInstances: 1, MaxInstances: 2, Hysteresis: 1},
-		Mapped:  true, Materialize: true,
+		Mapped:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mgr := st.Elastic
 
-	// Write through a materialized window on each instance.
+	// Write through a mapped window on each instance.
 	offs := map[int]uint64{}
 	for k := 0; k < 2; k++ {
 		h := st.Multi.NewHandleOn(k)
@@ -65,7 +53,7 @@ func TestMappedElasticMaterializedBytes(t *testing.T) {
 			t.Fatalf("alloc on instance %d failed", k)
 		}
 		offs[k] = off
-		buf := st.Arena.Bytes(off)
+		buf := st.Bytes(off)
 		for i := range buf {
 			buf[i] = byte(0xA0 + k)
 		}
@@ -84,7 +72,7 @@ func TestMappedElasticMaterializedBytes(t *testing.T) {
 	if st.Mem.Committed(1) {
 		t.Fatal("retired slot 1's window is still committed")
 	}
-	if buf := st.Arena.Bytes(offs[0]); buf[0] != 0xA0 || buf[len(buf)-1] != 0xA0 {
+	if buf := st.Bytes(offs[0]); buf[0] != 0xA0 || buf[len(buf)-1] != 0xA0 {
 		t.Fatal("surviving instance's bytes were disturbed by the retirement")
 	}
 
@@ -95,7 +83,7 @@ func TestMappedElasticMaterializedBytes(t *testing.T) {
 				t.Error("Bytes on a retired window did not panic")
 			}
 		}()
-		st.Arena.Bytes(offs[1])
+		st.Bytes(offs[1])
 	}()
 
 	// Re-grow into the hole: the window recommits zeroed and serves bytes
@@ -115,7 +103,7 @@ func TestMappedElasticMaterializedBytes(t *testing.T) {
 	if !ok {
 		t.Fatal("alloc on the regrown instance failed")
 	}
-	buf := st.Arena.Bytes(off)
+	buf := st.Bytes(off)
 	for _, b := range buf {
 		if b != 0 {
 			t.Fatal("recommitted window handed out non-zero bytes")

@@ -2,9 +2,9 @@
 // leaf wrapped by any combination of the composable layers — the
 // multi-instance router (internal/multi) with its optional mapped
 // backing (internal/mem), the elastic capacity manager
-// (internal/elastic), the caching front-end (internal/frontend), the
-// size-class slab (internal/slab) and the materialized arena
-// (internal/arena).
+// (internal/elastic), the caching front-end (internal/frontend) and the
+// size-class slab (internal/slab). Byte views of live chunks come from the
+// router's mapped region (Stack.Bytes).
 //
 // Every layer implements the full composable contract (alloc.Allocator +
 // alloc.ChunkSizer, forwarding alloc.Spanner, alloc.Scrubber and
@@ -12,7 +12,7 @@
 // canonical production order the paper's conclusions call for:
 //
 //	leaf variant(s) -> multi router -> elastic manager
-//	                -> caching front-end -> slab -> arena
+//	                -> caching front-end -> slab
 //
 // A Spec is the one description of a stack: nbbs.New maps its Config
 // onto one, and the registry composites ("slab+depot+multi4+4lvl-nb",
@@ -31,7 +31,6 @@ import (
 	"strings"
 
 	"repro/internal/alloc"
-	"repro/internal/arena"
 	"repro/internal/elastic"
 	"repro/internal/fault"
 	"repro/internal/frontend"
@@ -58,8 +57,7 @@ type Spec struct {
 	// Elastic, when non-nil, wraps the router with the capacity manager:
 	// the instance set grows and shrinks at runtime under the given
 	// watermark policy (Instances is the initial set). Requires
-	// Instances >= 1 and excludes Materialize (a materialized region
-	// cannot follow a growing offset span).
+	// Instances >= 1.
 	Elastic *elastic.Config
 	// Depot inserts the caching front-end: per-worker magazines whose
 	// full and empty magazines are exchanged with a per-size-class depot
@@ -77,23 +75,14 @@ type Spec struct {
 	// slab.DefaultCutoff, clamped to the geometry).
 	Slab       bool
 	SlabCutoff uint64
-	// Materialize wraps the stack in a real-memory arena sized to the
-	// global offset span (per-instance sub-arenas over a multi router).
-	// Over a Mapped stack the arena borrows the router's region instead of
-	// allocating its own — which is also what permits the formerly
-	// rejected Elastic+Materialize composition: the byte windows follow
-	// the router's commit/decommit lifecycle as the table grows.
-	Materialize bool
 	// Mapped backs each instance's offset window with platform mapped
 	// memory bound to the multi router (requires Instances >= 1): windows
 	// are committed while their slot is published and decommitted when it
 	// retires, so an elastic shrink returns RSS to the OS (internal/mem;
 	// on non-Linux platforms the portable fallback keeps the lifecycle
-	// bookkeeping without the RSS effect).
+	// bookkeeping without the RSS effect). It is also what puts bytes
+	// behind the offsets: Stack.Bytes views the region.
 	Mapped bool
-	// HugePages requests MADV_HUGEPAGE for mapped windows; it only takes
-	// effect when the per-instance span is a multiple of mem.HugePageSize.
-	HugePages bool
 	// Faults routes the mapped region's lifecycle syscalls through a
 	// fault injector (requires Mapped; nil injects nothing). Tests and
 	// the chaos harness schedule failures on it after the build — the
@@ -109,12 +98,12 @@ type Spec struct {
 
 // Stack is a built layer stack. Top serves the composed contract; the
 // typed layer pointers are nil for layers the spec did not request and
-// exist for per-layer introspection (stats, flushes, byte windows).
+// exist for per-layer introspection (stats, flushes, commit maps).
 type Stack struct {
 	// Top is the outermost layer; use it as the allocator.
 	Top alloc.Allocator
 	// Backend is the leaf allocator or the multi router over the leaves —
-	// the stack below any caching/materializing layers.
+	// the stack below any caching layers.
 	Backend alloc.Allocator
 	// Multi is the router layer (nil for single-instance stacks).
 	Multi *multi.Multi
@@ -124,8 +113,6 @@ type Stack struct {
 	Frontend *frontend.Allocator
 	// Slab is the size-class layer (nil when not Spec.Slab).
 	Slab *slab.Allocator
-	// Arena is the materialized-region layer (nil when not Materialize).
-	Arena *arena.Allocator
 	// Mem is the mapped backing region (nil when not Mapped).
 	Mem *mem.Region
 	// Telemetry is the registry the probes and sinks feed (nil when
@@ -163,12 +150,9 @@ func Build(s Spec) (*Stack, error) {
 		if s.Instances < 1 {
 			return nil, fmt.Errorf("stack: elastic requires the multi router (Instances >= 1)")
 		}
-		if s.Materialize && !s.Mapped {
-			return nil, fmt.Errorf("stack: elastic stacks can only materialize over mapped memory (Mapped), so the byte windows follow the growing instance table")
-		}
 	}
 	if s.Mapped && s.Instances < 1 {
-		return nil, fmt.Errorf("stack: mapped memory requires the multi router (Instances >= 1); a fixed single-instance stack wants Materialize")
+		return nil, fmt.Errorf("stack: mapped memory requires the multi router (Instances >= 1)")
 	}
 	if s.Faults != nil && !s.Mapped {
 		return nil, fmt.Errorf("stack: fault injection requires mapped memory (Mapped) — the injector shims the region's lifecycle syscalls")
@@ -179,14 +163,7 @@ func Build(s Spec) (*Stack, error) {
 			return nil, err
 		}
 		if s.Mapped {
-			var opts []mem.Option
-			if s.HugePages {
-				opts = append(opts, mem.WithHugePages())
-			}
-			if s.Faults != nil {
-				opts = append(opts, mem.WithFaultInjector(s.Faults))
-			}
-			r, err := mem.New(m.InstanceSpan(), m.Slots(), opts...)
+			r, err := mem.New(m.InstanceSpan(), m.Slots(), mem.WithFaultInjector(s.Faults))
 			if err != nil {
 				return nil, fmt.Errorf("stack: reserving mapped backing: %w", err)
 			}
@@ -278,14 +255,6 @@ func Build(s Spec) (*Stack, error) {
 			return nil, err
 		}
 	}
-	if s.Materialize {
-		ar, err := arena.Materialize(st.Top)
-		if err != nil {
-			return nil, err
-		}
-		st.Arena = ar
-		st.Top = ar
-	}
 	if s.Telemetry != nil {
 		// Flight-recorder wiring: every lifecycle-emitting layer publishes
 		// into the registry's ring under its own source label. Installed
@@ -322,6 +291,21 @@ func (st *Stack) Scrub() bool {
 		s.Scrub()
 	}
 	return st.scrubbable
+}
+
+// Bytes returns the byte view of the live chunk at a global offset: the
+// mapped region's window off / WindowSize (the router slot that owns the
+// offset), sliced to the chunk size the top layer reports. The view is
+// valid until the chunk is freed, and only while the stack stays reachable
+// (see mem.Region.Window). It panics on a stack built without Mapped, on
+// an offset outside the span and on a retired slot's window.
+func (st *Stack) Bytes(off uint64) []byte {
+	if st.Mem == nil {
+		panic("stack: Bytes on a stack without mapped memory")
+	}
+	ws := st.Mem.WindowSize()
+	k := off / ws
+	return st.Mem.Bytes(int(k), off-k*ws, st.Top.(alloc.ChunkSizer).ChunkSize(off))
 }
 
 // LayerStats returns the stack's per-layer counters, top-down.

@@ -94,9 +94,9 @@ func TestStatsReconcile(t *testing.T) {
 func TestSpanThroughLayers(t *testing.T) {
 	st, err := stack.Build(stack.Spec{
 		Variant: "4lvl-nb", Per: per,
-		Instances:   4,
-		Depot:       true,
-		Materialize: true,
+		Instances: 4,
+		Depot:     true,
+		Mapped:    true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -105,11 +105,11 @@ func TestSpanThroughLayers(t *testing.T) {
 	if got := alloc.SpanOf(st.Top); got != want {
 		t.Fatalf("SpanOf(top) = %d, want %d", got, want)
 	}
-	if st.Top.Name() != "mat+depot+multi[4x 4lvl-nb]" {
+	if st.Top.Name() != "depot+mapped+multi[4x 4lvl-nb]" {
 		t.Fatalf("Name = %q", st.Top.Name())
 	}
-	if len(st.LayerStats()) != 4 {
-		t.Fatalf("LayerStats entries = %d, want 4", len(st.LayerStats()))
+	if len(st.LayerStats()) != 3 {
+		t.Fatalf("LayerStats entries = %d, want 3", len(st.LayerStats()))
 	}
 }
 

@@ -129,9 +129,6 @@ func Wrap(inner alloc.Allocator) (*Allocator, error) {
 // Checker exposes the attached checker.
 func (a *Allocator) Checker() *Checker { return a.chk }
 
-// Inner exposes the wrapped allocator.
-func (a *Allocator) Inner() alloc.Allocator { return a.inner }
-
 // Name labels the wrapped allocator.
 func (a *Allocator) Name() string { return "verified+" + a.inner.Name() }
 

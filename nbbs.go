@@ -26,16 +26,16 @@
 // be wrapped by any combination of composable layers, all described by
 // the one Config — Backing.Instances adds the multi-instance
 // (NUMA-style) router, Frontend.Depot adds per-worker caching
-// magazines with their shared depot, and Backing.Materialize backs the
-// offset space with real bytes so AllocBytes can hand out slices. The
-// layers compose freely, including the full production deployment the
-// paper's conclusions describe:
+// magazines with their shared depot, and Backing.Mapped backs the
+// router's offset windows with real bytes so AllocBytes can hand out
+// slices. The layers compose freely, including the full production
+// deployment the paper's conclusions describe:
 //
 //	b, err := nbbs.New(nbbs.Config{
 //	    Total: 1 << 24, MinSize: 64, MaxSize: 1 << 18,
 //	    Backing: nbbs.BackingConfig{
-//	        Instances:   4,    // one back-end per NUMA node
-//	        Materialize: true, // real memory behind the offsets
+//	        Instances: 4,    // one back-end per NUMA node
+//	        Mapped:    true, // real memory behind the offsets
 //	    },
 //	    Frontend: nbbs.FrontendConfig{Depot: true}, // per-worker magazines + depot
 //	})
@@ -107,9 +107,11 @@ func Variants() []string { return alloc.Names() }
 // watermark rule as the manager's only grow/shrink decision; version 6
 // drops FrontendConfig's Cached, Magazine and DepotCapacity, leaving
 // Depot as the one switch for the caching front-end at its default
-// sizes. The constant exists so embedders that persist configurations
+// sizes; version 7 drops BackingConfig's huge-page and materialize
+// switches, leaving Mapped as the one way to put bytes behind the
+// offsets. The constant exists so embedders that persist configurations
 // can tag which schema they wrote.
-const ConfigVersion = 6
+const ConfigVersion = 7
 
 // RoutingPolicy selects how multi-instance handles bind to back-ends:
 // RoutingRoundRobin spreads handles across instances in creation order,
@@ -124,7 +126,7 @@ const (
 )
 
 // BackingConfig describes what sits under the leaf allocators: how many
-// instances, how their handles route, and what memory (if any) backs the
+// instances, how their handles route, and whether memory backs the
 // offset space. The zero value is a single instance with no real memory
 // behind it — the paper's pure back-end.
 type BackingConfig struct {
@@ -145,19 +147,11 @@ type BackingConfig struct {
 	// bookkeeping fallback with identical lifecycle semantics and no RSS
 	// effect. Commit accounting surfaces in LayerStats as mem_reserved /
 	// mem_committed / mem_decommits / mem_recommits, and in MemStats.
+	// The windows are also the bytes AllocBytes/Bytes hand out, so a byte
+	// view follows the commit map.
 	Mapped bool
-	// HugePages requests MADV_HUGEPAGE for mapped windows (Linux only;
-	// effective when the per-instance Total is a multiple of 2MiB — see
-	// internal/mem's alignment rule). Only meaningful with Mapped.
-	HugePages bool
-	// Materialize backs the managed region with real memory so
-	// AllocBytes/Bytes hand out slices. Over multiple instances the arena
-	// keeps one sub-region per instance behind the global offset space;
-	// over Mapped it borrows the router's windows, so Bytes follows the
-	// commit map (the only way an elastic stack can materialize).
-	Materialize bool
 	// Faults routes the mapped region's lifecycle syscalls
-	// (reserve/commit/hugepage-advise/decommit) through a
+	// (reserve/commit/decommit) through a
 	// deterministic fault injector — the testing hook behind the stack's
 	// graceful-degradation ladder (see DESIGN.md, "Failure semantics").
 	// Requires Mapped. Nil injects nothing.
@@ -234,9 +228,8 @@ type Config struct {
 	// unset): the instance set grows under allocation pressure (up to
 	// MaxInstances) and drains and retires idle instances (down to
 	// MinInstances) — the deployment for diurnal or bursty workloads that
-	// a fixed region either over-provisions or OOMs. Materializes only
-	// over Backing.Mapped (a private arena cannot follow a growing offset
-	// span). Drive the lifecycle with Buddy.Elastic().Poll()
+	// a fixed region either over-provisions or OOMs. Drive the lifecycle
+	// with Buddy.Elastic().Poll()
 	// (deterministic) or Buddy.Elastic().Start(interval) (background).
 	Elastic *ElasticConfig
 	// Frontend configures the layers above the router.
@@ -264,7 +257,7 @@ type Handle = alloc.Handle
 
 // Buddy is a buddy-system allocator stack: a leaf variant, optionally
 // wrapped by the multi-instance router, the elastic manager, the caching
-// front-end, the slab and the materialized arena.
+// front-end and the slab.
 type Buddy struct {
 	st *stack.Stack
 }
@@ -321,17 +314,15 @@ type TelemetryEvent = telemetry.Event
 // imply one routed instance when Backing.Instances is unset.
 func New(cfg Config) (*Buddy, error) {
 	s := stack.Spec{
-		Variant:     cfg.Variant,
-		Per:         alloc.Config{Total: cfg.Total, MinSize: cfg.MinSize, MaxSize: cfg.MaxSize},
-		Instances:   cfg.Backing.Instances,
-		Policy:      cfg.Backing.Routing,
-		Mapped:      cfg.Backing.Mapped,
-		HugePages:   cfg.Backing.HugePages,
-		Materialize: cfg.Backing.Materialize,
-		Faults:      cfg.Backing.Faults,
-		Depot:       cfg.Frontend.Depot,
-		Slab:        cfg.Frontend.Slab,
-		SlabCutoff:  cfg.Frontend.SlabCutoff,
+		Variant:    cfg.Variant,
+		Per:        alloc.Config{Total: cfg.Total, MinSize: cfg.MinSize, MaxSize: cfg.MaxSize},
+		Instances:  cfg.Backing.Instances,
+		Policy:     cfg.Backing.Routing,
+		Mapped:     cfg.Backing.Mapped,
+		Faults:     cfg.Backing.Faults,
+		Depot:      cfg.Frontend.Depot,
+		Slab:       cfg.Frontend.Slab,
+		SlabCutoff: cfg.Frontend.SlabCutoff,
 	}
 	if s.Variant == "" {
 		s.Variant = Variant4Lvl
@@ -440,28 +431,26 @@ func (b *Buddy) ChunkSize(offset uint64) uint64 {
 	return b.st.Top.(alloc.ChunkSizer).ChunkSize(offset)
 }
 
-// Materialized reports whether the region is backed by real memory.
-func (b *Buddy) Materialized() bool { return b.st.Arena != nil }
-
 // Bytes returns the memory window of a live allocation as a slice; the
-// instance must have been built with Backing.Materialize. The slice is valid
-// until the chunk is freed, and only while the Buddy stays reachable —
-// it views mapped memory that is unmapped when the stack is collected,
-// so hold the Buddy for as long as any of its byte windows.
-func (b *Buddy) Bytes(offset uint64) []byte {
-	if b.st.Arena == nil {
-		panic("nbbs: Bytes on a stack without Backing.Materialize")
-	}
-	return b.st.Arena.Bytes(offset)
-}
+// instance must have been built with Backing.Mapped, and the offset must
+// lie inside Total. The slice is valid until the chunk is freed, and only
+// while the Buddy stays reachable — it views mapped memory that is
+// unmapped when the stack is collected, so hold the Buddy for as long as
+// any of its byte windows.
+func (b *Buddy) Bytes(offset uint64) []byte { return b.st.Bytes(offset) }
 
 // AllocBytes combines Alloc and Bytes: it reserves at least size bytes and
-// returns the chunk's window. The returned offset is the Free token.
+// returns the chunk's window. The returned offset is the Free token. Like
+// Bytes it needs Backing.Mapped.
 func (b *Buddy) AllocBytes(size uint64) (buf []byte, offset uint64, ok bool) {
-	if b.st.Arena == nil {
-		panic("nbbs: AllocBytes on a stack without Backing.Materialize")
+	if b.st.Mem == nil {
+		panic("nbbs: AllocBytes on a stack without Backing.Mapped")
 	}
-	return b.st.Arena.AllocBytes(size)
+	off, ok := b.st.Top.Alloc(size)
+	if !ok {
+		return nil, 0, false
+	}
+	return b.st.Bytes(off), off, true
 }
 
 // Scrubber is implemented by the 1lvl/4lvl variants (both disciplines)
@@ -476,9 +465,9 @@ type Scrubber = alloc.Scrubber
 // scrubbing.
 func (b *Buddy) Scrub() bool { return b.st.Scrub() }
 
-// Backend exposes the allocator below the caching/materializing
-// layers — the leaf instance, or the multi-instance router — for
-// composition and back-end-level statistics.
+// Backend exposes the allocator below the caching layers — the leaf
+// instance, or the multi-instance router — for composition and
+// back-end-level statistics.
 func (b *Buddy) Backend() interface {
 	Name() string
 	Alloc(uint64) (uint64, bool)

@@ -94,12 +94,12 @@ func TestBadConfigRejected(t *testing.T) {
 }
 
 func TestMaterializedBytes(t *testing.T) {
-	b, err := nbbs.New(with(func(c *nbbs.Config) { c.Backing.Materialize = true }))
+	b, err := nbbs.New(with(func(c *nbbs.Config) { c.Backing.Mapped = true }))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !b.Materialized() {
-		t.Fatal("region not materialized")
+	if !b.Mapped() {
+		t.Fatal("region not mapped")
 	}
 	buf, off, ok := b.AllocBytes(100)
 	if !ok {
@@ -287,29 +287,22 @@ func TestElasticFacade(t *testing.T) {
 	if c := mgr.Counters(); c.Grows == 0 || c.Retires == 0 {
 		t.Fatalf("lifecycle counters: %+v", c)
 	}
-	// Elastic excludes materialized regions (the span grows at runtime).
-	if _, err := nbbs.New(with(func(c *nbbs.Config) {
-		c.Elastic = &nbbs.ElasticConfig{}
-		c.Backing.Materialize = true
-	})); err == nil {
-		t.Fatal("elastic+materialize accepted")
-	}
 }
 
-// TestMaterializedMulti exercises the formerly-rejected composition:
-// materialized regions over a multi-instance router.
+// TestMaterializedMulti exercises byte views over a multi-instance
+// router: one mapped window per instance behind the global offset space.
 func TestMaterializedMulti(t *testing.T) {
 	m, err := nbbs.New(with(func(c *nbbs.Config) {
-		c.Backing = nbbs.BackingConfig{Instances: 2, Materialize: true}
+		c.Backing = nbbs.BackingConfig{Instances: 2, Mapped: true}
 	}))
 	if err != nil {
-		t.Fatalf("materialized multi rejected: %v", err)
+		t.Fatalf("mapped multi rejected: %v", err)
 	}
-	if !m.Materialized() {
-		t.Fatal("not materialized")
+	if !m.Mapped() {
+		t.Fatal("not mapped")
 	}
 	// Pin a handle to instance 1 so the global offset exceeds the
-	// per-instance span, proving Bytes routes across sub-arenas.
+	// per-instance span, proving Bytes routes across windows.
 	h := m.Multi().NewHandleOn(1)
 	off, ok := h.Alloc(128)
 	if !ok {
@@ -325,23 +318,34 @@ func TestMaterializedMulti(t *testing.T) {
 	buf[0], buf[127] = 0xEE, 0xFF
 	again := m.Bytes(off)
 	if again[0] != 0xEE || again[127] != 0xFF {
-		t.Fatal("window does not alias the sub-arena")
+		t.Fatal("window does not alias the instance's window")
 	}
 	h.Free(off)
+	// An offset at or past the span has no window behind it.
+	for _, bad := range []uint64{m.Total(), m.Total() + 128} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Bytes(%#x) outside the %d-byte span did not panic", bad, m.Total())
+				}
+			}()
+			m.Bytes(bad)
+		}()
+	}
 }
 
 // TestComposedStackEndToEnd drives the full production composition the
 // paper's conclusions call for: caching front-end + 4-instance router +
-// materialized region, end to end through AllocBytes.
+// mapped region, end to end through AllocBytes.
 func TestComposedStackEndToEnd(t *testing.T) {
 	b, err := nbbs.New(with(func(c *nbbs.Config) {
-		c.Backing = nbbs.BackingConfig{Instances: 4, Materialize: true}
+		c.Backing = nbbs.BackingConfig{Instances: 4, Mapped: true}
 		c.Frontend = nbbs.FrontendConfig{Depot: true}
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Name() != "mat+depot+multi[4x 4lvl-nb]" {
+	if b.Name() != "depot+mapped+multi[4x 4lvl-nb]" {
 		t.Fatalf("Name = %q", b.Name())
 	}
 	if b.Total() != 4*cfg.Total {
@@ -356,7 +360,7 @@ func TestComposedStackEndToEnd(t *testing.T) {
 	}
 	buf[0] = 0xAB
 	if b.Bytes(off)[0] != 0xAB {
-		t.Fatal("window does not alias the arena")
+		t.Fatal("window does not alias the mapped region")
 	}
 	b.Free(off)
 
@@ -380,22 +384,22 @@ func TestComposedStackEndToEnd(t *testing.T) {
 		t.Fatal("non-blocking leaves should scrub")
 	}
 	layers := b.LayerStats()
-	if len(layers) != 4 { // mat, depot, multi, leaf fleet
-		t.Fatalf("LayerStats = %d entries, want 4", len(layers))
+	if len(layers) != 3 { // depot, multi, leaf fleet
+		t.Fatalf("LayerStats = %d entries, want 3", len(layers))
 	}
-	if layers[0].Layer != "mat" || layers[1].Layer != "depot" {
-		t.Fatalf("layer order = %q, %q", layers[0].Layer, layers[1].Layer)
+	if layers[0].Layer != "depot" {
+		t.Fatalf("top layer = %q", layers[0].Layer)
 	}
-	front := layers[1].Stats
+	front := layers[0].Stats
 	if front.Allocs == 0 || front.Allocs != front.Frees {
 		t.Fatalf("front-end layer stats = %d allocs / %d frees", front.Allocs, front.Frees)
 	}
-	if layers[1].Extra["hits"] == 0 {
+	if layers[0].Extra["hits"] == 0 {
 		t.Fatal("magazines absorbed no traffic")
 	}
 	// After Scrub flushed the magazines and drained the depot, the
 	// back-end must balance too.
-	back := layers[3].Stats
+	back := layers[2].Stats
 	if back.Allocs != back.Frees {
 		t.Fatalf("back-end leaked: %d allocs vs %d frees", back.Allocs, back.Frees)
 	}
@@ -494,12 +498,12 @@ func TestConfigGeometry(t *testing.T) {
 }
 
 // TestMappedMemoryFacade drives the mapped backing through the public
-// API: Backing.Mapped + Elastic + Backing.Materialize builds
-// (the arena borrows the router's lifecycle-following region), the
-// commit accounting is exposed, and a retire visibly decommits.
+// API: Backing.Mapped + Elastic builds, byte views read the router's
+// lifecycle-following region, the commit accounting is exposed, and a
+// retire visibly decommits.
 func TestMappedMemoryFacade(t *testing.T) {
 	b, err := nbbs.New(with(func(c *nbbs.Config) {
-		c.Backing = nbbs.BackingConfig{Instances: 2, Mapped: true, Materialize: true}
+		c.Backing = nbbs.BackingConfig{Instances: 2, Mapped: true}
 		c.Elastic = &nbbs.ElasticConfig{MinInstances: 1, MaxInstances: 2, Hysteresis: 1}
 	}))
 	if err != nil {
@@ -512,7 +516,7 @@ func TestMappedMemoryFacade(t *testing.T) {
 	if !ok || ms.CommittedBytes != 2*cfg.Total {
 		t.Fatalf("MemStats = %+v/%v, want both windows committed", ms, ok)
 	}
-	// Materialized bytes work over the mapped region.
+	// Byte views work over the mapped region.
 	buf, off, ok := b.AllocBytes(256)
 	if !ok {
 		t.Fatal("AllocBytes failed")
