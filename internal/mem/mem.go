@@ -16,15 +16,17 @@
 //
 //	reserve   address space only (PROT_NONE, MAP_NORESERVE on Linux):
 //	          no RSS, no swap accounting; faults on touch.
-//	commit    make the window usable and resident (mprotect RW, then
-//	          touch one byte per page so the committed bytes really back
-//	          the window — commit is the moment RSS rises, not first use).
+//	commit    make the window usable and resident (mprotect RW, then one
+//	          madvise(MADV_POPULATE_WRITE), or a touch of one byte per
+//	          page on kernels without it, so the committed bytes really
+//	          back the window — commit is the moment RSS rises, not first
+//	          use).
 //	decommit  return the pages to the OS (MADV_DONTNEED) and fence the
 //	          window off again (PROT_NONE). RSS drops immediately.
 //	recommit  commit after a decommit; the window comes back zero-filled.
 //
 // The platform split lives behind build-tagged hooks (osReserve /
-// osProtectRW / osTouch / osDecommit / osRelease): Linux
+// osProtectRW / osPopulate / osDecommit / osRelease): Linux
 // uses mmap + mprotect + madvise; every other platform falls back to one
 // heap []byte per window with commit/decommit as pure bookkeeping, so
 // the package — and every stack built over it — compiles and behaves
@@ -231,7 +233,7 @@ func (r *Region) Commit(k int) error {
 		r.emit("commit-fail", uint64(k))
 		return fmt.Errorf("mem: committing window %d: %w", k, err)
 	}
-	osTouch(w.buf)
+	osPopulate(w.buf)
 	w.committed = true
 	r.commits++
 	if w.decommitted {

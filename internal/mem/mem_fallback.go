@@ -16,8 +16,8 @@ func osReserve(winSize uint64) ([]byte, error) { return make([]byte, winSize), n
 // osProtectRW is bookkeeping: the slice already exists and is writable.
 func osProtectRW(buf []byte) error { return nil }
 
-// osTouch is bookkeeping: Go already zero-filled the slice.
-func osTouch(buf []byte) {}
+// osPopulate is bookkeeping: Go already zero-filled the slice.
+func osPopulate(buf []byte) {}
 
 // osDecommit zero-fills the window so a later recommit observes the same
 // "fresh window is zero" invariant MADV_DONTNEED gives the Linux backend.

@@ -24,9 +24,26 @@ func osProtectRW(buf []byte) error {
 	return syscall.Mprotect(buf, syscall.PROT_READ|syscall.PROT_WRITE)
 }
 
-// osTouch faults one byte per page so the pages are resident when the
-// commit returns — committed bytes are meant to reconcile with RSS, not
-// with a lazy first-fault promise.
+// madvPopulateWrite is MADV_POPULATE_WRITE (Linux 5.14), which package
+// syscall does not export.
+const madvPopulateWrite = 23
+
+// osPopulate makes the window resident before the commit returns —
+// committed bytes are meant to reconcile with RSS, not with a lazy
+// first-fault promise. One madvise(MADV_POPULATE_WRITE) prefaults the
+// whole window writable; on any error (EINVAL before Linux 5.14) it falls
+// back to osTouch.
+func osPopulate(buf []byte) {
+	if osPrefault(buf) != nil {
+		osTouch(buf)
+	}
+}
+
+// osPrefault is the one-syscall commit path of osPopulate.
+func osPrefault(buf []byte) error { return syscall.Madvise(buf, madvPopulateWrite) }
+
+// osTouch is osPopulate's fallback: it faults one byte per page, one page
+// fault each.
 func osTouch(buf []byte) {
 	step := syscall.Getpagesize()
 	for i := 0; i < len(buf); i += step {

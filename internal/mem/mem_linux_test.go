@@ -27,7 +27,7 @@ func rss(t *testing.T) uint64 {
 }
 
 // TestMappedRSSLifecycle is the page-level ground truth of the package:
-// commit raises RSS by the window size (the touch loop makes residency
+// commit raises RSS by the window size (osPopulate makes residency
 // eager), decommit returns it. Margins are half the window to absorb
 // unrelated runtime traffic.
 func TestMappedRSSLifecycle(t *testing.T) {
@@ -55,5 +55,42 @@ func TestMappedRSSLifecycle(t *testing.T) {
 	atDecommit := rss(t)
 	if atDecommit > atCommit-win/2 {
 		t.Fatalf("decommit did not return RSS: committed=%d decommitted=%d (want <= -%d)", atCommit, atDecommit, win/2)
+	}
+}
+
+// TestMappedCommitPathsRaiseRSS pins both ways osPopulate makes a window
+// resident: the one-syscall MADV_POPULATE_WRITE path Commit takes on
+// current kernels, and the per-page touch loop it falls back to. Each
+// must raise RSS by the window on its own, so neither path can silently
+// degrade to a lazy commit while the other keeps TestMappedRSSLifecycle
+// green.
+func TestMappedCommitPathsRaiseRSS(t *testing.T) {
+	const win = 8 << 20
+	for _, tc := range []struct {
+		name string
+		fill func(t *testing.T, buf []byte)
+	}{
+		{"populate", func(t *testing.T, buf []byte) {
+			if err := osPrefault(buf); err != nil {
+				t.Skipf("kernel refuses MADV_POPULATE_WRITE: %v", err)
+			}
+		}},
+		{"touch", func(t *testing.T, buf []byte) { osTouch(buf) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			buf, err := osReserve(win)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer osRelease(buf)
+			if err := osProtectRW(buf); err != nil {
+				t.Fatal(err)
+			}
+			before := rss(t)
+			tc.fill(t, buf)
+			if after := rss(t); after < before+win/2 {
+				t.Fatalf("%s did not raise RSS: before=%d after=%d (want >= +%d)", tc.name, before, after, win/2)
+			}
+		})
 	}
 }

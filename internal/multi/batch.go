@@ -10,31 +10,34 @@ package multi
 // instance rather than one per chunk.
 //
 // With live tracking (elastic deployments) the batch paths follow the
-// same counter discipline as the single-chunk paths: the live counter is
-// raised by the full requested amount before the state check and settled
-// to the delivered amount afterwards, and batch frees decrement only
-// after the instance-level release completed.
+// same cell discipline as the single-chunk paths: the handle's live cell
+// on the slot is raised by the full requested amount before the state
+// check and settled to the delivered amount afterwards, and batch frees
+// decrement it only after the instance-level release completed. The
+// release groups live in handle-owned scratch slices, so a bulk free
+// allocates nothing once the scratch has grown to the batch size.
 
 import "repro/internal/alloc"
 
 // tryAllocBatchOn asks slot k for up to n chunks, honouring the elastic
-// live-counter ordering (raise before the state check, settle after).
+// live-cell ordering (raise before the state check, settle after).
 func (h *Handle) tryAllocBatchOn(s *slot, k int, size uint64, n int) []uint64 {
-	m := h.m
-	if m.trackLive {
-		s.live.Add(int64(n))
+	r := h.sub(s, k)
+	c := r.cell
+	if c != nil {
+		add(&c.n, int64(n))
 		if s.state.Load() != slotActive {
-			s.live.Add(int64(-n))
+			add(&c.n, int64(-n))
 			return nil
 		}
 	}
-	got := alloc.HandleAllocBatch(h.sub(s, k), size, n)
-	if m.trackLive {
+	got := alloc.HandleAllocBatch(r.h, size, n)
+	if c != nil {
 		if delta := int64(len(got) - n); delta != 0 {
-			s.live.Add(delta)
+			add(&c.n, delta)
 		}
 		if len(got) > 0 {
-			s.liveBytes.Add(int64(m.reservedFor(size)) * int64(len(got)))
+			add(&c.bytes, int64(h.m.reservedFor(size))*int64(len(got)))
 		}
 	}
 	return got
@@ -93,7 +96,15 @@ func (h *Handle) FreeBatch(offsets []uint64) {
 	m := h.m
 	t := m.tab.Load()
 	h.syncTable(t)
-	groups := make([][]uint64, len(t.slots))
+	for len(h.groups) < len(t.slots) {
+		h.groups = append(h.groups, nil)
+	}
+	// Reset every group up front, not after its release: a release that
+	// panics must not leave offsets behind for the next call.
+	groups := h.groups[:len(t.slots)]
+	for k := range groups {
+		groups[k] = groups[k][:0]
+	}
 	for _, off := range offsets {
 		k, local, _ := m.route(t, off)
 		groups[k] = append(groups[k], local)
@@ -103,17 +114,18 @@ func (h *Handle) FreeBatch(offsets []uint64) {
 			continue
 		}
 		s := t.slots[k]
+		r := h.sub(s, k)
 		var bytes int64
-		if m.trackLive {
+		if r.cell != nil {
 			// Read reserved sizes before the release clears the metadata.
 			for _, local := range group {
 				bytes += int64(s.sizer.ChunkSize(local))
 			}
 		}
-		alloc.HandleFreeBatch(h.sub(s, k), group)
-		if m.trackLive {
-			s.liveBytes.Add(-bytes)
-			s.live.Add(int64(-len(group)))
+		alloc.HandleFreeBatch(r.h, group)
+		if c := r.cell; c != nil {
+			add(&c.bytes, -bytes)
+			add(&c.n, int64(-len(group)))
 		}
 		h.stats.Frees += uint64(len(group))
 	}

@@ -26,7 +26,7 @@ func TestSyncTableDropsRetiredSubHandles(t *testing.T) {
 		t.Fatalf("pinned alloc = (%v, instance %d)", ok, m.InstanceOf(off))
 	}
 	h.Free(off)
-	if h.subs[1] == nil {
+	if h.subs[1].h == nil {
 		t.Fatal("sub-handle for slot 1 not cached after use")
 	}
 	if err := m.StartDrain(1); err != nil {
@@ -36,7 +36,7 @@ func TestSyncTableDropsRetiredSubHandles(t *testing.T) {
 		t.Fatalf("TryRetire = (%v, %v)", done, err)
 	}
 	// The cache survives until the owner observes the new table...
-	if h.subs[1] == nil {
+	if h.subs[1].h == nil {
 		t.Fatal("sub-handle dropped before the owner observed the table change")
 	}
 	// ...and the next operation drops it.
@@ -45,8 +45,8 @@ func TestSyncTableDropsRetiredSubHandles(t *testing.T) {
 		t.Fatal("alloc after retire failed")
 	}
 	h.Free(off)
-	if h.subs[1] != nil || h.subIDs[1] != 0 {
-		t.Fatalf("retired slot's sub-handle still cached after an op: subIDs[1]=%d", h.subIDs[1])
+	if h.subs[1].h != nil || h.subs[1].id != 0 || h.subs[1].cell != nil {
+		t.Fatalf("retired slot's sub-handle still cached after an op: %+v", h.subs[1])
 	}
 	// A refilled hole gets a fresh sub-handle keyed by the new id.
 	k, err := m.AddInstance()

@@ -96,14 +96,70 @@ type slot struct {
 	a     alloc.Allocator
 	sizer alloc.ChunkSizer
 	state atomic.Uint32
-	// live and liveBytes track the chunks this slot has delivered and not
-	// yet seen freed. They are maintained only when the router's live
-	// tracking is enabled (elastic deployments); the fixed-set fast path
-	// pays nothing. live is incremented BEFORE the state check on the
-	// allocation path — see Handle.tryAllocOn for why that ordering makes
-	// the draining→zero-live→unpublish sequence race-free.
-	live      atomic.Int64
-	liveBytes atomic.Int64
+	// The slot's live count — chunks delivered and not yet freed, and
+	// their reserved bytes — is kept only when the router's live tracking
+	// is enabled (elastic deployments); the fixed-set fast path pays
+	// nothing. It is split into one single-writer cell per handle that
+	// touched the slot plus base, the folded cells of closed handles; the
+	// count is their sum (liveSum). cellMu guards cells, base and
+	// baseBytes, never a cell's contents.
+	cellMu          sync.Mutex
+	cells           []*liveCell
+	base, baseBytes int64
+}
+
+// liveCell is one handle's share of a slot's live count. Only the owning
+// handle writes it, with a Load+Store instead of an atomic add, and no
+// other handle writes its cache line, so the line never bounces between
+// workers; readers sum the cells under the slot's cellMu. A cell goes negative when its handle frees chunks another
+// handle allocated — only the sum is meaningful.
+type liveCell struct {
+	n, bytes atomic.Int64
+	_        [48]byte // pad to one 64-byte cache line
+}
+
+// add moves a single-writer counter by d.
+func add(v *atomic.Int64, d int64) { v.Store(v.Load() + d) }
+
+// newCell registers a fresh cell on the slot.
+func (s *slot) newCell() *liveCell {
+	c := new(liveCell)
+	s.cellMu.Lock()
+	s.cells = append(s.cells, c)
+	s.cellMu.Unlock()
+	return c
+}
+
+// fold moves a closing handle's cell into the slot's base and
+// unregisters it, in one step under cellMu, so no sum sees it twice or
+// not at all.
+func (s *slot) fold(c *liveCell) {
+	s.cellMu.Lock()
+	defer s.cellMu.Unlock()
+	s.base += c.n.Load()
+	s.baseBytes += c.bytes.Load()
+	for i, x := range s.cells {
+		if x == c {
+			last := len(s.cells) - 1
+			s.cells[i], s.cells[last] = s.cells[last], nil
+			s.cells = s.cells[:last]
+			return
+		}
+	}
+}
+
+// liveSum totals the slot's live count and bytes, reading each cell once.
+// The sum is never below the true count at its last read (see TryRetire),
+// so zero proves a draining slot empty.
+func (s *slot) liveSum() (n, bytes int64) {
+	s.cellMu.Lock()
+	defer s.cellMu.Unlock()
+	n, bytes = s.base, s.baseBytes
+	for _, c := range s.cells {
+		n += c.n.Load()
+		bytes += c.bytes.Load()
+	}
+	return n, bytes
 }
 
 // table is one immutable version of the instance set. Positions are
@@ -184,10 +240,11 @@ func (m *Multi) buildSlot() (*slot, error) {
 }
 
 // EnableLiveTracking turns on the per-slot live accounting that the
-// draining→zero-live→unpublish retirement sequence depends on. It must be
-// called before the router serves any traffic (the elastic manager calls
-// it at construction); chunks delivered before tracking was enabled would
-// be invisible to the counters and break the retirement argument.
+// draining→zero-live→unpublish retirement sequence depends on: every
+// handle then keeps one live cell per slot it touches. It must be called
+// before the router serves any traffic (the elastic manager calls it at
+// construction); chunks delivered before tracking was enabled would be
+// invisible to the cells and break the retirement argument.
 func (m *Multi) EnableLiveTracking() { m.trackLive = true }
 
 // BindMemory attaches a mapped region as the router's memory backing:
@@ -592,16 +649,18 @@ func (m *Multi) Reactivate(k int) error {
 }
 
 // TryRetire unpublishes a fully drained slot: it succeeds only when the
-// slot is draining and its live-chunk count is zero, replacing the table
+// slot is draining and its live count sums to zero, replacing the table
 // with a copy holding a hole at k. Why this is safe under concurrent
-// allocation: the allocation path increments the slot's live counter
-// BEFORE loading the state, and TryRetire loads the counter AFTER the
-// draining state was stored. Under Go's sequentially consistent atomics,
-// observing live==0 here therefore proves that every allocation attempt
-// that could still deliver from this slot will load the state after the
-// draining store — and back off. Frees need no such argument: live==0
-// means no chunk of this slot is outstanding, so no legal free can route
-// here again.
+// allocation: the allocation path raises the handle's cell BEFORE loading
+// the state, and TryRetire reads the cells AFTER the draining state was
+// stored. Under Go's sequentially consistent atomics, a cell read that
+// misses a raise therefore proves that the allocation loads the state
+// after the draining store — and backs off. So once the slot drains, no
+// cell rises except for a refused attempt's transient +n/-n, and a sum
+// read cell by cell is at least the true live count at its last read:
+// zero means no chunk of this slot is outstanding. Frees need no further
+// argument: they decrement only after the leaf free returned, and with
+// nothing outstanding no legal free can route here again.
 func (m *Multi) TryRetire(k int) (bool, error) {
 	if !m.trackLive {
 		return false, fmt.Errorf("multi: TryRetire without live tracking")
@@ -616,11 +675,11 @@ func (m *Multi) TryRetire(k int) (bool, error) {
 	if s.state.Load() != slotDraining {
 		return false, fmt.Errorf("multi: TryRetire(%d): not draining", k)
 	}
-	if s.live.Load() != 0 {
+	if n, _ := s.liveSum(); n != 0 {
 		return false, nil
 	}
 	// Decommit BEFORE unpublishing. It is safe this early: the draining
-	// state already blocks new allocations and live==0 proved no chunk
+	// state already blocks new allocations and a zero sum proved no chunk
 	// references the window (the draining→zero-live fence above), so
 	// nothing can touch the pages between here and the table store. And
 	// it makes decommit failure recoverable: the slot stays published and
@@ -667,11 +726,12 @@ func (m *Multi) InstanceInfos() []InstanceInfo {
 		if s.state.Load() == slotDraining {
 			st = Draining
 		}
+		live, liveBytes := s.liveSum()
 		out[k] = InstanceInfo{
 			Slot:      k,
 			State:     st,
-			Live:      s.live.Load(),
-			LiveBytes: s.liveBytes.Load(),
+			Live:      live,
+			LiveBytes: liveBytes,
 			Name:      s.a.Name(),
 		}
 	}
@@ -685,13 +745,30 @@ func (m *Multi) InstanceInfos() []InstanceInfo {
 // that ever touched an instance would pin its metadata after the elastic
 // manager unpublished it, defeating the point of the shrink.
 type Handle struct {
-	m         *Multi
-	pref      int
-	tabSeen   *table
-	subs      []alloc.Handle
-	subIDs    []uint64
+	m       *Multi
+	pref    int
+	tabSeen *table
+	subs    []subRef
+	// groups is FreeBatch's per-slot scratch; the leaves' FreeBatch does
+	// not retain its argument, so the slices are reused call after call.
+	groups    [][]uint64
 	stats     alloc.Stats
 	fallbacks uint64
+	// Workers' handles are allocated back to back and every operation
+	// writes the counters, so the pad rounds the handle up to three whole
+	// cache lines: at 136 bytes one worker's counters shared a line with
+	// the next handle's table snapshot and sub-handle slice, which cost
+	// burst-elastic 12 % of its free p50 on a 2-vCPU host.
+	_ [56]byte
+}
+
+// subRef is a handle's cached view of one slot: the leaf sub-handle, the
+// id of the slot it belongs to, and, with live tracking, the handle's
+// live cell on that slot.
+type subRef struct {
+	h    alloc.Handle
+	id   uint64
+	cell *liveCell
 }
 
 // syncTable drops cached sub-handles whose slot the given table no longer
@@ -700,59 +777,64 @@ type Handle struct {
 // published table version (a pointer compare on the fast path). Handles
 // that stop operating keep their last snapshot pinned — the same
 // monotonic-registry caveat DESIGN.md documents for handles themselves.
+// A dropped cell needs no fold: its slot is gone from the table.
 func (h *Handle) syncTable(t *table) {
 	if h.tabSeen == t {
 		return
 	}
 	h.tabSeen = t
 	for k := range h.subs {
-		if h.subs[k] == nil {
+		if h.subs[k].h == nil {
 			continue
 		}
-		if k >= len(t.slots) || t.slots[k] == nil || t.slots[k].id != h.subIDs[k] {
-			h.subs[k] = nil
-			h.subIDs[k] = 0
+		if k >= len(t.slots) || t.slots[k] == nil || t.slots[k].id != h.subs[k].id {
+			h.subs[k] = subRef{}
 		}
 	}
 }
 
-// sub returns the handle's per-worker sub-handle for slot k, creating or
-// refreshing it when the slot changed identity since the last visit.
-func (h *Handle) sub(s *slot, k int) alloc.Handle {
+// sub returns the handle's cached view of slot k, creating or refreshing
+// it when the slot changed identity since the last visit. With live
+// tracking the fresh view carries a new live cell registered on s.
+func (h *Handle) sub(s *slot, k int) *subRef {
 	for k >= len(h.subs) {
-		h.subs = append(h.subs, nil)
-		h.subIDs = append(h.subIDs, 0)
+		h.subs = append(h.subs, subRef{})
 	}
-	if h.subIDs[k] != s.id {
-		h.subs[k] = s.a.NewHandle()
-		h.subIDs[k] = s.id
+	r := &h.subs[k]
+	if r.id != s.id {
+		*r = subRef{h: s.a.NewHandle(), id: s.id}
+		if h.m.trackLive {
+			r.cell = s.newCell()
+		}
 	}
-	return h.subs[k]
+	return r
 }
 
 // tryAllocOn attempts one allocation on slot k. With live tracking the
-// counter is incremented BEFORE the state check: either TryRetire
-// observes the increment (live > 0, retirement refused), or this load
-// observes the draining state and backs off — there is no interleaving in
-// which a chunk is delivered from a slot that was already judged empty.
+// handle's cell is raised BEFORE the state check: either TryRetire reads
+// the raise (a non-zero sum, retirement refused), or this load observes
+// the draining state and backs off — there is no interleaving in which a
+// chunk is delivered from a slot that was already judged empty.
 func (h *Handle) tryAllocOn(s *slot, k int, size uint64) (uint64, bool) {
 	m := h.m
-	if m.trackLive {
-		s.live.Add(1)
+	r := h.sub(s, k)
+	c := r.cell
+	if c != nil {
+		add(&c.n, 1)
 		if s.state.Load() != slotActive {
-			s.live.Add(-1)
+			add(&c.n, -1)
 			return 0, false
 		}
 	}
-	off, ok := h.sub(s, k).Alloc(size)
+	off, ok := r.h.Alloc(size)
 	if !ok {
-		if m.trackLive {
-			s.live.Add(-1)
+		if c != nil {
+			add(&c.n, -1)
 		}
 		return 0, false
 	}
-	if m.trackLive {
-		s.liveBytes.Add(int64(m.reservedFor(size)))
+	if c != nil {
+		add(&c.bytes, int64(m.reservedFor(size)))
 	}
 	return uint64(k)*m.span + off, true
 }
@@ -791,22 +873,25 @@ func (h *Handle) Alloc(size uint64) (uint64, bool) {
 	return 0, false
 }
 
-// Free routes the offset back to its owning instance. The live counter is
-// decremented only after the instance-level free completed, so a slot
-// observed at live==0 has fully quiesced.
+// Free routes the offset back to its owning instance. With live tracking
+// the handle's cell on the owning slot is decremented only after the
+// instance-level free completed, so a slot whose cells sum to zero has
+// fully quiesced. The cell may go negative when the chunk was allocated
+// through another handle.
 func (h *Handle) Free(offset uint64) {
 	m := h.m
 	t := m.tab.Load()
 	h.syncTable(t)
 	k, local, s := m.route(t, offset)
-	if m.trackLive {
+	r := h.sub(s, k)
+	if c := r.cell; c != nil {
 		// Read the reserved size before the free clears the metadata.
 		reserved := s.sizer.ChunkSize(local)
-		h.sub(s, k).Free(local)
-		s.liveBytes.Add(-int64(reserved))
-		s.live.Add(-1)
+		r.h.Free(local)
+		add(&c.bytes, -int64(reserved))
+		add(&c.n, -1)
 	} else {
-		h.sub(s, k).Free(local)
+		r.h.Free(local)
 	}
 	h.stats.Frees++
 }
@@ -816,16 +901,22 @@ func (h *Handle) Free(offset uint64) {
 func (h *Handle) Stats() *alloc.Stats { return &h.stats }
 
 // Close implements alloc.HandleCloser: close every cached per-instance
-// sub-handle, fold the routing counters into the router's retained
-// totals, and unregister. The handle must not be used afterwards.
+// sub-handle, fold its live cell into the slot's base (a slot retired
+// meanwhile needs none), fold the routing counters into the router's
+// retained totals, and unregister. The handle must not be used
+// afterwards.
 func (h *Handle) Close() {
-	for k, sub := range h.subs {
-		if sub != nil {
-			alloc.CloseHandle(sub)
-			h.subs[k] = nil
-			h.subIDs[k] = 0
-		}
-	}
 	m := h.m
+	t := m.tab.Load()
+	for k, r := range h.subs {
+		if r.h == nil {
+			continue
+		}
+		alloc.CloseHandle(r.h)
+		if r.cell != nil && k < len(t.slots) && t.slots[k] != nil && t.slots[k].id == r.id {
+			t.slots[k].fold(r.cell)
+		}
+		h.subs[k] = subRef{}
+	}
 	m.reg.Remove(h, func() { m.closedFallbacks += h.fallbacks })
 }

@@ -96,10 +96,11 @@ func TestFallbackWhenPreferredFull(t *testing.T) {
 	if len(offs) != 2*4 { // 2 instances x (64K/16K) chunks
 		t.Fatalf("filled %d max-size chunks, want 8", len(offs))
 	}
-	s := m.Stats()
-	_ = s
 	for _, off := range offs {
 		m.Free(off)
+	}
+	if s := m.Stats(); s.Allocs != s.Frees {
+		t.Fatalf("back-end stats after the frees: %d allocs, %d frees", s.Allocs, s.Frees)
 	}
 }
 
@@ -400,6 +401,37 @@ func TestInstanceInfosTrackLiveBytes(t *testing.T) {
 	for _, info := range m.InstanceInfos() {
 		if info.Live != 0 || info.LiveBytes != 0 {
 			t.Fatalf("slot %d not settled after batch free: %+v", info.Slot, info)
+		}
+	}
+}
+
+// TestFreeBatchAllocatesNothing: a bulk release groups its offsets in
+// the handle's reused per-slot scratch, so once warm it allocates
+// nothing, with and without live tracking.
+func TestFreeBatchAllocatesNothing(t *testing.T) {
+	const runs = 20
+	for _, tracked := range []bool{false, true} {
+		m, err := multi.New("1lvl-nb", 2, per, multi.RoundRobin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tracked {
+			m.EnableLiveTracking()
+		}
+		on0, on1 := m.NewHandleOn(0), m.NewHandleOn(1)
+		batches := make([][]uint64, runs+1) // AllocsPerRun adds a warm-up call
+		for i := range batches {
+			batches[i] = append(alloc.HandleAllocBatch(on0, 64, 2), alloc.HandleAllocBatch(on1, 64, 2)...)
+			if len(batches[i]) != 4 {
+				t.Fatalf("batch %d = %d chunks, want 4", i, len(batches[i]))
+			}
+		}
+		h, i := m.NewHandle(), 0
+		if n := testing.AllocsPerRun(runs, func() {
+			alloc.HandleFreeBatch(h, batches[i])
+			i++
+		}); n != 0 {
+			t.Errorf("tracked=%v: FreeBatch allocates %.1f times per call, want 0", tracked, n)
 		}
 	}
 }
