@@ -516,6 +516,13 @@ func BenchmarkAblationFragmentation(b *testing.B) {
 // before freeing them (untimed), the run a worker filling a cache makes.
 // The occupied-run traversal is where the SWAR pass replaces one atomic
 // load per node with one per eight nodes.
+//
+// "full" takes the whole target level first, so every timed Alloc is a
+// failing scan of the level: the cost of words with no candidate, which
+// the whole-word walker (status.NextRun) serves. On a 4 MiB instance with
+// 64 B units the 4lvl-nb sizes 1 KiB, 2 KiB, 256 B and 512 B put one,
+// two, four and eight lanes under each node (shifts 0-3); 1lvl-nb, which
+// materializes every level, scans at one lane per node.
 func BenchmarkLevelScan(b *testing.B) {
 	cfg := alloc.Config{Total: 1 << 22, MinSize: 8, MaxSize: 16 << 10}
 	const size = 64
@@ -579,5 +586,39 @@ func BenchmarkLevelScan(b *testing.B) {
 				}
 			})
 		}
+	}
+	full := alloc.Config{Total: 1 << 22, MinSize: 64, MaxSize: 16 << 10}
+	for _, c := range []struct {
+		variant string
+		size    uint64
+	}{
+		{"4lvl-nb", 1024},
+		{"4lvl-nb", 2048},
+		{"4lvl-nb", 256},
+		{"4lvl-nb", 512},
+		{"1lvl-nb", 1024},
+	} {
+		b.Run(fmt.Sprintf("full/%s/%dB", c.variant, c.size), func(b *testing.B) {
+			a := build(b, c.variant, full)
+			h := a.NewHandle()
+			var planted []uint64
+			for {
+				off, ok := h.Alloc(c.size)
+				if !ok {
+					break
+				}
+				planted = append(planted, off)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok := h.Alloc(c.size); ok {
+					b.Fatal("allocation succeeded on a full level")
+				}
+			}
+			b.StopTimer()
+			for _, off := range planted {
+				h.Free(off)
+			}
+		})
 	}
 }

@@ -36,12 +36,16 @@
 //
 // The level scan is a SWAR pass: one atomic load of a word answers all
 // the nodes the word covers at the scanned level (eight at the
-// materialized levels, fewer above them), with status.FirstFreeRun
-// locating the first free candidate by bit tricks. Each handle starts its
-// scan of a level at a roving point (Knuth's roving pointer): one past the
-// last node it delivered there, rewound to any lower node it frees, both
-// counted from the handle's scattered home slot. A handle therefore never
-// re-walks its own live deliveries, and its frees keep the scan first-fit.
+// materialized levels, fewer above them), and bit tricks locate the first
+// free candidate. It runs in two stages: status.FirstFreeRun probes the
+// word the scan starts in, which may start mid-word, and status.NextRun
+// walks the rest of the level in whole words, one loop per node width
+// with a constant step between loads, so a word with no candidate costs a
+// load and a compare. Each handle starts its scan of a level at a roving
+// point (Knuth's roving pointer): one past the last node it delivered
+// there, rewound to any lower node it frees, both counted from the
+// handle's scattered home slot. A handle therefore never re-walks its own
+// live deliveries, and its frees keep the scan first-fit.
 //
 // The same code, at the same two heights, is also the paper's spin-locked
 // baseline ("1lvl-sl", "4lvl-sl"; see locked.go): every operation runs as
@@ -349,11 +353,15 @@ func (h *Handle) Alloc(size uint64) (uint64, bool) {
 // stopped, which a word step or a subtree skip may have carried past hi.
 //
 // The walk is a SWAR pass: one load of a word answers every node the word
-// covers at this level, and status.FirstFreeRun picks the first whose
-// covered fields have no Busy bit. Transient coalescing bits do not
-// disqualify a node, as in the paper's IsFree (the reservation CAS inside
-// tryAlloc still requires them clear). It runs over the lanes the nodes
-// cover (node<<shift), so the step from word to word is an add. When
+// covers at this level, and the first node whose covered fields have no
+// Busy bit is the candidate. Transient coalescing bits do not disqualify
+// a node, as in the paper's IsFree (the reservation CAS inside tryAlloc
+// still requires them clear). It runs over the lanes the nodes cover
+// (node<<shift) in two stages: status.FirstFreeRun probes the word the
+// walk starts in, which may start mid-word (so does the word after a
+// subtree skip), and when that word has no candidate status.NextRun
+// walks the rest of the range in whole words, with the probe reduced to
+// the level's node width and a constant step between loads. When
 // tryAlloc fails because of an occupied ancestor the walk skips the whole
 // subtree of the conflicting node (lines A18-A19) before probing further.
 func (h *Handle) scan(level int, i, hi uint64) (offset uint64, ok bool, next uint64) {
@@ -364,11 +372,15 @@ func (h *Handle) scan(level int, i, hi uint64) (offset uint64, ok bool, next uin
 	for lane < end {
 		w := a.words[m.off+lane>>3].Load()
 		f := status.FirstFreeRun(w, int(lane&7), count)
-		// The candidate's first lane, or the next word's first when the
-		// word has none.
-		lane = lane&^7 + uint64(f)
-		if f == status.LanesPerWord || lane >= end {
-			continue
+		if f == status.LanesPerWord {
+			// No candidate from lane on in this word: the rest of the
+			// range is whole words, which the walker runs through.
+			lane, w = status.NextRun(a.words, m.off, lane&^7+status.LanesPerWord, end, m.shift)
+		} else {
+			lane = lane&^7 + uint64(f)
+		}
+		if lane >= end {
+			break
 		}
 		cand := lane >> m.shift
 		failedAt := h.tryAlloc(cand, w)

@@ -16,7 +16,8 @@
 //
 //	reserve   address space only (PROT_NONE, MAP_NORESERVE on Linux):
 //	          no RSS, no swap accounting; faults on touch.
-//	commit    make the window usable and resident (mprotect RW, then one
+//	commit    make the window usable and resident (mprotect RW, the
+//	          best-effort huge-page advice MADV_HUGEPAGE, then one
 //	          madvise(MADV_POPULATE_WRITE), or a touch of one byte per
 //	          page on kernels without it, so the committed bytes really
 //	          back the window — commit is the moment RSS rises, not first

@@ -32,8 +32,13 @@ const madvPopulateWrite = 23
 // committed bytes are meant to reconcile with RSS, not with a lazy
 // first-fault promise. One madvise(MADV_POPULATE_WRITE) prefaults the
 // whole window writable; on any error (EINVAL before Linux 5.14) it falls
-// back to osTouch.
+// back to osTouch. Before that, madvise(MADV_HUGEPAGE) asks for
+// transparent huge pages, so the populate (and a later decommit) deals in
+// 2 MiB pages wherever the window covers an aligned 2 MiB span. The
+// advice is best effort: with THP disabled, or on a kernel without it,
+// the call fails and the window gets base pages as before.
 func osPopulate(buf []byte) {
+	_ = syscall.Madvise(buf, syscall.MADV_HUGEPAGE)
 	if osPrefault(buf) != nil {
 		osTouch(buf)
 	}

@@ -3,11 +3,14 @@
 package mem
 
 import (
+	"bufio"
+	"fmt"
 	"os"
 	"strconv"
 	"strings"
 	"syscall"
 	"testing"
+	"unsafe"
 )
 
 // rss returns the process resident set in bytes via /proc/self/statm
@@ -92,5 +95,69 @@ func TestMappedCommitPathsRaiseRSS(t *testing.T) {
 				t.Fatalf("%s did not raise RSS: before=%d after=%d (want >= +%d)", tc.name, before, after, win/2)
 			}
 		})
+	}
+}
+
+// anonHugePages returns the AnonHugePages figure, in kB, of the
+// /proc/self/smaps entry of the mapping that contains addr.
+func anonHugePages(t *testing.T, addr uintptr) uint64 {
+	t.Helper()
+	f, err := os.Open("/proc/self/smaps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	in := false
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := sc.Text()
+		var lo, hi uintptr
+		if n, _ := fmt.Sscanf(line, "%x-%x", &lo, &hi); n == 2 {
+			in = lo <= addr && addr < hi
+			continue
+		}
+		if kb, ok := strings.CutPrefix(line, "AnonHugePages:"); ok && in {
+			v, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimSpace(kb), " kB"), 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	t.Fatalf("no smaps entry with AnonHugePages for %#x", addr)
+	return 0
+}
+
+// TestCommitUsesHugePages pins the transparent-huge-page advice osPopulate
+// gives before it populates: when the system lets a process ask for huge
+// pages, a committed 4 MiB window is backed by at least one of them.
+// Even a window the kernel did not place on a 2 MiB boundary covers one
+// aligned 2 MiB span.
+func TestCommitUsesHugePages(t *testing.T) {
+	if !Mapped() {
+		t.Skip("portable fallback: no mapping to inspect")
+	}
+	mode, err := os.ReadFile("/sys/kernel/mm/transparent_hugepage/enabled")
+	if err != nil {
+		t.Skipf("no transparent huge page support: %v", err)
+	}
+	if !strings.Contains(string(mode), "[always]") && !strings.Contains(string(mode), "[madvise]") {
+		t.Skipf("transparent huge pages are off: %s", strings.TrimSpace(string(mode)))
+	}
+	const win = 4 << 20
+	r, err := New(win, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Release()
+	if err := r.Commit(0); err != nil {
+		t.Fatal(err)
+	}
+	addr := uintptr(unsafe.Pointer(&r.Window(0)[0]))
+	if kb := anonHugePages(t, addr); kb == 0 {
+		t.Fatalf("committed %d-byte window at %#x has no huge pages (THP mode %s)", win, addr, strings.TrimSpace(string(mode)))
 	}
 }

@@ -48,7 +48,7 @@ func (h *Handle) AllocBatch(size uint64, n int) []uint64 {
 	if n <= 0 {
 		return nil
 	}
-	out := make([]uint64, 0, n)
+	var out []uint64
 	m := h.m
 	t := m.tab.Load()
 	h.syncTable(t)
@@ -68,8 +68,16 @@ func (h *Handle) AllocBatch(size uint64, n int) []uint64 {
 			continue
 		}
 		base := uint64(k) * m.span
-		for _, off := range got {
-			out = append(out, base+off)
+		for i := range got {
+			got[i] += base
+		}
+		// The first serving instance's slice, rebased in place, becomes
+		// the result: a batch one instance serves whole costs the leaf's
+		// allocation and no second one.
+		if out == nil {
+			out = got
+		} else {
+			out = append(out, got...)
 		}
 		h.stats.Allocs += uint64(len(got))
 		if d != 0 {

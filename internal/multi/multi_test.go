@@ -436,6 +436,39 @@ func TestFreeBatchAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestAllocBatchAllocatesOnce: a batch one instance serves whole comes
+// back in the leaf's own slice, rebased in place, so the router adds no
+// allocation of its own, with and without live tracking. The offsets
+// are still global: they land on the serving instance's span.
+func TestAllocBatchAllocatesOnce(t *testing.T) {
+	const runs, n = 20, 8
+	for _, tracked := range []bool{false, true} {
+		m, err := multi.New("1lvl-nb", 2, per, multi.RoundRobin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tracked {
+			m.EnableLiveTracking()
+		}
+		h := m.NewHandleOn(1)
+		var got []uint64
+		if allocs := testing.AllocsPerRun(runs, func() {
+			got = alloc.HandleAllocBatch(h, 64, n)
+			if len(got) != n {
+				t.Fatalf("batch = %d chunks, want %d", len(got), n)
+			}
+			alloc.HandleFreeBatch(h, got)
+		}); allocs != 1 {
+			t.Errorf("tracked=%v: AllocBatch allocates %.1f times per call, want 1 (the leaf's slice)", tracked, allocs)
+		}
+		for _, off := range got {
+			if k := m.InstanceOf(off); k != 1 {
+				t.Fatalf("tracked=%v: offset %#x routes to instance %d, want 1", tracked, off, k)
+			}
+		}
+	}
+}
+
 func TestScrubForwardsToInstances(t *testing.T) {
 	m, err := multi.New("1lvl-nb", 2, per, multi.RoundRobin)
 	if err != nil {

@@ -1,6 +1,9 @@
 package status
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync/atomic"
+)
 
 // Word packing of the non-blocking leaf (internal/bunch): one status byte
 // per materialized node, eight per 64-bit atomic word. The five status
@@ -80,12 +83,12 @@ func busyLanes(word uint64) uint64 {
 // alignedMSB[k] holds the high bits of the lanes that can start an
 // aligned run of 1<<k lanes: every lane for runs of 1, lanes 0/2/4/6
 // for pairs, lanes 0/4 for quads, lane 0 for a whole-word run.
-var alignedMSB = [4]uint64{
-	laneMSB,
-	0x0080008000800080,
-	0x0000008000000080,
-	0x0000000000000080,
-}
+var alignedMSB = [4]uint64{laneMSB, pairMSB, quadMSB, 0x80}
+
+const (
+	pairMSB uint64 = 0x0080008000800080
+	quadMSB uint64 = 0x0000008000000080
+)
 
 // FirstFreeRun is the word-level form of the NBALLOC level probe for
 // nodes covering count consecutive lanes (count 1 at materialized levels,
@@ -107,4 +110,63 @@ func FirstFreeRun(word uint64, from, count int) int {
 	cand := alignedMSB[bits.TrailingZeros8(uint8(count))] &^ (1<<(FieldBits*from) - 1)
 	z := cand &^ b
 	return bits.TrailingZeros64(z) / FieldBits
+}
+
+// NextRun continues a level scan over whole words: words[off+lane>>3] is
+// the word holding lane, and nodes cover 1<<shift lanes. Starting at the
+// word-aligned lane, it returns the first lane before end whose
+// count-aligned run FirstFreeRun(w, 0, 1<<shift) would name, word by
+// word, together with the word w it was read from. shift is at most 3
+// (a node never covers more than one word). When no word in
+// [lane, end) has a candidate it returns the first word boundary at or
+// past end; a candidate found in the last word may also lie at or past
+// end, exactly as the word-by-word probe would name it, so callers test
+// the returned lane against end.
+//
+// Each node width gets its own loop with the probe reduced to constants
+// (at two nodes per word and at one, each half-word or the whole word is
+// tested against the Busy mask, with no busy-lane bitmap at all), and
+// every loop steps by one word whatever the probe found, so the next
+// load is independent of the current word's test. That is what makes a
+// failing scan cost a load and a compare per word.
+func NextRun(words []atomic.Uint64, off, lane, end uint64, shift uint) (uint64, uint64) {
+	if lane >= end {
+		return lane, 0
+	}
+	ws := words[off+lane>>3 : off+(end+LanesPerWord-1)>>3]
+	switch shift {
+	case 0:
+		for i := range ws {
+			w := ws[i].Load()
+			if b := busyLanes(w); b != laneMSB {
+				return lane + uint64(i)*LanesPerWord + uint64(bits.TrailingZeros64(laneMSB&^b)/FieldBits), w
+			}
+		}
+	case 1:
+		for i := range ws {
+			w := ws[i].Load()
+			b := busyLanes(w)
+			if z := pairMSB &^ (b | b>>FieldBits); z != 0 {
+				return lane + uint64(i)*LanesPerWord + uint64(bits.TrailingZeros64(z)/FieldBits), w
+			}
+		}
+	case 2:
+		for i := range ws {
+			w := ws[i].Load()
+			m := w & busyAll
+			if uint32(m) == 0 {
+				return lane + uint64(i)*LanesPerWord, w
+			}
+			if m>>32 == 0 {
+				return lane + uint64(i)*LanesPerWord + LanesPerWord/2, w
+			}
+		}
+	default:
+		for i := range ws {
+			if w := ws[i].Load(); w&busyAll == 0 {
+				return lane + uint64(i)*LanesPerWord, w
+			}
+		}
+	}
+	return lane + uint64(len(ws))*LanesPerWord, 0
 }

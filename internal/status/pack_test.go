@@ -1,6 +1,7 @@
 package status
 
 import (
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -168,5 +169,91 @@ func FuzzFirstFreeRun(f *testing.F) {
 				}
 			}
 		}
+	})
+}
+
+// nextRunRef is the word-by-word reference for NextRun: firstFreeRunRef
+// applied to each word of [lane, end) in turn, from lane 0 of each.
+func nextRunRef(words []uint64, lane, end uint64, shift uint) uint64 {
+	for ; lane < end; lane += LanesPerWord {
+		if f := firstFreeRunRef(words[lane/LanesPerWord], 0, 1<<shift); f < LanesPerWord {
+			return lane + uint64(f)
+		}
+	}
+	return lane
+}
+
+// checkNextRun compares NextRun with nextRunRef for every node width,
+// every word-aligned start and every end (mid-word ones included) over
+// the given words. The words sit between two all-free guard words, so a
+// walk that reads past its range finds a candidate the reference does
+// not.
+func checkNextRun(t *testing.T, ws []uint64) {
+	t.Helper()
+	words := make([]atomic.Uint64, len(ws)+2)
+	for i, w := range ws {
+		words[i+1].Store(w)
+	}
+	const off = 1
+	lanes := uint64(len(ws)) * LanesPerWord
+	for shift := uint(0); shift <= 3; shift++ {
+		for lane := uint64(0); lane <= lanes; lane += LanesPerWord {
+			for end := lane; end <= lanes; end++ {
+				got, w := NextRun(words, off, lane, end, shift)
+				want := nextRunRef(ws, lane, end, shift)
+				if got != want {
+					t.Fatalf("NextRun(%#x, lane %d, end %d, shift %d) = lane %d, want %d", ws, lane, end, shift, got, want)
+				}
+				if got < end && w != ws[got/LanesPerWord] {
+					t.Fatalf("NextRun(%#x, lane %d, end %d, shift %d) = word %#x, want the word of lane %d", ws, lane, end, shift, w, got)
+				}
+			}
+		}
+	}
+}
+
+// TestQuickNextRun checks the walker on random 1-4 word levels, thinned
+// by a random number of extra ANDs so that every node width meets both
+// free and busy runs.
+func TestQuickNextRun(t *testing.T) {
+	f := func(a, b, c [4]uint64, n, thin uint8) bool {
+		ws := make([]uint64, int(n%4)+1)
+		for i := range ws {
+			ws[i] = a[i]
+			if thin%3 > 0 {
+				ws[i] &= b[i]
+			}
+			if thin%3 > 1 {
+				ws[i] &= c[i]
+			}
+		}
+		checkNextRun(t, ws)
+		return !t.Failed()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// FuzzNextRun checks NextRun against firstFreeRunRef applied word by
+// word, on one to four arbitrary words (bits outside the status mask
+// included), for every node width, every word-aligned start and every
+// end. Run it with go test -run '^$' -fuzz '^FuzzNextRun$'
+// ./internal/status.
+func FuzzNextRun(f *testing.F) {
+	busy := Fill(0, 8, Busy)
+	for _, s := range [][5]uint64{
+		{1, 0, 0, 0, 0},
+		{4, busy, busy, busy, busy},
+		{4, busy, busy, busy, 0},
+		{3, ^uint64(0), statMask, WithField(busy, 7, CoalLeft), 0},
+		{2, WithField(busy, 3, 0), WithField(busy, 6, CoalRight), 0, 0},
+		{4, busy &^ Fill(4, 2, Mask), busy &^ Fill(2, 2, Mask), busy &^ Fill(0, 4, Mask), busy &^ Fill(1, 1, Mask)},
+		{2, laneMSB | 0x6060606060606060, busy | laneMSB, 0, 0}, // only the bits above the status mask
+	} {
+		f.Add(uint8(s[0]), s[1], s[2], s[3], s[4])
+	}
+	f.Fuzz(func(t *testing.T, n uint8, w0, w1, w2, w3 uint64) {
+		checkNextRun(t, []uint64{w0, w1, w2, w3}[:int(n%4)+1])
 	})
 }
