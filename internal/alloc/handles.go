@@ -2,11 +2,8 @@ package alloc
 
 import (
 	"maps"
-	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/proc"
 )
 
 // Registry is the handle bookkeeping every layer shares: the live handles
@@ -86,7 +83,7 @@ func (r *Registry[H]) Walk(fn func(live []H)) {
 }
 
 // ConvPool keeps the idle convenience handles that serve a layer's own
-// thread-safe Alloc/Free: plain per-P free lists, not a sync.Pool, so the
+// thread-safe Alloc/Free: one mutex-guarded LIFO, not a sync.Pool, so the
 // number of registered convenience handles is bounded by the peak
 // concurrency of the convenience path. A sync.Pool drops idle items at
 // every GC (and at random under the race detector), and each dropped
@@ -96,58 +93,29 @@ type ConvPool[H any] struct {
 	// New builds and registers a handle when Borrow finds no idle one.
 	New func() H
 
-	once   sync.Once
-	shards []convShard[H]
-}
-
-// convShard is one per-P free list of idle convenience handles, padded
-// out to a cache line so neighbouring shards' locks do not false-share.
-type convShard[H any] struct {
 	mu   sync.Mutex
 	free []H
-	_    [32]byte
 }
 
-// Borrow pops an idle handle from the calling P's free list. A handle
-// taken from one list may come back to another after the goroutine
-// migrates, so a miss tries the sibling lists before building a fresh
-// handle with New: the registration count stays at the convenience
-// path's peak concurrency instead of growing by one per P a migrating
-// caller ever ran on.
+// Borrow pops an idle handle, or builds a fresh one with New when none
+// is idle.
 func (p *ConvPool[H]) Borrow() H {
-	p.once.Do(p.init)
-	mask := len(p.shards) - 1
-	local := proc.Hint() & mask
-	for d := range p.shards {
-		c := &p.shards[(local+d)&mask]
-		c.mu.Lock()
-		if n := len(c.free); n > 0 {
-			h := c.free[n-1]
-			c.free = c.free[:n-1]
-			c.mu.Unlock()
-			return h
-		}
-		c.mu.Unlock()
+	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		h := p.free[n-1]
+		p.free = p.free[:n-1]
+		p.mu.Unlock()
+		return h
 	}
+	p.mu.Unlock()
 	return p.New()
 }
 
-// Return parks a borrowed handle on the calling P's free list.
+// Return parks a borrowed handle for the next Borrow.
 func (p *ConvPool[H]) Return(h H) {
-	c := &p.shards[proc.Hint()&(len(p.shards)-1)]
-	c.mu.Lock()
-	c.free = append(c.free, h)
-	c.mu.Unlock()
-}
-
-// init sizes the free lists to GOMAXPROCS rounded up to a power of two
-// (at most 64), so the P hint reduces to a mask.
-func (p *ConvPool[H]) init() {
-	n := 1
-	for n < runtime.GOMAXPROCS(0) && n < 64 {
-		n *= 2
-	}
-	p.shards = make([]convShard[H], n)
+	p.mu.Lock()
+	p.free = append(p.free, h)
+	p.mu.Unlock()
 }
 
 // DrainFence is the drain fence the caching layers (frontend, slab)

@@ -62,19 +62,6 @@ func RunBuilder(t *testing.T, build Builder) {
 	t.Run("StatsAccounting", func(t *testing.T) { testStatsAccounting(t, build) })
 }
 
-type builder = Builder
-
-// Scrubber is implemented by the non-blocking allocators: their release
-// path may strand conservative occupied/coalescing markings when racing
-// with concurrent operations (the unmark climb stops early by design), and
-// Scrub rebuilds the metadata from the live-allocation index at a
-// quiescent point. The stale bits only ever claim more occupancy than
-// real, so this is a liveness matter, never a safety one. Composed stacks
-// forward Scrub inward and use it to release layer-held chunks too — a
-// caching front-end flushes its magazines — so a stack that scrubs is a
-// stack that fully quiesces.
-type Scrubber interface{ Scrub() }
-
 // mustAllocAfterDrain asserts that size is allocatable on a (supposedly)
 // fully drained instance. Non-blocking allocators are permitted one Scrub
 // to shed benign residue first; an allocator without Scrub must succeed
@@ -84,7 +71,7 @@ func mustAllocAfterDrain(t *testing.T, a alloc.Allocator, size uint64, context s
 	t.Helper()
 	off, ok := a.Alloc(size)
 	if !ok {
-		s, canScrub := a.(Scrubber)
+		s, canScrub := a.(alloc.Scrubber)
 		if !canScrub {
 			t.Fatalf("%s: alloc(%d) failed after drain", context, size)
 		}
@@ -96,7 +83,7 @@ func mustAllocAfterDrain(t *testing.T, a alloc.Allocator, size uint64, context s
 	a.Free(off)
 }
 
-func testFillDrainRefill(t *testing.T, build builder) {
+func testFillDrainRefill(t *testing.T, build Builder) {
 	a := build(t, 4096, 8, 4096)
 	var offs []uint64
 	seen := map[uint64]bool{}
@@ -123,7 +110,7 @@ func testFillDrainRefill(t *testing.T, build builder) {
 	a.Free(0)
 }
 
-func testAlignment(t *testing.T, build builder) {
+func testAlignment(t *testing.T, build Builder) {
 	a := build(t, 1<<16, 8, 1<<16)
 	for _, size := range []uint64{8, 16, 64, 512, 4096, 1 << 14} {
 		off, ok := a.Alloc(size)
@@ -140,7 +127,7 @@ func testAlignment(t *testing.T, build builder) {
 	}
 }
 
-func testSplitCoalesce(t *testing.T, build builder) {
+func testSplitCoalesce(t *testing.T, build Builder) {
 	a := build(t, 1024, 8, 1024)
 	small, ok := a.Alloc(8)
 	if !ok {
@@ -163,7 +150,7 @@ func testSplitCoalesce(t *testing.T, build builder) {
 	}
 }
 
-func testMixedSizesNoOverlap(t *testing.T, build builder) {
+func testMixedSizesNoOverlap(t *testing.T, build Builder) {
 	a := build(t, 1<<16, 8, 1<<13)
 	type chunk struct{ off, size uint64 }
 	var live []chunk
@@ -184,7 +171,7 @@ func testMixedSizesNoOverlap(t *testing.T, build builder) {
 	}
 }
 
-func testSizeRounding(t *testing.T, build builder) {
+func testSizeRounding(t *testing.T, build Builder) {
 	a := build(t, 1024, 8, 1024)
 	// A 3-byte request must consume a full allocation unit.
 	off1, ok1 := a.Alloc(3)
@@ -210,7 +197,7 @@ func testSizeRounding(t *testing.T, build builder) {
 	a.Free(o2)
 }
 
-func testOversize(t *testing.T, build builder) {
+func testOversize(t *testing.T, build Builder) {
 	a := build(t, 1024, 8, 512)
 	if _, ok := a.Alloc(513); ok {
 		t.Fatal("alloc above MaxSize succeeded")
@@ -220,7 +207,7 @@ func testOversize(t *testing.T, build builder) {
 	}
 }
 
-func testZeroSize(t *testing.T, build builder) {
+func testZeroSize(t *testing.T, build Builder) {
 	a := build(t, 1024, 8, 1024)
 	off, ok := a.Alloc(0)
 	if !ok {
@@ -233,7 +220,7 @@ func testZeroSize(t *testing.T, build builder) {
 // allocation attempt, whatever the size — it returns nil and counts
 // nothing, at the handle and at the allocator, exactly like an empty
 // FreeBatch.
-func testEmptyBatch(t *testing.T, build builder) {
+func testEmptyBatch(t *testing.T, build Builder) {
 	a := build(t, 1024, 8, 512)
 	h := a.NewHandle()
 	before, hBefore := a.Stats(), *h.Stats()
@@ -255,7 +242,7 @@ func testEmptyBatch(t *testing.T, build builder) {
 	}
 }
 
-func testDoubleFreePanics(t *testing.T, build builder) {
+func testDoubleFreePanics(t *testing.T, build Builder) {
 	a := build(t, 1024, 8, 1024)
 	off, ok := a.Alloc(64)
 	if !ok {
@@ -270,7 +257,7 @@ func testDoubleFreePanics(t *testing.T, build builder) {
 	a.Free(off)
 }
 
-func testForeignFreePanics(t *testing.T, build builder) {
+func testForeignFreePanics(t *testing.T, build Builder) {
 	a := build(t, 1024, 8, 1024)
 	defer func() {
 		if recover() == nil {
@@ -280,7 +267,7 @@ func testForeignFreePanics(t *testing.T, build builder) {
 	a.Free(512)
 }
 
-func testMinimalGeometry(t *testing.T, build builder) {
+func testMinimalGeometry(t *testing.T, build Builder) {
 	// A degenerate instance: one allocation unit, depth 0.
 	a := build(t, 64, 64, 64)
 	off, ok := a.Alloc(64)
@@ -296,7 +283,7 @@ func testMinimalGeometry(t *testing.T, build builder) {
 	}
 }
 
-func testMaxLevelRestriction(t *testing.T, build builder) {
+func testMaxLevelRestriction(t *testing.T, build Builder) {
 	// MaxSize below Total: requests up to MaxSize succeed, nothing larger.
 	a := build(t, 1<<12, 8, 1<<10)
 	var offs []uint64
@@ -318,7 +305,7 @@ func testMaxLevelRestriction(t *testing.T, build builder) {
 // testRandomSequentialVsShadow drives a long random alloc/free sequence and
 // validates every response against a shadow interval set (S1 and S2 from a
 // single thread, exercising deep split/merge interleavings).
-func testRandomSequentialVsShadow(t *testing.T, build builder) {
+func testRandomSequentialVsShadow(t *testing.T, build Builder) {
 	const total, minSize, maxSize = 1 << 14, 8, 1 << 11
 	a := build(t, total, minSize, maxSize)
 	geo := a.Geometry()
@@ -372,7 +359,7 @@ func testRandomSequentialVsShadow(t *testing.T, build builder) {
 // region, no overlap with live chunks, and a clean full-capacity state
 // after draining. Each generated byte encodes one operation: high bit set
 // frees the n-th live chunk, otherwise allocates one of 8 size classes.
-func testQuickOpSequences(t *testing.T, build builder) {
+func testQuickOpSequences(t *testing.T, build Builder) {
 	const total, minSize, maxSize = 1 << 13, 8, 1 << 11
 	property := func(script []byte) bool {
 		a := build(t, total, minSize, maxSize)
@@ -425,7 +412,7 @@ func testQuickOpSequences(t *testing.T, build builder) {
 // testConcurrentNoOverlap hammers one instance from many goroutines while a
 // shared per-unit claim map (atomics on the test side only) asserts that no
 // two live allocations ever overlap — the concurrent version of S1/S2.
-func testConcurrentNoOverlap(t *testing.T, build builder) {
+func testConcurrentNoOverlap(t *testing.T, build Builder) {
 	const total, minSize, maxSize = 1 << 20, 8, 1 << 14
 	workers := 8
 	if testing.Short() {
@@ -494,7 +481,7 @@ func testConcurrentNoOverlap(t *testing.T, build builder) {
 // testConcurrentChurnDrain runs an alloc/free ping-pong (the Linux
 // Scalability pattern) concurrently and verifies the instance coalesces
 // back to a fully allocatable state.
-func testConcurrentChurnDrain(t *testing.T, build builder) {
+func testConcurrentChurnDrain(t *testing.T, build Builder) {
 	const total = 1 << 18
 	a := build(t, total, 8, total)
 	iters := 20000
@@ -521,7 +508,7 @@ func testConcurrentChurnDrain(t *testing.T, build builder) {
 // testConcurrentMixedLevels spreads workers over different target levels so
 // climbs constantly cross each other mid-tree, the scenario the coalescing
 // bits exist for.
-func testConcurrentMixedLevels(t *testing.T, build builder) {
+func testConcurrentMixedLevels(t *testing.T, build Builder) {
 	const total = 1 << 18
 	a := build(t, total, 8, 1<<13)
 	sizes := []uint64{8, 64, 512, 4096, 1 << 13}
@@ -556,7 +543,7 @@ func testConcurrentMixedLevels(t *testing.T, build builder) {
 	mustAllocAfterDrain(t, a, 1<<13, "mixed-level churn")
 }
 
-func testStatsAccounting(t *testing.T, build builder) {
+func testStatsAccounting(t *testing.T, build Builder) {
 	a := build(t, 1<<12, 8, 1<<12)
 	h := a.NewHandle()
 	const n = 100

@@ -87,9 +87,9 @@ type Report struct {
 	// Events is the flight-recorder dump: the last lifecycle events
 	// (elastic transitions, injected faults, degradation rungs, slab
 	// crossings) before the run ended, in logical-step order. Two
-	// same-seed runs record identical dumps — the ring is single-sharded
-	// here and stamped by a logical counter, so the dump is part of the
-	// replayable incident, not wall-clock noise.
+	// same-seed runs record identical dumps — the ring is stamped by its
+	// logical publish counter, so the dump is part of the replayable
+	// incident, not wall-clock noise.
 	Events []telemetry.Event `json:"events,omitempty"`
 }
 
@@ -152,11 +152,9 @@ func Run(cfg Config) (rep Report) {
 	}
 	rep = Report{Composite: cfg.Composite, Seed: cfg.Seed, Steps: cfg.Steps, Prob: cfg.Prob}
 
-	// One ring shard: the workload is single-goroutine and the events are
-	// stamped by the logical step counter, so the recorded dump is
-	// deterministic per seed — overwrite-oldest eviction must not depend
-	// on which P the goroutine happened to run on.
-	reg := telemetry.New(telemetry.Config{RingShards: 1})
+	// The workload is single-goroutine and the ring stamps events with its
+	// logical step counter, so the recorded dump is deterministic per seed.
+	reg := telemetry.New(telemetry.Config{})
 	in := fault.New(cfg.Seed)
 	st, err := buildComposite(cfg.Composite, in, reg)
 	if err != nil {
@@ -196,11 +194,10 @@ func Run(cfg Config) (rep Report) {
 	mgr := st.Elastic
 	sl := slab.Find(a)
 	rng := rand.New(rand.NewSource(int64(cfg.Seed)))
-	// Two persistent handles, never the convenience Alloc/Free path: the
-	// router shards its idle convenience handles per P, so which handle
-	// (and which preferred instance) a convenience call draws depends on
-	// goroutine placement — nondeterministic at GOMAXPROCS > 1, which
-	// would break the replay contract. Handles route deterministically.
+	// Two persistent handles, never the convenience Alloc/Free path: a
+	// convenience call draws whichever idle handle was returned last, so
+	// its preferred instance depends on earlier convenience traffic, not
+	// on the schedule. Handles route deterministically.
 	h := a.NewHandle()
 	h2 := a.NewHandle()
 

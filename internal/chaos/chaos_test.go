@@ -75,10 +75,11 @@ func TestRunIsDeterministic(t *testing.T) {
 }
 
 // TestFlightRecorderDeterministic pins the embedded flight-recorder dump
-// into the replay contract: the chaos harness runs its ring single-
-// sharded with logical-step timestamps, so two same-seed runs record the
-// identical event sequence — the property that makes an incident file's
-// event trail trustworthy evidence rather than a racy approximation.
+// into the replay contract: the chaos harness builds its registry from
+// the zero telemetry.Config, and the ring stamps logical steps, so two
+// same-seed runs record the identical event sequence — the property
+// that makes an incident file's event trail trustworthy evidence rather
+// than a racy approximation.
 func TestFlightRecorderDeterministic(t *testing.T) {
 	cfg := Config{Composite: "mapped+elastic", Seed: 7, Steps: 2000}
 	first := Run(cfg)

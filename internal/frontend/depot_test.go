@@ -111,7 +111,7 @@ func TestDepotBatchRefillAndDrain(t *testing.T) {
 		t.Fatalf("no drains despite overflowing a capacity-1 depot: %+v", ds)
 	}
 	fe.Scrub()
-	if s := fe.Backend().Stats(); s.Allocs != s.Frees {
+	if s := fe.Unwrap().Stats(); s.Allocs != s.Frees {
 		t.Fatalf("back-end unbalanced after Scrub: %d allocs vs %d frees", s.Allocs, s.Frees)
 	}
 }
@@ -290,7 +290,7 @@ func depotOffsets(fe *frontend.Allocator) []uint64 {
 	var out []uint64
 	for _, mag := range fe.Depot().DrainAll() {
 		out = append(out, mag...)
-		alloc.FreeBatchOf(fe.Backend(), mag)
+		alloc.FreeBatchOf(fe.Unwrap(), mag)
 	}
 	return out
 }

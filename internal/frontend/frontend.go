@@ -20,6 +20,12 @@
 // alloc.Allocator that implements alloc.ChunkSizer — a leaf variant, a
 // multi-instance router, a traced stack — and itself forwards the whole
 // layer contract, so further layers stack on top of it.
+//
+// A caching handle does not detect a double free: Handle.Free parks the
+// offset in a magazine without asking the back-end, which still counts
+// the chunk as live, so a second Free parks it again and two later
+// Allocs return the same offset. The pass-through convenience Free still
+// panics (DESIGN.md, "Failure semantics").
 package frontend
 
 import (
@@ -107,9 +113,6 @@ func (a *Allocator) Geometry() geometry.Geometry { return a.geo }
 // offset space (a multi-instance back-end is wider than its Geometry).
 func (a *Allocator) OffsetSpan() uint64 { return alloc.SpanOf(a.backend) }
 
-// Backend exposes the wrapped back-end (for statistics and tests).
-func (a *Allocator) Backend() alloc.Allocator { return a.backend }
-
 // Unwrap exposes the wrapped back-end to generic stack walkers.
 func (a *Allocator) Unwrap() alloc.Allocator { return a.backend }
 
@@ -166,7 +169,7 @@ func (a *Allocator) FreeBatch(offsets []uint64) {
 // the operations served at the front-end (magazine hits included),
 // aggregated across handles and the convenience path. The back-end's own
 // counters — how much traffic the magazines did NOT absorb — remain
-// available via Backend().Stats() and LayerStats. Quiescent points only.
+// available via Unwrap().Stats() and LayerStats. Quiescent points only.
 func (a *Allocator) Stats() alloc.Stats {
 	total := a.reg.Stats()
 	a.convMu.Lock()

@@ -45,7 +45,7 @@ func TestMagazineHit(t *testing.T) {
 		t.Fatalf("%d chunks cached after Flush", h.Cached())
 	}
 	// After flushing, the back-end must see the chunk as free again.
-	s := fe.Backend().Stats()
+	s := fe.Unwrap().Stats()
 	if s.Allocs != s.Frees {
 		t.Fatalf("back-end allocs/frees = %d/%d after flush", s.Allocs, s.Frees)
 	}
@@ -107,7 +107,7 @@ func TestSpillOnOverflow(t *testing.T) {
 		t.Fatalf("depot retains %d chunks, want one full magazine (%d)", got, mag)
 	}
 	fe.Scrub()
-	s := fe.Backend().Stats()
+	s := fe.Unwrap().Stats()
 	if s.Allocs != s.Frees {
 		t.Fatalf("back-end leaked: %d allocs vs %d frees", s.Allocs, s.Frees)
 	}
@@ -176,7 +176,7 @@ func TestConcurrentCachedWorkers(t *testing.T) {
 	}
 	wg.Wait()
 	fe.Scrub() // the depot still parks the magazines workers overflowed
-	s := fe.Backend().Stats()
+	s := fe.Unwrap().Stats()
 	if s.Allocs != s.Frees {
 		t.Fatalf("back-end leaked under concurrency: %d allocs vs %d frees", s.Allocs, s.Frees)
 	}
@@ -233,7 +233,7 @@ func TestScrubFlushesMagazines(t *testing.T) {
 		t.Fatal("alloc failed")
 	}
 	h.Free(off) // parked, still allocated in the back-end
-	s := fe.Backend().Stats()
+	s := fe.Unwrap().Stats()
 	if s.Allocs == s.Frees {
 		t.Fatal("test premise broken: parked chunk should still be live in the back-end")
 	}
@@ -241,7 +241,7 @@ func TestScrubFlushesMagazines(t *testing.T) {
 	if h.Cached() != 0 {
 		t.Fatalf("%d chunks still cached after Scrub", h.Cached())
 	}
-	s = fe.Backend().Stats()
+	s = fe.Unwrap().Stats()
 	if s.Allocs != s.Frees {
 		t.Fatalf("back-end unbalanced after Scrub: %d/%d", s.Allocs, s.Frees)
 	}

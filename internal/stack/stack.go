@@ -322,9 +322,10 @@ var composites = []string{
 	"depot+4lvl-nb",
 	"depot+multi4+4lvl-nb",
 	// The size-class layer over a bare leaf, over the caching front-end
-	// and its depot (runs refill through the batched depot path), and over
-	// the full mapped elastic stack (runs participate in retirement via
-	// the DrainRange fence).
+	// and its depot (a run is one chunk from the front-end's uncached
+	// convenience Alloc, so runs never touch a magazine or the depot),
+	// and over the full mapped elastic stack (runs participate in
+	// retirement via the DrainRange fence).
 	"slab+4lvl-nb",
 	"slab+depot+multi4+4lvl-nb",
 	"slab+mapped+elastic+multi+4lvl-nb",

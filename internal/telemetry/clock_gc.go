@@ -8,8 +8,7 @@ import (
 
 // nanotime is the runtime's monotonic clock: one VDSO read on Linux,
 // with none of time.Now's wall-clock assembly — the cheapest "rdtsc-style"
-// timestamp the gc toolchain exposes. Same linkname pattern as
-// internal/proc's procPin hint.
+// timestamp the gc toolchain exposes.
 //
 //go:linkname nanotime runtime.nanotime
 func nanotime() int64

@@ -15,21 +15,17 @@ import (
 // refill-path rare and amortize the clock over the whole batch.
 const DefaultSampleInterval = 256
 
-// DefaultRingSize is the per-shard capacity of the flight-recorder ring.
-const DefaultRingSize = 256
+// DefaultRingSize is the capacity of the flight-recorder ring.
+const DefaultRingSize = 1024
 
 // Config tunes a Registry. The zero value takes every default.
 type Config struct {
 	// SampleInterval times one in N single-chunk handle operations
 	// (0 = DefaultSampleInterval, 1 = every operation).
 	SampleInterval int
-	// RingSize is the per-shard event capacity of the flight recorder
+	// RingSize is the event capacity of the flight recorder
 	// (0 = DefaultRingSize).
 	RingSize int
-	// RingShards is the number of write-sharded sub-rings (0 = one per
-	// processor hint). Deterministic harnesses (chaos) pin it to 1 so
-	// overwrite-oldest eviction does not depend on goroutine placement.
-	RingShards int
 }
 
 // Registry is one stack's telemetry root: the ordered set of
@@ -51,7 +47,7 @@ func New(cfg Config) *Registry {
 	}
 	return &Registry{
 		interval: cfg.SampleInterval,
-		ring:     newRing(cfg.RingSize, cfg.RingShards),
+		ring:     newRing(cfg.RingSize),
 	}
 }
 

@@ -3,15 +3,12 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
-	"sort"
+	"slices"
 	"sync"
-	"sync/atomic"
-
-	"repro/internal/proc"
 )
 
-// Event is one flight-recorder entry. Step is a logical timestamp — a
-// global atomic counter, not a clock — so a replayed chaos run
+// Event is one flight-recorder entry. Step is a logical timestamp — the
+// ring's publish counter, not a clock — so a replayed chaos run
 // publishes the identical sequence and two same-seed runs compare equal
 // (replay safety; see DESIGN.md "Observability"). A and B are
 // event-specific operands (a slot index, a chunk count, a fault site's
@@ -24,54 +21,35 @@ type Event struct {
 	B      uint64 `json:"b,omitempty"`
 }
 
-// Ring is the flight recorder: fixed-size, overwrite-oldest, sharded by
-// processor hint so concurrent publishers rarely contend on one mutex.
-// Events are rare by construction (lifecycle transitions, faults,
-// refill/spill/drain crossings — never per-op), so a mutexed shard
-// write is cheap; the global step counter is the only cross-shard
-// synchronization on the publish path.
+// Ring is the flight recorder: one fixed-size, overwrite-oldest buffer
+// behind one mutex. Events are rare by construction (lifecycle
+// transitions, faults, refill/spill/drain crossings — never per-op), so
+// a mutexed write is cheap. The step is taken under the same mutex, so
+// the buffer is always in step order and eviction drops the globally
+// oldest event.
 type Ring struct {
-	step   atomic.Uint64
-	shards []ringShard
-}
-
-type ringShard struct {
 	mu   sync.Mutex
+	step uint64
 	buf  []Event
-	next int
-	full bool
 }
 
-func newRing(size, shards int) *Ring {
+func newRing(size int) *Ring {
 	if size <= 0 {
 		size = DefaultRingSize
 	}
-	if shards <= 0 {
-		shards = proc.MaxHint()
-	}
-	r := &Ring{shards: make([]ringShard, shards)}
-	for i := range r.shards {
-		r.shards[i].buf = make([]Event, size)
-	}
-	return r
+	return &Ring{buf: make([]Event, size)}
 }
 
-// Publish appends an event, overwriting the shard's oldest entry when
-// the shard is full.
+// Publish appends an event, overwriting the oldest entry when the ring
+// is full.
 func (r *Ring) Publish(source, event string, a, b uint64) {
 	if r == nil {
 		return
 	}
-	step := r.step.Add(1)
-	s := &r.shards[proc.Hint()%len(r.shards)]
-	s.mu.Lock()
-	s.buf[s.next] = Event{Step: step, Source: source, Event: event, A: a, B: b}
-	s.next++
-	if s.next == len(s.buf) {
-		s.next = 0
-		s.full = true
-	}
-	s.mu.Unlock()
+	r.mu.Lock()
+	r.buf[r.step%uint64(len(r.buf))] = Event{Step: r.step + 1, Source: source, Event: event, A: a, B: b}
+	r.step++
+	r.mu.Unlock()
 }
 
 // Published returns the total number of events ever published,
@@ -80,30 +58,26 @@ func (r *Ring) Published() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.step.Load()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.step
 }
 
-// Events returns the retained events in logical-step order. Each shard
-// is read under its mutex, so the dump happens-after every publish it
+// Events returns the retained events in logical-step order. The ring is
+// read under its mutex, so the dump happens-after every publish it
 // includes.
 func (r *Ring) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	var out []Event
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		if s.full {
-			out = append(out, s.buf[s.next:]...)
-			out = append(out, s.buf[:s.next]...)
-		} else {
-			out = append(out, s.buf[:s.next]...)
-		}
-		s.mu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	size := uint64(len(r.buf))
+	if r.step <= size {
+		return slices.Clone(r.buf[:r.step])
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Step < out[j].Step })
-	return out
+	next := r.step % size
+	return slices.Concat(r.buf[next:], r.buf[:next])
 }
 
 // DumpJSON writes the retained events as a JSON array.

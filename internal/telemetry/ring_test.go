@@ -7,11 +7,10 @@ import (
 	"testing"
 )
 
-// TestRingOverwriteOldest pins the eviction contract on a single shard:
-// a full ring drops the oldest entries, keeps the newest, and Published
+// TestRingOverwriteOldest pins the eviction contract: a full ring drops the oldest entries, keeps the newest, and Published
 // still counts everything ever written.
 func TestRingOverwriteOldest(t *testing.T) {
-	r := newRing(4, 1)
+	r := newRing(4)
 	for i := uint64(1); i <= 10; i++ {
 		r.Publish("src", "ev", i, 0)
 	}
@@ -32,7 +31,7 @@ func TestRingOverwriteOldest(t *testing.T) {
 // TestRingUnderfilled: a ring that never wrapped returns exactly what
 // was published, in step order.
 func TestRingUnderfilled(t *testing.T) {
-	r := newRing(8, 1)
+	r := newRing(8)
 	r.Publish("a", "x", 1, 2)
 	r.Publish("b", "y", 3, 4)
 	ev := r.Events()
@@ -41,24 +40,14 @@ func TestRingUnderfilled(t *testing.T) {
 	}
 }
 
-// TestRingConcurrentPublish hammers a sharded ring from 8 goroutines
-// under the race detector; afterwards the retained steps are unique and
-// sorted, and Published equals the total written.
+// TestRingConcurrentPublish hammers the ring from 8 goroutines under the
+// race detector; afterwards the retained steps are unique and sorted, and
+// Published equals the total written.
 func TestRingConcurrentPublish(t *testing.T) {
-	r := newRing(1024, 4)
+	r := newRing(1024)
 	const workers = 8
 	const per = 5000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				r.Publish("w", "ev", uint64(w), uint64(i))
-			}
-		}(w)
-	}
-	wg.Wait()
+	publishConcurrently(r, workers, per)
 	if got := r.Published(); got != workers*per {
 		t.Fatalf("Published = %d, want %d", got, workers*per)
 	}
@@ -75,10 +64,46 @@ func TestRingConcurrentPublish(t *testing.T) {
 	}
 }
 
+// TestRingKeepsNewestEvents: after concurrent publishers overrun the
+// ring, it holds exactly the newest events overall — steps
+// Published()-N+1 through Published() for capacity N — whichever
+// goroutine published them.
+func TestRingKeepsNewestEvents(t *testing.T) {
+	const size = 1024
+	r := newRing(size)
+	publishConcurrently(r, 8, 5000)
+	ev := r.Events()
+	if len(ev) != size {
+		t.Fatalf("retained %d events, want %d", len(ev), size)
+	}
+	first := r.Published() - size + 1
+	for i, e := range ev {
+		if want := first + uint64(i); e.Step != want {
+			t.Fatalf("event %d has step %d, want %d (the newest %d of %d)", i, e.Step, want, size, r.Published())
+		}
+	}
+}
+
+// publishConcurrently has each of workers goroutines publish per events
+// into r and waits for all of them.
+func publishConcurrently(r *Ring, workers, per int) {
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				r.Publish("w", "ev", uint64(w), uint64(i))
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
 // TestRingDumpJSON round-trips the dump and pins the empty-ring shape
 // to a JSON array (not null) — the contract incident files rely on.
 func TestRingDumpJSON(t *testing.T) {
-	r := newRing(4, 1)
+	r := newRing(4)
 	var buf bytes.Buffer
 	if err := r.DumpJSON(&buf); err != nil {
 		t.Fatal(err)

@@ -109,9 +109,10 @@ func Variants() []string { return alloc.Names() }
 // Depot as the one switch for the caching front-end at its default
 // sizes; version 7 drops BackingConfig's huge-page and materialize
 // switches, leaving Mapped as the one way to put bytes behind the
-// offsets. The constant exists so embedders that persist configurations
-// can tag which schema they wrote.
-const ConfigVersion = 7
+// offsets; version 8 drops TelemetryConfig's ring-shard count, leaving
+// the flight recorder one ring sized by RingSize. The constant exists so
+// embedders that persist configurations can tag which schema they wrote.
+const ConfigVersion = 8
 
 // RoutingPolicy selects how multi-instance handles bind to back-ends:
 // RoutingRoundRobin spreads handles across instances in creation order,
@@ -171,6 +172,9 @@ type FrontendConfig struct {
 	// hand-off cost of remote frees becomes one pointer swap per magazine
 	// instead of a back-end round trip per chunk. Depot misses and
 	// overflows cross into the back-end as batches (AllocBatch/FreeBatch).
+	// A caching handle does not detect a double free: the second Free
+	// parks the offset again and two later Allocs return it to two
+	// owners. Slab objects and the Buddy's own Free still panic.
 	Depot bool
 	// Slab layers the size-class slab over the stack (above the caching
 	// front-end, when present): requests up to the cutoff are served from
@@ -300,8 +304,8 @@ var (
 type TelemetryRegistry = telemetry.Registry
 
 // TelemetryConfig tunes the telemetry layer; the zero value takes every
-// default (sample one in 64 single-chunk operations, a 256-event ring
-// sharded per processor).
+// default (sample one in 256 single-chunk operations, a 1024-event
+// ring).
 type TelemetryConfig = telemetry.Config
 
 // TelemetryEvent is one flight-recorder entry; see TelemetryRegistry.Ring.
