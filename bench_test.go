@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/frontend"
+	"repro/internal/multi"
 
 	"repro/internal/bunch"
 	_ "repro/internal/cloudwu"
@@ -462,6 +463,44 @@ func BenchmarkStackDepotMulti(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkRouterPreferredFull measures the router's fallback when the
+// preferred instance is full: a Fixed 2-instance router whose instance 0
+// is planted full of the benchmarked size, then single-op alloc/free
+// churn that instance 1 serves. Every Alloc prefers instance 0, so the
+// cost per op is what asking (or skipping) a full instance adds to one
+// served allocation; the failure hint (DESIGN.md, "The failure hint")
+// turns the failing level scan into one load of the slot's hint word.
+func BenchmarkRouterPreferredFull(b *testing.B) {
+	cfg := alloc.Config{Total: 4 << 20, MinSize: 64, MaxSize: 64 << 10}
+	const size = 1 << 10
+	m, err := multi.New("4lvl-nb", 2, cfg, multi.Fixed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	planter := m.Instance(0).NewHandle()
+	var planted []uint64
+	for {
+		off, ok := planter.Alloc(size)
+		if !ok {
+			break
+		}
+		planted = append(planted, off)
+	}
+	h := m.NewHandle()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off, ok := h.Alloc(size)
+		if !ok || m.InstanceOf(off) != 1 {
+			b.Fatalf("alloc = (%v, instance %d), want instance 1", ok, m.InstanceOf(off))
+		}
+		h.Free(off)
+	}
+	b.StopTimer()
+	for _, off := range planted {
+		planter.Free(off)
 	}
 }
 

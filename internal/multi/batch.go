@@ -9,6 +9,11 @@ package multi
 // call, so a depot drain crossing the router stays one operation per
 // instance rather than one per chunk.
 //
+// The failure hints follow the single-chunk rules: a sub-batch the leaf
+// serves short sets the slot's bit, hinted slots are skipped on the first
+// pass and asked on a second pass only for the remainder nothing else
+// served, and every release that reaches a slot clears its hints.
+//
 // With live tracking (elastic deployments) the batch paths follow the
 // same cell discipline as the single-chunk paths: the handle's live cell
 // on the slot is raised by the full requested amount before the state
@@ -17,11 +22,16 @@ package multi
 // release groups live in handle-owned scratch slices, so a bulk free
 // allocates nothing once the scratch has grown to the batch size.
 
-import "repro/internal/alloc"
+import (
+	"math/bits"
+
+	"repro/internal/alloc"
+)
 
 // tryAllocBatchOn asks slot k for up to n chunks, honouring the elastic
-// live-cell ordering (raise before the state check, settle after).
-func (h *Handle) tryAllocBatchOn(s *slot, k int, size uint64, n int) []uint64 {
+// live-cell ordering (raise before the state check, settle after). A
+// short answer from the leaf sets the slot's failure-hint bit.
+func (h *Handle) tryAllocBatchOn(s *slot, k int, size uint64, n int, bit uint64) []uint64 {
 	r := h.sub(s, k)
 	c := r.cell
 	if c != nil {
@@ -32,6 +42,9 @@ func (h *Handle) tryAllocBatchOn(s *slot, k int, size uint64, n int) []uint64 {
 		}
 	}
 	got := alloc.HandleAllocBatch(r.h, size, n)
+	if len(got) < n {
+		s.markFull(bit)
+	}
 	if c != nil {
 		if delta := int64(len(got) - n); delta != 0 {
 			add(&c.n, delta)
@@ -49,48 +62,66 @@ func (h *Handle) AllocBatch(size uint64, n int) []uint64 {
 		return nil
 	}
 	var out []uint64
-	m := h.m
-	t := m.tab.Load()
+	t := h.m.tab.Load()
 	h.syncTable(t)
 	cnt := len(t.slots)
+	bit := h.m.hintBit(size)
 	// Walk from a snapshot of the preference: the fallback path below may
 	// move h.pref to a serving instance mid-batch, which must not reorder
 	// the remainder of this walk.
 	pref := h.pref
+	var skipped uint64 // bit d: the slot at distance d was hinted full
 	for d := 0; d < cnt && len(out) < n; d++ {
 		k := (pref + d) % cnt
 		s := t.slots[k]
 		if s == nil {
 			continue
 		}
-		got := h.tryAllocBatchOn(s, k, size, n-len(out))
-		if len(got) == 0 {
+		if d < 64 && s.full.Load()&bit != 0 {
+			skipped |= 1 << d
+			h.hintSkips++
 			continue
 		}
-		base := uint64(k) * m.span
-		for i := range got {
-			got[i] += base
-		}
-		// The first serving instance's slice, rebased in place, becomes
-		// the result: a batch one instance serves whole costs the leaf's
-		// allocation and no second one.
-		if out == nil {
-			out = got
-		} else {
-			out = append(out, got...)
-		}
-		h.stats.Allocs += uint64(len(got))
-		if d != 0 {
-			h.fallbacks += uint64(len(got))
-			if m.policy == RoundRobin {
-				// Move the preference to the serving instance, as on the
-				// single-chunk fallback path.
-				h.pref = k
-			}
-		}
+		out = h.take(out, h.tryAllocBatchOn(s, k, size, n-len(out), bit), k, d)
+	}
+	for ; skipped != 0 && len(out) < n; skipped &= skipped - 1 {
+		d := bits.TrailingZeros64(skipped)
+		k := (pref + d) % cnt
+		h.hintSkips--
+		out = h.take(out, h.tryAllocBatchOn(t.slots[k], k, size, n-len(out), bit), k, d)
 	}
 	if len(out) == 0 {
 		h.stats.AllocFails++
+	}
+	return out
+}
+
+// take rebases the chunks slot k, at distance d from the preference,
+// delivered and appends them to the batch result.
+func (h *Handle) take(out, got []uint64, k, d int) []uint64 {
+	if len(got) == 0 {
+		return out
+	}
+	base := uint64(k) * h.m.span
+	for i := range got {
+		got[i] += base
+	}
+	// The first serving instance's slice, rebased in place, becomes the
+	// result: a batch one instance serves whole costs the leaf's
+	// allocation and no second one.
+	if out == nil {
+		out = got
+	} else {
+		out = append(out, got...)
+	}
+	h.stats.Allocs += uint64(len(got))
+	if d != 0 {
+		h.fallbacks += uint64(len(got))
+		if h.m.policy == RoundRobin {
+			// Move the preference to the serving instance, as on the
+			// single-chunk fallback path.
+			h.pref = k
+		}
 	}
 	return out
 }
@@ -131,6 +162,7 @@ func (h *Handle) FreeBatch(offsets []uint64) {
 			}
 		}
 		alloc.HandleFreeBatch(r.h, group)
+		s.clearFull()
 		if c := r.cell; c != nil {
 			add(&c.bytes, -bytes)
 			add(&c.n, int64(-len(group)))

@@ -29,6 +29,7 @@ package multi
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -96,6 +97,12 @@ type slot struct {
 	a     alloc.Allocator
 	sizer alloc.ChunkSizer
 	state atomic.Uint32
+	// full is the advisory failure hint: bit L set means an allocation at
+	// level L failed on this slot and no free has reached it since, so
+	// allocations at L try the other slots first (see DESIGN.md, "The
+	// failure hint"). It only orders the walk; every leaf call still goes
+	// through the cell and state checks of tryAllocOn.
+	full atomic.Uint64
 	// The slot's live count — chunks delivered and not yet freed, and
 	// their reserved bytes — is kept only when the router's live tracking
 	// is enabled (elastic deployments); the fixed-set fast path pays
@@ -120,6 +127,27 @@ type liveCell struct {
 
 // add moves a single-writer counter by d.
 func add(v *atomic.Int64, d int64) { v.Store(v.Load() + d) }
+
+// markFull sets the failure-hint bit of a level whose allocation the leaf
+// refused. A CAS loop rather than atomic Or: go1.24.0 miscompiles the
+// Or/And intrinsics (DESIGN.md, "Memory ordering of sub-word CAS").
+func (s *slot) markFull(bit uint64) {
+	for {
+		old := s.full.Load()
+		if old&bit == bit || s.full.CompareAndSwap(old, old|bit) {
+			return
+		}
+	}
+}
+
+// clearFull drops every failure hint once capacity may have come back: a
+// free of any order can coalesce into a block of a larger one. It costs a
+// load, and a store only when a hint is set.
+func (s *slot) clearFull() {
+	if s.full.Load() != 0 {
+		s.full.Store(0)
+	}
+}
 
 // newCell registers a fresh cell on the slot.
 func (s *slot) newCell() *liveCell {
@@ -195,11 +223,13 @@ type Multi struct {
 	mu     sync.Mutex
 	nextID uint64
 	// reg holds the live handles (the routing counters of closed ones
-	// retained); closedFallbacks, guarded by the registry lock, retains the
-	// closed handles' fallback counts. conv holds the idle convenience
-	// handles behind Multi.Alloc/Free.
+	// retained); closedFallbacks and closedHintSkips, guarded by the
+	// registry lock, retain the closed handles' fallback and hint-skip
+	// counts. conv holds the idle convenience handles behind
+	// Multi.Alloc/Free.
 	reg             alloc.Registry[*Handle]
 	closedFallbacks uint64
+	closedHintSkips uint64
 	conv            alloc.ConvPool[*Handle]
 }
 
@@ -366,6 +396,16 @@ func (m *Multi) route(t *table, offset uint64) (int, uint64, *slot) {
 	return k, offset - uint64(k)*m.span, s
 }
 
+// hintBit returns the failure-hint bit of the level a request targets, or
+// 0 for a request above MaxSize, which every leaf refuses without a scan:
+// such a refusal says nothing about the slot's free space.
+func (m *Multi) hintBit(size uint64) uint64 {
+	if size > m.geo.MaxSize {
+		return 0
+	}
+	return 1 << m.geo.LevelForSize(size)
+}
+
 // reservedFor returns the reserved (power-of-two) size class a request
 // rounds to — the delta the live-byte accounting applies per allocation.
 func (m *Multi) reservedFor(size uint64) uint64 {
@@ -401,7 +441,9 @@ func (m *Multi) ChunkSize(offset uint64) uint64 {
 }
 
 // Scrub implements alloc.Scrubber: it forwards to every published
-// instance that supports scrubbing. Like any Scrub, quiescent points only.
+// instance that supports scrubbing and clears the failure hints, since a
+// scrub can free capacity without a routed free. Like any Scrub,
+// quiescent points only.
 func (m *Multi) Scrub() {
 	for _, s := range m.tab.Load().slots {
 		if s == nil {
@@ -410,6 +452,7 @@ func (m *Multi) Scrub() {
 		if sc, ok := s.a.(alloc.Scrubber); ok {
 			sc.Scrub()
 		}
+		s.clearFull()
 	}
 }
 
@@ -473,7 +516,8 @@ type RouteStats struct {
 	// Routed counts allocations served by the handle's preferred instance.
 	Routed uint64
 	// Fallbacks counts allocations the preferred instance could not serve
-	// that another instance absorbed (the kernel's zone-fallback path).
+	// that another instance absorbed (the kernel's zone-fallback path);
+	// allocations that skipped a hinted preferred instance count here too.
 	Fallbacks uint64
 }
 
@@ -482,23 +526,23 @@ type RouteStats struct {
 // regression test and capacity monitoring.
 func (m *Multi) Handles() int { return m.reg.Len() }
 
-// routing totals the handle-level routing counters and fallbacks, closed
-// handles included; quiescent points only.
-func (m *Multi) routing() (alloc.Stats, uint64) {
-	var fallbacks uint64
+// routing totals the handle-level routing counters, fallbacks and hint
+// skips, closed handles included; quiescent points only.
+func (m *Multi) routing() (stats alloc.Stats, fallbacks, hintSkips uint64) {
 	m.reg.Walk(func(live []*Handle) {
-		fallbacks = m.closedFallbacks
+		fallbacks, hintSkips = m.closedFallbacks, m.closedHintSkips
 		for _, h := range live {
 			fallbacks += h.fallbacks
+			hintSkips += h.hintSkips
 		}
 	})
-	return m.reg.Stats(), fallbacks
+	return m.reg.Stats(), fallbacks, hintSkips
 }
 
 // RouteStats aggregates the routing counters of all handles; quiescent
 // points only.
 func (m *Multi) RouteStats() RouteStats {
-	routing, fallbacks := m.routing()
+	routing, fallbacks, _ := m.routing()
 	return RouteStats{Routed: routing.Allocs - fallbacks, Fallbacks: fallbacks}
 }
 
@@ -506,15 +550,16 @@ func (m *Multi) RouteStats() RouteStats {
 // (handle-level ops plus fallback counters) followed by one aggregated
 // entry for the instance fleet.
 func (m *Multi) LayerStats() []alloc.LayerStats {
-	routing, fallbacks := m.routing()
+	routing, fallbacks, hintSkips := m.routing()
 	entry := alloc.LayerStats{
 		Layer: m.Name(),
 		Stats: routing,
 		Extra: map[string]uint64{
-			"instances": uint64(m.Instances()),
-			"active":    uint64(m.ActiveInstances()),
-			"slots":     uint64(m.Slots()),
-			"fallbacks": fallbacks,
+			"instances":  uint64(m.Instances()),
+			"active":     uint64(m.ActiveInstances()),
+			"slots":      uint64(m.Slots()),
+			"fallbacks":  fallbacks,
+			"hint_skips": hintSkips,
 		},
 	}
 	if m.region != nil {
@@ -624,7 +669,9 @@ func (m *Multi) StartDrain(k int) error {
 }
 
 // Reactivate flips a draining slot back to active — the cheap grow path
-// when capacity pressure returns before the drain completed.
+// when capacity pressure returns before the drain completed. It clears the
+// slot's failure hints: frees that landed while it drained may have made
+// room for sizes that failed before.
 func (m *Multi) Reactivate(k int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -644,6 +691,7 @@ func (m *Multi) Reactivate(k int) error {
 			return fmt.Errorf("multi: recommitting window %d: %w", k, err)
 		}
 	}
+	s.clearFull()
 	s.state.Store(slotActive)
 	return nil
 }
@@ -754,12 +802,15 @@ type Handle struct {
 	groups    [][]uint64
 	stats     alloc.Stats
 	fallbacks uint64
+	// hintSkips counts hinted slots this handle's allocations skipped and
+	// never asked: the leaf calls the failure hint saved.
+	hintSkips uint64
 	// Workers' handles are allocated back to back and every operation
 	// writes the counters, so the pad rounds the handle up to three whole
 	// cache lines: at 136 bytes one worker's counters shared a line with
 	// the next handle's table snapshot and sub-handle slice, which cost
 	// burst-elastic 12 % of its free p50 on a 2-vCPU host.
-	_ [56]byte
+	_ [48]byte
 }
 
 // subRef is a handle's cached view of one slot: the leaf sub-handle, the
@@ -814,8 +865,10 @@ func (h *Handle) sub(s *slot, k int) *subRef {
 // handle's cell is raised BEFORE the state check: either TryRetire reads
 // the raise (a non-zero sum, retirement refused), or this load observes
 // the draining state and backs off — there is no interleaving in which a
-// chunk is delivered from a slot that was already judged empty.
-func (h *Handle) tryAllocOn(s *slot, k int, size uint64) (uint64, bool) {
+// chunk is delivered from a slot that was already judged empty. A leaf
+// refusal sets the slot's failure-hint bit; a draining refusal does not,
+// since it says nothing about the slot's free space.
+func (h *Handle) tryAllocOn(s *slot, k int, size, bit uint64) (uint64, bool) {
 	m := h.m
 	r := h.sub(s, k)
 	c := r.cell
@@ -831,6 +884,7 @@ func (h *Handle) tryAllocOn(s *slot, k int, size uint64) (uint64, bool) {
 		if c != nil {
 			add(&c.n, -1)
 		}
+		s.markFull(bit)
 		return 0, false
 	}
 	if c != nil {
@@ -843,34 +897,59 @@ func (h *Handle) tryAllocOn(s *slot, k int, size uint64) (uint64, bool) {
 // order, the kernel's zone-fallback discipline. Holes and draining slots
 // are skipped. A round-robin handle that fell back moves its preference
 // to the instance that served (the kernel's cached zone-iterator
-// position): without the hint, every allocation against a saturated
+// position): without that, every allocation against a saturated
 // preferred instance re-walks its full level scan before falling back —
 // quadratic exactly when a fleet runs near capacity, the regime the
 // elastic manager operates in. Fixed-policy handles never move (the
-// pinning is the experiment).
+// pinning is the experiment); for them the slots' failure hints do the
+// same job: a slot hinted full at the request's level is skipped on the
+// first pass and asked on a second pass only if no other slot served, so
+// a stale hint moves a placement but never fails an allocation, and no
+// leaf is asked twice.
 func (h *Handle) Alloc(size uint64) (uint64, bool) {
 	t := h.m.tab.Load()
 	h.syncTable(t)
 	n := len(t.slots)
+	bit := h.m.hintBit(size)
+	var skipped uint64 // bit d: the slot at distance d was hinted full
 	for d := 0; d < n; d++ {
 		k := (h.pref + d) % n
 		s := t.slots[k]
 		if s == nil {
 			continue
 		}
-		if off, ok := h.tryAllocOn(s, k, size); ok {
-			h.stats.Allocs++
-			if d != 0 {
-				h.fallbacks++
-				if h.m.policy == RoundRobin {
-					h.pref = k
-				}
-			}
-			return off, true
+		if d < 64 && s.full.Load()&bit != 0 {
+			skipped |= 1 << d
+			h.hintSkips++
+			continue
+		}
+		if off, ok := h.tryAllocOn(s, k, size, bit); ok {
+			return h.served(off, k, d), true
+		}
+	}
+	for ; skipped != 0; skipped &= skipped - 1 {
+		d := bits.TrailingZeros64(skipped)
+		k := (h.pref + d) % n
+		h.hintSkips--
+		if off, ok := h.tryAllocOn(t.slots[k], k, size, bit); ok {
+			return h.served(off, k, d), true
 		}
 	}
 	h.stats.AllocFails++
 	return 0, false
+}
+
+// served books one allocation that slot k, at distance d from the
+// preference, delivered.
+func (h *Handle) served(off uint64, k, d int) uint64 {
+	h.stats.Allocs++
+	if d != 0 {
+		h.fallbacks++
+		if h.m.policy == RoundRobin {
+			h.pref = k
+		}
+	}
+	return off
 }
 
 // Free routes the offset back to its owning instance. With live tracking
@@ -893,6 +972,7 @@ func (h *Handle) Free(offset uint64) {
 	} else {
 		r.h.Free(local)
 	}
+	s.clearFull()
 	h.stats.Frees++
 }
 
@@ -918,5 +998,8 @@ func (h *Handle) Close() {
 		}
 		h.subs[k] = subRef{}
 	}
-	m.reg.Remove(h, func() { m.closedFallbacks += h.fallbacks })
+	m.reg.Remove(h, func() {
+		m.closedFallbacks += h.fallbacks
+		m.closedHintSkips += h.hintSkips
+	})
 }

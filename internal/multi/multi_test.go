@@ -1,10 +1,12 @@
 package multi_test
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 
 	"repro/internal/alloc"
+	"repro/internal/alloctest"
 	"repro/internal/mem"
 	"repro/internal/multi"
 
@@ -530,4 +532,151 @@ func TestBindMemoryContract(t *testing.T) {
 	if !r.Committed(k) {
 		t.Fatalf("added slot %d's window not committed", k)
 	}
+}
+
+// TestFailureHintConcurrentChurn races the failure hints against
+// cross-handle frees: workers behind a Fixed 2-slot router allocate
+// single chunks and batches of mixed sizes, hand chunks to each other
+// through a shared pool and free them there, so hints are set, skipped
+// and cleared by different handles while both slots run near full. A
+// shared occupancy oracle checks every delivery (no overlap, the
+// reserved size, alignment), and once quiet the router must serve its
+// whole span again: no hint may outlive the frees that made room.
+func TestFailureHintConcurrentChurn(t *testing.T) {
+	cfg := alloc.Config{Total: 1 << 14, MinSize: 64, MaxSize: 1 << 12}
+	m, err := multi.New("1lvl-nb", 2, cfg, multi.Fixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	geo := m.Geometry()
+	var mu sync.Mutex
+	occupied := map[uint64]bool{} // allocation unit -> taken
+	admit := func(off, size uint64) bool {
+		reserved := geo.SizeOfLevel(geo.LevelForSize(size))
+		if got := m.ChunkSize(off); got != reserved || off%reserved != 0 {
+			t.Errorf("chunk %#x of size %d: ChunkSize %d, want %d aligned", off, size, got, reserved)
+			return false
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		for u := off / cfg.MinSize; u < (off+reserved)/cfg.MinSize; u++ {
+			if occupied[u] {
+				t.Errorf("chunk %#x of size %d double-hands-out unit %d", off, size, u)
+				return false
+			}
+			occupied[u] = true
+		}
+		return true
+	}
+	// release drops a chunk from the oracle; it runs before the free, so a
+	// re-delivery of the same range cannot race its own bookkeeping.
+	release := func(off uint64) {
+		reserved := m.ChunkSize(off)
+		mu.Lock()
+		defer mu.Unlock()
+		for u := off / cfg.MinSize; u < (off+reserved)/cfg.MinSize; u++ {
+			delete(occupied, u)
+		}
+	}
+
+	const workers, ops = 4, 10000
+	pool := make(chan uint64, 64)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w) + 1))
+			h := m.NewHandle()
+			defer alloc.CloseHandle(h)
+			var own []uint64
+			for i := 0; i < ops; i++ {
+				switch rng.Intn(6) {
+				case 0, 1:
+					size := uint64(64) << rng.Intn(7)
+					off, ok := h.Alloc(size)
+					if !ok {
+						continue
+					}
+					if !admit(off, size) {
+						return
+					}
+					select {
+					case pool <- off:
+					default:
+						own = append(own, off)
+					}
+				case 2:
+					size := uint64(64) << rng.Intn(3)
+					for _, off := range alloc.HandleAllocBatch(h, size, 1+rng.Intn(6)) {
+						if !admit(off, size) {
+							return
+						}
+						own = append(own, off)
+					}
+				case 3, 4:
+					select {
+					case off := <-pool:
+						release(off)
+						h.Free(off)
+					default:
+					}
+				default:
+					if n := len(own); n > 0 {
+						cut := rng.Intn(n)
+						for _, off := range own[cut:] {
+							release(off)
+						}
+						alloc.HandleFreeBatch(h, own[cut:])
+						own = own[:cut]
+					}
+				}
+			}
+			for _, off := range own {
+				release(off)
+				h.Free(off)
+			}
+		}()
+	}
+	wg.Wait()
+	h := m.NewHandle()
+	for len(pool) > 0 {
+		off := <-pool
+		release(off)
+		h.Free(off)
+	}
+	if t.Failed() {
+		return
+	}
+	if s := m.Stats(); s.Allocs != s.Frees {
+		t.Fatalf("leaves after the churn: %d allocs, %d frees", s.Allocs, s.Frees)
+	}
+	if m.LayerStats()[0].Extra["hint_skips"] == 0 {
+		t.Fatal("the churn never skipped a hinted slot")
+	}
+	var full []uint64
+	for {
+		off, ok := h.Alloc(cfg.MaxSize)
+		if !ok {
+			break
+		}
+		full = append(full, off)
+	}
+	if want := 2 * int(cfg.Total/cfg.MaxSize); len(full) != want {
+		t.Fatalf("quiet router served %d max-size chunks, want %d", len(full), want)
+	}
+	alloc.HandleFreeBatch(h, full)
+}
+
+// TestFailureHintDifferential runs the sequential differential oracle
+// over a Fixed 2-slot router, where every handle prefers slot 0 and the
+// failure hints decide most placements.
+func TestFailureHintDifferential(t *testing.T) {
+	alloctest.RunDifferential(t, func(t *testing.T, total, minSize, maxSize uint64) alloc.Allocator {
+		m, err := multi.New("1lvl-nb", 2, alloc.Config{Total: total / 2, MinSize: minSize, MaxSize: maxSize}, multi.Fixed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	})
 }
