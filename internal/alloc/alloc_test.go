@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -16,17 +17,28 @@ func (f *fakeAllocator) Free(uint64)                 {}
 func (f *fakeAllocator) NewHandle() Handle           { return nil }
 func (f *fakeAllocator) Stats() Stats                { return Stats{} }
 
+// registrations numbers the names the registry tests register: the
+// registry is process-global, so a fixed name would make every run after
+// the first one of `go test -count=N` a duplicate registration.
+var registrations int
+
+func uniqueName(prefix string) string {
+	registrations++
+	return fmt.Sprintf("%s-%d", prefix, registrations)
+}
+
 func TestRegistry(t *testing.T) {
-	Register("test-fake", func(cfg Config) (Allocator, error) {
-		return &fakeAllocator{name: "test-fake"}, nil
+	name := uniqueName("test-fake")
+	Register(name, func(cfg Config) (Allocator, error) {
+		return &fakeAllocator{name: name}, nil
 	})
-	a, err := Build("test-fake", Config{})
-	if err != nil || a.Name() != "test-fake" {
+	a, err := Build(name, Config{})
+	if err != nil || a.Name() != name {
 		t.Fatalf("Build = %v, %v", a, err)
 	}
 	found := false
 	for _, n := range Names() {
-		if n == "test-fake" {
+		if n == name {
 			found = true
 		}
 	}
@@ -43,13 +55,14 @@ func TestBuildUnknown(t *testing.T) {
 }
 
 func TestDuplicateRegistrationPanics(t *testing.T) {
-	Register("test-dup", func(Config) (Allocator, error) { return nil, nil })
+	name := uniqueName("test-dup")
+	Register(name, func(Config) (Allocator, error) { return nil, nil })
 	defer func() {
 		if recover() == nil {
 			t.Error("duplicate registration did not panic")
 		}
 	}()
-	Register("test-dup", func(Config) (Allocator, error) { return nil, nil })
+	Register(name, func(Config) (Allocator, error) { return nil, nil })
 }
 
 func TestStatsAdd(t *testing.T) {
@@ -91,5 +104,44 @@ func TestStackStats(t *testing.T) {
 	}
 	if got := StackStats(&fakeLayered{}); len(got) != 2 || got[0].Layer != "outer" {
 		t.Fatalf("StackStats(layered) = %+v", got)
+	}
+}
+
+// sizedFake is a leaf that reports chunk sizes, so a Layer can wrap it.
+type sizedFake struct{ fakeAllocator }
+
+func (f *sizedFake) ChunkSize(uint64) uint64 { return 64 }
+
+type innerLayer struct{ Layer }
+type outerLayer struct{ Layer }
+
+func TestFindWalksUnwrap(t *testing.T) {
+	leaf := &sizedFake{fakeAllocator{name: "leaf"}}
+	base, err := NewLayer(leaf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := &innerLayer{base}
+	if base, err = NewLayer(in); err != nil {
+		t.Fatal(err)
+	}
+	out := &outerLayer{base}
+	if got := Find[*outerLayer](out); got != out {
+		t.Errorf("Find outer = %p, want the top %p", got, out)
+	}
+	if got := Find[*innerLayer](out); got != in {
+		t.Errorf("Find inner = %p, want %p", got, in)
+	}
+	if got := Find[*sizedFake](out); got != leaf {
+		t.Errorf("Find leaf = %p, want %p", got, leaf)
+	}
+	if got := Find[*outerLayer](in); got != nil {
+		t.Errorf("Find found %p above the walk's start", got)
+	}
+	if got := Find[*innerLayer](leaf); got != nil {
+		t.Errorf("Find found %p below a leaf", got)
+	}
+	if _, err := NewLayer(&fakeAllocator{name: "plain"}); err == nil {
+		t.Error("NewLayer wrapped an allocator that cannot report chunk sizes")
 	}
 }

@@ -49,8 +49,8 @@ type oracleChunk struct {
 func differentialSequence(t *testing.T, a alloc.Allocator, seed int64, total, minSize uint64) {
 	t.Helper()
 	geo := a.Geometry()
-	mgr := elastic.Find(a)
-	sl := slab.Find(a)
+	mgr := alloc.Find[*elastic.Manager](a)
+	sl := alloc.Find[*slab.Allocator](a)
 	rng := rand.New(rand.NewSource(seed))
 	h := a.NewHandle()
 

@@ -192,7 +192,7 @@ func Run(cfg Config) (rep Report) {
 	a := st.Top
 	geo := a.Geometry()
 	mgr := st.Elastic
-	sl := slab.Find(a)
+	sl := alloc.Find[*slab.Allocator](a)
 	rng := rand.New(rand.NewSource(int64(cfg.Seed)))
 	// Two persistent handles, never the convenience Alloc/Free path: a
 	// convenience call draws whichever idle handle was returned last, so

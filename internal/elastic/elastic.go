@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"repro/internal/alloc"
-	"repro/internal/geometry"
 	"repro/internal/multi"
 )
 
@@ -180,10 +179,14 @@ type Action struct {
 type DrainHook func(lo, hi uint64)
 
 // Manager wraps the multi-instance router with the elastic capacity
-// policy. It implements the full composable layer contract — every
-// allocator operation forwards to the router — so caching front-ends and
-// the slab stack over it transparently.
+// policy. Every allocator operation passes through the embedded
+// alloc.Layer to the router — the manager holds no per-worker state, so
+// router handles serve directly — and caching front-ends and the slab
+// stack over it transparently. Scrub passes through too and retires
+// nothing: lifecycle transitions only happen through Poll, so test
+// interleavings stay deterministic.
 type Manager struct {
+	alloc.Layer
 	inner *multi.Multi
 	cfg   Config
 
@@ -237,8 +240,13 @@ func New(inner *multi.Multi, cfg Config) (*Manager, error) {
 	if n := inner.Instances(); n > cfg.MaxInstances {
 		return nil, fmt.Errorf("elastic: router starts with %d instances, above the %d cap", n, cfg.MaxInstances)
 	}
+	layer, err := alloc.NewLayer(inner)
+	if err != nil {
+		return nil, fmt.Errorf("elastic: %w", err)
+	}
 	inner.EnableLiveTracking()
 	return &Manager{
+		Layer:      layer,
 		inner:      inner,
 		cfg:        cfg,
 		drainSince: make(map[int]uint64),
@@ -637,47 +645,8 @@ func (mgr *Manager) Stop() {
 	mgr.bg.Wait()
 }
 
-// --- the composable layer contract, forwarding to the router ---
-
 // Name implements alloc.Allocator.
 func (mgr *Manager) Name() string { return "elastic+" + mgr.inner.Name() }
-
-// Geometry implements alloc.Allocator (per-instance geometry).
-func (mgr *Manager) Geometry() geometry.Geometry { return mgr.inner.Geometry() }
-
-// OffsetSpan implements alloc.Spanner; it widens as the table grows.
-func (mgr *Manager) OffsetSpan() uint64 { return mgr.inner.OffsetSpan() }
-
-// Unwrap exposes the router to generic stack walkers.
-func (mgr *Manager) Unwrap() alloc.Allocator { return mgr.inner }
-
-// Alloc implements alloc.Allocator (forwarded).
-func (mgr *Manager) Alloc(size uint64) (uint64, bool) { return mgr.inner.Alloc(size) }
-
-// Free implements alloc.Allocator (forwarded).
-func (mgr *Manager) Free(offset uint64) { mgr.inner.Free(offset) }
-
-// AllocBatch implements alloc.BatchAllocator (forwarded; the router
-// batches natively).
-func (mgr *Manager) AllocBatch(size uint64, n int) []uint64 { return mgr.inner.AllocBatch(size, n) }
-
-// FreeBatch implements alloc.BatchAllocator (forwarded).
-func (mgr *Manager) FreeBatch(offsets []uint64) { mgr.inner.FreeBatch(offsets) }
-
-// NewHandle implements alloc.Allocator: the manager holds no per-worker
-// state, so router handles are used directly.
-func (mgr *Manager) NewHandle() alloc.Handle { return mgr.inner.NewHandle() }
-
-// Stats implements alloc.Allocator (forwarded).
-func (mgr *Manager) Stats() alloc.Stats { return mgr.inner.Stats() }
-
-// ChunkSize implements alloc.ChunkSizer (forwarded).
-func (mgr *Manager) ChunkSize(offset uint64) uint64 { return mgr.inner.ChunkSize(offset) }
-
-// Scrub implements alloc.Scrubber (forwarded). Scrub does not retire
-// slots; lifecycle transitions only happen through Poll so test
-// interleavings stay deterministic.
-func (mgr *Manager) Scrub() { mgr.inner.Scrub() }
 
 // LayerStats implements alloc.LayerStatser: the elastic entry carries the
 // lifecycle counters and the current fleet shape, followed by the
@@ -718,22 +687,5 @@ func (mgr *Manager) LayerStats() []alloc.LayerStats {
 	if c.RetireFailures > 0 {
 		entry.Extra["elastic_retire_failures"] = c.RetireFailures
 	}
-	return append([]alloc.LayerStats{entry}, alloc.StackStats(mgr.inner)...)
-}
-
-// Find walks an allocator stack outside-in and returns the first elastic
-// manager it contains (nil when the stack is not elastic). It understands
-// the generic Unwrap chain every wrapping layer implements.
-func Find(a alloc.Allocator) *Manager {
-	for a != nil {
-		if mgr, ok := a.(*Manager); ok {
-			return mgr
-		}
-		u, ok := a.(interface{ Unwrap() alloc.Allocator })
-		if !ok {
-			return nil
-		}
-		a = u.Unwrap()
-	}
-	return nil
+	return append([]alloc.LayerStats{entry}, mgr.Layer.LayerStats()...)
 }

@@ -282,6 +282,57 @@ func TestDrainDepotRange(t *testing.T) {
 	}
 }
 
+// TestDrainFenceBatchOps checks that batch operations honour the drain
+// fence like single ones: a worker that only moves batches after a drain
+// is armed must still flush the magazines holding chunks of the draining
+// window, or that instance's live count never reaches zero.
+func TestDrainFenceBatchOps(t *testing.T) {
+	for _, op := range []string{"AllocBatch", "FreeBatch"} {
+		t.Run(op, func(t *testing.T) {
+			m, err := multi.New("4lvl-nb", 2, alloc.Config{Total: 1 << 20, MinSize: 64, MaxSize: 1 << 14}, multi.RoundRobin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.EnableLiveTracking()
+			fe, err := frontend.New(m, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Park window-0 chunks in the worker's magazine: allocate them
+			// on instance 0 at the router, free them through the worker.
+			on0 := m.NewHandleOn(0)
+			fh := fe.NewHandle().(*frontend.Handle)
+			for i := 0; i < 8; i++ {
+				off, ok := on0.Alloc(128)
+				if !ok {
+					t.Fatal("alloc on instance 0 failed")
+				}
+				fh.Free(off)
+			}
+			if got := fh.Cached(); got != 8 {
+				t.Fatalf("setup cached %d chunks, want 8", got)
+			}
+			fe.DrainDepotRange(0, m.InstanceSpan())
+
+			// From here on the worker issues batches only.
+			var out []uint64
+			switch op {
+			case "AllocBatch":
+				out = fh.AllocBatch(256, 4)
+			case "FreeBatch":
+				fh.FreeBatch(alloc.HandleAllocBatch(m.NewHandleOn(1), 256, 4))
+			}
+			if got := fh.Cached(); got != 0 {
+				t.Fatalf("%d window-0 chunks still cached after %s", got, op)
+			}
+			m.FreeBatch(out)
+			if live := m.InstanceInfos()[0].Live; live != 0 {
+				t.Fatalf("draining instance 0 still has %d live chunks", live)
+			}
+		})
+	}
+}
+
 // depotOffsets snapshots every chunk offset parked in the depot. The
 // snapshot is destructive (DrainAll), so the chunks are handed straight
 // back to the back-end — callers assert on the returned offsets and treat

@@ -18,8 +18,9 @@
 //
 // The front-end is a composable layer (see DESIGN.md): it works over any
 // alloc.Allocator that implements alloc.ChunkSizer — a leaf variant, a
-// multi-instance router, a traced stack — and itself forwards the whole
-// layer contract, so further layers stack on top of it.
+// multi-instance router, a traced stack — and forwards the rest of the
+// layer contract through the embedded alloc.Layer, so further layers
+// stack on top of it.
 //
 // A caching handle does not detect a double free: Handle.Free parks the
 // offset in a magazine without asking the back-end, which still counts
@@ -42,10 +43,9 @@ const DefaultMagazine = 32
 
 // Allocator is a caching front-end over a back-end instance.
 type Allocator struct {
-	backend alloc.Allocator
-	sizer   alloc.ChunkSizer
-	geo     geometry.Geometry
-	magCap  int
+	alloc.Layer
+	geo    geometry.Geometry
+	magCap int
 	// depot is the shared magazine exchange: overflowing handles park
 	// full magazines there in O(1), and dry handles grab them back.
 	// refill is the batch size of a back-end refill after a depot miss.
@@ -81,16 +81,16 @@ func WithDepot(capacity int) Option {
 // magazine of the size class the chunk was reserved at, which only the
 // back-end metadata knows.
 func New(backend alloc.Allocator, magCap int, opts ...Option) (*Allocator, error) {
-	sizer, ok := backend.(alloc.ChunkSizer)
-	if !ok {
-		return nil, fmt.Errorf("frontend: backend %s cannot report chunk sizes", backend.Name())
+	layer, err := alloc.NewLayer(backend)
+	if err != nil {
+		return nil, fmt.Errorf("frontend: %w", err)
 	}
 	if magCap <= 0 {
 		magCap = DefaultMagazine
 	}
 	geo := backend.Geometry()
 	a := &Allocator{
-		backend: backend, sizer: sizer, geo: geo, magCap: magCap,
+		Layer: layer, geo: geo, magCap: magCap,
 		depot:  newDepot(geo.Depth - geo.MaxLevel + 1),
 		refill: max(1, magCap/2),
 	}
@@ -101,30 +101,15 @@ func New(backend alloc.Allocator, magCap int, opts ...Option) (*Allocator, error
 }
 
 // Name implements alloc.Allocator.
-func (a *Allocator) Name() string { return "depot+" + a.backend.Name() }
+func (a *Allocator) Name() string { return "depot+" + a.Layer.Name() }
 
 // Depot exposes the shared magazine depot.
 func (a *Allocator) Depot() *Depot { return a.depot }
 
-// Geometry implements alloc.Allocator.
-func (a *Allocator) Geometry() geometry.Geometry { return a.geo }
-
-// OffsetSpan implements alloc.Spanner by forwarding the wrapped stack's
-// offset space (a multi-instance back-end is wider than its Geometry).
-func (a *Allocator) OffsetSpan() uint64 { return alloc.SpanOf(a.backend) }
-
-// Unwrap exposes the wrapped back-end to generic stack walkers.
-func (a *Allocator) Unwrap() alloc.Allocator { return a.backend }
-
-// ChunkSize implements alloc.ChunkSizer by forwarding to the back-end
-// metadata (the front-end never changes chunk placement, only who holds a
-// free chunk).
-func (a *Allocator) ChunkSize(offset uint64) uint64 { return a.sizer.ChunkSize(offset) }
-
 // Alloc implements alloc.Allocator by passing through to the back-end:
 // caching only pays per-worker, so the convenience path does not cache.
 func (a *Allocator) Alloc(size uint64) (uint64, bool) {
-	off, ok := a.backend.Alloc(size)
+	off, ok := a.Layer.Alloc(size)
 	a.convMu.Lock()
 	if ok {
 		a.conv.Allocs++
@@ -137,7 +122,7 @@ func (a *Allocator) Alloc(size uint64) (uint64, bool) {
 
 // Free implements alloc.Allocator (pass-through, see Alloc).
 func (a *Allocator) Free(offset uint64) {
-	a.backend.Free(offset)
+	a.Layer.Free(offset)
 	a.convMu.Lock()
 	a.conv.Frees++
 	a.convMu.Unlock()
@@ -147,7 +132,7 @@ func (a *Allocator) Free(offset uint64) {
 // the pass-through path does not cache, it forwards the bulk request to
 // the back-end (natively or via the shim).
 func (a *Allocator) AllocBatch(size uint64, n int) []uint64 {
-	out := alloc.AllocBatchOf(a.backend, size, n)
+	out := a.Layer.AllocBatch(size, n)
 	a.convMu.Lock()
 	a.conv.Allocs += uint64(len(out))
 	if len(out) == 0 && n > 0 {
@@ -159,7 +144,7 @@ func (a *Allocator) AllocBatch(size uint64, n int) []uint64 {
 
 // FreeBatch implements alloc.BatchAllocator (pass-through, see AllocBatch).
 func (a *Allocator) FreeBatch(offsets []uint64) {
-	alloc.FreeBatchOf(a.backend, offsets)
+	a.Layer.FreeBatch(offsets)
 	a.convMu.Lock()
 	a.conv.Frees += uint64(len(offsets))
 	a.convMu.Unlock()
@@ -208,11 +193,9 @@ func (a *Allocator) Scrub() {
 		h.Flush()
 	}
 	for _, mag := range a.depot.DrainAll() {
-		alloc.FreeBatchOf(a.backend, mag)
+		a.Layer.FreeBatch(mag)
 	}
-	if s, ok := a.backend.(alloc.Scrubber); ok {
-		s.Scrub()
-	}
+	a.Layer.Scrub()
 }
 
 // DrainDepotRange evicts every depot-parked magazine holding a chunk of
@@ -234,7 +217,7 @@ func (a *Allocator) DrainDepotRange(lo, hi uint64) {
 	// No front-end stats here: a drained chunk's free was counted when a
 	// worker parked it, exactly like the Scrub-path depot drain.
 	for _, mag := range a.depot.DrainRange(lo, hi) {
-		alloc.FreeBatchOf(a.backend, mag)
+		a.Layer.FreeBatch(mag)
 	}
 	a.fence.Arm(lo, hi)
 }
@@ -262,7 +245,7 @@ func (a *Allocator) LayerStats() []alloc.LayerStats {
 			"depot_retained_chunks": uint64(a.depot.Retained()),
 		},
 	}
-	return append([]alloc.LayerStats{entry}, alloc.StackStats(a.backend)...)
+	return append([]alloc.LayerStats{entry}, a.Layer.LayerStats()...)
 }
 
 // NewHandle implements alloc.Allocator.
@@ -270,7 +253,7 @@ func (a *Allocator) NewHandle() alloc.Handle {
 	classes := a.geo.Depth - a.geo.MaxLevel + 1
 	h := &Handle{
 		a:     a,
-		back:  a.backend.NewHandle(),
+		back:  a.Layer.NewHandle(),
 		mags:  make([][]uint64, classes),
 		epoch: a.fence.Epoch(),
 	}
@@ -382,7 +365,7 @@ func (h *Handle) Alloc(size uint64) (uint64, bool) {
 // back-end as one batch.
 func (h *Handle) Free(offset uint64) {
 	h.checkDrain()
-	size := h.a.sizer.ChunkSize(offset)
+	size := h.a.ChunkSize(offset)
 	cls := h.class(h.a.geo.LevelForSize(size))
 	mag := h.mags[cls]
 	if len(mag) >= h.a.magCap {
@@ -410,6 +393,7 @@ func (h *Handle) Free(offset uint64) {
 // a 512-chunk fill through per-chunk magazine misses would turn one scan
 // into 512.
 func (h *Handle) AllocBatch(size uint64, n int) []uint64 {
+	h.checkDrain()
 	if n <= 0 {
 		return nil
 	}
@@ -427,6 +411,7 @@ func (h *Handle) AllocBatch(size uint64, n int) []uint64 {
 
 // FreeBatch implements alloc.BatchHandle (forwarded, see AllocBatch).
 func (h *Handle) FreeBatch(offsets []uint64) {
+	h.checkDrain()
 	alloc.HandleFreeBatch(h.back, offsets)
 	h.stats.Frees += uint64(len(offsets))
 }

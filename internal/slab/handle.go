@@ -57,7 +57,7 @@ func (h *Handle) syncDrain(epoch uint64) {
 	wins := h.a.fence.Windows()
 	for ci, m := range h.mags {
 		if slices.ContainsFunc(m, func(e entry) bool { return wins.Contains(e.off) }) {
-			h.a.putEntries(ci, m)
+			h.a.put(ci, m)
 			h.mags[ci] = m[:0]
 			h.extra.drainFlushes++
 			h.a.emit("drain-flush", uint64(ci), uint64(len(m)))
@@ -82,11 +82,7 @@ func (h *Handle) Alloc(size uint64) (uint64, bool) {
 	ci := a.classOf(size)
 	m := h.mags[ci]
 	if len(m) == 0 {
-		m = a.takeEntries(ci, m, refillBatch)
-		if len(m) == 0 {
-			a.reclaimEmpties()
-			m = a.takeEntries(ci, m, refillBatch)
-		}
+		m = a.take(ci, m, refillBatch)
 		if len(m) == 0 {
 			return a.allocSmall(h.inner, size, &h.stats, &h.extra)
 		}
@@ -110,12 +106,12 @@ func (h *Handle) Free(off uint64) {
 		h.stats.Frees++
 		return
 	}
-	i := ownFree(r, off, &h.extra)
+	e := ownFree(r, off, &h.extra)
 	h.stats.Frees++
-	m := append(h.mags[r.class], entry{off: off, r: r, i: i})
+	m := append(h.mags[r.class], e)
 	if len(m) > magCap {
 		n := len(m) - spillBatch
-		a.putEntries(r.class, m[n:])
+		a.put(r.class, m[n:])
 		m = m[:n]
 		h.extra.spills++
 		a.emit("spill", uint64(r.class), uint64(spillBatch))
@@ -123,76 +119,21 @@ func (h *Handle) Free(off uint64) {
 	h.mags[r.class] = m
 }
 
-// AllocBatch implements alloc.BatchHandle: class-sized batches drain the
-// magazine then the central store; larger sizes forward to the wrapped
-// handle's native batching.
+// AllocBatch implements alloc.BatchHandle (the handle face of
+// Allocator.allocBatch: the magazine first, then the central store;
+// larger sizes go to the wrapped handle's native batching).
 func (h *Handle) AllocBatch(size uint64, n int) []uint64 {
 	h.checkDrain()
-	if n <= 0 {
-		return nil
-	}
-	a := h.a
-	if a.cutoff == 0 || size > a.cutoff {
-		out := alloc.HandleAllocBatch(h.inner, size, n)
-		h.stats.Allocs += uint64(len(out))
-		if len(out) < n {
-			h.stats.AllocFails++
-		}
-		return out
-	}
-	ci := a.classOf(size)
-	out := make([]uint64, 0, n)
-	m := h.mags[ci]
-	for len(out) < n && len(m) > 0 {
-		e := m[len(m)-1]
-		m = m[:len(m)-1]
-		stamp(e.r, e.i, size, &h.extra)
-		out = append(out, e.off)
-	}
-	h.mags[ci] = m
-	fromMag := len(out)
-	if len(out) < n {
-		out = a.take(ci, out, n)
-	}
-	if len(out) < n {
-		a.reclaimEmpties()
-		out = a.take(ci, out, n)
-	}
-	for _, off := range out[fromMag:] {
-		a.ownAlloc(off, size, &h.extra)
-	}
-	h.stats.Allocs += uint64(len(out))
-	if len(out) < n {
-		h.stats.AllocFails++
-	}
-	return out
+	fwd := func(sz uint64, k int) []uint64 { return alloc.HandleAllocBatch(h.inner, sz, k) }
+	return h.a.allocBatch(size, n, h.mags, fwd, &h.stats, &h.extra)
 }
 
-// FreeBatch implements alloc.BatchHandle: slab objects go straight to
-// their runs grouped by class (bypassing the magazine — batch frees are
-// drain traffic, not hot-loop traffic), pass-through offsets forward to
-// the wrapped handle as one batch.
+// FreeBatch implements alloc.BatchHandle (the handle face of
+// Allocator.freeBatch; pass-through offsets go to the wrapped handle).
 func (h *Handle) FreeBatch(offs []uint64) {
 	h.checkDrain()
-	a := h.a
-	var fwd []uint64
-	byClass := map[int][]uint64{}
-	for _, off := range offs {
-		r := a.runAt(off)
-		if r == nil {
-			fwd = append(fwd, off)
-			continue
-		}
-		ownFree(r, off, &h.extra)
-		byClass[r.class] = append(byClass[r.class], off)
-	}
-	for ci, group := range byClass {
-		a.put(ci, group)
-	}
-	if len(fwd) > 0 {
-		alloc.HandleFreeBatch(h.inner, fwd)
-	}
-	h.stats.Frees += uint64(len(offs))
+	fwd := func(pass []uint64) { alloc.HandleFreeBatch(h.inner, pass) }
+	h.a.freeBatch(offs, fwd, &h.stats, &h.extra)
 }
 
 // Stats implements alloc.Handle.
@@ -203,7 +144,7 @@ func (h *Handle) Stats() *alloc.Stats { return &h.stats }
 func (h *Handle) Flush() {
 	for ci, m := range h.mags {
 		if len(m) > 0 {
-			h.a.putEntries(ci, m)
+			h.a.put(ci, m)
 			h.mags[ci] = m[:0]
 		}
 	}

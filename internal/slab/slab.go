@@ -39,6 +39,7 @@ package slab
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -117,11 +118,10 @@ type classState struct {
 }
 
 // Allocator is the size-class layer. It implements the full layer
-// contract: Allocator, BatchAllocator, ChunkSizer, Spanner, Scrubber,
-// LayerStatser, plus the DrainRange hook for elastic retirement.
+// contract — Geometry, OffsetSpan and Unwrap pass through the embedded
+// alloc.Layer — plus the DrainRange hook for elastic retirement.
 type Allocator struct {
-	inner    alloc.Allocator
-	sizer    alloc.ChunkSizer
+	alloc.Layer
 	geo      geometry.Geometry
 	runChunk uint64
 	runShift uint
@@ -186,12 +186,12 @@ func (e *handleExtra) add(o handleExtra) {
 // the run chunk, and when no valid class fits the geometry the layer runs
 // in transparent pass-through mode.
 func New(inner alloc.Allocator, cutoff uint64) (*Allocator, error) {
-	sizer, ok := inner.(alloc.ChunkSizer)
-	if !ok {
-		return nil, fmt.Errorf("slab: inner allocator %s does not implement ChunkSize", inner.Name())
+	layer, err := alloc.NewLayer(inner)
+	if err != nil {
+		return nil, fmt.Errorf("slab: %w", err)
 	}
 	geo := inner.Geometry()
-	a := &Allocator{inner: inner, sizer: sizer, geo: geo}
+	a := &Allocator{Layer: layer, geo: geo}
 	a.runChunk = min(maxRunChunk, geo.MaxSize, geo.Total/4)
 	if a.runChunk < geo.MinSize {
 		a.runChunk = geo.MinSize
@@ -253,16 +253,7 @@ func (a *Allocator) classOf(size uint64) int {
 }
 
 // Name implements alloc.Allocator.
-func (a *Allocator) Name() string { return "slab+" + a.inner.Name() }
-
-// Geometry implements alloc.Allocator.
-func (a *Allocator) Geometry() geometry.Geometry { return a.geo }
-
-// OffsetSpan forwards the wrapped allocator's global offset space.
-func (a *Allocator) OffsetSpan() uint64 { return alloc.SpanOf(a.inner) }
-
-// Unwrap exposes the wrapped allocator for stack walkers.
-func (a *Allocator) Unwrap() alloc.Allocator { return a.inner }
+func (a *Allocator) Name() string { return "slab+" + a.Layer.Name() }
 
 // Cutoff returns the largest request size served from runs; 0 means the
 // layer is transparent for this geometry.
@@ -322,8 +313,7 @@ func (a *Allocator) remove(r *run) {
 
 // newRun provisions a run for class ci: a cached empty if available,
 // otherwise one backing chunk from the wrapped allocator. Called with the
-// class lock held; returns nil when the inner allocation fails (the
-// caller retries after reclaimEmpties, then falls through).
+// class lock held; returns nil when the inner allocation fails.
 func (a *Allocator) newRun(ci int) *run {
 	cs := &a.classes[ci]
 	if n := len(cs.empty); n > 0 {
@@ -331,7 +321,7 @@ func (a *Allocator) newRun(ci int) *run {
 		cs.empty = cs.empty[:n-1]
 		return r
 	}
-	start, ok := a.inner.Alloc(a.runChunk)
+	start, ok := a.Layer.Alloc(a.runChunk)
 	if !ok {
 		return nil
 	}
@@ -354,7 +344,7 @@ func (a *Allocator) releaseLocked(cs *classState, r *run) {
 	a.remove(r)
 	cs.runs--
 	cs.runFrees++
-	a.inner.Free(r.start)
+	a.Layer.Free(r.start)
 }
 
 // takeRun returns a run of class ci with at least one free slot — the top
@@ -371,49 +361,35 @@ func (a *Allocator) takeRun(cs *classState, ci int) *run {
 	return nil
 }
 
-// take moves up to want objects of class ci from the central store into
-// out, provisioning runs as needed. Thread-safe.
-func (a *Allocator) take(ci int, out []uint64, want int) []uint64 {
+// take moves objects of class ci from the central store into out until
+// it holds want, provisioning runs as needed. Each entry carries its run
+// and slot, so the magazine-hit paths never touch the run index or
+// divide. When the wrapped allocator cannot back a new run, take
+// releases every class's cached empty runs — so the freed chunks can
+// coalesce into the one this class needs — and tries once more; a short
+// result means the wrapped allocator is out of space. Thread-safe.
+func (a *Allocator) take(ci int, out []entry, want int) []entry {
 	cs := &a.classes[ci]
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	for len(out) < want {
-		r := a.takeRun(cs, ci)
-		if r == nil {
-			break
+	for attempt := 0; attempt < 2 && len(out) < want; attempt++ {
+		if attempt > 0 {
+			a.releaseEmpties(0, math.MaxUint64)
 		}
-		for len(out) < want && len(r.free) > 0 {
-			i := r.free[len(r.free)-1]
-			r.free = r.free[:len(r.free)-1]
-			out = append(out, r.start+uint64(i)*r.objSize)
+		cs.mu.Lock()
+		for len(out) < want {
+			r := a.takeRun(cs, ci)
+			if r == nil {
+				break
+			}
+			for len(out) < want && len(r.free) > 0 {
+				i := r.free[len(r.free)-1]
+				r.free = r.free[:len(r.free)-1]
+				out = append(out, entry{off: r.start + uint64(i)*r.objSize, r: r, i: i})
+			}
+			if len(r.free) == 0 {
+				cs.partial = cs.partial[:len(cs.partial)-1]
+			}
 		}
-		if len(r.free) == 0 {
-			cs.partial = cs.partial[:len(cs.partial)-1]
-		}
-	}
-	return out
-}
-
-// takeEntries is take for handle magazines: the same central-store pops,
-// but emitting the run pointer and slot index alongside each offset so
-// the magazine-hit paths never touch the run index or divide.
-func (a *Allocator) takeEntries(ci int, out []entry, want int) []entry {
-	cs := &a.classes[ci]
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	for len(out) < want {
-		r := a.takeRun(cs, ci)
-		if r == nil {
-			break
-		}
-		for len(out) < want && len(r.free) > 0 {
-			i := r.free[len(r.free)-1]
-			r.free = r.free[:len(r.free)-1]
-			out = append(out, entry{off: r.start + uint64(i)*r.objSize, r: r, i: i})
-		}
-		if len(r.free) == 0 {
-			cs.partial = cs.partial[:len(cs.partial)-1]
-		}
+		cs.mu.Unlock()
 	}
 	return out
 }
@@ -441,22 +417,10 @@ func (a *Allocator) putOneLocked(cs *classState, r *run, i uint32) {
 	}
 }
 
-// put returns objects of class ci to their runs. Offsets must already be
-// validated and have their req slot cleared by the caller (the owner-side
-// bookkeeping); put only handles central-store state. Thread-safe.
-func (a *Allocator) put(ci int, offs []uint64) {
-	cs := &a.classes[ci]
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	for _, off := range offs {
-		r := a.runAt(off)
-		a.putOneLocked(cs, r, r.slot(off-r.start))
-	}
-}
-
-// putEntries is put for handle magazines: entries carry their run and
-// slot, so no index lookups or divisions under the class lock.
-func (a *Allocator) putEntries(ci int, es []entry) {
+// put returns objects of class ci to their runs. The entries must
+// already have been through ownFree (the owner-side bookkeeping); put only
+// handles central-store state. Thread-safe.
+func (a *Allocator) put(ci int, es []entry) {
 	cs := &a.classes[ci]
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
@@ -465,17 +429,23 @@ func (a *Allocator) putEntries(ci int, es []entry) {
 	}
 }
 
-// reclaimEmpties releases every cached empty run back to the wrapped
-// allocator. Called lock-free from failure paths so a large pass-through
-// request (or a refill for another class) can coalesce their chunks.
-func (a *Allocator) reclaimEmpties() {
+// releaseEmpties returns every cached empty run whose backing chunk
+// starts inside [lo, hi) to the wrapped allocator: the whole cache when a
+// run or a pass-through request cannot be served and on Scrub, one
+// retiring window on DrainRange.
+func (a *Allocator) releaseEmpties(lo, hi uint64) {
 	for ci := range a.classes {
 		cs := &a.classes[ci]
 		cs.mu.Lock()
+		kept := cs.empty[:0]
 		for _, r := range cs.empty {
-			a.releaseLocked(cs, r)
+			if r.start >= lo && r.start < hi {
+				a.releaseLocked(cs, r)
+			} else {
+				kept = append(kept, r)
+			}
 		}
-		cs.empty = cs.empty[:0]
+		cs.empty = kept
 		cs.mu.Unlock()
 	}
 }
@@ -483,9 +453,8 @@ func (a *Allocator) reclaimEmpties() {
 // ownFree performs the owner-side half of freeing a slab object: validate
 // the offset against the run, detect double/foreign frees, clear the
 // requested-size slot and update the fragmentation gauge. Returns the
-// slot index so the handle path can park the entry without re-deriving
-// it. The central half is put.
-func ownFree(r *run, off uint64, extra *handleExtra) uint32 {
+// object's entry, for a magazine or for put, the central half.
+func ownFree(r *run, off uint64, extra *handleExtra) entry {
 	d := off - r.start
 	i := r.slot(d)
 	if uint64(i)*r.objSize != d {
@@ -497,7 +466,7 @@ func ownFree(r *run, off uint64, extra *handleExtra) uint32 {
 	}
 	r.req[i] = 0
 	extra.frag -= int64(r.objSize) - int64(req)
-	return i
+	return entry{off: off, r: r, i: i}
 }
 
 // stamp performs the owner-side half of a slab allocation on a resolved
@@ -512,28 +481,15 @@ func stamp(r *run, i uint32, size uint64, extra *handleExtra) {
 	extra.frag += int64(r.objSize) - int64(req)
 }
 
-// ownAlloc is stamp for callers holding only an offset (the conv and
-// batch paths): resolve the run and slot first.
-func (a *Allocator) ownAlloc(off, size uint64, extra *handleExtra) {
-	r := a.runAt(off)
-	stamp(r, r.slot(off-r.start), size, extra)
-}
-
 // allocSmall serves one class-sized request through the central store,
-// falling back to reclaim-and-retry and finally to the wrapped allocator
-// (counted as a fallthrough) when runs cannot be provisioned.
+// falling back to the wrapped allocator (counted as a fallthrough) when
+// runs cannot be provisioned.
 func (a *Allocator) allocSmall(inner allocFace, size uint64, stats *alloc.Stats, extra *handleExtra) (uint64, bool) {
-	ci := a.classOf(size)
-	var buf [1]uint64
-	out := a.take(ci, buf[:0], 1)
-	if len(out) == 0 {
-		a.reclaimEmpties()
-		out = a.take(ci, buf[:0], 1)
-	}
-	if len(out) == 1 {
-		a.ownAlloc(out[0], size, extra)
+	var buf [1]entry
+	if es := a.take(a.classOf(size), buf[:0], 1); len(es) == 1 {
+		stamp(es[0].r, es[0].i, size, extra)
 		stats.Allocs++
-		return out[0], true
+		return es[0].off, true
 	}
 	off, ok := inner.Alloc(size)
 	if ok {
@@ -545,12 +501,12 @@ func (a *Allocator) allocSmall(inner allocFace, size uint64, stats *alloc.Stats,
 	return off, ok
 }
 
-// allocLarge serves a pass-through request, reclaiming cached empty runs
+// allocLarge serves a pass-through request, releasing cached empty runs
 // and retrying once when the wrapped allocator is out of space.
 func (a *Allocator) allocLarge(inner allocFace, size uint64, stats *alloc.Stats) (uint64, bool) {
 	off, ok := inner.Alloc(size)
 	if !ok && len(a.classes) > 0 {
-		a.reclaimEmpties()
+		a.releaseEmpties(0, math.MaxUint64)
 		off, ok = inner.Alloc(size)
 	}
 	if ok {
@@ -570,90 +526,105 @@ type allocFace interface {
 
 // Alloc implements alloc.Allocator (the thread-safe conv path).
 func (a *Allocator) Alloc(size uint64) (uint64, bool) {
-	if a.cutoff == 0 || size > a.cutoff {
-		a.convMu.Lock()
-		defer a.convMu.Unlock()
-		return a.allocLarge(a.inner, size, &a.convStats)
-	}
 	a.convMu.Lock()
 	defer a.convMu.Unlock()
-	return a.allocSmall(a.inner, size, &a.convStats, &a.convExtra)
+	if a.cutoff == 0 || size > a.cutoff {
+		return a.allocLarge(&a.Layer, size, &a.convStats)
+	}
+	return a.allocSmall(&a.Layer, size, &a.convStats, &a.convExtra)
 }
 
 // Free implements alloc.Allocator (the thread-safe conv path).
 func (a *Allocator) Free(off uint64) {
 	r := a.runAt(off)
 	if r == nil {
-		a.inner.Free(off)
+		a.Layer.Free(off)
 		a.convMu.Lock()
 		a.convStats.Frees++
 		a.convMu.Unlock()
 		return
 	}
 	a.convMu.Lock()
-	ownFree(r, off, &a.convExtra)
+	e := ownFree(r, off, &a.convExtra)
 	a.convStats.Frees++
 	a.convMu.Unlock()
-	a.put(r.class, []uint64{off})
+	a.put(r.class, []entry{e})
 }
 
-// AllocBatch implements alloc.BatchAllocator: class-sized batches come
-// from the central store in one take, larger sizes forward inward.
+// AllocBatch implements alloc.BatchAllocator (the conv face of
+// allocBatch, serialized like the conv Alloc).
 func (a *Allocator) AllocBatch(size uint64, n int) []uint64 {
+	a.convMu.Lock()
+	defer a.convMu.Unlock()
+	return a.allocBatch(size, n, nil, a.Layer.AllocBatch, &a.convStats, &a.convExtra)
+}
+
+// FreeBatch implements alloc.BatchAllocator (the conv face of
+// freeBatch).
+func (a *Allocator) FreeBatch(offs []uint64) {
+	a.convMu.Lock()
+	defer a.convMu.Unlock()
+	a.freeBatch(offs, a.Layer.FreeBatch, &a.convStats, &a.convExtra)
+}
+
+// allocBatch is the batch body of both faces: class-sized batches pop the
+// handle's magazine (mags is nil on the conv face) and then the central
+// store; larger sizes forward to the wrapped layer's batching through
+// fwd. The counters are the face's own.
+func (a *Allocator) allocBatch(size uint64, n int, mags [][]entry, fwd func(uint64, int) []uint64, stats *alloc.Stats, extra *handleExtra) []uint64 {
 	if n <= 0 {
 		return nil
 	}
+	var out []uint64
 	if a.cutoff == 0 || size > a.cutoff {
-		out := alloc.AllocBatchOf(a.inner, size, n)
-		a.convMu.Lock()
-		a.convStats.Allocs += uint64(len(out))
-		if len(out) < n {
-			a.convStats.AllocFails++
+		out = fwd(size, n)
+	} else {
+		ci := a.classOf(size)
+		es := make([]entry, 0, n)
+		if mags != nil {
+			m := mags[ci]
+			for len(es) < n && len(m) > 0 {
+				es = append(es, m[len(m)-1])
+				m = m[:len(m)-1]
+			}
+			mags[ci] = m
 		}
-		a.convMu.Unlock()
-		return out
+		es = a.take(ci, es, n)
+		out = make([]uint64, len(es))
+		for j, e := range es {
+			stamp(e.r, e.i, size, extra)
+			out[j] = e.off
+		}
 	}
-	ci := a.classOf(size)
-	out := a.take(ci, make([]uint64, 0, n), n)
+	stats.Allocs += uint64(len(out))
 	if len(out) < n {
-		a.reclaimEmpties()
-		out = a.take(ci, out, n)
+		stats.AllocFails++
 	}
-	a.convMu.Lock()
-	for _, off := range out {
-		a.ownAlloc(off, size, &a.convExtra)
-	}
-	a.convStats.Allocs += uint64(len(out))
-	if len(out) < n {
-		a.convStats.AllocFails++
-	}
-	a.convMu.Unlock()
 	return out
 }
 
-// FreeBatch implements alloc.BatchAllocator: slab objects return to their
-// runs grouped by class, pass-through offsets forward inward as one batch.
-func (a *Allocator) FreeBatch(offs []uint64) {
-	var fwd []uint64
-	byClass := map[int][]uint64{}
-	a.convMu.Lock()
+// freeBatch is the batch free body of both faces: slab objects go
+// straight to their runs grouped by class (bypassing any magazine — batch
+// frees are drain traffic, not hot-loop traffic), pass-through offsets
+// forward inward as one batch through fwd.
+func (a *Allocator) freeBatch(offs []uint64, fwd func([]uint64), stats *alloc.Stats, extra *handleExtra) {
+	var pass []uint64
+	byClass := map[int][]entry{}
 	for _, off := range offs {
 		r := a.runAt(off)
 		if r == nil {
-			fwd = append(fwd, off)
+			pass = append(pass, off)
 			continue
 		}
-		ownFree(r, off, &a.convExtra)
-		byClass[r.class] = append(byClass[r.class], off)
+		byClass[r.class] = append(byClass[r.class], ownFree(r, off, extra))
 	}
-	a.convStats.Frees += uint64(len(offs))
-	a.convMu.Unlock()
-	for ci, group := range byClass {
-		a.put(ci, group)
+	for ci, es := range byClass {
+		a.put(ci, es)
 	}
-	if len(fwd) > 0 {
-		alloc.FreeBatchOf(a.inner, fwd)
+	if len(pass) > 0 {
+		fwd(pass)
 	}
+	stats.Frees += uint64(len(offs))
 }
 
 // ChunkSize implements alloc.ChunkSizer: the class size for slab objects,
@@ -662,7 +633,7 @@ func (a *Allocator) FreeBatch(offs []uint64) {
 func (a *Allocator) ChunkSize(off uint64) uint64 {
 	r := a.runAt(off)
 	if r == nil {
-		return a.sizer.ChunkSize(off)
+		return a.Layer.ChunkSize(off)
 	}
 	d := off - r.start
 	if i := r.slot(d); uint64(i)*r.objSize != d || r.req[i] == 0 {
@@ -681,18 +652,8 @@ func (a *Allocator) Scrub() {
 	for _, h := range hs {
 		h.Flush()
 	}
-	for ci := range a.classes {
-		cs := &a.classes[ci]
-		cs.mu.Lock()
-		for _, r := range cs.empty {
-			a.releaseLocked(cs, r)
-		}
-		cs.empty = cs.empty[:0]
-		cs.mu.Unlock()
-	}
-	if s, ok := a.inner.(alloc.Scrubber); ok {
-		s.Scrub()
-	}
+	a.releaseEmpties(0, math.MaxUint64)
+	a.Layer.Scrub()
 }
 
 // DrainRange is the elastic retirement hook: it releases every fully-free
@@ -702,20 +663,7 @@ func (a *Allocator) Scrub() {
 // every Poll, so objects flushed by handles converge to released runs
 // without a quiescent Scrub.
 func (a *Allocator) DrainRange(lo, hi uint64) {
-	for ci := range a.classes {
-		cs := &a.classes[ci]
-		cs.mu.Lock()
-		kept := cs.empty[:0]
-		for _, r := range cs.empty {
-			if r.start >= lo && r.start < hi {
-				a.releaseLocked(cs, r)
-			} else {
-				kept = append(kept, r)
-			}
-		}
-		cs.empty = kept
-		cs.mu.Unlock()
-	}
+	a.releaseEmpties(lo, hi)
 	a.fence.Arm(lo, hi)
 }
 
@@ -733,7 +681,7 @@ func (a *Allocator) Stats() alloc.Stats {
 func (a *Allocator) NewHandle() alloc.Handle {
 	h := &Handle{
 		a:     a,
-		inner: a.inner.NewHandle(),
+		inner: a.Layer.NewHandle(),
 		epoch: a.fence.Epoch(),
 	}
 	if a.cutoff != 0 {
@@ -796,7 +744,7 @@ func (a *Allocator) LayerStats() []alloc.LayerStats {
 			"slab_drain_flushes": e.drainFlushes,
 		},
 	}
-	return append([]alloc.LayerStats{ls}, alloc.StackStats(a.inner)...)
+	return append([]alloc.LayerStats{ls}, a.Layer.LayerStats()...)
 }
 
 // FragBytes returns the current internal-fragmentation gauge: bytes
@@ -844,20 +792,4 @@ func (a *Allocator) ClassInfos() []ClassInfo {
 		a.classes[ci].mu.Unlock()
 	}
 	return infos
-}
-
-// Find walks a stack's Unwrap chain and returns the first slab layer, or
-// nil if the stack has none.
-func Find(a alloc.Allocator) *Allocator {
-	for a != nil {
-		if sl, ok := a.(*Allocator); ok {
-			return sl
-		}
-		u, ok := a.(interface{ Unwrap() alloc.Allocator })
-		if !ok {
-			return nil
-		}
-		a = u.Unwrap()
-	}
-	return nil
 }

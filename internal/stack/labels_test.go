@@ -2,9 +2,14 @@ package stack
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/alloc"
+	"repro/internal/elastic"
+	"repro/internal/frontend"
+	"repro/internal/slab"
+	"repro/internal/telemetry"
 
 	_ "repro/internal/bunch"
 )
@@ -119,5 +124,65 @@ func TestLabelGrammarRejects(t *testing.T) {
 		if err == nil {
 			t.Errorf("%s: label %q built a stack", tc.why, tc.label)
 		}
+	}
+}
+
+// TestLayersForwardTheContract walks every registered composite, and a
+// telemetry-probed stack, down its Unwrap chain: every wrapping layer
+// must carry the whole composable contract at the stack's global span,
+// and alloc.Find must find exactly the layers the label names.
+func TestLayersForwardTheContract(t *testing.T) {
+	cfg := alloc.Config{Total: 1 << 20, MinSize: 64, MaxSize: 1 << 16}
+	specs := map[string]Spec{
+		"probed+slab+depot+mapped+elastic+multi2+4lvl-nb": {
+			Variant: "4lvl-nb", Per: cfg, Instances: 2, Mapped: true,
+			Elastic: &elastic.Config{MinInstances: 1, MaxInstances: 4},
+			Depot:   true, Slab: true,
+			Telemetry: telemetry.New(telemetry.Config{}),
+		},
+	}
+	for _, label := range composites {
+		s, err := specFor(label, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs[label] = s
+	}
+	for label, s := range specs {
+		t.Run(label, func(t *testing.T) {
+			st, err := Build(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			span := alloc.SpanOf(st.Top)
+			for a := st.Top; ; {
+				if got := alloc.SpanOf(a); got != span {
+					t.Errorf("%T spans %d, the top %d", a, got, span)
+				}
+				u, ok := a.(interface{ Unwrap() alloc.Allocator })
+				if !ok {
+					break
+				}
+				_, sizer := a.(alloc.ChunkSizer)
+				_, spanner := a.(alloc.Spanner)
+				_, scrubber := a.(alloc.Scrubber)
+				_, statser := a.(alloc.LayerStatser)
+				_, batcher := a.(alloc.BatchAllocator)
+				if !sizer || !spanner || !scrubber || !statser || !batcher {
+					t.Errorf("%T: ChunkSizer %v, Spanner %v, Scrubber %v, LayerStatser %v, BatchAllocator %v",
+						a, sizer, spanner, scrubber, statser, batcher)
+				}
+				a = u.Unwrap()
+			}
+			if got := alloc.Find[*slab.Allocator](st.Top); got != st.Slab || (got != nil) != strings.Contains(label, "slab+") {
+				t.Errorf("Find slab = %p, built %p", got, st.Slab)
+			}
+			if got := alloc.Find[*frontend.Allocator](st.Top); got != st.Frontend || (got != nil) != strings.Contains(label, "depot+") {
+				t.Errorf("Find front-end = %p, built %p", got, st.Frontend)
+			}
+			if got := alloc.Find[*elastic.Manager](st.Top); got != st.Elastic || (got != nil) != strings.Contains(label, "elastic+") {
+				t.Errorf("Find elastic = %p, built %p", got, st.Elastic)
+			}
+		})
 	}
 }

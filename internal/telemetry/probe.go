@@ -5,18 +5,20 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/frontend"
-	"repro/internal/geometry"
 )
 
 // Probe is the latency-recording layer: a transparent wrapper inserted
 // at a layer boundary by stack.Build when
 // telemetry is enabled. Its handles time a sampled fraction of their
 // single-chunk operations and every batch operation into the boundary's
-// Series; everything else forwards untouched. Name is forwarded
-// unchanged — a probed stack is the same stack, observably.
+// Series; everything else, Name included, passes through the embedded
+// alloc.Layer — a probed stack is the same stack, observably. The
+// allocator-level convenience ops stay unrecorded: the per-handle
+// histograms are the hot-path discipline, and the convenience wrappers
+// route through shared internal handles whose ownership the
+// single-writer increment could not claim.
 type Probe struct {
-	inner    alloc.Allocator
-	sizer    alloc.ChunkSizer
+	alloc.Layer
 	series   *Series
 	interval uint32
 }
@@ -25,61 +27,18 @@ type Probe struct {
 // default; callers normally go through stack.Build, which passes the
 // registry's configured interval.
 func NewProbe(inner alloc.Allocator, series *Series, interval int) (*Probe, error) {
-	sizer, ok := inner.(alloc.ChunkSizer)
-	if !ok {
-		return nil, fmt.Errorf("telemetry: %s cannot report chunk sizes", inner.Name())
+	layer, err := alloc.NewLayer(inner)
+	if err != nil {
+		return nil, fmt.Errorf("telemetry: %w", err)
 	}
 	if interval <= 0 {
 		interval = DefaultSampleInterval
 	}
-	return &Probe{inner: inner, sizer: sizer, series: series, interval: uint32(interval)}, nil
+	return &Probe{Layer: layer, series: series, interval: uint32(interval)}, nil
 }
-
-// Name implements alloc.Allocator (forwarded unchanged: the probe is
-// invisible to naming, conformance labels and composite registries).
-func (p *Probe) Name() string { return p.inner.Name() }
-
-// Geometry implements alloc.Allocator.
-func (p *Probe) Geometry() geometry.Geometry { return p.inner.Geometry() }
-
-// OffsetSpan implements alloc.Spanner (pass-through).
-func (p *Probe) OffsetSpan() uint64 { return alloc.SpanOf(p.inner) }
-
-// Unwrap exposes the wrapped stack to generic stack walkers.
-func (p *Probe) Unwrap() alloc.Allocator { return p.inner }
 
 // Series returns the boundary's latency series.
 func (p *Probe) Series() *Series { return p.series }
-
-// Alloc implements alloc.Allocator (convenience path, unrecorded — the
-// per-handle histograms are the hot-path discipline, and the
-// convenience wrappers route through shared internal handles whose
-// ownership the single-writer increment could not claim).
-func (p *Probe) Alloc(size uint64) (uint64, bool) { return p.inner.Alloc(size) }
-
-// Free implements alloc.Allocator (pass-through, unrecorded).
-func (p *Probe) Free(offset uint64) { p.inner.Free(offset) }
-
-// AllocBatch implements alloc.BatchAllocator (pass-through, unrecorded).
-func (p *Probe) AllocBatch(size uint64, n int) []uint64 {
-	return alloc.AllocBatchOf(p.inner, size, n)
-}
-
-// FreeBatch implements alloc.BatchAllocator (pass-through, unrecorded).
-func (p *Probe) FreeBatch(offsets []uint64) { alloc.FreeBatchOf(p.inner, offsets) }
-
-// ChunkSize implements alloc.ChunkSizer (pass-through).
-func (p *Probe) ChunkSize(offset uint64) uint64 { return p.sizer.ChunkSize(offset) }
-
-// Scrub implements alloc.Scrubber (pass-through).
-func (p *Probe) Scrub() {
-	if s, ok := p.inner.(alloc.Scrubber); ok {
-		s.Scrub()
-	}
-}
-
-// Stats implements alloc.Allocator (pass-through).
-func (p *Probe) Stats() alloc.Stats { return p.inner.Stats() }
 
 // LayerStats implements alloc.LayerStatser: a telemetry_* percentile
 // block for this boundary, then the wrapped stack's entries. Operations
@@ -107,14 +66,14 @@ func (p *Probe) LayerStats() []alloc.LayerStats {
 		Layer: "telemetry:" + p.series.layer,
 		Extra: extra,
 	}
-	return append([]alloc.LayerStats{entry}, alloc.StackStats(p.inner)...)
+	return append([]alloc.LayerStats{entry}, p.Layer.LayerStats()...)
 }
 
 // NewHandle implements alloc.Allocator: a sampling, recording handle
 // over an inner handle.
 func (p *Probe) NewHandle() alloc.Handle {
 	return &probeHandle{
-		inner:    p.inner.NewHandle(),
+		inner:    p.Layer.NewHandle(),
 		series:   p.series,
 		set:      p.series.newSet(),
 		interval: p.interval,

@@ -54,7 +54,6 @@ package nbbs
 import (
 	"repro/internal/alloc"
 	"repro/internal/elastic"
-	"repro/internal/fault"
 	"repro/internal/frontend"
 	"repro/internal/geometry"
 	"repro/internal/mem"
@@ -110,9 +109,12 @@ func Variants() []string { return alloc.Names() }
 // sizes; version 7 drops BackingConfig's huge-page and materialize
 // switches, leaving Mapped as the one way to put bytes behind the
 // offsets; version 8 drops TelemetryConfig's ring-shard count, leaving
-// the flight recorder one ring sized by RingSize. The constant exists so
-// embedders that persist configurations can tag which schema they wrote.
-const ConfigVersion = 8
+// the flight recorder one ring sized by RingSize; version 9 drops
+// BackingConfig's fault-injector hook, which no caller of the facade set
+// (the chaos harness injects through the internal stack description).
+// The constant exists so embedders that persist configurations can tag
+// which schema they wrote.
+const ConfigVersion = 9
 
 // RoutingPolicy selects how multi-instance handles bind to back-ends:
 // RoutingRoundRobin spreads handles across instances in creation order,
@@ -151,12 +153,6 @@ type BackingConfig struct {
 	// The windows are also the bytes AllocBytes/Bytes hand out, so a byte
 	// view follows the commit map.
 	Mapped bool
-	// Faults routes the mapped region's lifecycle syscalls
-	// (reserve/commit/decommit) through a
-	// deterministic fault injector — the testing hook behind the stack's
-	// graceful-degradation ladder (see DESIGN.md, "Failure semantics").
-	// Requires Mapped. Nil injects nothing.
-	Faults *FaultInjector
 }
 
 // FrontendConfig describes the layers above the router: per-worker
@@ -196,7 +192,7 @@ type TelemetrySettings struct {
 	// every layer boundary feeding per-handle lock-free histograms
 	// (sampled, folded into retained accumulators on handle Close), and a
 	// flight-recorder event ring the lifecycle layers (elastic, mapped
-	// memory, fault injector, depot, slab) publish into. Retrieve the
+	// memory, depot, slab) publish into. Retrieve the
 	// registry with Buddy.Telemetry. Overhead is bounded by sampling — see
 	// DESIGN.md, "Observability".
 	Enabled bool
@@ -273,20 +269,6 @@ type ElasticConfig = elastic.Config
 // ElasticManager is the capacity manager layer; see Buddy.Elastic.
 type ElasticManager = elastic.Manager
 
-// FaultInjector is a deterministic syscall-fault source for the mapped
-// backing region; build schedules with the internal/fault constructors
-// re-exported here (FailNth, FailAlways, FailRange, FailProb) and
-// install one on BackingConfig.Faults. Injected faults are recorded so
-// a failing schedule replays exactly (internal/fault).
-type FaultInjector = fault.Injector
-
-// Fault rule constructors and the replayable schedule record,
-// re-exported for chaos tooling built on the public facade.
-var (
-	NewFaultInjector = fault.New
-	ReplayFaults     = fault.Replay
-)
-
 // Typed capacity-refusal sentinels of the elastic manager, re-exported
 // so callers can errors.Is on ElasticManager.Grow failures: ErrAtCap is
 // the policy refusing at MaxInstances, ErrBackpressure is the manager
@@ -323,7 +305,6 @@ func New(cfg Config) (*Buddy, error) {
 		Instances:  cfg.Backing.Instances,
 		Policy:     cfg.Backing.Routing,
 		Mapped:     cfg.Backing.Mapped,
-		Faults:     cfg.Backing.Faults,
 		Depot:      cfg.Frontend.Depot,
 		Slab:       cfg.Frontend.Slab,
 		SlabCutoff: cfg.Frontend.SlabCutoff,
@@ -457,28 +438,10 @@ func (b *Buddy) AllocBytes(size uint64) (buf []byte, offset uint64, ok bool) {
 	return b.st.Bytes(off), off, true
 }
 
-// Scrubber is implemented by the 1lvl/4lvl variants (both disciplines)
-// and every stack layer: Scrub rebuilds the metadata from the live-allocation index at a
-// quiescent point, shedding the conservative residue racing releases may
-// strand, and layers forward it inward — the caching front-end flushes
-// its magazines first (see DESIGN.md).
-type Scrubber = alloc.Scrubber
-
 // Scrub quiesces the stack — flushing front-end magazines and scrubbing
 // leaf metadata — and reports whether the leaf variant supports
 // scrubbing.
 func (b *Buddy) Scrub() bool { return b.st.Scrub() }
-
-// Backend exposes the allocator below the caching layers — the leaf
-// instance, or the multi-instance router — for composition and
-// back-end-level statistics.
-func (b *Buddy) Backend() interface {
-	Name() string
-	Alloc(uint64) (uint64, bool)
-	Free(uint64)
-} {
-	return b.st.Backend
-}
 
 // Multi exposes the multi-instance router layer (nil for a stack without
 // routed instances). Router-level handles — including NewHandleOn for
