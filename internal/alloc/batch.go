@@ -8,7 +8,10 @@ package alloc
 //
 // AllocBatch reserves up to n chunks of at least size bytes and returns
 // their offsets; a short (possibly empty) result means the instance could
-// not serve the remainder, exactly like Alloc returning false. FreeBatch
+// not serve the remainder. Every layer counts one AllocFail for a batch
+// that delivers nothing and none for a short one, so a batch is one
+// allocation attempt in Stats; the chunk-at-a-time shims below instead
+// count the failed Alloc that ends a short batch. FreeBatch
 // releases previously allocated chunks by offset; like Free, releasing an
 // offset that is not currently allocated panics.
 //

@@ -9,11 +9,11 @@ package alloctest
 import (
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/alloc"
+	"repro/internal/verify"
 )
 
 // Run executes the full conformance suite against the registered allocator
@@ -50,6 +50,7 @@ func RunBuilder(t *testing.T, build Builder) {
 	t.Run("Oversize", func(t *testing.T) { testOversize(t, build) })
 	t.Run("ZeroSize", func(t *testing.T) { testZeroSize(t, build) })
 	t.Run("EmptyBatch", func(t *testing.T) { testEmptyBatch(t, build) })
+	t.Run("ShortBatch", func(t *testing.T) { testShortBatch(t, build) })
 	t.Run("DoubleFreePanics", func(t *testing.T) { testDoubleFreePanics(t, build) })
 	t.Run("ForeignFreePanics", func(t *testing.T) { testForeignFreePanics(t, build) })
 	t.Run("MinimalGeometry", func(t *testing.T) { testMinimalGeometry(t, build) })
@@ -62,48 +63,48 @@ func RunBuilder(t *testing.T, build Builder) {
 	t.Run("StatsAccounting", func(t *testing.T) { testStatsAccounting(t, build) })
 }
 
+// RunDifferential runs verify.Oracle's random walk (4000 steps, 800 in
+// -short), drain and reconcile over three seeds of a 64 KiB stack built by
+// build. The first divergence fails the test with its seed, step and
+// operation.
+func RunDifferential(t *testing.T, build Builder) {
+	t.Helper()
+	const total, minSize, maxSize = 1 << 16, 8, 1 << 12
+	steps := 4000
+	if testing.Short() {
+		steps = 800
+	}
+	for _, seed := range []int64{1, 7, 42} {
+		o := verify.NewOracle(build(t, total, minSize, maxSize), func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("seed %d: "+format, append([]any{seed}, args...)...)
+		})
+		o.Walk(rand.NewSource(seed), steps)
+		o.Drain()
+		o.Reconcile()
+	}
+}
+
 // mustAllocAfterDrain asserts that size is allocatable on a (supposedly)
-// fully drained instance. Non-blocking allocators are permitted one Scrub
-// to shed benign residue first; an allocator without Scrub must succeed
-// directly, and a failure after scrubbing is a real coalescing bug either
-// way. The chunk is freed again before returning.
+// fully drained instance, after one Scrub at most (verify.ServesAfterDrain):
+// a failure is a real coalescing bug.
 func mustAllocAfterDrain(t *testing.T, a alloc.Allocator, size uint64, context string) {
 	t.Helper()
-	off, ok := a.Alloc(size)
-	if !ok {
-		s, canScrub := a.(alloc.Scrubber)
-		if !canScrub {
-			t.Fatalf("%s: alloc(%d) failed after drain", context, size)
-		}
-		s.Scrub()
-		if off, ok = a.Alloc(size); !ok {
-			t.Fatalf("%s: alloc(%d) failed after drain even after Scrub", context, size)
-		}
+	if !verify.ServesAfterDrain(a, size) {
+		t.Fatalf("%s: alloc(%d) failed after drain and Scrub", context, size)
 	}
-	a.Free(off)
 }
 
 func testFillDrainRefill(t *testing.T, build Builder) {
 	a := build(t, 4096, 8, 4096)
-	var offs []uint64
-	seen := map[uint64]bool{}
-	for {
-		off, ok := a.Alloc(8)
-		if !ok {
-			break
-		}
-		if seen[off] {
-			t.Fatalf("offset %d delivered twice", off)
-		}
-		seen[off] = true
-		offs = append(offs, off)
+	o := verify.NewOracle(a, t.Fatalf)
+	for off, ok := a.Alloc(8); ok; off, ok = a.Alloc(8) {
+		o.Admit(off, 8, "Alloc")
 	}
-	if len(offs) != 512 {
-		t.Fatalf("filled %d units, want 512", len(offs))
+	if o.Live() != 512 {
+		t.Fatalf("filled %d units, want 512", o.Live())
 	}
-	for _, off := range offs {
-		a.Free(off)
-	}
+	o.ReleaseAll(a.Free)
 	if off, ok := a.Alloc(4096); !ok || off != 0 {
 		t.Fatalf("whole-region alloc after drain = (%d,%v), want (0,true)", off, ok)
 	}
@@ -152,23 +153,15 @@ func testSplitCoalesce(t *testing.T, build Builder) {
 
 func testMixedSizesNoOverlap(t *testing.T, build Builder) {
 	a := build(t, 1<<16, 8, 1<<13)
-	type chunk struct{ off, size uint64 }
-	var live []chunk
+	o := verify.NewOracle(a, t.Fatalf)
 	for _, size := range []uint64{8, 8, 128, 1024, 8192, 64, 64, 2048, 8, 512} {
 		off, ok := a.Alloc(size)
 		if !ok {
 			t.Fatalf("alloc(%d) failed", size)
 		}
-		for _, c := range live {
-			if off < c.off+c.size && c.off < off+size {
-				t.Fatalf("chunk [%d,%d) overlaps live chunk [%d,%d)", off, off+size, c.off, c.off+c.size)
-			}
-		}
-		live = append(live, chunk{off, size})
+		o.Admit(off, size, "Alloc")
 	}
-	for _, c := range live {
-		a.Free(c.off)
-	}
+	o.ReleaseAll(a.Free)
 }
 
 func testSizeRounding(t *testing.T, build Builder) {
@@ -242,6 +235,37 @@ func testEmptyBatch(t *testing.T, build Builder) {
 	}
 }
 
+// testShortBatch pins the AllocFail rule of the bulk contract: a batch
+// that delivers some but not all of its chunks is a success, and only an
+// empty one counts as a failed allocation. A handle without native
+// batching goes through the chunk-at-a-time shim, whose short batch ends
+// with a failed Alloc and so counts one.
+func testShortBatch(t *testing.T, build Builder) {
+	const total, size = 1 << 12, 8
+	a := build(t, total, size, total)
+	h := a.NewHandle()
+	short := uint64(1)
+	if _, native := h.(alloc.BatchHandle); native {
+		short = 0
+	}
+	fails := h.Stats().AllocFails
+	got := alloc.HandleAllocBatch(h, size, total/size+1)
+	if len(got) == 0 || len(got) > total/size {
+		t.Fatalf("AllocBatch(%d, %d) on a fresh stack delivered %d chunks", size, total/size+1, len(got))
+	}
+	if d := h.Stats().AllocFails - fails; d != short {
+		t.Errorf("short batch of %d chunks counted %d AllocFails, want %d", len(got), d, short)
+	}
+	fails = h.Stats().AllocFails
+	if more := alloc.HandleAllocBatch(h, size, 4); len(more) != 0 {
+		t.Fatalf("AllocBatch on a full stack delivered %d chunks", len(more))
+	}
+	if d := h.Stats().AllocFails - fails; d != 1 {
+		t.Errorf("empty batch counted %d AllocFails, want 1", d)
+	}
+	alloc.HandleFreeBatch(h, got)
+}
+
 func testDoubleFreePanics(t *testing.T, build Builder) {
 	a := build(t, 1024, 8, 1024)
 	off, ok := a.Alloc(64)
@@ -303,96 +327,52 @@ func testMaxLevelRestriction(t *testing.T, build Builder) {
 }
 
 // testRandomSequentialVsShadow drives a long random alloc/free sequence and
-// validates every response against a shadow interval set (S1 and S2 from a
-// single thread, exercising deep split/merge interleavings).
+// checks every response with the shared sequential oracle (S1 and S2 from
+// a single thread, exercising deep split/merge interleavings).
 func testRandomSequentialVsShadow(t *testing.T, build Builder) {
 	const total, minSize, maxSize = 1 << 14, 8, 1 << 11
 	a := build(t, total, minSize, maxSize)
-	geo := a.Geometry()
+	o := verify.NewOracle(a, t.Fatalf)
 	rng := rand.New(rand.NewSource(42))
-	type chunk struct{ off, reserved uint64 }
-	var live []chunk
-	occupied := map[uint64]bool{} // unit index -> taken
 	for step := 0; step < 20000; step++ {
-		if len(live) > 0 && rng.Intn(2) == 0 {
-			k := rng.Intn(len(live))
-			c := live[k]
-			a.Free(c.off)
-			for u := c.off / minSize; u < (c.off+c.reserved)/minSize; u++ {
-				if !occupied[u] {
-					t.Fatalf("step %d: unit %d freed twice", step, u)
-				}
-				delete(occupied, u)
-			}
-			live[k] = live[len(live)-1]
-			live = live[:len(live)-1]
+		o.Step = step // names the step in the oracle's messages
+		if o.Live() > 0 && rng.Intn(2) == 0 {
+			a.Free(o.Release(rng.Intn(o.Live())))
 			continue
 		}
 		size := uint64(1) << (3 + rng.Intn(9)) // 8..2048
-		off, ok := a.Alloc(size)
-		if !ok {
-			continue
+		if off, ok := a.Alloc(size); ok {
+			o.Admit(off, size, "Alloc")
 		}
-		reserved := geo.SizeOfLevel(geo.LevelForSize(size))
-		if off%reserved != 0 || off+reserved > total {
-			t.Fatalf("step %d: alloc(%d) -> [%d,%d) misaligned or out of range", step, size, off, off+reserved)
-		}
-		for u := off / minSize; u < (off+reserved)/minSize; u++ {
-			if occupied[u] {
-				t.Fatalf("step %d: alloc(%d) at %d overlaps live unit %d (S1 violated)", step, size, off, u)
-			}
-			occupied[u] = true
-		}
-		live = append(live, chunk{off, reserved})
 	}
-	for _, c := range live {
-		a.Free(c.off)
-	}
+	o.ReleaseAll(a.Free)
 	if _, ok := a.Alloc(maxSize); !ok {
 		t.Fatal("max-size alloc failed after full drain")
 	}
 }
 
 // testQuickOpSequences drives testing/quick-generated operation sequences
-// through a fresh instance, checking the buddy-system postconditions of
-// every response: alignment to the reserved size, containment in the
-// region, no overlap with live chunks, and a clean full-capacity state
-// after draining. Each generated byte encodes one operation: high bit set
-// frees the n-th live chunk, otherwise allocates one of 8 size classes.
+// through a fresh instance, checking every response with the shared
+// sequential oracle and a clean full-capacity state after draining. Each
+// generated byte encodes one operation: high bit set frees the n-th live
+// chunk, otherwise allocates one of 8 size classes.
 func testQuickOpSequences(t *testing.T, build Builder) {
 	const total, minSize, maxSize = 1 << 13, 8, 1 << 11
 	property := func(script []byte) bool {
 		a := build(t, total, minSize, maxSize)
-		geo := a.Geometry()
-		type chunk struct{ off, reserved uint64 }
-		var live []chunk
-		for _, op := range script {
-			if op&0x80 != 0 && len(live) > 0 {
-				k := int(op&0x7f) % len(live)
-				a.Free(live[k].off)
-				live[k] = live[len(live)-1]
-				live = live[:len(live)-1]
+		o := verify.NewOracle(a, t.Errorf)
+		for i, op := range script {
+			o.Step = i // names the step in the oracle's messages
+			if op&0x80 != 0 && o.Live() > 0 {
+				a.Free(o.Release(int(op&0x7f) % o.Live()))
 				continue
 			}
 			size := uint64(minSize) << (op & 7)
-			off, ok := a.Alloc(size)
-			if !ok {
-				continue
-			}
-			reserved := geo.SizeOfLevel(geo.LevelForSize(size))
-			if off%reserved != 0 || off+reserved > total {
+			if off, ok := a.Alloc(size); ok && !o.Admit(off, size, "Alloc") {
 				return false
 			}
-			for _, c := range live {
-				if off < c.off+c.reserved && c.off < off+reserved {
-					return false
-				}
-			}
-			live = append(live, chunk{off, reserved})
 		}
-		for _, c := range live {
-			a.Free(c.off)
-		}
+		o.ReleaseAll(a.Free)
 		off, ok := a.Alloc(maxSize)
 		if !ok {
 			return false
@@ -409,9 +389,12 @@ func testQuickOpSequences(t *testing.T, build Builder) {
 	}
 }
 
-// testConcurrentNoOverlap hammers one instance from many goroutines while a
-// shared per-unit claim map (atomics on the test side only) asserts that no
-// two live allocations ever overlap — the concurrent version of S1/S2.
+// testConcurrentNoOverlap hammers one instance from many goroutines while
+// a shared verify.Checker asserts that no two live allocations ever
+// overlap and every free releases a claimed chunk — the concurrent version
+// of S1/S2. Each chunk is claimed at the power-of-two rounding of its
+// request, worked out from the geometry, so a chunk delivered smaller than
+// requested shows as an overlap whatever ChunkSize reports.
 func testConcurrentNoOverlap(t *testing.T, build Builder) {
 	const total, minSize, maxSize = 1 << 20, 8, 1 << 14
 	workers := 8
@@ -420,17 +403,7 @@ func testConcurrentNoOverlap(t *testing.T, build Builder) {
 	}
 	a := build(t, total, minSize, maxSize)
 	geo := a.Geometry()
-	claims := make([]atomic.Int32, total/minSize)
-	var overlaps atomic.Int64
-
-	claim := func(off, reserved uint64, delta int32) {
-		for u := off / minSize; u < (off+reserved)/minSize; u++ {
-			if v := claims[u].Add(delta); v != 0 && v != 1 {
-				overlaps.Add(1)
-			}
-		}
-	}
-
+	chk := verify.NewChecker(total, minSize)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		w := w
@@ -444,36 +417,28 @@ func testConcurrentNoOverlap(t *testing.T, build Builder) {
 			for i := 0; i < 30000; i++ {
 				if len(live) > 0 && rng.Intn(5) < 2 {
 					k := rng.Intn(len(live))
-					c := live[k]
-					claim(c.off, c.reserved, -1)
-					h.Free(c.off)
+					chk.Release(live[k].off, live[k].reserved)
+					h.Free(live[k].off)
 					live[k] = live[len(live)-1]
 					live = live[:len(live)-1]
 					continue
 				}
 				size := uint64(1) << (3 + rng.Intn(12)) // 8..16K
-				off, ok := h.Alloc(size)
-				if !ok {
-					continue
+				if off, ok := h.Alloc(size); ok {
+					reserved := geo.SizeOfLevel(geo.LevelForSize(size))
+					chk.Claim(off, reserved)
+					live = append(live, chunk{off, reserved})
 				}
-				reserved := geo.SizeOfLevel(geo.LevelForSize(size))
-				claim(off, reserved, 1)
-				live = append(live, chunk{off, reserved})
 			}
 			for _, c := range live {
-				claim(c.off, c.reserved, -1)
+				chk.Release(c.off, c.reserved)
 				h.Free(c.off)
 			}
 		}()
 	}
 	wg.Wait()
-	if n := overlaps.Load(); n != 0 {
-		t.Fatalf("%d overlapping-claim events observed (S1/S2 violated)", n)
-	}
-	for u := range claims {
-		if v := claims[u].Load(); v != 0 {
-			t.Fatalf("unit %d left with claim count %d after drain", u, v)
-		}
+	if err := chk.Quiesced(); err != nil {
+		t.Fatal(err)
 	}
 	mustAllocAfterDrain(t, a, maxSize, "concurrent no-overlap")
 }

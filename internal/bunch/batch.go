@@ -10,9 +10,9 @@ import "repro/internal/geometry"
 
 // AllocBatch reserves up to n chunks of at least size bytes in one level
 // scan and appends their offsets to the returned slice. A short (possibly
-// empty) result means the level could not serve the remainder; a batch
-// that delivers nothing counts one AllocFail, exactly like a failed
-// Alloc. Like every handle operation it is single-goroutine.
+// empty) result means the level could not serve the remainder; only a
+// batch that delivers nothing counts an AllocFail (alloc.BatchAllocator).
+// Like every handle operation it is single-goroutine.
 func (h *Handle) AllocBatch(size uint64, n int) []uint64 {
 	if n <= 0 {
 		return nil

@@ -1,18 +1,21 @@
 // Package chaos is the fault-schedule stress harness of the mapped
-// elastic stack: it drives the differential map-oracle workload while a
-// seeded fault injector makes the region's lifecycle syscalls fail, and
-// asserts the two halves of the robustness contract —
+// elastic stack. Phase 1 is one call into verify.Oracle's random walk
+// while a seeded fault injector makes the region's lifecycle syscalls
+// fail; what the package adds is its own: the build, the fault schedule
+// and its replay, a logical clock that reads the walk's step count, the
+// mid-drain kill, and recovery. It asserts the two halves of the
+// robustness contract —
 //
-//  1. no invariant violation while faults are active: every delivered
-//     chunk is exclusive and correctly sized, no operation panics on an
-//     environmental error, the capacity manager keeps serving decisions
-//     (degrading allocation to deny when growth is refused);
+//  1. no invariant violation while faults are active: the oracle admits
+//     every delivered chunk (exclusive, correctly sized), no operation
+//     panics on an environmental error, and the capacity manager keeps
+//     serving decisions (degrading allocation to deny when growth is
+//     refused);
 //  2. full recovery once the schedule clears: pending drains retire to a
 //     healthy floor (the ROADMAP's "kill an instance mid-drain" scenario
 //     included — a retirement interrupted by decommit failure must stay
-//     draining and complete later), committed bytes reconcile with the
-//     published instance set, layer stats balance, and the stack grows
-//     and allocates again.
+//     draining and complete later), the oracle's reconcile holds, committed
+//     bytes match the published instance set, and the stack grows again.
 //
 // Every injected fault is recorded, so a failing run's Report carries a
 // schedule that replays the failure exactly (fault.Replay); nbbsstress
@@ -29,9 +32,9 @@ import (
 	"repro/internal/elastic"
 	"repro/internal/fault"
 	"repro/internal/multi"
-	"repro/internal/slab"
 	"repro/internal/stack"
 	"repro/internal/telemetry"
+	"repro/internal/verify"
 )
 
 // Config parameterizes one chaos run.
@@ -134,12 +137,6 @@ func schedule(p float64) []fault.Rule {
 	}
 }
 
-// chunk is the oracle's record of one delivered chunk.
-type chunk struct {
-	off      uint64
-	reserved uint64
-}
-
 // Run executes one chaos run and returns its report. It never panics:
 // a panic anywhere in the driven stack is converted into a violation
 // (environmental failure must degrade, not crash).
@@ -161,14 +158,15 @@ func Run(cfg Config) (rep Report) {
 		rep.failf("building %s: %v", cfg.Composite, err)
 		return rep
 	}
+	o := verify.NewOracle(st.Top, rep.failf)
+	mgr := st.Elastic
 
-	// A logical clock stepped by the workload: backoff decisions depend
-	// only on the step counter, so a replayed schedule sees the identical
-	// clock and makes the identical retry decisions.
-	var step int
+	// A logical clock stepped by the walk: backoff decisions depend only
+	// on the step counter, so a replayed schedule sees the identical clock
+	// and makes the identical retry decisions.
 	base := time.Unix(0, 0)
-	st.Elastic.SetClock(func() time.Time {
-		return base.Add(time.Duration(step) * time.Millisecond)
+	mgr.SetClock(func() time.Time {
+		return base.Add(time.Duration(o.Step) * time.Millisecond)
 	})
 
 	defer func() {
@@ -189,147 +187,12 @@ func Run(cfg Config) (rep Report) {
 		in.Set(schedule(cfg.Prob)...)
 	}
 
-	a := st.Top
-	geo := a.Geometry()
-	mgr := st.Elastic
-	sl := alloc.Find[*slab.Allocator](a)
-	rng := rand.New(rand.NewSource(int64(cfg.Seed)))
-	// Two persistent handles, never the convenience Alloc/Free path: a
-	// convenience call draws whichever idle handle was returned last, so
-	// its preferred instance depends on earlier convenience traffic, not
-	// on the schedule. Handles route deterministically.
-	h := a.NewHandle()
-	h2 := a.NewHandle()
-
-	var live []chunk
-	occupied := map[uint64]bool{}
-
-	sizeFor := func() uint64 {
-		size := uint64(1) << (6 + rng.Intn(9)) // 64..16384
-		if sl != nil && sl.Cutoff() != 0 && rng.Intn(2) == 0 {
-			switch rng.Intn(4) {
-			case 0:
-				size = sl.Cutoff() - 1
-			case 1:
-				size = sl.Cutoff()
-			case 2:
-				size = sl.Cutoff() + 1
-			default:
-				size = 1 + uint64(rng.Int63n(int64(geo.MaxSize)))
-			}
-		}
-		return size
-	}
-
-	// admit checks a delivered chunk against the oracle; false aborts.
-	admit := func(off, size uint64, how string) bool {
-		reserved := geo.SizeOfLevel(geo.LevelForSize(size))
-		align := reserved
-		if cs, ok := a.(alloc.ChunkSizer); ok {
-			got := cs.ChunkSize(off)
-			matched := got == reserved
-			if sl != nil && !matched {
-				if cls, slabbed := sl.ReservedFor(size); slabbed && got == cls {
-					reserved, align, matched = cls, geo.MinSize, true
-				}
-			}
-			if !matched {
-				rep.failf("step %d: ChunkSize(%#x) = %d, want reserved %d (%s %d)", step, off, got, reserved, how, size)
-				return false
-			}
-		}
-		span := alloc.SpanOf(a)
-		if off%align != 0 || off+reserved > span {
-			rep.failf("step %d: %s(%d) -> [%d,%d) misaligned or outside the %d-byte span", step, how, size, off, off+reserved, span)
-			return false
-		}
-		for u := off / geo.MinSize; u < (off+reserved)/geo.MinSize; u++ {
-			if occupied[u] {
-				rep.failf("step %d: %s(%d) at %#x double-hands-out unit %d", step, how, size, off, u)
-				return false
-			}
-			occupied[u] = true
-		}
-		live = append(live, chunk{off, reserved})
-		return true
-	}
-	release := func(k int) chunk {
-		c := live[k]
-		for u := c.off / geo.MinSize; u < (c.off+c.reserved)/geo.MinSize; u++ {
-			delete(occupied, u)
-		}
-		live[k] = live[len(live)-1]
-		live = live[:len(live)-1]
-		return c
-	}
-	freeAll := func() {
-		var rest []uint64
-		for _, c := range live {
-			rest = append(rest, c.off)
-		}
-		live, occupied = nil, map[uint64]bool{}
-		alloc.HandleFreeBatch(h, rest)
-		if s, ok := a.(alloc.Scrubber); ok {
-			s.Scrub()
-		}
-	}
-
-	// Phase 1: the random walk under the active fault schedule.
-	for ; step < cfg.Steps && len(rep.Violations) == 0; step++ {
-		rep.Ops++
-		switch op := rng.Intn(10); {
-		case op < 4:
-			size := sizeFor()
-			if off, ok := h.Alloc(size); ok {
-				admit(off, size, "Alloc")
-			} else {
-				rep.Denied++
-			}
-		case op < 6 && len(live) > 0:
-			h.Free(release(rng.Intn(len(live))).off)
-		case op < 7:
-			size := uint64(1) << (6 + rng.Intn(6)) // 64..2048
-			n := 1 + rng.Intn(24)
-			offs := alloc.HandleAllocBatch(h, size, n)
-			for _, off := range offs {
-				if !admit(off, size, "AllocBatch") {
-					break
-				}
-			}
-		case op < 8 && len(live) > 1:
-			n := 1 + rng.Intn(len(live))
-			batch := make([]uint64, 0, n)
-			for i := 0; i < n; i++ {
-				batch = append(batch, release(rng.Intn(len(live))).off)
-			}
-			alloc.HandleFreeBatch(h, batch)
-		case op < 9:
-			if s, ok := a.(alloc.Scrubber); ok {
-				s.Scrub()
-			}
-		default:
-			size := sizeFor()
-			if off, ok := h2.Alloc(size); ok {
-				admit(off, size, "second-handle Alloc")
-			} else {
-				rep.Denied++
-			}
-		}
-		// Lifecycle interleave: Poll completes pending retires and runs
-		// the watermark policy; forced Grow/Shrink keep the instance set
-		// moving. Refusals (cap, floor, backpressure) are legitimate.
-		if rng.Intn(12) == 0 {
-			switch rng.Intn(4) {
-			case 0, 1:
-				mgr.Poll()
-			case 2:
-				mgr.Grow()
-			case 3:
-				mgr.Shrink()
-			}
-		}
-	}
-	if len(rep.Violations) > 0 {
+	// Phase 1: the oracle's random walk under the active fault schedule.
+	// Its convenience-path allocations stay deterministic: one goroutine
+	// borrows the same idle handle from the LIFO pool every time.
+	ok := o.Walk(rand.NewSource(int64(cfg.Seed)), cfg.Steps)
+	rep.Ops, rep.Denied = uint64(o.Step), o.Denied
+	if !ok {
 		return rep
 	}
 
@@ -339,9 +202,9 @@ func Run(cfg Config) (rep Report) {
 	// then start a drain and make its decommit fail persistently: the
 	// retirement must park as draining (published, window committed)
 	// instead of half-dying.
-	freeAll()
+	o.Drain()
 	in.Clear()
-	step += 1000
+	o.Step += 1000
 	for i := 0; mgr.Router().ActiveInstances() < 2 && i < 4; i++ {
 		if _, err := mgr.Grow(); err != nil {
 			rep.failf("mid-drain kill setup: grow with faults cleared: %v", err)
@@ -375,22 +238,12 @@ func Run(cfg Config) (rep Report) {
 	// complete, the fleet must settle to a healthy floor, accounting must
 	// reconcile, and the stack must grow and allocate again.
 	in.Clear()
-	step += 1000 // let every backoff window lapse on the logical clock
+	o.Step += 1000 // let every backoff window lapse on the logical clock
 	for i := 0; i < 8; i++ {
 		mgr.Poll()
 	}
-	for _, info := range mgr.Router().InstanceInfos() {
-		if info.State == multi.Draining {
-			rep.failf("recovery: slot %d still draining after faults cleared (live=%d)", info.Slot, info.Live)
-		}
-		if info.State == multi.Active && (info.Live != 0 || info.LiveBytes != 0) {
-			rep.failf("recovery: drained slot %d reports live=%d liveBytes=%d", info.Slot, info.Live, info.LiveBytes)
-		}
-	}
-	for _, layer := range alloc.StackStats(a) {
-		if layer.Stats.Allocs != layer.Stats.Frees {
-			rep.failf("recovery: layer %q unbalanced: %d allocs vs %d frees", layer.Layer, layer.Stats.Allocs, layer.Stats.Frees)
-		}
+	if !o.Reconcile() {
+		return rep
 	}
 	// Committed bytes must reconcile with the published instance set —
 	// no stranded half-committed windows behind the fault schedule.
@@ -398,14 +251,9 @@ func Run(cfg Config) (rep Report) {
 	if got, want := st.Mem.Stats().CommittedBytes, uint64(mgr.Router().Instances())*span; got != want {
 		rep.failf("recovery: %d bytes committed for %d published instances (want %d)", got, mgr.Router().Instances(), want)
 	}
-	// The fleet is growable and servable again.
+	// The fleet is growable again (Reconcile checked it serves).
 	if _, err := mgr.Grow(); err != nil {
 		rep.failf("recovery: grow after faults cleared: %v", err)
-	}
-	if off, ok := h.Alloc(geo.MaxSize); !ok {
-		rep.failf("recovery: MaxSize alloc denied on a healthy stack")
-	} else {
-		h.Free(off)
 	}
 	rep.Recovered = len(rep.Violations) == 0
 	return rep

@@ -570,7 +570,8 @@ func (a *Allocator) FreeBatch(offs []uint64) {
 // allocBatch is the batch body of both faces: class-sized batches pop the
 // handle's magazine (mags is nil on the conv face) and then the central
 // store; larger sizes forward to the wrapped layer's batching through
-// fwd. The counters are the face's own.
+// fwd. The counters are the face's own; only an empty batch counts an
+// AllocFail (alloc.BatchAllocator).
 func (a *Allocator) allocBatch(size uint64, n int, mags [][]entry, fwd func(uint64, int) []uint64, stats *alloc.Stats, extra *handleExtra) []uint64 {
 	if n <= 0 {
 		return nil
@@ -597,7 +598,7 @@ func (a *Allocator) allocBatch(size uint64, n int, mags [][]entry, fwd func(uint
 		}
 	}
 	stats.Allocs += uint64(len(out))
-	if len(out) < n {
+	if len(out) == 0 {
 		stats.AllocFails++
 	}
 	return out

@@ -1,9 +1,16 @@
-// Package verify provides runtime verification for allocators: a
-// unit-granular claim checker that detects overlapping live allocations
-// (the paper's safety property S1) and unbalanced releases (S2), a
-// wrapper that attaches the checker to any allocator transparently, and a
-// deterministic concurrent stress runner that drives verified instances
-// with reproducible pseudo-random schedules.
+// Package verify holds the repository's S1/S2 oracles: a unit-granular
+// claim checker that detects overlapping live allocations (the paper's
+// safety property S1) and unbalanced releases (S2), a wrapper that
+// attaches the checker to any allocator transparently, a deterministic
+// concurrent stress runner that drives verified instances with
+// reproducible pseudo-random schedules, and the sequential Oracle with
+// its random walk over a layer stack (walk.go).
+//
+// The Oracle is the one sequential shadow the tests drive: alloctest's
+// RunDifferential walks it per seed, the conformance tapes
+// (RandomSequentialVsShadow, QuickOpSequences) admit and release through
+// it, internal/chaos runs its walk under a fault schedule, and
+// internal/stack's FuzzStack replays fuzzer bytes as its random source.
 //
 // The checker also tracks live-byte occupancy and its peak — the "memory
 // consumption peak" the paper's conclusions name as the metric front-end
@@ -128,9 +135,6 @@ func Wrap(inner alloc.Allocator) (*Allocator, error) {
 
 // Checker exposes the attached checker.
 func (a *Allocator) Checker() *Checker { return a.chk }
-
-// Name labels the wrapped allocator.
-func (a *Allocator) Name() string { return "verified+" + a.inner.Name() }
 
 // Handle is a verified per-worker handle.
 type Handle struct {

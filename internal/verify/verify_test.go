@@ -1,6 +1,9 @@
 package verify_test
 
 import (
+	"fmt"
+	"math/rand"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -87,6 +90,95 @@ func TestWrapperCatchesBrokenAllocator(t *testing.T) {
 	h.Alloc(64) // same offset again
 	if v.Checker().Overlaps() == 0 {
 		t.Fatal("double-delivery not detected")
+	}
+}
+
+// offsetZero hands out offset 0 for every request and sizes it as the
+// last request's power-of-two rounding, so only occupancy can catch it.
+type offsetZero struct {
+	alloc.Allocator
+	last uint64
+}
+
+func (z *offsetZero) Alloc(size uint64) (uint64, bool) {
+	geo := z.Geometry()
+	z.last = geo.SizeOfLevel(geo.LevelForSize(size))
+	return 0, true
+}
+func (z *offsetZero) Free(uint64)             {}
+func (z *offsetZero) ChunkSize(uint64) uint64 { return z.last }
+func (z *offsetZero) NewHandle() alloc.Handle { return &zeroHandle{z: z} }
+
+type zeroHandle struct {
+	z     *offsetZero
+	stats alloc.Stats
+}
+
+func (h *zeroHandle) Alloc(size uint64) (uint64, bool) { return h.z.Alloc(size) }
+func (h *zeroHandle) Free(uint64)                      {}
+func (h *zeroHandle) Stats() *alloc.Stats              { return &h.stats }
+
+// lyingSizes reports twice the extent each chunk really holds.
+type lyingSizes struct{ alloc.Layer }
+
+func (l *lyingSizes) ChunkSize(off uint64) uint64 { return 2 * l.Layer.ChunkSize(off) }
+
+// uncountedFrees is a layer whose Frees never count.
+type uncountedFrees struct{ alloc.Layer }
+
+func (u *uncountedFrees) LayerStats() []alloc.LayerStats {
+	s := u.Layer.Stats()
+	s.Frees = 0
+	return append([]alloc.LayerStats{{Layer: "uncounted", Stats: s}}, u.Layer.LayerStats()...)
+}
+
+// TestOracleCatchesBrokenAllocators runs the oracle's walk, drain and
+// reconcile over a sound leaf and over three broken wrappers of it; each
+// broken one must be reported once, through fail, naming the failing
+// step and operation.
+func TestOracleCatchesBrokenAllocators(t *testing.T) {
+	layer := func(a alloc.Allocator) alloc.Layer {
+		l, err := alloc.NewLayer(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	cases := []struct {
+		name string
+		wrap func(alloc.Allocator) alloc.Allocator
+		want string // regexp of the one report; "" for none
+	}{
+		{"sound", func(a alloc.Allocator) alloc.Allocator { return a }, ""},
+		{"offset-zero", func(a alloc.Allocator) alloc.Allocator { return &offsetZero{Allocator: a} },
+			`^step \d+: [a-z -]*Alloc(Batch)?\(\d+\) at 0x0 double-hands-out`},
+		{"lying-chunk-size", func(a alloc.Allocator) alloc.Allocator { return &lyingSizes{layer(a)} },
+			`^step \d+: [a-z -]*Alloc(Batch)?\(\d+\) at 0x[0-9a-f]+: ChunkSize = \d+, want reserved \d+$`},
+		{"uncounted-frees", func(a alloc.Allocator) alloc.Allocator { return &uncountedFrees{layer(a)} },
+			`^step 2000: reconcile: layer "uncounted" unbalanced: \d+ allocs vs 0 frees$`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			leaf, err := alloc.Build("1lvl-nb", alloc.Config{Total: 1 << 14, MinSize: 8, MaxSize: 1 << 12})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var reports []string
+			o := verify.NewOracle(c.wrap(leaf), func(format string, args ...any) {
+				reports = append(reports, fmt.Sprintf(format, args...))
+			})
+			if o.Walk(rand.NewSource(1), 2000) {
+				o.Drain()
+				o.Reconcile()
+			}
+			switch {
+			case c.want == "" && len(reports) != 0:
+				t.Fatalf("sound leaf reported %q", reports)
+			case c.want == "":
+			case len(reports) != 1 || !regexp.MustCompile(c.want).MatchString(reports[0]):
+				t.Fatalf("reports %q, want one matching %s", reports, c.want)
+			}
+		})
 	}
 }
 
