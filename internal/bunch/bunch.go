@@ -101,12 +101,15 @@ type Allocator struct {
 	// words holds the bunch words of all materialized levels, deepest
 	// level first.
 	words []atomic.Uint64
-	// index maps allocation-unit slots (offset/MinSize) to the tree node
-	// that served the allocation starting there; 0 means "not delivered",
-	// which is what makes double frees detectable.
+	// index maps each allocation unit (offset/MinSize) to the tree node
+	// that served the chunk whose head it is; 0 means "not delivered",
+	// which is what makes double frees detectable. Entries are in tree
+	// order, not unit order (see headSlot), so the heads of neighbouring
+	// large chunks share cache lines.
 	index []atomic.Uint32
-	// unitShift is log2(MinSize): offset>>unitShift is an offset's slot in
-	// index, with no division on the hot path.
+	// unitShift is log2(MinSize): offset>>unitShift is an offset's
+	// allocation unit, which headSlot maps to its entry in index with no
+	// division on the hot path.
 	unitShift uint
 	// scatter disables the scattered scan start when false (ablation A2).
 	scatter bool
@@ -220,6 +223,25 @@ func (h *Handle) cas(word *atomic.Uint64, w, to uint64) bool {
 	}
 	*(*uint64)(unsafe.Pointer(word)) = to
 	return true
+}
+
+// headSlot returns the index slot of the chunk head at offset: the
+// buddy node whose right half starts at the offset's unit (treeSlot).
+func (a *Allocator) headSlot(offset uint64) uint64 {
+	return treeSlot(offset>>a.unitShift, uint64(len(a.index)))
+}
+
+// treeSlot places unit u of a tree with leaves units (a power of two) in
+// tree order: (leaves|u) >> (TrailingZeros(u)+1) is the internal node
+// whose right half starts at u, and unit 0, which starts no right half,
+// takes slot 0 (the shift is then 65). Distinct units get distinct slots
+// below leaves, and a chunk head at level l has at least Depth-l trailing
+// zeros, so its slot is below FirstOfLevel(l): the heads of all level-l
+// chunks fill the first 1<<l slots, where unit order put them 1<<(Depth-l)
+// entries apart, 2 KiB for 4 KiB chunks at 8 B units (DESIGN.md, "The
+// chunk-head index").
+func treeSlot(u, leaves uint64) uint64 {
+	return (leaves | u) >> (uint(bits.TrailingZeros64(u)) + 1)
 }
 
 // swapIndex stores n into index slot and returns the node it held: an
@@ -386,7 +408,7 @@ func (h *Handle) scan(level int, i, hi uint64) (offset uint64, ok bool, next uin
 		failedAt := h.tryAlloc(cand, w)
 		if failedAt == 0 {
 			offset = a.geo.OffsetOf(cand)
-			h.swapIndex(offset>>a.unitShift, uint32(cand))
+			h.swapIndex(a.headSlot(offset), uint32(cand))
 			h.stats.Allocs++
 			h.rover[level] = h.rel(cand+1, level)
 			return offset, true, cand + 1
@@ -450,7 +472,11 @@ func (h *Handle) tryAlloc(n, scanned uint64) uint64 {
 				h.freeNode(n, lam+k)
 				return anc
 			}
-			if h.cas(ancWord, w, w&^coal|mark) {
+			// A word whose branch is already marked occupied and not
+			// coalescing is left unwritten: the load is then the witness a
+			// CAS from w to w would have returned, as in freeNode's
+			// phase-1 skip (DESIGN.md, "Memory ordering of sub-word CAS").
+			if to := w&^coal | mark; to == w || h.cas(ancWord, w, to) {
 				break
 			}
 			// A concurrent operation changed this node's other bits or a
@@ -474,7 +500,7 @@ func (h *Handle) Free(offset uint64) {
 	if offset >= a.geo.Total || offset&(a.geo.MinSize-1) != 0 {
 		panic(fmt.Sprintf("bunch: Free(%#x): offset outside the managed region or unaligned", offset))
 	}
-	n := h.swapIndex(offset>>a.unitShift, 0)
+	n := h.swapIndex(a.headSlot(offset), 0)
 	if n == 0 {
 		panic(fmt.Sprintf("bunch: Free(%#x): offset not currently allocated (double free?)", offset))
 	}

@@ -12,7 +12,7 @@ func (a *Allocator) ChunkSize(offset uint64) uint64 {
 	if offset >= a.geo.Total || offset&(a.geo.MinSize-1) != 0 {
 		panic(fmt.Sprintf("bunch: ChunkSize(%#x): offset outside the managed region or unaligned", offset))
 	}
-	n := a.index[offset>>a.unitShift].Load()
+	n := a.index[a.headSlot(offset)].Load()
 	if n == 0 {
 		panic(fmt.Sprintf("bunch: ChunkSize(%#x): offset not currently allocated", offset))
 	}

@@ -182,6 +182,61 @@ func TestOracleCatchesBrokenAllocators(t *testing.T) {
 	}
 }
 
+// panickyFree is a layer whose handles' Free panics from a chosen step of
+// the oracle's walk on, and records the step it first panicked at.
+type panickyFree struct {
+	alloc.Layer
+	step     *int // the walking oracle's Step
+	from     int
+	panicked int
+}
+
+func (p *panickyFree) NewHandle() alloc.Handle {
+	return &panickyHandle{Handle: p.Layer.NewHandle(), p: p}
+}
+
+type panickyHandle struct {
+	alloc.Handle
+	p *panickyFree
+}
+
+func (h *panickyHandle) Free(off uint64) {
+	if *h.p.step >= h.p.from {
+		h.p.panicked = *h.p.step
+		panic("injected Free panic")
+	}
+	h.Handle.Free(off)
+}
+
+// TestOracleReportsPanickingFree runs the walk over a stack whose Free
+// panics from step 500 on: the panic must come back as the one report,
+// naming the step it happened at and the Free, and the walk must return
+// to its caller instead of unwinding the test binary.
+func TestOracleReportsPanickingFree(t *testing.T) {
+	leaf, err := alloc.Build("1lvl-nb", alloc.Config{Total: 1 << 14, MinSize: 8, MaxSize: 1 << 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := alloc.NewLayer(leaf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &panickyFree{Layer: l, from: 500, panicked: -1}
+	var reports []string
+	o := verify.NewOracle(p, func(format string, args ...any) {
+		reports = append(reports, fmt.Sprintf(format, args...))
+	})
+	p.step = &o.Step
+	if o.Walk(rand.NewSource(1), 2000) {
+		t.Fatal("walk over a panicking Free reported no divergence")
+	}
+	o.Drain() // frees again: a second panic, recovered but not reported
+	want := fmt.Sprintf(`^step %d: Free(Batch of \d+ chunks|\(0x[0-9a-f]+\)): panic: injected Free panic$`, p.panicked)
+	if p.panicked < 500 || len(reports) != 1 || !regexp.MustCompile(want).MatchString(reports[0]) {
+		t.Fatalf("panicked at step %d, reports %q, want one matching %s", p.panicked, reports, want)
+	}
+}
+
 func TestWrapRequiresChunkSizer(t *testing.T) {
 	if _, err := verify.Wrap(plainAllocator{}); err == nil {
 		t.Fatal("allocator without ChunkSize accepted")

@@ -48,6 +48,10 @@ type Oracle struct {
 	h, h2  alloc.Handle // the walk's handles, made by its first Walk or Drain
 	fail   func(format string, args ...any)
 	failed bool
+	// op names the stack operation Walk or Drain has in flight, for the
+	// report of a panic in it: a format with one verb, which arg fills.
+	op  string
+	arg uint64
 }
 
 // chunk is the oracle's record of one delivered chunk.
@@ -87,6 +91,20 @@ func (o *Oracle) failf(format string, args ...any) {
 	}
 	o.failed = true
 	o.fail("step %d: "+format, append([]any{o.Step}, args...)...)
+}
+
+// doing records the stack operation about to run (see op).
+func (o *Oracle) doing(op string, arg uint64) { o.op, o.arg = op, arg }
+
+// recoverOp, deferred by Walk and Drain, reports a panic in the stack as
+// the divergence of the step and operation it happened in. The walk stops
+// there as on any other divergence, and a driver whose fail returns keeps
+// its goroutine, so one misbehaving stack cannot take the test binary, or
+// a harness's other runs, down with it.
+func (o *Oracle) recoverOp() {
+	if p := recover(); p != nil {
+		o.failf(o.op+": panic: %v", o.arg, p)
+	}
 }
 
 // Live returns the number of chunks the shadow holds.
@@ -164,6 +182,7 @@ func (o *Oracle) scrub(when string) {
 	if !ok {
 		return
 	}
+	o.doing(when+" over %d live", uint64(len(o.live)))
 	s.Scrub()
 	for _, c := range o.live {
 		got, ok := o.chunkSize(c.off, "after "+when)
@@ -192,6 +211,7 @@ func (o *Oracle) chunkSize(off uint64, how string) (size uint64, ok bool) {
 // allocOne serves one single-chunk request through serve and admits the
 // result.
 func (o *Oracle) allocOne(serve func(uint64) (uint64, bool), size uint64, how string) {
+	o.doing(how+"(%d)", size)
 	if off, ok := serve(size); ok {
 		o.Admit(off, size, how)
 	} else {
@@ -218,9 +238,11 @@ func (o *Oracle) allocOne(serve func(uint64) (uint64, bool), size uint64, how st
 // Single requests take every size from MinSize to MaxSize; on a slab
 // stack half of them take the cutoff, its neighbours or an arbitrary size
 // instead, so run carving and the pass-through boundary are covered.
+// A panic in any of these is reported as the divergence of its step.
 // Walk returns false once the oracle has failed.
 func (o *Oracle) Walk(src rand.Source, steps int) bool {
 	o.handles()
+	defer o.recoverOp()
 	rng := rand.New(src)
 	sizes := bits.Len64(o.geo.MaxSize / o.geo.MinSize)
 	sizeFor := func() uint64 {
@@ -244,13 +266,16 @@ func (o *Oracle) Walk(src rand.Source, steps int) bool {
 		case op < 4:
 			o.allocOne(o.h.Alloc, sizeFor(), "Alloc")
 		case op < 6 && len(o.live) > 0:
-			o.h.Free(o.Release(rng.Intn(len(o.live))))
+			off := o.Release(rng.Intn(len(o.live)))
+			o.doing("Free(%#x)", off)
+			o.h.Free(off)
 		case op < 7:
 			size := o.geo.MinSize << rng.Intn(max(1, sizes-2))
 			n := 7 + rng.Intn(6)
 			if n > 9 {
 				n = 1 + rng.Intn(48)
 			}
+			o.doing("AllocBatch(%d)", size)
 			offs := alloc.HandleAllocBatch(o.h, size, n)
 			for _, off := range offs {
 				o.Admit(off, size, "AllocBatch") // a no-op once failed
@@ -263,6 +288,7 @@ func (o *Oracle) Walk(src rand.Source, steps int) bool {
 			for i := range batch {
 				batch[i] = o.Release(rng.Intn(len(o.live)))
 			}
+			o.doing("FreeBatch of %d chunks", uint64(len(batch)))
 			alloc.HandleFreeBatch(o.h, batch)
 		case op < 9:
 			o.scrub("Scrub")
@@ -272,12 +298,16 @@ func (o *Oracle) Walk(src rand.Source, steps int) bool {
 			o.allocOne(o.a.Alloc, sizeFor(), "conv Alloc")
 		}
 		if o.mgr != nil && rng.Intn(12) == 0 {
+			live := uint64(len(o.live))
 			switch rng.Intn(4) {
 			case 0, 1:
+				o.doing("Poll over %d live", live)
 				o.mgr.Poll()
 			case 2:
+				o.doing("Grow over %d live", live)
 				o.mgr.Grow()
 			case 3:
+				o.doing("Shrink over %d live", live)
 				o.mgr.Shrink()
 			}
 		}
@@ -287,13 +317,15 @@ func (o *Oracle) Walk(src rand.Source, steps int) bool {
 
 // Drain frees every live chunk, newest first, as one batch through the
 // walk's first handle, then Scrubs so magazines and depots hand their
-// chunks back down.
+// chunks back down. A panic in either is reported as Walk reports one.
 func (o *Oracle) Drain() {
 	o.handles()
+	defer o.recoverOp()
 	rest := make([]uint64, 0, len(o.live))
 	o.ReleaseAll(func(off uint64) { rest = append(rest, off) })
+	o.doing("drain FreeBatch of %d chunks", uint64(len(rest)))
 	alloc.HandleFreeBatch(o.h, rest)
-	o.scrub("drain")
+	o.scrub("drain Scrub")
 }
 
 // Reconcile checks a drained stack and returns false on a divergence.
