@@ -1,8 +1,10 @@
 // Command nbbsstress drives any allocator variant with reproducible
-// concurrent schedules under runtime verification: every delivered chunk
-// is claimed in a unit-granular shadow map, so overlapping allocations
-// (paper safety property S1) and unbacked releases (S2) are detected the
-// moment they happen. It is the repository's fuzzer: run it long, vary
+// concurrent schedules under runtime verification (verify.Stress): every
+// delivered chunk is claimed in a unit-granular shadow map at
+// max(ChunkSize, the request rounded up to MinSize), so overlapping
+// allocations (paper safety property S1), chunks delivered smaller than
+// requested, and unbacked releases (S2) are detected the moment they
+// happen. It is the repository's fuzzer: run it long, vary
 // seeds, and any safety bug in an allocator becomes a counted incident
 // with a reproducible seed.
 //
@@ -56,7 +58,7 @@ func main() {
 		maxSize  = flag.Uint64("max", 1<<14, "maximum request size")
 		sizesArg = flag.String("sizes", "8,64,512,4096,16384", "request-size mix")
 		freeBias = flag.Int("freebias", 40, "percent of steps that free (0-100)")
-		maxLive  = flag.Int("maxlive", 64, "per-worker live-chunk cap")
+		maxLive  = flag.Int("maxlive", 64, "per-worker live-chunk cap (0: none)")
 
 		chaosMode   = flag.Bool("chaos", false, "run the fault-schedule differential harness instead")
 		chaosProb   = flag.Float64("chaos-prob", 0.05, "per-syscall fault probability of the chaos schedule")

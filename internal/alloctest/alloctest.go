@@ -3,14 +3,18 @@
 // properties — S1: a successful allocation returns a non-allocated chunk
 // coherent with the requested size; S2: a free releases exactly the memory
 // targeted — plus buddy-system behaviours (alignment, split/coalesce,
-// exhaustion, misuse detection) both sequentially and under concurrency.
+// exhaustion, misuse detection, batch and stats accounting).
+//
+// The suite's own cases are fixed tapes. Random operations come from
+// internal/verify's two runners: the three Concurrent cases are
+// verify.Stress configurations, and RunDifferential walks verify.Oracle;
+// every variant and stack that runs the suite also runs RunDifferential
+// in a Differential test of its own.
 package alloctest
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/alloc"
 	"repro/internal/verify"
@@ -55,11 +59,30 @@ func RunBuilder(t *testing.T, build Builder) {
 	t.Run("ForeignFreePanics", func(t *testing.T) { testForeignFreePanics(t, build) })
 	t.Run("MinimalGeometry", func(t *testing.T) { testMinimalGeometry(t, build) })
 	t.Run("MaxLevelRestriction", func(t *testing.T) { testMaxLevelRestriction(t, build) })
-	t.Run("RandomSequentialVsShadow", func(t *testing.T) { testRandomSequentialVsShadow(t, build) })
-	t.Run("QuickOpSequences", func(t *testing.T) { testQuickOpSequences(t, build) })
-	t.Run("ConcurrentNoOverlap", func(t *testing.T) { testConcurrentNoOverlap(t, build) })
-	t.Run("ConcurrentChurnDrain", func(t *testing.T) { testConcurrentChurnDrain(t, build) })
-	t.Run("ConcurrentMixedLevels", func(t *testing.T) { testConcurrentMixedLevels(t, build) })
+	// ConcurrentNoOverlap hammers one stack with a random mix of every
+	// power-of-two size from many workers: the concurrent S1/S2 net.
+	t.Run("ConcurrentNoOverlap", func(t *testing.T) {
+		stress(t, build, 1<<20, 1<<14, verify.StressConfig{
+			Workers: shortOr(8, 4), Ops: 30000, FreeBias: 40, Seed: 7,
+			Sizes: []uint64{8, 16, 32, 64, 128, 256, 512, 1 << 10, 1 << 11, 1 << 12, 1 << 13, 1 << 14},
+		})
+	})
+	// ConcurrentChurnDrain is the Linux Scalability ping-pong: each worker
+	// frees every chunk right after allocating it.
+	t.Run("ConcurrentChurnDrain", func(t *testing.T) {
+		stress(t, build, 1<<18, 1<<18, verify.StressConfig{
+			Workers: 8, Ops: shortOr(20000, 4000), MaxLive: 1, Seed: 1, Sizes: []uint64{64},
+		})
+	})
+	// ConcurrentMixedLevels keeps a few chunks of sizes far apart live per
+	// worker, so climbs constantly cross each other mid-tree, the
+	// scenario the coalescing bits exist for.
+	t.Run("ConcurrentMixedLevels", func(t *testing.T) {
+		stress(t, build, 1<<18, 1<<13, verify.StressConfig{
+			Workers: 10, Ops: shortOr(10000, 2000), MaxLive: 8, Seed: 3,
+			Sizes: []uint64{8, 64, 512, 4096, 1 << 13},
+		})
+	})
 	t.Run("StatsAccounting", func(t *testing.T) { testStatsAccounting(t, build) })
 }
 
@@ -85,14 +108,31 @@ func RunDifferential(t *testing.T, build Builder) {
 	}
 }
 
-// mustAllocAfterDrain asserts that size is allocatable on a (supposedly)
-// fully drained instance, after one Scrub at most (verify.ServesAfterDrain):
+// stress runs one verify.Stress configuration over a stack of total
+// bytes with an 8-byte unit, then asserts that the drained stack serves a
+// maxSize chunk again, after one Scrub at most (verify.ServesAfterDrain):
 // a failure is a real coalescing bug.
-func mustAllocAfterDrain(t *testing.T, a alloc.Allocator, size uint64, context string) {
+func stress(t *testing.T, build Builder, total, maxSize uint64, cfg verify.StressConfig) {
 	t.Helper()
-	if !verify.ServesAfterDrain(a, size) {
-		t.Fatalf("%s: alloc(%d) failed after drain and Scrub", context, size)
+	a := build(t, total, 8, maxSize)
+	rep, err := verify.Stress(a, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if rep.Failed() {
+		t.Fatal(rep)
+	}
+	if !verify.ServesAfterDrain(a, maxSize) {
+		t.Fatalf("alloc(%d) failed after drain and Scrub", maxSize)
+	}
+}
+
+// shortOr returns n, or short under -short.
+func shortOr(n, short int) int {
+	if testing.Short() {
+		return short
+	}
+	return n
 }
 
 func testFillDrainRefill(t *testing.T, build Builder) {
@@ -183,7 +223,7 @@ func testSizeRounding(t *testing.T, build Builder) {
 	if !ok {
 		t.Fatal("second 9-byte alloc failed")
 	}
-	if d := diff(o1, o2); d < 16 {
+	if d := max(o1, o2) - min(o1, o2); d < 16 {
 		t.Fatalf("9-byte chunks only %d apart; rounding to 16 not honoured", d)
 	}
 	a.Free(o1)
@@ -326,188 +366,9 @@ func testMaxLevelRestriction(t *testing.T, build Builder) {
 	}
 }
 
-// testRandomSequentialVsShadow drives a long random alloc/free sequence and
-// checks every response with the shared sequential oracle (S1 and S2 from
-// a single thread, exercising deep split/merge interleavings).
-func testRandomSequentialVsShadow(t *testing.T, build Builder) {
-	const total, minSize, maxSize = 1 << 14, 8, 1 << 11
-	a := build(t, total, minSize, maxSize)
-	o := verify.NewOracle(a, t.Fatalf)
-	rng := rand.New(rand.NewSource(42))
-	for step := 0; step < 20000; step++ {
-		o.Step = step // names the step in the oracle's messages
-		if o.Live() > 0 && rng.Intn(2) == 0 {
-			a.Free(o.Release(rng.Intn(o.Live())))
-			continue
-		}
-		size := uint64(1) << (3 + rng.Intn(9)) // 8..2048
-		if off, ok := a.Alloc(size); ok {
-			o.Admit(off, size, "Alloc")
-		}
-	}
-	o.ReleaseAll(a.Free)
-	if _, ok := a.Alloc(maxSize); !ok {
-		t.Fatal("max-size alloc failed after full drain")
-	}
-}
-
-// testQuickOpSequences drives testing/quick-generated operation sequences
-// through a fresh instance, checking every response with the shared
-// sequential oracle and a clean full-capacity state after draining. Each
-// generated byte encodes one operation: high bit set frees the n-th live
-// chunk, otherwise allocates one of 8 size classes.
-func testQuickOpSequences(t *testing.T, build Builder) {
-	const total, minSize, maxSize = 1 << 13, 8, 1 << 11
-	property := func(script []byte) bool {
-		a := build(t, total, minSize, maxSize)
-		o := verify.NewOracle(a, t.Errorf)
-		for i, op := range script {
-			o.Step = i // names the step in the oracle's messages
-			if op&0x80 != 0 && o.Live() > 0 {
-				a.Free(o.Release(int(op&0x7f) % o.Live()))
-				continue
-			}
-			size := uint64(minSize) << (op & 7)
-			if off, ok := a.Alloc(size); ok && !o.Admit(off, size, "Alloc") {
-				return false
-			}
-		}
-		o.ReleaseAll(a.Free)
-		off, ok := a.Alloc(maxSize)
-		if !ok {
-			return false
-		}
-		a.Free(off)
-		return true
-	}
-	cfg := &quick.Config{MaxCount: 40}
-	if testing.Short() {
-		cfg.MaxCount = 10
-	}
-	if err := quick.Check(property, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-// testConcurrentNoOverlap hammers one instance from many goroutines while
-// a shared verify.Checker asserts that no two live allocations ever
-// overlap and every free releases a claimed chunk — the concurrent version
-// of S1/S2. Each chunk is claimed at the power-of-two rounding of its
-// request, worked out from the geometry, so a chunk delivered smaller than
-// requested shows as an overlap whatever ChunkSize reports.
-func testConcurrentNoOverlap(t *testing.T, build Builder) {
-	const total, minSize, maxSize = 1 << 20, 8, 1 << 14
-	workers := 8
-	if testing.Short() {
-		workers = 4
-	}
-	a := build(t, total, minSize, maxSize)
-	geo := a.Geometry()
-	chk := verify.NewChecker(total, minSize)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			h := a.NewHandle()
-			rng := rand.New(rand.NewSource(int64(w) + 7))
-			type chunk struct{ off, reserved uint64 }
-			var live []chunk
-			for i := 0; i < 30000; i++ {
-				if len(live) > 0 && rng.Intn(5) < 2 {
-					k := rng.Intn(len(live))
-					chk.Release(live[k].off, live[k].reserved)
-					h.Free(live[k].off)
-					live[k] = live[len(live)-1]
-					live = live[:len(live)-1]
-					continue
-				}
-				size := uint64(1) << (3 + rng.Intn(12)) // 8..16K
-				if off, ok := h.Alloc(size); ok {
-					reserved := geo.SizeOfLevel(geo.LevelForSize(size))
-					chk.Claim(off, reserved)
-					live = append(live, chunk{off, reserved})
-				}
-			}
-			for _, c := range live {
-				chk.Release(c.off, c.reserved)
-				h.Free(c.off)
-			}
-		}()
-	}
-	wg.Wait()
-	if err := chk.Quiesced(); err != nil {
-		t.Fatal(err)
-	}
-	mustAllocAfterDrain(t, a, maxSize, "concurrent no-overlap")
-}
-
-// testConcurrentChurnDrain runs an alloc/free ping-pong (the Linux
-// Scalability pattern) concurrently and verifies the instance coalesces
-// back to a fully allocatable state.
-func testConcurrentChurnDrain(t *testing.T, build Builder) {
-	const total = 1 << 18
-	a := build(t, total, 8, total)
-	iters := 20000
-	if testing.Short() {
-		iters = 4000
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			h := a.NewHandle()
-			for i := 0; i < iters; i++ {
-				if off, ok := h.Alloc(64); ok {
-					h.Free(off)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	mustAllocAfterDrain(t, a, total, "concurrent churn")
-}
-
-// testConcurrentMixedLevels spreads workers over different target levels so
-// climbs constantly cross each other mid-tree, the scenario the coalescing
-// bits exist for.
-func testConcurrentMixedLevels(t *testing.T, build Builder) {
-	const total = 1 << 18
-	a := build(t, total, 8, 1<<13)
-	sizes := []uint64{8, 64, 512, 4096, 1 << 13}
-	iters := 10000
-	if testing.Short() {
-		iters = 2000
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 10; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			h := a.NewHandle()
-			size := sizes[w%len(sizes)]
-			var live []uint64
-			for i := 0; i < iters; i++ {
-				if off, ok := h.Alloc(size); ok {
-					live = append(live, off)
-				}
-				if len(live) > 8 {
-					h.Free(live[0])
-					live = live[1:]
-				}
-			}
-			for _, off := range live {
-				h.Free(off)
-			}
-		}()
-	}
-	wg.Wait()
-	mustAllocAfterDrain(t, a, 1<<13, "mixed-level churn")
-}
-
+// testStatsAccounting drives alloc/free pairs through a handle and
+// through the allocator's own thread-safe path: the handle counts its
+// own, and the allocator's Stats count both.
 func testStatsAccounting(t *testing.T, build Builder) {
 	a := build(t, 1<<12, 8, 1<<12)
 	h := a.NewHandle()
@@ -515,23 +376,19 @@ func testStatsAccounting(t *testing.T, build Builder) {
 	for i := 0; i < n; i++ {
 		off, ok := h.Alloc(8)
 		if !ok {
-			t.Fatal("alloc failed")
+			t.Fatal("handle alloc failed")
 		}
 		h.Free(off)
+		if off, ok = a.Alloc(8); !ok {
+			t.Fatal("alloc failed")
+		}
+		a.Free(off)
 	}
 	s := h.Stats()
 	if s.Allocs != n || s.Frees != n {
 		t.Fatalf("handle stats = %d allocs/%d frees, want %d/%d", s.Allocs, s.Frees, n, n)
 	}
-	agg := a.Stats()
-	if agg.Allocs < n {
-		t.Fatalf("aggregated stats lost handle counts: %d allocs", agg.Allocs)
+	if agg := a.Stats(); agg.Allocs != 2*n || agg.Frees != 2*n {
+		t.Fatalf("aggregated stats = %d allocs/%d frees, want %d/%d", agg.Allocs, agg.Frees, 2*n, 2*n)
 	}
-}
-
-func diff(a, b uint64) uint64 {
-	if a > b {
-		return a - b
-	}
-	return b - a
 }

@@ -42,6 +42,7 @@ type Allocator struct {
 	// 0-based indexing; the offset math is otherwise identical).
 	tree []uint8
 	reg  alloc.Registry[*Handle]
+	conv alloc.ConvPool[*Handle] // handles behind Alloc/Free
 }
 
 // New builds a "buddy-sl" instance.
@@ -50,11 +51,13 @@ func New(cfg alloc.Config) (*Allocator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Allocator{
+	a := &Allocator{
 		geo:  geo,
 		lock: spinlock.New(spinlock.Kind(cfg.LockKind)),
 		tree: make([]uint8, geo.Nodes()),
-	}, nil
+	}
+	a.conv.New = a.newHandle
+	return a, nil
 }
 
 // Name implements alloc.Allocator.
@@ -63,20 +66,25 @@ func (a *Allocator) Name() string { return "buddy-sl" }
 // Geometry implements alloc.Allocator.
 func (a *Allocator) Geometry() geometry.Geometry { return a.geo }
 
-// Alloc implements alloc.Allocator.
+// Alloc implements alloc.Allocator through a recycled convenience
+// handle, so its counters land in Stats like every handle's.
 func (a *Allocator) Alloc(size uint64) (uint64, bool) {
-	var s alloc.Stats
-	return a.alloc(size, &s)
+	h := a.conv.Borrow()
+	defer a.conv.Return(h)
+	return h.Alloc(size)
 }
 
-// Free implements alloc.Allocator.
+// Free implements alloc.Allocator through a recycled convenience handle.
 func (a *Allocator) Free(offset uint64) {
-	var s alloc.Stats
-	a.release(offset, &s)
+	h := a.conv.Borrow()
+	defer a.conv.Return(h)
+	h.Free(offset)
 }
 
 // NewHandle implements alloc.Allocator.
-func (a *Allocator) NewHandle() alloc.Handle {
+func (a *Allocator) NewHandle() alloc.Handle { return a.newHandle() }
+
+func (a *Allocator) newHandle() *Handle {
 	h := &Handle{a: a}
 	a.reg.Add(h)
 	return h

@@ -54,6 +54,7 @@ type Allocator struct {
 	freeHead []int64 // freeHead[order] -> first free block head, nilPage if empty
 	maxOrder int     // largest order servable (log2(MaxSize/MinSize))
 	reg      alloc.Registry[*Handle]
+	conv     alloc.ConvPool[*Handle] // handles behind Alloc/Free
 }
 
 // New builds a "linux-buddy" instance.
@@ -81,6 +82,7 @@ func New(cfg alloc.Config) (*Allocator, error) {
 	for head := int64(0); head < int64(geo.Leaves()); head += blockPages {
 		a.insertFree(head, a.maxOrder)
 	}
+	a.conv.New = a.newHandle
 	return a, nil
 }
 
@@ -90,20 +92,25 @@ func (a *Allocator) Name() string { return "linux-buddy" }
 // Geometry implements alloc.Allocator.
 func (a *Allocator) Geometry() geometry.Geometry { return a.geo }
 
-// Alloc implements alloc.Allocator.
+// Alloc implements alloc.Allocator through a recycled convenience
+// handle, so its counters land in Stats like every handle's.
 func (a *Allocator) Alloc(size uint64) (uint64, bool) {
-	var s alloc.Stats
-	return a.alloc(size, &s)
+	h := a.conv.Borrow()
+	defer a.conv.Return(h)
+	return h.Alloc(size)
 }
 
-// Free implements alloc.Allocator.
+// Free implements alloc.Allocator through a recycled convenience handle.
 func (a *Allocator) Free(offset uint64) {
-	var s alloc.Stats
-	a.release(offset, &s)
+	h := a.conv.Borrow()
+	defer a.conv.Return(h)
+	h.Free(offset)
 }
 
 // NewHandle implements alloc.Allocator.
-func (a *Allocator) NewHandle() alloc.Handle {
+func (a *Allocator) NewHandle() alloc.Handle { return a.newHandle() }
+
+func (a *Allocator) newHandle() *Handle {
 	h := &Handle{a: a}
 	a.reg.Add(h)
 	return h

@@ -84,7 +84,7 @@ func (h *Handle) Alloc(size uint64) (uint64, bool) {
 	if len(m) == 0 {
 		m = a.take(ci, m, refillBatch)
 		if len(m) == 0 {
-			return a.allocSmall(h.inner, size, &h.stats, &h.extra)
+			return fallThrough(h.inner, size, &h.stats, &h.extra)
 		}
 		h.extra.refills++
 		h.a.emit("refill", uint64(ci), uint64(len(m)))

@@ -481,16 +481,10 @@ func stamp(r *run, i uint32, size uint64, extra *handleExtra) {
 	extra.frag += int64(r.objSize) - int64(req)
 }
 
-// allocSmall serves one class-sized request through the central store,
-// falling back to the wrapped allocator (counted as a fallthrough) when
-// runs cannot be provisioned.
-func (a *Allocator) allocSmall(inner allocFace, size uint64, stats *alloc.Stats, extra *handleExtra) (uint64, bool) {
-	var buf [1]entry
-	if es := a.take(a.classOf(size), buf[:0], 1); len(es) == 1 {
-		stamp(es[0].r, es[0].i, size, extra)
-		stats.Allocs++
-		return es[0].off, true
-	}
+// fallThrough serves a class-sized request the central store could not
+// back (take has already released the cached empty runs and retried)
+// from the wrapped allocator, counted as a fallthrough.
+func fallThrough(inner allocFace, size uint64, stats *alloc.Stats, extra *handleExtra) (uint64, bool) {
 	off, ok := inner.Alloc(size)
 	if ok {
 		extra.fallthroughs++
@@ -531,7 +525,13 @@ func (a *Allocator) Alloc(size uint64) (uint64, bool) {
 	if a.cutoff == 0 || size > a.cutoff {
 		return a.allocLarge(&a.Layer, size, &a.convStats)
 	}
-	return a.allocSmall(&a.Layer, size, &a.convStats, &a.convExtra)
+	var buf [1]entry
+	if es := a.take(a.classOf(size), buf[:0], 1); len(es) == 1 {
+		stamp(es[0].r, es[0].i, size, &a.convExtra)
+		a.convStats.Allocs++
+		return es[0].off, true
+	}
+	return fallThrough(&a.Layer, size, &a.convStats, &a.convExtra)
 }
 
 // Free implements alloc.Allocator (the thread-safe conv path).

@@ -309,6 +309,45 @@ func TestDrainFence(t *testing.T) {
 	}
 }
 
+// TestHandleFallthroughProvisionsOnce pins the cost of a handle's
+// fallthrough: on a leaf with one live 8 B chunk in every 4 KiB run
+// block, a handle's Alloc(64) tries to provision a run twice (take's
+// retry after releasing the empty runs) and then falls through to its
+// inner handle, without a second take.
+func TestHandleFallthroughProvisionsOnce(t *testing.T) {
+	sl, leaf := newSlab(t, alloc.Config{Total: 1 << 14, MinSize: 8, MaxSize: 1 << 14}, 0)
+	if sl.RunBytes() != 1<<12 {
+		t.Fatalf("RunBytes() = %d, want 4096", sl.RunBytes())
+	}
+	var all, pinned []uint64
+	for off, ok := leaf.Alloc(8); ok; off, ok = leaf.Alloc(8) {
+		all = append(all, off)
+	}
+	for _, off := range all {
+		if off%(1<<12) == 0 {
+			pinned = append(pinned, off)
+		} else {
+			leaf.Free(off)
+		}
+	}
+	if len(pinned) != 4 {
+		t.Fatalf("pinned %d run blocks, want 4", len(pinned))
+	}
+	fails := leaf.Stats().AllocFails
+	h := sl.NewHandle()
+	off, ok := h.Alloc(64)
+	if !ok {
+		t.Fatal("Alloc(64) did not fall through to the leaf")
+	}
+	if d := leaf.Stats().AllocFails - fails; d != 2 {
+		t.Fatalf("leaf saw %d failed run provisions, want 2", d)
+	}
+	h.Free(off)
+	for _, off := range pinned {
+		leaf.Free(off)
+	}
+}
+
 // TestConcurrentChurn hammers refill/spill and run provisioning from
 // many handles at once (run it with -race), with a concurrent DrainRange
 // arming the fence mid-churn, then checks global accounting.

@@ -50,36 +50,31 @@ func specBuilder(template stack.Spec, wantInstances int) alloctest.Builder {
 	}
 }
 
-// TestConformanceCachedMulti runs the full conformance suite over the
-// caching front-end stacked on a 4-instance router — the composition the
-// seed rejected outright (frontend.New failed on Multi's missing
-// ChunkSizer).
-func TestConformanceCachedMulti(t *testing.T) {
-	alloctest.RunBuilder(t, specBuilder(stack.Spec{
-		Variant: "4lvl-nb",
-		Depot:   true, Magazine: 8,
-	}, 4))
-}
+// The spec-built stacks that have no registry label. Each runs the
+// conformance suite here and the differential walk in
+// TestDifferentialSpecStacks.
+var (
+	// cachedMulti is the caching front-end stacked on a 4-instance router
+	// — the composition the seed rejected outright (frontend.New failed
+	// on Multi's missing ChunkSizer).
+	cachedMulti = specBuilder(stack.Spec{Variant: "4lvl-nb", Depot: true, Magazine: 8}, 4)
+	// multiMaterialized is a 4-instance router whose windows are backed
+	// by mapped memory.
+	multiMaterialized = specBuilder(stack.Spec{Variant: "4lvl-nb", Mapped: true}, 4)
+	// fullStack is the complete production composition: caching
+	// front-end + 4-instance router + mapped region.
+	fullStack = specBuilder(stack.Spec{Variant: "4lvl-nb", Depot: true, Magazine: 8, Mapped: true}, 4)
+	// fixedPolicyMulti pins every handle to instance 0 (the paper's
+	// Figure 12 memory policy), so the router's fallback path serves
+	// whatever instance 0 cannot.
+	fixedPolicyMulti = specBuilder(stack.Spec{Variant: "4lvl-nb", Policy: multi.Fixed}, 4)
+)
 
-// TestConformanceMultiMaterialized runs the suite over a 4-instance
-// router whose windows are backed by mapped memory.
-func TestConformanceMultiMaterialized(t *testing.T) {
-	alloctest.RunBuilder(t, specBuilder(stack.Spec{
-		Variant: "4lvl-nb",
-		Mapped:  true,
-	}, 4))
-}
+func TestConformanceCachedMulti(t *testing.T) { alloctest.RunBuilder(t, cachedMulti) }
 
-// TestConformanceFullStack runs the suite over the complete production
-// composition of the acceptance criteria: caching front-end + 4-instance
-// router + mapped region.
-func TestConformanceFullStack(t *testing.T) {
-	alloctest.RunBuilder(t, specBuilder(stack.Spec{
-		Variant: "4lvl-nb",
-		Depot:   true, Magazine: 8,
-		Mapped: true,
-	}, 4))
-}
+func TestConformanceMultiMaterialized(t *testing.T) { alloctest.RunBuilder(t, multiMaterialized) }
+
+func TestConformanceFullStack(t *testing.T) { alloctest.RunBuilder(t, fullStack) }
 
 // TestConformanceRegistryComposites runs the suite over the composite
 // variants registered for the benchmark harness, by name like any leaf.
@@ -95,15 +90,9 @@ func TestConformanceRegistryComposites(t *testing.T) {
 	}
 }
 
-// TestConformanceFixedPolicyMulti pins every handle to instance 0 (the
-// paper's Figure 12 memory policy) and checks the fallback path keeps
-// the composed allocator conformant.
 func TestConformanceFixedPolicyMulti(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fixed-policy sweep skipped in -short")
 	}
-	alloctest.RunBuilder(t, specBuilder(stack.Spec{
-		Variant: "4lvl-nb",
-		Policy:  multi.Fixed,
-	}, 4))
+	alloctest.RunBuilder(t, fixedPolicyMulti)
 }

@@ -7,6 +7,9 @@ import (
 	"repro/internal/alloctest"
 	"repro/internal/elastic"
 	"repro/internal/stack"
+
+	_ "repro/internal/cloudwu"
+	_ "repro/internal/linuxbuddy"
 )
 
 // TestDifferentialRegistryComposites fuzzes every registry composite —
@@ -67,11 +70,30 @@ func TestDifferentialDepotElastic(t *testing.T) {
 	})
 }
 
-// TestDifferentialLeaves anchors the oracle against the bare leaf
-// variants, so a divergence in a composite run isolates to the layers.
+// TestDifferentialSpecStacks walks the oracle over the spec-built stacks
+// that run the conformance suite without a registry label.
+func TestDifferentialSpecStacks(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		build alloctest.Builder
+	}{
+		{"CachedMulti", cachedMulti},
+		{"MultiMaterialized", multiMaterialized},
+		{"FullStack", fullStack},
+		{"FixedPolicyMulti", fixedPolicyMulti},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			alloctest.RunDifferential(t, c.build)
+		})
+	}
+}
+
+// TestDifferentialLeaves anchors the oracle against every leaf variant —
+// the non-blocking and spin-locked bunch trees and the two baselines — so
+// a divergence in a composite run isolates to the layers.
 func TestDifferentialLeaves(t *testing.T) {
-	for _, name := range []string{"4lvl-nb", "1lvl-nb"} {
-		name := name
+	for _, name := range []string{"1lvl-nb", "4lvl-nb", "1lvl-sl", "4lvl-sl", "buddy-sl", "linux-buddy"} {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			alloctest.RunDifferential(t, func(t *testing.T, total, minSize, maxSize uint64) alloc.Allocator {

@@ -90,6 +90,40 @@ func TestStatsReconcile(t *testing.T) {
 	}
 }
 
+// TestScrubDrainsParkedMagazines: a worker that frees more chunks than
+// its magazine holds parks full magazines in the depot, and Scrub must
+// hand them back down, so every layer ends balanced and the depot empty.
+func TestScrubDrainsParkedMagazines(t *testing.T) {
+	st, err := stack.Build(stack.Spec{Variant: "4lvl-nb", Per: per, Depot: true, Magazine: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := st.Top.NewHandle()
+	var live []uint64
+	for i := 0; i < 64; i++ {
+		off, ok := h.Alloc(64)
+		if !ok {
+			t.Fatalf("alloc %d failed", i)
+		}
+		live = append(live, off)
+	}
+	for _, off := range live {
+		h.Free(off)
+	}
+	if st.Frontend.Depot().Retained() == 0 {
+		t.Fatal("no magazine parked in the depot after 64 frees into an 8-chunk magazine")
+	}
+	st.Scrub()
+	if n := st.Frontend.Depot().Retained(); n != 0 {
+		t.Fatalf("depot retains %d chunks after Scrub", n)
+	}
+	for _, l := range st.LayerStats() {
+		if l.Stats.Allocs != l.Stats.Frees {
+			t.Errorf("layer %q unbalanced after Scrub: %d allocs vs %d frees", l.Layer, l.Stats.Allocs, l.Stats.Frees)
+		}
+	}
+}
+
 // TestSpanThroughLayers checks OffsetSpan survives arbitrary stacking.
 func TestSpanThroughLayers(t *testing.T) {
 	st, err := stack.Build(stack.Spec{

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/alloc"
+	"repro/internal/elastic"
 )
 
 // StressConfig parameterizes a deterministic concurrent stress run.
@@ -20,7 +21,8 @@ type StressConfig struct {
 	// occupancy lower.
 	FreeBias int
 	// MaxLive caps each worker's live set; beyond it the worker frees
-	// regardless of bias (bounds occupancy deterministically).
+	// regardless of bias (bounds occupancy deterministically). Zero means
+	// no cap.
 	MaxLive int
 	// Seed makes the whole run reproducible: worker k derives its private
 	// stream from Seed and k only.
@@ -76,51 +78,62 @@ func (x *xorshift) next() uint64 {
 	return v
 }
 
-// Stress drives a verified wrapper of the allocator with Workers
-// concurrent schedules and returns the aggregated report. The allocator
-// is drained afterwards and the checker's quiescence is part of the
-// verdict.
+// Stress drives Workers handles of the allocator with concurrent
+// schedules and returns the aggregated report. Every worker claims each
+// chunk it is handed on one shared Checker at max(ChunkSize(off), the
+// request rounded up to MinSize): the extent the stack says it reserved,
+// but never less than was asked for, so a chunk delivered smaller than
+// requested overlaps its neighbour even when ChunkSize reports the small
+// size. A chunk's claim is released, exactly as claimed, before its free.
+// Each worker frees its live set at the end, and the checker's
+// quiescence is part of the verdict. The allocator must implement
+// alloc.ChunkSizer.
 func Stress(a alloc.Allocator, cfg StressConfig) (Report, error) {
 	if cfg.Workers <= 0 || cfg.Ops <= 0 || len(cfg.Sizes) == 0 {
 		return Report{}, fmt.Errorf("verify: stress config needs workers, ops and sizes")
 	}
-	if cfg.MaxLive <= 0 {
-		cfg.MaxLive = 64
+	sizer, ok := a.(alloc.ChunkSizer)
+	if !ok {
+		return Report{}, fmt.Errorf("verify: %s cannot report chunk sizes", a.Name())
 	}
-	v, err := Wrap(a)
-	if err != nil {
-		return Report{}, err
+	unit := a.Geometry().MinSize
+	chk := NewChecker(reach(a), unit)
+	handles := make([]alloc.Handle, cfg.Workers)
+	for w := range handles {
+		handles[w] = a.NewHandle()
 	}
 	var wg sync.WaitGroup
-	handles := make([]*Handle, cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
-		handles[w] = v.NewHandle()
-	}
-	for w := 0; w < cfg.Workers; w++ {
-		w := w
+	for w, h := range handles {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			h := handles[w]
 			rng := xorshift(cfg.Seed*2654435761 + uint64(w)*40503 + 1)
-			var live []uint64
+			var live []chunk
+			// free releases the k-th live chunk's claim, then frees it:
+			// once freed, the chunk may at once be delivered to another
+			// worker, and a late release would misfire as an S2 violation.
+			free := func(k int) {
+				c := live[k]
+				chk.Release(c.off, c.reserved)
+				h.Free(c.off)
+				live[k] = live[len(live)-1]
+				live = live[:len(live)-1]
+			}
 			for i := 0; i < cfg.Ops; i++ {
-				doFree := len(live) >= cfg.MaxLive ||
-					(len(live) > 0 && int(rng.next()%100) < cfg.FreeBias)
-				if doFree {
-					k := int(rng.next() % uint64(len(live)))
-					h.Free(live[k])
-					live[k] = live[len(live)-1]
-					live = live[:len(live)-1]
+				if cfg.MaxLive > 0 && len(live) >= cfg.MaxLive ||
+					len(live) > 0 && int(rng.next()%100) < cfg.FreeBias {
+					free(int(rng.next() % uint64(len(live))))
 					continue
 				}
 				size := cfg.Sizes[rng.next()%uint64(len(cfg.Sizes))]
 				if off, ok := h.Alloc(size); ok {
-					live = append(live, off)
+					reserved := max(sizer.ChunkSize(off), (size+unit-1)/unit*unit)
+					chk.Claim(off, reserved)
+					live = append(live, chunk{off, reserved})
 				}
 			}
-			for _, off := range live {
-				h.Free(off)
+			for len(live) > 0 {
+				free(len(live) - 1)
 			}
 		}()
 	}
@@ -129,14 +142,22 @@ func Stress(a alloc.Allocator, cfg StressConfig) (Report, error) {
 	for _, h := range handles {
 		stats.Add(*h.Stats())
 	}
-	rep := Report{
+	return Report{
 		Allocs:     stats.Allocs,
 		Frees:      stats.Frees,
 		AllocFails: stats.AllocFails,
-		Overlaps:   v.Checker().Overlaps(),
-		Unbacked:   v.Checker().Unbacked(),
-		PeakBytes:  v.Checker().PeakBytes(),
-		DrainErr:   v.Checker().Quiesced(),
+		Overlaps:   chk.Overlaps(),
+		Unbacked:   chk.Unbacked(),
+		PeakBytes:  chk.PeakBytes(),
+		DrainErr:   chk.Quiesced(),
+	}, nil
+}
+
+// reach returns the span of offsets a can deliver: its current span, or
+// MaxInstances windows on an elastic stack, which may grow mid-run.
+func reach(a alloc.Allocator) uint64 {
+	if mgr := alloc.Find[*elastic.Manager](a); mgr != nil {
+		return uint64(mgr.Config().MaxInstances) * mgr.Router().InstanceSpan()
 	}
-	return rep, nil
+	return alloc.SpanOf(a)
 }

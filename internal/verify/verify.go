@@ -1,16 +1,10 @@
-// Package verify holds the repository's S1/S2 oracles: a unit-granular
-// claim checker that detects overlapping live allocations (the paper's
-// safety property S1) and unbalanced releases (S2), a wrapper that
-// attaches the checker to any allocator transparently, a deterministic
-// concurrent stress runner that drives verified instances with
-// reproducible pseudo-random schedules, and the sequential Oracle with
-// its random walk over a layer stack (walk.go).
-//
-// The Oracle is the one sequential shadow the tests drive: alloctest's
-// RunDifferential walks it per seed, the conformance tapes
-// (RandomSequentialVsShadow, QuickOpSequences) admit and release through
-// it, internal/chaos runs its walk under a fault schedule, and
-// internal/stack's FuzzStack replays fuzzer bytes as its random source.
+// Package verify holds the repository's S1/S2 oracles, which share one
+// unit-granular claim Checker: it detects overlapping live allocations
+// (the paper's safety property S1) and unbacked releases (S2). Oracle
+// (walk.go) is the one sequential shadow: alloctest's RunDifferential
+// and fixed tapes, internal/chaos and internal/stack's FuzzStack drive
+// it. Stress (stress.go) is the one concurrent runner: alloctest's
+// Concurrent cases and cmd/nbbsstress run it.
 //
 // The checker also tracks live-byte occupancy and its peak — the "memory
 // consumption peak" the paper's conclusions name as the metric front-end
@@ -20,18 +14,18 @@ package verify
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
-
-	"repro/internal/alloc"
 )
 
-// Checker tracks per-unit claims of a managed region. All methods are
-// safe for concurrent use; violations are counted, not panicked, so a
-// stress run can report every incident of a misbehaving allocator rather
-// than dying on the first.
+// Checker tracks per-unit claims of a managed region, one bit per unit,
+// so claiming a large chunk touches one word per 64 units. All methods
+// are safe for concurrent use; violations are counted, not panicked, so
+// a stress run can report every incident of a misbehaving allocator
+// rather than dying on the first.
 type Checker struct {
 	minSize   uint64
-	units     []atomic.Int32
+	words     []atomic.Uint64 // bit u%64 of word u/64 is set while unit u is claimed
 	overlaps  atomic.Uint64
 	unbacked  atomic.Uint64
 	liveBytes atomic.Int64
@@ -43,17 +37,38 @@ type Checker struct {
 func NewChecker(total, minSize uint64) *Checker {
 	return &Checker{
 		minSize: minSize,
-		units:   make([]atomic.Int32, total/minSize),
+		words:   make([]atomic.Uint64, (total/minSize+63)/64),
 	}
+}
+
+// mark sets (claim) or clears the bits of [offset, offset+size)'s units
+// and returns how many already were in that state. It swaps words by CAS:
+// go1.24.0 miscompiles the old value an And returns here.
+func (c *Checker) mark(offset, size uint64, claim bool) (already uint64) {
+	for u, end := offset/c.minSize, (offset+size)/c.minSize; u < end; {
+		n := min(end-u, 64-u%64)
+		w, mask := &c.words[u/64], ^uint64(0)>>(64-n)<<(u%64)
+		for {
+			old := w.Load()
+			next, same := old|mask, old&mask
+			if !claim {
+				next, same = old&^mask, mask&^old
+			}
+			if w.CompareAndSwap(old, next) {
+				already += uint64(bits.OnesCount64(same))
+				break
+			}
+		}
+		u += n
+	}
+	return already
 }
 
 // Claim records that [offset, offset+size) was delivered by an
 // allocation. Any unit already claimed counts as an overlap violation.
 func (c *Checker) Claim(offset, size uint64) {
-	for u := offset / c.minSize; u < (offset+size)/c.minSize; u++ {
-		if c.units[u].Add(1) != 1 {
-			c.overlaps.Add(1)
-		}
+	if n := c.mark(offset, size, true); n != 0 {
+		c.overlaps.Add(n)
 	}
 	live := c.liveBytes.Add(int64(size))
 	for {
@@ -67,10 +82,8 @@ func (c *Checker) Claim(offset, size uint64) {
 // Release records that [offset, offset+size) was freed. Any unit not
 // currently claimed counts as an unbacked-release violation.
 func (c *Checker) Release(offset, size uint64) {
-	for u := offset / c.minSize; u < (offset+size)/c.minSize; u++ {
-		if c.units[u].Add(-1) != 0 {
-			c.unbacked.Add(1)
-		}
+	if n := c.mark(offset, size, false); n != 0 {
+		c.unbacked.Add(n)
 	}
 	c.liveBytes.Add(-int64(size))
 }
@@ -98,9 +111,9 @@ func (c *Checker) Quiesced() error {
 	if v := c.Unbacked(); v != 0 {
 		return fmt.Errorf("verify: %d unbacked releases (S2 violated)", v)
 	}
-	for u := range c.units {
-		if v := c.units[u].Load(); v != 0 {
-			return fmt.Errorf("verify: unit %d left with claim count %d", u, v)
+	for i := range c.words {
+		if w := c.words[i].Load(); w != 0 {
+			return fmt.Errorf("verify: unit %d left claimed", i*64+bits.TrailingZeros64(w))
 		}
 	}
 	if v := c.LiveBytes(); v != 0 {
@@ -108,61 +121,3 @@ func (c *Checker) Quiesced() error {
 	}
 	return nil
 }
-
-// Allocator wraps an allocator so every operation is checked. The wrapped
-// allocator must implement alloc.ChunkSizer (all allocators in this
-// repository do) so the checker can claim the exact reserved window.
-type Allocator struct {
-	inner alloc.Allocator
-	sizer alloc.ChunkSizer
-	chk   *Checker
-}
-
-// Wrap attaches a fresh checker to an allocator. The checker covers the
-// allocator's global offset space, which for composed stacks (a
-// multi-instance router) is wider than the per-instance geometry.
-func Wrap(inner alloc.Allocator) (*Allocator, error) {
-	sizer, ok := inner.(alloc.ChunkSizer)
-	if !ok {
-		return nil, fmt.Errorf("verify: %s cannot report chunk sizes", inner.Name())
-	}
-	return &Allocator{
-		inner: inner,
-		sizer: sizer,
-		chk:   NewChecker(alloc.SpanOf(inner), inner.Geometry().MinSize),
-	}, nil
-}
-
-// Checker exposes the attached checker.
-func (a *Allocator) Checker() *Checker { return a.chk }
-
-// Handle is a verified per-worker handle.
-type Handle struct {
-	inner alloc.Handle
-	a     *Allocator
-}
-
-// NewHandle returns a verified handle.
-func (a *Allocator) NewHandle() *Handle {
-	return &Handle{inner: a.inner.NewHandle(), a: a}
-}
-
-// Alloc forwards and claims the reserved window.
-func (h *Handle) Alloc(size uint64) (uint64, bool) {
-	off, ok := h.inner.Alloc(size)
-	if ok {
-		h.a.chk.Claim(off, h.a.sizer.ChunkSize(off))
-	}
-	return off, ok
-}
-
-// Free releases the claim, then forwards. The claim must be released
-// before the inner free: afterwards the chunk may instantly be delivered
-// to another thread, and a late release would misfire as an S2 violation.
-func (h *Handle) Free(offset uint64) {
-	h.a.chk.Release(offset, h.a.sizer.ChunkSize(offset))
-	h.inner.Free(offset)
-}
-
-// Stats forwards to the inner handle.
-func (h *Handle) Stats() *alloc.Stats { return h.inner.Stats() }

@@ -62,7 +62,7 @@ func TestQuiescedReportsLeak(t *testing.T) {
 	}
 }
 
-// brokenAllocator returns the same offset twice — the wrapper must catch it.
+// brokenAllocator returns the same offset twice — Stress must catch it.
 type brokenAllocator struct {
 	alloc.Allocator
 }
@@ -76,20 +76,61 @@ func (h *brokenHandle) Alloc(uint64) (uint64, bool) { return 0, true } // always
 func (h *brokenHandle) Free(uint64)                 {}
 func (h *brokenHandle) Stats() *alloc.Stats         { return &h.stats }
 
-func TestWrapperCatchesBrokenAllocator(t *testing.T) {
+// oneWorker is a single-worker schedule that only allocates, so every
+// chunk it is handed stays live until the final drain.
+func oneWorker(sizes ...uint64) verify.StressConfig {
+	return verify.StressConfig{Workers: 1, Ops: 16, Sizes: sizes, Seed: 1}
+}
+
+func TestStressCatchesBrokenAllocator(t *testing.T) {
 	base, err := alloc.Build("1lvl-nb", alloc.Config{Total: 1024, MinSize: 8, MaxSize: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := verify.Wrap(&brokenAllocator{Allocator: base})
+	rep, err := verify.Stress(&brokenAllocator{Allocator: base}, oneWorker(64))
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := v.NewHandle()
-	h.Alloc(64)
-	h.Alloc(64) // same offset again
-	if v.Checker().Overlaps() == 0 {
-		t.Fatal("double-delivery not detected")
+	if rep.Overlaps == 0 {
+		t.Fatalf("double-delivery not detected: %s", rep)
+	}
+}
+
+// shortChunks is a layer whose handles serve a 4 KiB request with a
+// 2 KiB chunk. ChunkSize is the leaf's, so it reports the 2 KiB the
+// chunk really holds: only a claim of the requested extent catches it.
+type shortChunks struct{ alloc.Layer }
+
+func (s *shortChunks) NewHandle() alloc.Handle { return &shortHandle{s.Layer.NewHandle()} }
+
+type shortHandle struct{ alloc.Handle }
+
+func (h *shortHandle) Alloc(size uint64) (uint64, bool) {
+	if size == 4096 {
+		size = 2048
+	}
+	return h.Handle.Alloc(size)
+}
+
+// TestStressCatchesUnderDelivery runs one worker over shortChunks on a
+// fresh 64 KiB leaf, which places its 16 chunks side by side from offset
+// 0: each 4 KiB request, claimed at 4 KiB, overlaps the chunk delivered
+// next to it.
+func TestStressCatchesUnderDelivery(t *testing.T) {
+	leaf, err := alloc.Build("1lvl-nb", alloc.Config{Total: 1 << 16, MinSize: 8, MaxSize: 1 << 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := alloc.NewLayer(leaf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := verify.Stress(&shortChunks{l}, oneWorker(4096))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Overlaps == 0 {
+		t.Fatalf("chunks smaller than requested not detected: %s", rep)
 	}
 }
 
@@ -237,8 +278,8 @@ func TestOracleReportsPanickingFree(t *testing.T) {
 	}
 }
 
-func TestWrapRequiresChunkSizer(t *testing.T) {
-	if _, err := verify.Wrap(plainAllocator{}); err == nil {
+func TestStressRequiresChunkSizer(t *testing.T) {
+	if _, err := verify.Stress(plainAllocator{}, oneWorker(8)); err == nil {
 		t.Fatal("allocator without ChunkSize accepted")
 	}
 }

@@ -20,7 +20,9 @@ import (
 //     class when the request was slabbed;
 //   - occupancy: the chunk's units are claimed on a Checker sized to the
 //     largest span the stack can reach, so a unit delivered twice is an
-//     S1 violation at the step that delivered it;
+//     S1 violation at the step that delivered it. The extent claimed is
+//     Stress's, max(ChunkSize, the request rounded up to MinSize), which
+//     admission has already pinned to the reserved extent;
 //   - release: a chunk leaves the shadow before its free, and every unit
 //     it held must have been claimed (S2);
 //   - reconcile: once drained, no elastic slot is left draining, live
@@ -32,8 +34,7 @@ import (
 // goroutine (t.Fatalf) or return (a harness collecting violations).
 type Oracle struct {
 	// Step counts the operations of the walk so far. Messages carry it,
-	// and a logical clock may read it; a caller admitting from its own
-	// tape may set it to its tape position for the messages.
+	// and a logical clock may read it.
 	Step int
 	// Denied counts single allocations the stack refused.
 	Denied uint64
@@ -60,21 +61,15 @@ type chunk struct{ off, reserved uint64 }
 // NewOracle shadows a, reporting divergences through fail. a must
 // implement alloc.ChunkSizer, as every allocator in this repository does.
 func NewOracle(a alloc.Allocator, fail func(format string, args ...any)) *Oracle {
-	o := &Oracle{
+	return &Oracle{
 		a:     a,
 		geo:   a.Geometry(),
 		sizer: a.(alloc.ChunkSizer),
 		sl:    alloc.Find[*slab.Allocator](a),
 		mgr:   alloc.Find[*elastic.Manager](a),
+		chk:   NewChecker(reach(a), a.Geometry().MinSize),
 		fail:  fail,
 	}
-	// An elastic stack may grow to MaxInstances windows mid-walk.
-	span := alloc.SpanOf(a)
-	if o.mgr != nil {
-		span = uint64(o.mgr.Config().MaxInstances) * o.mgr.Router().InstanceSpan()
-	}
-	o.chk = NewChecker(span, o.geo.MinSize)
-	return o
 }
 
 // handles registers the walk's two handles on first use, so a caller
@@ -111,17 +106,16 @@ func (o *Oracle) recoverOp() {
 func (o *Oracle) Live() int { return len(o.live) }
 
 // Admit checks a chunk the stack delivered for a request of size bytes
-// (how names the operation in messages) and records it. It returns false
-// on a divergence.
-func (o *Oracle) Admit(off, size uint64, how string) bool {
+// (how names the operation in messages) and records it.
+func (o *Oracle) Admit(off, size uint64, how string) {
 	if o.failed {
-		return false
+		return
 	}
 	reserved := o.geo.SizeOfLevel(o.geo.LevelForSize(size))
 	align := reserved
 	got, ok := o.chunkSize(off, how)
 	if !ok {
-		return false
+		return
 	}
 	// A slabbed request reserves its class, which is only MinSize-aligned —
 	// unless the slab's runs were exhausted and the request fell through to
@@ -133,23 +127,22 @@ func (o *Oracle) Admit(off, size uint64, how string) bool {
 		}
 		if !slabbed || got != cls {
 			o.failf("%s(%d) at %#x: ChunkSize = %d, want reserved %d", how, size, off, got, reserved)
-			return false
+			return
 		}
 		reserved, align = cls, o.geo.MinSize
 	}
 	// Re-read the span per admission: elastic grows widen it mid-walk.
 	if span := alloc.SpanOf(o.a); off%align != 0 || off+reserved > span {
 		o.failf("%s(%d) -> [%d,%d) misaligned or outside the %d-byte span", how, size, off, off+reserved, span)
-		return false
+		return
 	}
 	before := o.chk.Overlaps()
 	o.chk.Claim(off, reserved)
 	if o.chk.Overlaps() != before {
 		o.failf("%s(%d) at %#x double-hands-out a live unit of [%d,%d)", how, size, off, off, off+reserved)
-		return false
+		return
 	}
 	o.live = append(o.live, chunk{off, reserved})
-	return true
 }
 
 // Release removes the k-th live chunk from the shadow (the last one takes
