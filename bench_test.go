@@ -279,25 +279,31 @@ func BenchmarkFig12KernelComparison(b *testing.B) {
 // BenchmarkAblationRMWCount quantifies §III.D's claim: the 4-level layout
 // cuts atomic RMW instructions per operation by ~4x on deep climbs. The
 // custom metrics RMW/op and CASfail/op are the point; ns/op is secondary.
+// The batch=64 rows run AllocBatch/FreeBatch rounds, where a 4-level bunch
+// also reserves up to eight chunks per CAS (rmw_test.go).
 func BenchmarkAblationRMWCount(b *testing.B) {
 	for _, variant := range []string{"1lvl-nb", "4lvl-nb"} {
 		for _, size := range []uint64{8, 1024} {
-			b.Run(fmt.Sprintf("%s/bytes=%d", variant, size), func(b *testing.B) {
-				a := build(b, variant, benchInstance)
-				threads := runtime.GOMAXPROCS(0)
-				runWorkers(b, a, threads, func(h alloc.Handle, iters, _ int) {
-					for i := 0; i < iters; i++ {
-						if off, ok := h.Alloc(size); ok {
-							h.Free(off)
+			for _, batch := range []int{1, 64} {
+				b.Run(fmt.Sprintf("%s/bytes=%d/batch=%d", variant, size, batch), func(b *testing.B) {
+					a := build(b, variant, benchInstance)
+					threads := runtime.GOMAXPROCS(0)
+					runWorkers(b, a, threads, func(h alloc.Handle, iters, _ int) {
+						for i := 0; i < iters; i++ {
+							if batch > 1 {
+								alloc.HandleFreeBatch(h, alloc.HandleAllocBatch(h, size, batch))
+							} else if off, ok := h.Alloc(size); ok {
+								h.Free(off)
+							}
 						}
+					})
+					s := a.Stats()
+					if ops := s.OpsTotal(); ops > 0 {
+						b.ReportMetric(float64(s.RMW)/float64(ops), "RMW/op")
+						b.ReportMetric(float64(s.CASFail)/float64(ops), "CASfail/op")
 					}
 				})
-				s := a.Stats()
-				if ops := s.OpsTotal(); ops > 0 {
-					b.ReportMetric(float64(s.RMW)/float64(ops), "RMW/op")
-					b.ReportMetric(float64(s.CASFail)/float64(ops), "CASfail/op")
-				}
-			})
+			}
 		}
 	}
 }

@@ -149,8 +149,10 @@ func TestRollbackOnOccupiedAncestor(t *testing.T) {
 }
 
 // TestTryAllocRollback forces the abort path of TryAlloc: a free-looking
-// leaf under a fully occupied ancestor must make the climb hit OCC, roll
-// every mark back, and land the allocation in the other half.
+// leaf under a fully occupied ancestor must be refused (the ancestor
+// pre-check names the ancestor before the reservation CAS, where the climb
+// would have hit OCC and rolled back), leave no mark behind, and land the
+// allocation in the other half.
 func TestTryAllocRollback(t *testing.T) {
 	for _, k := range heights {
 		a := mustNew(t, k, 1024, 8, 1024, WithoutScatter())
@@ -163,8 +165,8 @@ func TestTryAllocRollback(t *testing.T) {
 			t.Fatalf("k=%d: node 2 not OCC after the 512-byte allocation", k)
 		}
 		// Leaves under node 2 still look free: occupancy is not propagated
-		// downward (paper §III.A), so the scan will pick leaf 128 and the
-		// climb must abort on node 2's side.
+		// downward (paper §III.A), so the scan will pick leaf 128 and
+		// tryAlloc must abort on node 2's side.
 		if !status.IsFree(nodeStatus(a, 128)) {
 			t.Fatalf("k=%d: leaf under an occupied ancestor should look free", k)
 		}
@@ -178,7 +180,7 @@ func TestTryAllocRollback(t *testing.T) {
 		if h.stats.Retries == 0 {
 			t.Fatalf("k=%d: no retry recorded: the abort path did not trigger", k)
 		}
-		// Every aborted climb must be fully rolled back: the words equal
+		// Every aborted attempt must leave nothing behind: the words equal
 		// their rebuild from the two live chunks.
 		before := words(a)
 		a.Scrub()

@@ -1,12 +1,19 @@
 package bunch
 
-import "repro/internal/geometry"
+import (
+	"math/bits"
+
+	"repro/internal/geometry"
+)
 
 // This file implements the alloc.BatchAllocator contract natively: a bulk
 // allocation collects the whole batch in the same two-pass SWAR level
 // scan that a single Alloc uses for one node, starting from the same
 // rover and leaving it one past the last node delivered, so the probing
-// cost of the batch is one traversal of the level regardless of n.
+// cost of the batch is one traversal of the level regardless of n. The
+// scan passes on what is left of the batch, so each reservation takes the
+// free nodes of a bunch with one CAS and one climb (tryAlloc), and the
+// offsets are those n single Allocs would return.
 
 // AllocBatch reserves up to n chunks of at least size bytes in one level
 // scan and appends their offsets to the returned slice. A short (possibly
@@ -41,11 +48,13 @@ func (h *Handle) AllocBatch(size uint64, n int) []uint64 {
 			lo, hi = base, start
 		}
 		for i := lo; len(out) < n; {
-			off, ok, next := h.scan(level, i, hi)
-			if !ok {
+			first, got, next := h.scan(level, i, hi, n-len(out))
+			if got == 0 {
 				break
 			}
-			out = append(out, off)
+			for ; got != 0; got &= got - 1 {
+				out = append(out, geo.OffsetOf(first+uint64(bits.TrailingZeros(got))))
+			}
 			i = next
 		}
 	}

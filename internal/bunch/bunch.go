@@ -52,7 +52,8 @@
 // one critical section under one spin-lock, and each word update the
 // climbs would CAS is a plain store instead. Which of the two an update
 // is gets decided in two inlined helpers, Handle.cas for the words and
-// Handle.swapIndex for index[], so the NB-vs-SL gap measures the
+// Handle.swapIndex for Free's swap of an index[] entry (an allocation's
+// index store is plain under both), so the NB-vs-SL gap measures the
 // synchronization discipline and nothing else.
 package bunch
 
@@ -246,7 +247,9 @@ func treeSlot(u, leaves uint64) uint64 {
 
 // swapIndex stores n into index slot and returns the node it held: an
 // atomic swap without the lock, a plain load and store under it. Neither
-// counts as an RMW; the paper's tallies cover the tree words only.
+// counts as an RMW; the paper's tallies cover the tree words only. Free
+// swaps in 0 with it, so that of two racing frees of one chunk exactly one
+// reads the node and the other panics.
 func (h *Handle) swapIndex(slot uint64, n uint32) uint32 {
 	p := &h.a.index[slot]
 	if h.a.lock == nil {
@@ -358,21 +361,24 @@ func (h *Handle) Alloc(size uint64) (uint64, bool) {
 
 	// Scan [start, end) and then wrap to [base, start): two linear passes
 	// keep the subtree-skip arithmetic identical to the paper's.
-	off, ok, _ := h.scan(level, start, end)
-	if !ok {
-		off, ok, _ = h.scan(level, base, start)
+	n, got, _ := h.scan(level, start, end, 1)
+	if got == 0 {
+		n, got, _ = h.scan(level, base, start, 1)
 	}
-	if !ok {
+	if got == 0 {
 		h.stats.AllocFails++
+		return 0, false
 	}
-	return off, ok
+	return geo.OffsetOf(n), true
 }
 
 // scan walks the nodes [i, hi) of a level and reserves the first free
-// node it can with tryAlloc, returning its offset and the node after it,
-// where it also leaves the level's rover.
-// When it reserves none, it returns ok false and the node where the walk
-// stopped, which a word step or a subtree skip may have carried past hi.
+// node it can with tryAlloc, together with up to want-1 more of the same
+// bunch (see tryAlloc). It returns the first node reserved, the group as a
+// bitmask (bit j set: node n+j reserved; 0 when none was) and the node
+// after the last one reserved, where it also leaves the level's rover.
+// When it reserves none, next is the node where the walk stopped, which a
+// word step or a subtree skip may have carried past hi.
 //
 // The walk is a SWAR pass: one load of a word answers every node the word
 // covers at this level, and the first node whose covered fields have no
@@ -386,7 +392,7 @@ func (h *Handle) Alloc(size uint64) (uint64, bool) {
 // the level's node width and a constant step between loads. When
 // tryAlloc fails because of an occupied ancestor the walk skips the whole
 // subtree of the conflicting node (lines A18-A19) before probing further.
-func (h *Handle) scan(level int, i, hi uint64) (offset uint64, ok bool, next uint64) {
+func (h *Handle) scan(level int, i, hi uint64, want int) (n uint64, got uint, next uint64) {
 	a := h.a
 	m := a.levels[level]
 	count := 1 << m.shift
@@ -405,13 +411,16 @@ func (h *Handle) scan(level int, i, hi uint64) (offset uint64, ok bool, next uin
 			break
 		}
 		cand := lane >> m.shift
-		failedAt := h.tryAlloc(cand, w)
+		failedAt, got := h.tryAlloc(cand, w, hi, want)
 		if failedAt == 0 {
-			offset = a.geo.OffsetOf(cand)
-			h.swapIndex(a.headSlot(offset), uint32(cand))
-			h.stats.Allocs++
-			h.rover[level] = h.rel(cand+1, level)
-			return offset, true, cand + 1
+			last := cand
+			for g := got; g != 0; g &= g - 1 {
+				last = cand + uint64(bits.TrailingZeros(g))
+				a.setHead(last)
+			}
+			h.stats.Allocs += uint64(bits.OnesCount(got))
+			h.rover[level] = h.rel(last+1, level)
+			return cand, got, last + 1
 		}
 		// The allocation lost to a chunk reserved at failedAt: every
 		// descendant of failedAt at this level is equally taken, so jump
@@ -420,41 +429,82 @@ func (h *Handle) scan(level int, i, hi uint64) (offset uint64, ok bool, next uin
 		d := uint64(1) << uint(level-geometry.LevelOf(failedAt))
 		lane = max((failedAt+1)*d, cand+1) << m.shift
 	}
-	return 0, false, lane >> m.shift
+	return 0, 0, lane >> m.shift
 }
 
-// tryAlloc is the paper's TRYALLOC (Algorithm 2). It reserves node n and
-// propagates partial occupancy to the max level, one materialized level
-// per step, clearing the branch's coalescing bit so racing releases notice
-// the branch was reused. It returns 0 on success or the index of the
-// conflicting node, after rolling back its own updates through freeNode.
-// scanned is the caller's already-loaded value of n's word, seeding the
-// first reservation attempt so the hot path issues no redundant atomic
-// load.
-func (h *Handle) tryAlloc(n, scanned uint64) uint64 {
+// setHead records node n, just reserved by this handle, in the index
+// entry of its chunk's head. The store is plain under both disciplines:
+// this handle is the entry's only writer until it delivers the chunk, and
+// every later reader reaches the offset through a happens-before edge,
+// the tree CAS a later releaser or allocator synchronizes with or the
+// caller's hand-off of the offset (DESIGN.md, "The chunk-head index").
+func (a *Allocator) setHead(n uint64) {
+	*(*uint32)(unsafe.Pointer(&a.index[a.headSlot(a.geo.OffsetOf(n))])) = uint32(n)
+}
+
+// tryAlloc is the paper's TRYALLOC (Algorithm 2), one bunch at a time. It
+// reserves node n and, in the same CAS, the group of free nodes that
+// follow it (see group; want = 1 reserves n alone). It then propagates
+// partial occupancy to the max level once for all of them, since a
+// bunch's nodes share every ancestor: one materialized level per step,
+// clearing the branch's coalescing bit so racing releases notice the
+// branch was reused. It returns 0 and the group as a bitmask (bit j: node
+// n+j), or the index of the conflicting node after rolling back its own
+// updates through freeNode. scanned is the caller's already-loaded value
+// of n's word, seeding the first reservation attempt so the hot path
+// issues no redundant atomic load.
+func (h *Handle) tryAlloc(n, scanned, hi uint64, want int) (failedAt uint64, got uint) {
 	a := h.a
 	nLevel := geometry.LevelOf(n)
 	word, field, count, leafLevel := a.nodeWord(n)
+	shift := uint(leafLevel - nLevel)
+	// n's own fields are tested first, so a conflict on n alone still
+	// costs the scan one node and not the subtree of an ancestor.
+	own := status.Fill(field, count, status.Mask)
+	if scanned&own != 0 {
+		return n, 0
+	}
+
+	// Pre-check: an ancestor that already reads Occ would fail the climb
+	// below after the reservation and every climb step had been written,
+	// and the rollback would write them all again. One load per
+	// materialized ancestor finds it first. This is a test before the CAS,
+	// not a protocol step: the climb keeps its own Occ test.
+	k := a.k
+	cur := n << shift // climbs from n's first covered leaf
+	for lam := leafLevel - k; lam >= a.top; lam -= k {
+		anc := cur >> uint(k)
+		ancWord, ancField := a.wordOf(anc, lam)
+		if ancWord.Load()&status.ShiftToLane(status.Occ, ancField) != 0 {
+			return anc, 0
+		}
+		cur = anc
+	}
 
 	// Reserve n: all covered leaf fields must be exactly clear (as in the
 	// 1-level CAS from 0 to BUSY: pending coalescing bits also fail the
 	// reservation); a CAS lost purely to traffic on sibling fields of the
-	// word is retried, since the covered fields are re-validated.
-	occupyMask := status.Fill(field, count, status.Busy)
+	// word is retried, since the covered fields are re-validated, and so is
+	// the rest of the group.
+	occupy := status.Fill(field, count, status.Busy)
 	for w := scanned; ; w = word.Load() {
-		if w&status.Fill(field, count, status.Mask) != 0 {
-			return n
+		if w&own != 0 {
+			return n, 0
 		}
-		if h.cas(word, w, w|occupyMask) {
+		to := w | occupy
+		got = 1
+		if want > 1 {
+			to, got = a.group(n, hi, want, w, to)
+		}
+		if h.cas(word, w, to) {
 			break
 		}
 	}
 
-	// Climb. Interior bunch ancestors of n derive their state from the
-	// fields just set; explicit updates happen at each materialized level
-	// above n's bunch, down to the one that covers MaxLevel.
-	k := a.k
-	cur := n << uint(leafLevel-nLevel) // climbs from n's first covered leaf
+	// Climb. Interior bunch ancestors of the group derive their state from
+	// the fields just set; explicit updates happen at each materialized
+	// level above the bunch, down to the one that covers MaxLevel.
+	cur = n << shift
 	for lam := leafLevel - k; lam >= a.top; lam -= k {
 		child := cur >> uint(k-1)
 		anc := child >> 1
@@ -467,10 +517,12 @@ func (h *Handle) tryAlloc(n, scanned uint64) uint64 {
 			if w&occ != 0 {
 				// A fully reserved ancestor: this chunk cannot be
 				// fragmented. Roll back the climb (which has updated
-				// materialized levels (lam, leafLevel-k]) and n's own
-				// reservation, then report the conflict.
-				h.freeNode(n, lam+k)
-				return anc
+				// materialized levels (lam, leafLevel-k]) and the group's
+				// reservations, then report the conflict.
+				for g := got; g != 0; g &= g - 1 {
+					h.freeNode(n+uint64(bits.TrailingZeros(g)), lam+k)
+				}
+				return anc, 0
 			}
 			// A word whose branch is already marked occupied and not
 			// coalescing is left unwritten: the load is then the witness a
@@ -485,7 +537,37 @@ func (h *Handle) tryAlloc(n, scanned uint64) uint64 {
 		}
 		cur = anc
 	}
-	return 0
+	return 0, got
+}
+
+// group extends the reservation to of node n, computed from n's word w,
+// to the free nodes of n's level that follow n in its bunch (in the top
+// bunch, in its word) and lie below hi, up to want nodes in all, and
+// returns it with the group as a bitmask (bit j: node n+j). A node joins
+// only if its covered fields are exactly clear in w, the test n itself
+// passed, so the one CAS of to does what reserving the group's nodes one
+// by one with no interleaving would.
+func (a *Allocator) group(n, hi uint64, want int, w, to uint64) (uint64, uint) {
+	m := a.levels[geometry.LevelOf(n)]
+	count := 1 << m.shift
+	field := int(n<<m.shift) & 7
+	span := a.bunchLanes
+	if m.lam == a.top {
+		span = status.LanesPerWord
+	}
+	end := field&^(span-1) + span
+	if rest := (hi - n) << m.shift; rest < uint64(end-field) {
+		end = field + int(rest) // a level narrower than its word ends inside it
+	}
+	got := uint(1)
+	for f, taken := field+count, 1; taken < want && f < end; f += count {
+		if w&status.Fill(f, count, status.Mask) == 0 {
+			to |= status.Fill(f, count, status.Busy)
+			got |= 1 << (uint(f-field) >> m.shift)
+			taken++
+		}
+	}
+	return to, got
 }
 
 // Free is the paper's NBFREE (Algorithm 3): it recovers the node that

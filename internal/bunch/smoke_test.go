@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/status"
+	"repro/internal/verify"
 )
 
 func TestSequentialAllocFreeReuse(t *testing.T) {
@@ -107,17 +108,41 @@ func TestConvenienceHandlesStayBounded(t *testing.T) {
 	}
 }
 
+// TestConcurrentNoOverlap runs eight workers of mixed single and batched
+// allocations (AllocBatch of 1-16 chunks, released through FreeBatch) and
+// single frees at both heights, claiming every delivered chunk at its
+// ChunkSize in one shared verify.Checker: an overlap between any two live
+// chunks, batched or not, is an S1 violation the checker counts. The
+// heights are a loop, not subtests, so CI's race step selects the test by
+// its Concurrent name.
 func TestConcurrentNoOverlap(t *testing.T) {
 	const workers = 8
 	for _, k := range heights {
 		a := mustNew(t, k, 1<<20, 8, 1<<14)
+		chk := verify.NewChecker(a.geo.Total, a.geo.MinSize)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				h := a.NewHandle()
-				live := map[uint64]uint64{}
+				h := a.newHandle()
+				var live [][]uint64 // one delivery each: a single chunk or a batch
+				claim := func(offs []uint64) {
+					for _, off := range offs {
+						chk.Claim(off, a.ChunkSize(off))
+					}
+					live = append(live, offs)
+				}
+				release := func(offs []uint64) {
+					for _, off := range offs {
+						chk.Release(off, a.ChunkSize(off))
+					}
+					if len(offs) == 1 {
+						h.Free(offs[0])
+					} else {
+						h.FreeBatch(offs)
+					}
+				}
 				sizes := []uint64{8, 8, 8, 128, 128, 1024, 1 << 14}
 				rng := uint64(w)*2654435761 + 12345
 				for i := 0; i < 20000; i++ {
@@ -125,20 +150,24 @@ func TestConcurrentNoOverlap(t *testing.T) {
 					rng ^= rng >> 7
 					rng ^= rng << 17
 					if len(live) > 0 && rng%3 == 0 {
-						for off := range live {
-							h.Free(off)
-							delete(live, off)
-							break
-						}
+						j := int(rng >> 8 % uint64(len(live)))
+						offs := live[j]
+						live[j] = live[len(live)-1]
+						live = live[:len(live)-1]
+						release(offs)
 						continue
 					}
 					size := sizes[rng%uint64(len(sizes))]
-					if off, ok := h.Alloc(size); ok {
-						live[off] = size
+					if rng>>32%4 == 0 {
+						if offs := h.AllocBatch(size, 1+int(rng>>40%16)); len(offs) > 0 {
+							claim(offs)
+						}
+					} else if off, ok := h.Alloc(size); ok {
+						claim([]uint64{off})
 					}
 				}
-				for off := range live {
-					h.Free(off)
+				for _, offs := range live {
+					release(offs)
 				}
 			}()
 		}
@@ -158,6 +187,9 @@ func TestConcurrentNoOverlap(t *testing.T) {
 		}
 		if a.LiveNodes() != 0 {
 			t.Fatalf("k=%d: %d live index entries after drain", k, a.LiveNodes())
+		}
+		if err := chk.Quiesced(); err != nil {
+			t.Fatalf("k=%d: %v", k, err)
 		}
 		t.Logf("k=%d: benign residue on %d words after drain", k, residue)
 		// Scrub must restore a pristine tree on a drained instance.
