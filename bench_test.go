@@ -17,11 +17,11 @@ import (
 	"repro/internal/alloc"
 	"repro/internal/frontend"
 	"repro/internal/multi"
+	"repro/internal/stack"
 
 	"repro/internal/bunch"
 	_ "repro/internal/cloudwu"
 	_ "repro/internal/linuxbuddy"
-	_ "repro/internal/stack"
 )
 
 // benchInstance mirrors the paper's user-space configuration: 8-byte
@@ -432,17 +432,39 @@ func BenchmarkAblationFrontend(b *testing.B) {
 // the magazines and the router): the bare back-end against the
 // multi-instance router, the caching front-end over each, and the slab
 // on top of that — the production composition the paper's conclusions
-// call for.
+// call for. The two front-end rows without the slab have no registry
+// label; they are built from their stack.Spec, the 4-instance one over
+// quarter-size instances as the multi4 labels split the span.
 func BenchmarkStackDepotMulti(b *testing.B) {
 	const slots = 2048
-	stacks := []string{
-		"4lvl-nb", "multi4+4lvl-nb", "depot+4lvl-nb", "depot+multi4+4lvl-nb",
-		"slab+depot+multi4+4lvl-nb",
+	label := func(variant string) func(*testing.B) alloc.Allocator {
+		return func(b *testing.B) alloc.Allocator { return build(b, variant, benchInstance) }
 	}
-	for _, variant := range stacks {
+	spec := func(s stack.Spec) func(*testing.B) alloc.Allocator {
+		return func(b *testing.B) alloc.Allocator {
+			st, err := stack.Build(s)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return st.Top
+		}
+	}
+	quarter := benchInstance
+	quarter.Total /= 4
+	stacks := []struct {
+		name string
+		make func(*testing.B) alloc.Allocator
+	}{
+		{"4lvl-nb", label("4lvl-nb")},
+		{"multi4+4lvl-nb", label("multi4+4lvl-nb")},
+		{"depot+4lvl-nb", spec(stack.Spec{Variant: "4lvl-nb", Per: benchInstance, Depot: true})},
+		{"depot+multi4+4lvl-nb", spec(stack.Spec{Variant: "4lvl-nb", Per: quarter, Instances: 4, Depot: true})},
+		{"slab+depot+multi4+4lvl-nb", label("slab+depot+multi4+4lvl-nb")},
+	}
+	for _, s := range stacks {
 		for _, threads := range benchThreads() {
-			b.Run(fmt.Sprintf("%s/threads=%d", variant, threads), func(b *testing.B) {
-				a := build(b, variant, benchInstance)
+			b.Run(fmt.Sprintf("%s/threads=%d", s.name, threads), func(b *testing.B) {
+				a := s.make(b)
 				table := make([]atomic.Uint64, slots)
 				runWorkers(b, a, threads, func(h alloc.Handle, iters, id int) {
 					rng := rand.New(rand.NewSource(int64(id) + 1))

@@ -13,7 +13,10 @@
 // The snapshot is purely syntactic (go/ast, no type checking): what it
 // pins is the declared surface as written, including parameter names —
 // renames show up as diffs on purpose, they are part of the documented
-// API.
+// API. An alias of a struct in another package of the same module
+// (type X = pkg.Y) is followed: the snapshot lists Y's exported fields
+// under X, written as Y's source writes them, so a field added to or
+// removed from the target shows up as a diff of the aliasing package.
 package main
 
 import (
@@ -25,7 +28,9 @@ import (
 	"go/printer"
 	"go/token"
 	"os"
+	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -42,11 +47,20 @@ func main() {
 	}
 }
 
-func snapshot(dir string) ([]string, error) {
-	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
+// parsePackage parses the non-test Go files of a directory.
+func parsePackage(fset *token.FileSet, dir string) (map[string]*ast.Package, error) {
+	return parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
 	}, 0)
+}
+
+func snapshot(dir string) ([]string, error) {
+	fset := token.NewFileSet()
+	pkgs, err := parsePackage(fset, dir)
+	if err != nil {
+		return nil, err
+	}
+	mod, err := findModule(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -94,7 +108,13 @@ func snapshot(dir string) ([]string, error) {
 						}
 					case token.TYPE:
 						for _, spec := range d.Specs {
-							lines = append(lines, typeLines(fset, spec.(*ast.TypeSpec))...)
+							ts := spec.(*ast.TypeSpec)
+							lines = append(lines, typeLines(fset, ts)...)
+							fields, err := mod.aliasFields(fset, f, ts)
+							if err != nil {
+								return nil, err
+							}
+							lines = append(lines, fields...)
 						}
 					}
 				}
@@ -111,6 +131,91 @@ func snapshot(dir string) ([]string, error) {
 		}
 	}
 	return out, nil
+}
+
+// module locates the packages of the Go module a snapshot is taken in.
+type module struct{ path, root string } // the go.mod module path and its directory
+
+// findModule walks up from dir to the nearest go.mod. Outside a module
+// the zero module follows no alias.
+func findModule(dir string) (module, error) {
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return module{}, err
+	}
+	for d := abs; ; d = filepath.Dir(d) {
+		data, err := os.ReadFile(filepath.Join(d, "go.mod"))
+		if err == nil {
+			for _, line := range strings.Split(string(data), "\n") {
+				if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+					return module{path: strings.Trim(strings.TrimSpace(rest), `"`), root: d}, nil
+				}
+			}
+			return module{}, fmt.Errorf("%s: no module line", filepath.Join(d, "go.mod"))
+		}
+		if filepath.Dir(d) == d {
+			return module{}, nil
+		}
+	}
+}
+
+// aliasFields returns the field lines of an exported alias whose target
+// is a struct type of another package in this module, reached through
+// one of f's imports; every other declaration yields none.
+func (m module) aliasFields(fset *token.FileSet, f *ast.File, ts *ast.TypeSpec) ([]string, error) {
+	sel, ok := ts.Type.(*ast.SelectorExpr)
+	if m.path == "" || ts.Assign == token.NoPos || !ts.Name.IsExported() || !ok {
+		return nil, nil
+	}
+	pkg, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return nil, nil
+	}
+	for _, imp := range f.Imports {
+		path, err := strconv.Unquote(imp.Path.Value)
+		if err != nil {
+			return nil, err
+		}
+		name := filepath.Base(path)
+		if imp.Name != nil {
+			name = imp.Name.Name
+		}
+		rel, inModule := strings.CutPrefix(path, m.path+"/")
+		if name != pkg.Name || !inModule {
+			continue
+		}
+		pkgs, err := parsePackage(fset, filepath.Join(m.root, filepath.FromSlash(rel)))
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range pkgs {
+			for _, file := range p.Files {
+				if target := lookupType(file, sel.Sel.Name); target != nil {
+					if _, isStruct := target.Type.(*ast.StructType); !isStruct || target.Assign != token.NoPos {
+						return nil, nil
+					}
+					renamed := *target
+					renamed.Name = ts.Name
+					return typeLines(fset, &renamed)[1:], nil
+				}
+			}
+		}
+	}
+	return nil, nil
+}
+
+// lookupType finds a type declaration by name in one file.
+func lookupType(f *ast.File, name string) *ast.TypeSpec {
+	for _, decl := range f.Decls {
+		if d, ok := decl.(*ast.GenDecl); ok && d.Tok == token.TYPE {
+			for _, spec := range d.Specs {
+				if ts := spec.(*ast.TypeSpec); ts.Name.Name == name {
+					return ts
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // typeLines flattens one exported type declaration: the type line

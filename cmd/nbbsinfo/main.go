@@ -34,6 +34,7 @@ import (
 	"time"
 
 	nbbs "repro"
+	"repro/internal/elastic"
 	"repro/internal/geometry"
 )
 
@@ -46,9 +47,8 @@ func main() {
 		instances  = flag.Int("instances", 1, "back-end instances (multi-instance router layer)")
 		depot      = flag.Bool("depot", false, "layer the caching front-end (magazines and their shared depot) over the back-end")
 		slabFlag   = flag.Bool("slab", false, "layer the size-class slab over the stack (prints the per-class run/occupancy table)")
-		slabCutoff = flag.Uint64("slab-cutoff", 0, "largest slab class in bytes (0 = default, clamped to the geometry)")
 		mapped     = flag.Bool("mem", false, "back instance windows with mapped memory following the slot lifecycle (the demo touches every chunk's bytes; prints the commit map)")
-		elastic    = flag.Bool("elastic", false, "wrap the router with the elastic capacity manager (demo polls it in the background)")
+		elasticOn  = flag.Bool("elastic", false, "wrap the router with the elastic capacity manager (demo polls it in the background)")
 		elasticMin = flag.Int("elastic-min", 1, "elastic instance floor")
 		elasticMax = flag.Int("elastic-max", 0, "elastic instance cap (0 = twice the initial instances)")
 		demoOps    = flag.Int("demo-ops", 0, "drive this many ops through the stack and report per-layer stats")
@@ -99,18 +99,15 @@ func main() {
 	if *demoOps > 0 {
 		cfg := nbbs.Config{
 			Total: *total, MinSize: *minSize, MaxSize: *maxSize,
-			Variant: *variant,
-			Backing: nbbs.BackingConfig{Mapped: *mapped},
-			Frontend: nbbs.FrontendConfig{
-				Depot: *depot,
-				Slab:  *slabFlag, SlabCutoff: *slabCutoff,
-			},
-			Telemetry: nbbs.TelemetrySettings{Enabled: *latency || *events},
+			Variant:   *variant,
+			Backing:   nbbs.BackingConfig{Mapped: *mapped},
+			Frontend:  nbbs.FrontendConfig{Depot: *depot, Slab: *slabFlag},
+			Telemetry: *latency || *events,
 		}
 		if *instances > 1 {
 			cfg.Backing.Instances = *instances
 		}
-		if *elastic {
+		if *elasticOn {
 			cfg.Elastic = &nbbs.ElasticConfig{
 				MinInstances: *elasticMin,
 				MaxInstances: *elasticMax,
@@ -253,7 +250,7 @@ func demo(cfg nbbs.Config, ops, workers int, latency, events bool) {
 		c := mgr.Counters()
 		fmt.Printf("\nelastic capacity manager:\n")
 		fmt.Printf("  watermarks: grow >= %.0f%% utilization, shrink <= %.0f%% (hysteresis %d polls)\n",
-			cfg.HighWater*100, cfg.LowWater*100, cfg.Hysteresis)
+			elastic.HighWater*100, elastic.LowWater*100, elastic.Hysteresis)
 		fmt.Printf("  fleet bounds: %d..%d instances\n", cfg.MinInstances, cfg.MaxInstances)
 		fmt.Printf("  lifecycle: polls=%d grows=%d reactivations=%d drains=%d retires=%d denied_at_cap=%d\n",
 			c.Polls, c.Grows, c.Reactivations, c.Drains, c.Retires, c.DeniedAtCap)

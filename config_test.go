@@ -53,7 +53,7 @@ func TestConfigImplications(t *testing.T) {
 		}),
 			label: "slab+depot+4lvl-nb", instances: 1,
 			layers: "slab"},
-		{name: "telemetry", cfg: with(func(c *nbbs.Config) { c.Telemetry.Enabled = true }),
+		{name: "telemetry", cfg: with(func(c *nbbs.Config) { c.Telemetry = true }),
 			label: "4lvl-nb", instances: 1,
 			layers: "telemetry"},
 	}

@@ -53,7 +53,7 @@ func main() {
 		MaxSize:   64 << 10,
 		Variant:   *variant,
 		Frontend:  nbbs.FrontendConfig{Depot: true},
-		Telemetry: nbbs.TelemetrySettings{Enabled: true},
+		Telemetry: true,
 	}
 	if *instances > 1 {
 		cfg.Backing.Instances = *instances

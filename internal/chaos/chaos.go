@@ -113,7 +113,7 @@ func buildComposite(label string, in *fault.Injector, reg *telemetry.Registry) (
 		Variant:   "4lvl-nb",
 		Per:       per,
 		Instances: 2,
-		Elastic:   &elastic.Config{MinInstances: 1, MaxInstances: 4, Hysteresis: 1},
+		Elastic:   &elastic.Config{MinInstances: 1, MaxInstances: 4},
 		Mapped:    true,
 		Faults:    in,
 		Telemetry: reg,
@@ -151,7 +151,7 @@ func Run(cfg Config) (rep Report) {
 
 	// The workload is single-goroutine and the ring stamps events with its
 	// logical step counter, so the recorded dump is deterministic per seed.
-	reg := telemetry.New(telemetry.Config{})
+	reg := telemetry.New()
 	in := fault.New(cfg.Seed)
 	st, err := buildComposite(cfg.Composite, in, reg)
 	if err != nil {

@@ -75,8 +75,8 @@ func TestRunIsDeterministic(t *testing.T) {
 }
 
 // TestFlightRecorderDeterministic pins the embedded flight-recorder dump
-// into the replay contract: the chaos harness builds its registry from
-// the zero telemetry.Config, and the ring stamps logical steps, so two
+// into the replay contract: the chaos harness builds its registry with
+// telemetry.New, and the ring stamps logical steps, so two
 // same-seed runs record the identical event sequence — the property
 // that makes an incident file's event trail trustworthy evidence rather
 // than a racy approximation.

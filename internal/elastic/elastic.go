@@ -36,18 +36,26 @@ import (
 	"repro/internal/multi"
 )
 
-// Defaults of Config fields left zero.
+// The watermark rule and the grow backoff, the same for every manager.
 const (
-	DefaultHighWater  = 0.75
-	DefaultLowWater   = 0.25
-	DefaultHysteresis = 2
-	// DefaultGrowRetryBase/Max bound the exponential backoff after a
-	// failed grow: first retry after ~1ms, doubling per consecutive
-	// failure up to ~250ms — long enough that a persistently failing
-	// environment sees a handful of syscalls per second instead of one
-	// per Poll, short enough that recovery is near-immediate.
-	DefaultGrowRetryBase = time.Millisecond
-	DefaultGrowRetryMax  = 250 * time.Millisecond
+	// HighWater is the utilization (live bytes / active capacity) at or
+	// above which the manager wants to grow.
+	HighWater = 0.75
+	// LowWater is the utilization at or below which the manager wants to
+	// shrink.
+	LowWater = 0.25
+	// Hysteresis is how many consecutive Polls must agree before a grow
+	// or shrink is acted on; it keeps a single spike or dip from flapping
+	// the instance set.
+	Hysteresis = 2
+	// GrowRetryBase and GrowRetryMax bound the exponential backoff after
+	// a failed grow (an environmental reserve/commit failure, not the
+	// cap): first retry after ~1ms, doubling per consecutive failure up
+	// to ~250ms — long enough that a persistently failing environment
+	// sees a handful of syscalls per second instead of one per Poll,
+	// short enough that recovery is near-immediate.
+	GrowRetryBase = time.Millisecond
+	GrowRetryMax  = 250 * time.Millisecond
 )
 
 // Typed sentinel errors distinguishing WHY a grow was denied. Both are
@@ -65,8 +73,7 @@ var (
 	ErrBackpressure = errors.New("elastic: grow backpressure")
 )
 
-// Config is the capacity policy of a manager: fleet bounds, the
-// watermark rule and grow backoff.
+// Config is the fleet bounds of a manager.
 type Config struct {
 	// MinInstances is the floor the manager never drains below (>= 1;
 	// 0 means 1).
@@ -74,24 +81,6 @@ type Config struct {
 	// MaxInstances caps the published instance set (active + draining;
 	// 0 means twice the router's initial instance count).
 	MaxInstances int
-	// HighWater is the utilization (live bytes / active capacity) at or
-	// above which the manager wants to grow (0 means DefaultHighWater).
-	HighWater float64
-	// LowWater is the utilization at or below which the manager wants to
-	// shrink (0 means DefaultLowWater).
-	LowWater float64
-	// Hysteresis is how many consecutive Polls must agree before a grow
-	// or shrink is acted on (0 means DefaultHysteresis); it keeps a
-	// single spike or dip from flapping the instance set.
-	Hysteresis int
-	// GrowRetryBase is the backoff after the first failed grow attempt
-	// (an environmental reserve/commit failure, not the cap), doubled per
-	// consecutive failure with deterministic jitter (0 means
-	// DefaultGrowRetryBase).
-	GrowRetryBase time.Duration
-	// GrowRetryMax caps the grow backoff (0 means DefaultGrowRetryMax; a
-	// value below GrowRetryBase is raised to it).
-	GrowRetryMax time.Duration
 }
 
 func (c Config) withDefaults(initial int) Config {
@@ -101,22 +90,6 @@ func (c Config) withDefaults(initial int) Config {
 	if c.MaxInstances <= 0 {
 		c.MaxInstances = 2 * initial
 	}
-	if c.HighWater <= 0 {
-		c.HighWater = DefaultHighWater
-	}
-	if c.LowWater <= 0 {
-		c.LowWater = DefaultLowWater
-	}
-	if c.Hysteresis <= 0 {
-		c.Hysteresis = DefaultHysteresis
-	}
-	if c.GrowRetryBase <= 0 {
-		c.GrowRetryBase = DefaultGrowRetryBase
-	}
-	if c.GrowRetryMax <= 0 {
-		c.GrowRetryMax = DefaultGrowRetryMax
-	}
-	c.GrowRetryMax = max(c.GrowRetryMax, c.GrowRetryBase)
 	return c
 }
 
@@ -231,9 +204,6 @@ type Manager struct {
 // invisible to the retirement logic.
 func New(inner *multi.Multi, cfg Config) (*Manager, error) {
 	cfg = cfg.withDefaults(inner.Instances())
-	if cfg.LowWater >= cfg.HighWater {
-		return nil, fmt.Errorf("elastic: low watermark %.2f must be below high watermark %.2f", cfg.LowWater, cfg.HighWater)
-	}
 	if cfg.MaxInstances < cfg.MinInstances {
 		return nil, fmt.Errorf("elastic: max instances %d below min %d", cfg.MaxInstances, cfg.MinInstances)
 	}
@@ -285,7 +255,7 @@ func (mgr *Manager) emit(event string, a, b uint64) {
 	}
 }
 
-// Config returns the effective (defaulted) policy.
+// Config returns the effective (defaulted) fleet bounds.
 func (mgr *Manager) Config() Config { return mgr.cfg }
 
 // Router exposes the wrapped multi-instance router.
@@ -390,15 +360,15 @@ func (mgr *Manager) Poll() Action {
 	}
 	act.Utilization = float64(used) / float64(capacity)
 	switch {
-	case act.Utilization >= mgr.cfg.HighWater:
+	case act.Utilization >= HighWater:
 		mgr.loStreak = 0
-		if mgr.hiStreak++; mgr.hiStreak >= mgr.cfg.Hysteresis {
+		if mgr.hiStreak++; mgr.hiStreak >= Hysteresis {
 			mgr.hiStreak = 0
 			mgr.grow(&act)
 		}
-	case act.Utilization <= mgr.cfg.LowWater:
+	case act.Utilization <= LowWater:
 		mgr.hiStreak = 0
-		if mgr.loStreak++; mgr.loStreak >= mgr.cfg.Hysteresis {
+		if mgr.loStreak++; mgr.loStreak >= Hysteresis {
 			mgr.loStreak = 0
 			mgr.shrinkSlot(&act)
 		}
@@ -504,13 +474,11 @@ func (mgr *Manager) grow(act *Action) {
 // lockstep doesn't retry in lockstep. Called with mu held, growStreak
 // already incremented.
 func (mgr *Manager) backoff() time.Duration {
-	d := mgr.cfg.GrowRetryBase
-	for i := 1; i < mgr.growStreak && d < mgr.cfg.GrowRetryMax; i++ {
+	d := GrowRetryBase
+	for i := 1; i < mgr.growStreak && d < GrowRetryMax; i++ {
 		d *= 2
 	}
-	if d > mgr.cfg.GrowRetryMax {
-		d = mgr.cfg.GrowRetryMax
-	}
+	d = min(d, GrowRetryMax)
 	mgr.jitter ^= mgr.jitter << 13
 	mgr.jitter ^= mgr.jitter >> 7
 	mgr.jitter ^= mgr.jitter << 17

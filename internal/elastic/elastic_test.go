@@ -44,9 +44,19 @@ func fill(t *testing.T, mgr *elastic.Manager, target float64) []uint64 {
 	return offs
 }
 
+// decide polls the manager Hysteresis times, the streak the watermark
+// rule needs before it acts, and returns the last step's action.
+func decide(mgr *elastic.Manager) elastic.Action {
+	var act elastic.Action
+	for i := 0; i < elastic.Hysteresis; i++ {
+		act = mgr.Poll()
+	}
+	return act
+}
+
 func TestGrowOnHighWatermark(t *testing.T) {
-	mgr := manager(t, 2, elastic.Config{MinInstances: 1, MaxInstances: 4, Hysteresis: 2})
-	offs := fill(t, mgr, elastic.DefaultHighWater)
+	mgr := manager(t, 2, elastic.Config{MinInstances: 1, MaxInstances: 4})
+	offs := fill(t, mgr, elastic.HighWater)
 
 	// Hysteresis: the first over-watermark Poll must not grow yet.
 	if act := mgr.Poll(); act.Grew >= 0 {
@@ -77,9 +87,9 @@ func TestGrowOnHighWatermark(t *testing.T) {
 }
 
 func TestDeniedAtCap(t *testing.T) {
-	mgr := manager(t, 2, elastic.Config{MinInstances: 1, MaxInstances: 2, Hysteresis: 1})
-	offs := fill(t, mgr, elastic.DefaultHighWater)
-	act := mgr.Poll()
+	mgr := manager(t, 2, elastic.Config{MinInstances: 1, MaxInstances: 2})
+	offs := fill(t, mgr, elastic.HighWater)
+	act := decide(mgr)
 	if !act.DeniedAtCap || act.Grew >= 0 {
 		t.Fatalf("expected a cap denial, got %+v", act)
 	}
@@ -92,20 +102,20 @@ func TestDeniedAtCap(t *testing.T) {
 }
 
 func TestDrainRetireOnLowWatermark(t *testing.T) {
-	mgr := manager(t, 4, elastic.Config{MinInstances: 2, MaxInstances: 4, Hysteresis: 1})
-	// Idle fleet: utilization 0 <= low watermark, so every Poll drains one
-	// empty instance — and retires it in the same step, since nothing is
-	// live on it.
-	act := mgr.Poll()
+	mgr := manager(t, 4, elastic.Config{MinInstances: 2, MaxInstances: 4})
+	// Idle fleet: utilization 0 <= low watermark, so every Hysteresis
+	// Polls drain one empty instance — and retire it in the same step,
+	// since nothing is live on it.
+	act := decide(mgr)
 	if act.DrainStarted < 0 || len(act.Retired) != 1 {
-		t.Fatalf("first idle poll: %+v, want a drain+retire", act)
+		t.Fatalf("first idle streak: %+v, want a drain+retire", act)
 	}
-	mgr.Poll()
+	decide(mgr)
 	if got := mgr.Router().Instances(); got != 2 {
 		t.Fatalf("Instances = %d after idle polls, want the floor 2", got)
 	}
 	// At the floor, no further shrink.
-	act = mgr.Poll()
+	act = decide(mgr)
 	if act.DrainStarted >= 0 || len(act.Retired) != 0 {
 		t.Fatalf("poll at the floor still shrank: %+v", act)
 	}
@@ -129,7 +139,7 @@ func TestDrainRetireOnLowWatermark(t *testing.T) {
 // instance with live chunks survives Polls (frees keep landing on it by
 // offset) and is unpublished only after its last chunk returns.
 func TestRetireWaitsForLiveChunks(t *testing.T) {
-	mgr := manager(t, 2, elastic.Config{MinInstances: 1, MaxInstances: 2, Hysteresis: 1})
+	mgr := manager(t, 2, elastic.Config{MinInstances: 1, MaxInstances: 2})
 	m := mgr.Router()
 	// Plant a chunk on instance 1 via a pinned handle.
 	h := m.NewHandleOn(1)
@@ -178,7 +188,7 @@ func TestRetireWaitsForLiveChunks(t *testing.T) {
 // draining for any number of polls, DrainAges reports how long it has
 // waited, and it retires only when the owner finally frees.
 func TestStragglerStallsWithoutMigration(t *testing.T) {
-	mgr := manager(t, 2, elastic.Config{MinInstances: 1, MaxInstances: 2, Hysteresis: 100})
+	mgr := manager(t, 2, elastic.Config{MinInstances: 1, MaxInstances: 2})
 	m := mgr.Router()
 	h := m.NewHandleOn(1)
 	off, ok := h.Alloc(per.MinSize)
@@ -212,7 +222,7 @@ func TestStragglerStallsWithoutMigration(t *testing.T) {
 }
 
 func TestReactivateUnderPressure(t *testing.T) {
-	mgr := manager(t, 2, elastic.Config{MinInstances: 1, MaxInstances: 2, Hysteresis: 1})
+	mgr := manager(t, 2, elastic.Config{MinInstances: 1, MaxInstances: 2})
 	m := mgr.Router()
 	// Pin a chunk on instance 1 so its drain cannot complete.
 	h := m.NewHandleOn(1)
@@ -243,9 +253,6 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := elastic.New(m, elastic.Config{HighWater: 0.2, LowWater: 0.8}); err == nil {
-		t.Error("inverted watermarks accepted")
-	}
 	if _, err := elastic.New(m, elastic.Config{MinInstances: 4, MaxInstances: 2}); err == nil {
 		t.Error("max below min accepted")
 	}
@@ -255,7 +262,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestStartStopBackground(t *testing.T) {
-	mgr := manager(t, 4, elastic.Config{MinInstances: 1, MaxInstances: 4, Hysteresis: 1})
+	mgr := manager(t, 4, elastic.Config{MinInstances: 1, MaxInstances: 4})
 	mgr.Start(100 * time.Microsecond)
 	defer mgr.Stop()
 	// The idle fleet drains to the floor without explicit polls.
@@ -292,7 +299,7 @@ func TestGrowShrinkUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	const maxInstances = 6
-	mgr, err := elastic.New(m, elastic.Config{MinInstances: 1, MaxInstances: maxInstances, Hysteresis: 1})
+	mgr, err := elastic.New(m, elastic.Config{MinInstances: 1, MaxInstances: maxInstances})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,12 +88,7 @@ func TestGrowErrorCauseDistinguished(t *testing.T) {
 // number of syscall attempts (the backoff gate absorbs the rest as
 // ErrBackpressure), and Poll neither wedges nor panics.
 func TestPersistentGrowFailureBacksOff(t *testing.T) {
-	mgr, r, in, now := faultedManager(t, 1, elastic.Config{
-		MaxInstances:  4,
-		Hysteresis:    1,
-		GrowRetryBase: time.Second,
-		GrowRetryMax:  8 * time.Second,
-	})
+	mgr, r, in, now := faultedManager(t, 1, elastic.Config{MaxInstances: 4})
 	in.Set(fault.FailAlways(fault.Commit, syscall.ENOMEM))
 
 	if _, err := mgr.Grow(); !errors.Is(err, syscall.ENOMEM) {
@@ -119,11 +114,12 @@ func TestPersistentGrowFailureBacksOff(t *testing.T) {
 	}
 
 	// Poll keeps serving decisions through the failure: utilization is
-	// driven over the high watermark so every Poll wants to grow, and the
-	// backoff gate must keep syscall attempts far below the Poll count.
+	// driven over the high watermark so every Hysteresis-th Poll wants to
+	// grow, and the backoff gate must keep syscall attempts far below the
+	// Poll count.
 	fill(t, mgr, 0.9)
 	for i := 0; i < 200; i++ {
-		*now = now.Add(50 * time.Millisecond) // 200 polls over 10 virtual seconds
+		*now = now.Add(elastic.GrowRetryBase / 20) // 200 polls over 10 base backoffs
 		mgr.Poll()
 	}
 	c = mgr.Counters()
@@ -152,21 +148,16 @@ func TestPersistentGrowFailureBacksOff(t *testing.T) {
 // schedule clears and the backoff window elapses, the next Poll grows
 // successfully and the counters reconcile.
 func TestRecoveryAfterFaultsClear(t *testing.T) {
-	mgr, r, in, now := faultedManager(t, 1, elastic.Config{
-		MaxInstances:  4,
-		Hysteresis:    1,
-		GrowRetryBase: time.Second,
-		GrowRetryMax:  8 * time.Second,
-	})
+	mgr, r, in, now := faultedManager(t, 1, elastic.Config{MaxInstances: 4})
 	in.Set(fault.FailAlways(fault.Commit, syscall.ENOMEM))
 	fill(t, mgr, 0.9)
-	if act := mgr.Poll(); act.GrowErr == nil {
+	if act := decide(mgr); act.GrowErr == nil {
 		t.Fatalf("poll under fault did not record the failure: %+v", act)
 	}
 
 	in.Clear()
 	*now = now.Add(time.Minute) // well past any backoff window
-	act := mgr.Poll()
+	act := decide(mgr)
 	if act.Grew < 0 {
 		t.Fatalf("poll after faults cleared did not grow: %+v", act)
 	}

@@ -45,20 +45,20 @@ func memExtras(t *testing.T, mgr *elastic.Manager) map[string]uint64 {
 }
 
 func TestMappedRetireDecommitsWindow(t *testing.T) {
-	mgr, r := mappedManager(t, 4, elastic.Config{MinInstances: 2, MaxInstances: 4, Hysteresis: 1})
+	mgr, r := mappedManager(t, 4, elastic.Config{MinInstances: 2, MaxInstances: 4})
 	if got := r.Stats().CommittedBytes; got != 4*per.Total {
 		t.Fatalf("committed bytes after bind = %d, want %d", got, 4*per.Total)
 	}
 
-	// Idle fleet: two polls retire down to the floor; each retirement must
-	// decommit its window.
-	first := mgr.Poll()
-	mgr.Poll()
+	// Idle fleet: two streaks of Hysteresis polls retire down to the floor;
+	// each retirement must decommit its window.
+	first := decide(mgr)
+	decide(mgr)
 	if got := mgr.Router().Instances(); got != 2 {
 		t.Fatalf("Instances = %d, want the floor 2", got)
 	}
 	if len(first.Retired) != 1 {
-		t.Fatalf("first poll: %+v, want one retirement", first)
+		t.Fatalf("first streak: %+v, want one retirement", first)
 	}
 	if r.Committed(first.Retired[0]) {
 		t.Fatalf("retired slot %d's window is still committed", first.Retired[0])
@@ -80,17 +80,17 @@ func TestMappedRetireDecommitsWindow(t *testing.T) {
 // alloc-reuse edge: capacity retired to the OS must come back zeroed and
 // allocatable when pressure returns and the grow refills the hole.
 func TestMappedGrowRecommitsHoleAndReuses(t *testing.T) {
-	mgr, r := mappedManager(t, 3, elastic.Config{MinInstances: 1, MaxInstances: 3, Hysteresis: 1})
+	mgr, r := mappedManager(t, 3, elastic.Config{MinInstances: 1, MaxInstances: 3})
 	// Retire twice down to the floor (decommits two windows)...
-	mgr.Poll()
-	mgr.Poll()
+	decide(mgr)
+	decide(mgr)
 	if got := mgr.Router().Instances(); got != 1 {
 		t.Fatalf("Instances = %d, want 1", got)
 	}
 	// ...then drive utilization over the high water so the grows refill
 	// the holes and recommit their windows.
-	offs := fill(t, mgr, elastic.DefaultHighWater)
-	act := mgr.Poll()
+	offs := fill(t, mgr, elastic.HighWater)
+	act := decide(mgr)
 	if act.Grew < 0 {
 		t.Fatalf("no grow under pressure: %+v", act)
 	}
@@ -131,7 +131,7 @@ func TestMappedGrowRecommitsHoleAndReuses(t *testing.T) {
 // a decommit/recommit round trip — chunks allocated before the drain
 // stay valid throughout.
 func TestMappedReactivateKeepsWindowCommitted(t *testing.T) {
-	mgr, r := mappedManager(t, 2, elastic.Config{MinInstances: 1, MaxInstances: 2, Hysteresis: 1})
+	mgr, r := mappedManager(t, 2, elastic.Config{MinInstances: 1, MaxInstances: 2})
 	// Pin a chunk on every instance so no drain can complete.
 	var offs []uint64
 	for k := range mgr.Router().InstanceInfos() {

@@ -2,7 +2,6 @@ package elastic_test
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/elastic"
@@ -60,13 +59,13 @@ func leastLiveActive(m *multi.Multi) int {
 	return victim
 }
 
-// TestWatermarkPolicyDefaults pins the zero-value rule: the default
+// TestWatermarkPolicyDefaults pins the zero-value rule: the fleet bounds
+// default to one instance and twice the initial set, and the constant
 // watermarks and hysteresis are in effect, so the first Poll above 0.75
 // holds and the second grows.
 func TestWatermarkPolicyDefaults(t *testing.T) {
 	s := newSteered(t, elastic.Config{})
-	c := s.mgr.Config()
-	if c.HighWater != elastic.DefaultHighWater || c.LowWater != elastic.DefaultLowWater || c.Hysteresis != elastic.DefaultHysteresis {
+	if c := s.mgr.Config(); c != (elastic.Config{MinInstances: 1, MaxInstances: 4}) {
 		t.Fatalf("zero-value config: %+v", c)
 	}
 	s.to(t, 0.80)
@@ -83,7 +82,7 @@ func TestWatermarkPolicyDefaults(t *testing.T) {
 // slot with the fewest live bytes, and any in-between Poll resets both
 // streaks.
 func TestWatermarkPolicyStreaks(t *testing.T) {
-	s := newSteered(t, elastic.Config{MinInstances: 1, MaxInstances: 4, HighWater: 0.75, LowWater: 0.25, Hysteresis: 2})
+	s := newSteered(t, elastic.Config{MinInstances: 1, MaxInstances: 4})
 	const hold, grow, drain = "hold", "grow", "drain"
 	steps := []struct {
 		u    float64
@@ -114,24 +113,6 @@ func TestWatermarkPolicyStreaks(t *testing.T) {
 		}
 		if got == drain && act.DrainStarted != victim {
 			t.Fatalf("step %d: drained slot %d, want %d, the active slot with the fewest live bytes", i, act.DrainStarted, victim)
-		}
-	}
-}
-
-// TestGrowRetryMaxDefaulting pins the backoff cap's defaulting: only zero
-// takes DefaultGrowRetryMax, and a positive cap below the base is raised
-// to the base rather than replaced by the default.
-func TestGrowRetryMaxDefaulting(t *testing.T) {
-	for _, tc := range []struct{ base, max, want time.Duration }{
-		{0, 0, elastic.DefaultGrowRetryMax},
-		{10 * time.Millisecond, 0, elastic.DefaultGrowRetryMax},
-		{10 * time.Millisecond, 5 * time.Millisecond, 10 * time.Millisecond},
-		{time.Second, 0, time.Second},
-		{time.Millisecond, 8 * time.Millisecond, 8 * time.Millisecond},
-	} {
-		mgr := manager(t, 2, elastic.Config{GrowRetryBase: tc.base, GrowRetryMax: tc.max})
-		if got := mgr.Config().GrowRetryMax; got != tc.want {
-			t.Errorf("GrowRetryBase %v, GrowRetryMax %v: effective cap %v, want %v", tc.base, tc.max, got, tc.want)
 		}
 	}
 }

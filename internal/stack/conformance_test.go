@@ -57,13 +57,13 @@ var (
 	// cachedMulti is the caching front-end stacked on a 4-instance router
 	// — the composition the seed rejected outright (frontend.New failed
 	// on Multi's missing ChunkSizer).
-	cachedMulti = specBuilder(stack.Spec{Variant: "4lvl-nb", Depot: true, Magazine: 8}, 4)
+	cachedMulti = specBuilder(stack.Spec{Variant: "4lvl-nb", Depot: true}, 4)
 	// multiMaterialized is a 4-instance router whose windows are backed
 	// by mapped memory.
 	multiMaterialized = specBuilder(stack.Spec{Variant: "4lvl-nb", Mapped: true}, 4)
 	// fullStack is the complete production composition: caching
 	// front-end + 4-instance router + mapped region.
-	fullStack = specBuilder(stack.Spec{Variant: "4lvl-nb", Depot: true, Magazine: 8, Mapped: true}, 4)
+	fullStack = specBuilder(stack.Spec{Variant: "4lvl-nb", Depot: true, Mapped: true}, 4)
 	// fixedPolicyMulti pins every handle to instance 0 (the paper's
 	// Figure 12 memory policy), so the router's fallback path serves
 	// whatever instance 0 cannot.
@@ -80,7 +80,7 @@ func TestConformanceFullStack(t *testing.T) { alloctest.RunBuilder(t, fullStack)
 // variants registered for the benchmark harness, by name like any leaf.
 func TestConformanceRegistryComposites(t *testing.T) {
 	for _, name := range []string{
-		"multi4+4lvl-nb", "depot+4lvl-nb", "depot+multi4+4lvl-nb",
+		"multi4+4lvl-nb",
 		"elastic+multi+4lvl-nb",
 		"mapped+elastic+multi+4lvl-nb",
 		"slab+4lvl-nb", "slab+depot+multi4+4lvl-nb",
@@ -88,6 +88,11 @@ func TestConformanceRegistryComposites(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) { alloctest.Run(t, name) })
 	}
+	// depot+multi4+4lvl-nb left the registry (the shipping stack puts the
+	// slab over the front-end), but the suite keeps its case under the
+	// label's name: the front-end over the 4-instance router that
+	// slab+depot+multi4+4lvl-nb stands on, as cachedMulti builds it.
+	t.Run("depot+multi4+4lvl-nb", func(t *testing.T) { alloctest.RunBuilder(t, cachedMulti) })
 }
 
 func TestConformanceFixedPolicyMulti(t *testing.T) {

@@ -13,7 +13,7 @@ import (
 )
 
 // TestDifferentialRegistryComposites fuzzes every registry composite —
-// the router, the depot stacks, the slab stacks, and the elastic
+// the router, the slab stacks, and the elastic
 // composites (whose runs additionally interleave Poll-driven
 // grow/drain/retire) — against the map-based oracle: random single/batched alloc/free
 // sequences with interleaved quiescent Scrubs, checking no
@@ -22,8 +22,6 @@ import (
 func TestDifferentialRegistryComposites(t *testing.T) {
 	composites := []string{
 		"multi4+4lvl-nb",
-		"depot+4lvl-nb",
-		"depot+multi4+4lvl-nb",
 		"elastic+multi+4lvl-nb",
 		"mapped+elastic+multi+4lvl-nb",
 		"slab+4lvl-nb",
@@ -44,6 +42,12 @@ func TestDifferentialRegistryComposites(t *testing.T) {
 			})
 		})
 	}
+	// The retired depot+multi4+4lvl-nb label keeps its walk, built from
+	// its Spec as in TestConformanceRegistryComposites.
+	t.Run("depot+multi4+4lvl-nb", func(t *testing.T) {
+		t.Parallel()
+		alloctest.RunDifferential(t, cachedMulti)
+	})
 }
 
 // TestDifferentialDepotElastic fuzzes the full elastic cooperation path:
@@ -61,7 +65,7 @@ func TestDifferentialDepotElastic(t *testing.T) {
 			Per:       alloc.Config{Total: total / uint64(n), MinSize: minSize, MaxSize: maxSize},
 			Instances: n,
 			Elastic:   &elastic.Config{MinInstances: 1, MaxInstances: 2 * n},
-			Depot:     true, Magazine: 8,
+			Depot:     true,
 		})
 		if err != nil {
 			t.Fatalf("stack.Build: %v", err)

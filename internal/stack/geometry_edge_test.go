@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/alloc"
+	"repro/internal/frontend"
 	"repro/internal/stack"
 )
 
@@ -62,12 +63,25 @@ func TestGeometryEdgeCases(t *testing.T) {
 			return st.Top
 		}
 	}
+	// cached puts the front-end over a 4lvl-nb leaf at magazine and depot
+	// capacities below the defaults stack.Build uses, so the tiny shapes
+	// still overflow a magazine and fill the depot.
+	cached := func(magCap, depotCap int) func(t *testing.T, s shape) alloc.Allocator {
+		return func(t *testing.T, s shape) alloc.Allocator {
+			t.Helper()
+			fe, err := frontend.New(leaf("4lvl-nb")(t, s), magCap, frontend.WithDepot(depotCap))
+			if err != nil {
+				t.Fatalf("frontend.New: %v", err)
+			}
+			return fe
+		}
+	}
 	builds := []build{
 		{"1lvl-nb", leaf("1lvl-nb")},
 		{"4lvl-nb", leaf("4lvl-nb")},
-		{"depot-mag8", stacked(stack.Spec{Variant: "4lvl-nb", Depot: true, Magazine: 8})},
-		{"depot", stacked(stack.Spec{Variant: "4lvl-nb", Depot: true, Magazine: 4, DepotCapacity: 2})},
-		{"depot+multi2", stacked(stack.Spec{Variant: "4lvl-nb", Depot: true, Magazine: 4, Instances: 2})},
+		{"depot-mag8", cached(8, 0)},
+		{"depot", cached(4, 2)},
+		{"depot+multi2", stacked(stack.Spec{Variant: "4lvl-nb", Depot: true, Instances: 2})},
 	}
 
 	for _, s := range shapes {
@@ -118,15 +132,8 @@ func TestGeometryEdgeCases(t *testing.T) {
 	// Bulk through a caching handle whose magazine is far smaller than
 	// the batch: the shim must spill correctly through magazine and depot.
 	t.Run("batch-over-magazine/handle", func(t *testing.T) {
-		st, err := stack.Build(stack.Spec{
-			Variant: "4lvl-nb",
-			Per:     alloc.Config{Total: 1 << 14, MinSize: 64, MaxSize: 1 << 10},
-			Depot:   true, Magazine: 4, DepotCapacity: 2,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := st.Top.NewHandle()
+		fe := cached(4, 2)(t, shape{"batch-over-magazine", 1 << 14, 64, 1 << 10})
+		h := fe.NewHandle()
 		got := alloc.HandleAllocBatch(h, 64, 100) // 25x the magazine capacity
 		if len(got) != 100 {
 			t.Fatalf("handle batch delivered %d chunks, want 100", len(got))
@@ -139,8 +146,8 @@ func TestGeometryEdgeCases(t *testing.T) {
 			seen[off] = true
 		}
 		alloc.HandleFreeBatch(h, got)
-		st.Scrub()
-		if _, ok := st.Top.Alloc(1 << 10); !ok {
+		fe.(alloc.Scrubber).Scrub()
+		if _, ok := fe.Alloc(1 << 10); !ok {
 			t.Fatal("max-size alloc failed after handle bulk drain")
 		}
 	})

@@ -31,12 +31,6 @@ func TestCompositeLabelsBuildGoldenStacks(t *testing.T) {
 		"multi4+4lvl-nb": {
 			{name: "multi[2x 4lvl-nb]", instances: 2},
 			{name: "multi[4x 4lvl-nb]", instances: 4}},
-		"depot+4lvl-nb": {
-			{name: "depot+4lvl-nb"},
-			{name: "depot+4lvl-nb"}},
-		"depot+multi4+4lvl-nb": {
-			{name: "depot+multi[2x 4lvl-nb]", instances: 2},
-			{name: "depot+multi[4x 4lvl-nb]", instances: 4}},
 		"slab+4lvl-nb": {
 			{name: "slab+4lvl-nb"},
 			{name: "slab+4lvl-nb"}},
@@ -138,7 +132,7 @@ func TestLayersForwardTheContract(t *testing.T) {
 			Variant: "4lvl-nb", Per: cfg, Instances: 2, Mapped: true,
 			Elastic: &elastic.Config{MinInstances: 1, MaxInstances: 4},
 			Depot:   true, Slab: true,
-			Telemetry: telemetry.New(telemetry.Config{}),
+			Telemetry: telemetry.New(),
 		},
 	}
 	for _, label := range composites {

@@ -24,7 +24,7 @@ func TestElasticRetireWithIdleParkedWorker(t *testing.T) {
 		Per:       alloc.Config{Total: 1 << 20, MinSize: 64, MaxSize: 1 << 16},
 		Instances: 2,
 		Elastic:   &elastic.Config{MinInstances: 1, MaxInstances: 2},
-		Depot:     true, Magazine: 8,
+		Depot:     true,
 	})
 	if err != nil {
 		t.Fatalf("stack.Build: %v", err)
@@ -64,8 +64,8 @@ func TestElasticRetireWithIdleParkedWorker(t *testing.T) {
 		pinOffs = append(pinOffs, off)
 	}
 
-	// Park six of the worker's chunks in its magazine (capacity 8, so
-	// nothing spills to the depot) and release the rest through the
+	// Park six of the worker's chunks in its magazine (capacity
+	// frontend.DefaultMagazine, so nothing spills to the depot) and release the rest through the
 	// convenience path, which goes straight down. The victim window now
 	// has live chunks held only inside the idle worker's magazines.
 	for _, off := range offs[:6] {

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/elastic"
+	"repro/internal/frontend"
 	"repro/internal/mem"
 	"repro/internal/multi"
 	"repro/internal/stack"
@@ -42,15 +43,23 @@ func TestMappedSawtoothAccountingReconciles(t *testing.T) {
 	const floor, cap_ = 1, 4
 	st, err := stack.Build(stack.Spec{
 		Variant: "4lvl-nb", Per: perBig, Instances: 2,
-		Elastic:  &elastic.Config{MinInstances: floor, MaxInstances: cap_, Hysteresis: 1},
-		Depot:    true,
-		Magazine: 8,
-		Mapped:   true,
+		Elastic: &elastic.Config{MinInstances: floor, MaxInstances: cap_},
+		Mapped:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mgr, m := st.Elastic, st.Multi
+	// The front-end goes on by hand, at 8-chunk magazines and with the
+	// depot drain hook stack.Build would register. At the default 32 the
+	// depot keeps up to 8 magazines of 32 16 KiB chunks (4 MiB) parked
+	// after the drain: they count as live, hold utilization above
+	// elastic.LowWater, and the fleet stops above its floor until a Scrub.
+	fe, err := frontend.New(st.Top, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr.OnDrainRange(fe.DrainDepotRange)
 
 	reconcile := func(phase string) {
 		t.Helper()
@@ -89,7 +98,7 @@ func TestMappedSawtoothAccountingReconciles(t *testing.T) {
 
 	// Ramp: allocate 16KiB chunks, polling so the manager can grow, until
 	// the fleet hits the cap and utilization is high.
-	h := st.Top.NewHandle()
+	h := fe.NewHandle()
 	var live []uint64
 	for i := 0; i < 4096 && (m.Instances() < cap_ || mgr.Utilization() < 0.8); i++ {
 		off, ok := h.Alloc(16 << 10)

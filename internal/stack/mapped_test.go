@@ -36,7 +36,7 @@ func TestMappedSpecValidation(t *testing.T) {
 func TestMappedElasticMaterializedBytes(t *testing.T) {
 	st, err := stack.Build(stack.Spec{
 		Variant: "4lvl-nb", Per: per, Instances: 2,
-		Elastic: &elastic.Config{MinInstances: 1, MaxInstances: 2, Hysteresis: 1},
+		Elastic: &elastic.Config{MinInstances: 1, MaxInstances: 2},
 		Mapped:  true,
 	})
 	if err != nil {
@@ -121,10 +121,9 @@ func TestMappedElasticMaterializedBytes(t *testing.T) {
 func TestDepotDrainsBeforeWindowDecommit(t *testing.T) {
 	st, err := stack.Build(stack.Spec{
 		Variant: "4lvl-nb", Per: per, Instances: 2,
-		Elastic:  &elastic.Config{MinInstances: 1, MaxInstances: 2, Hysteresis: 1},
-		Depot:    true,
-		Magazine: 4,
-		Mapped:   true,
+		Elastic: &elastic.Config{MinInstances: 1, MaxInstances: 2},
+		Depot:   true,
+		Mapped:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -143,11 +142,13 @@ func TestDepotDrainsBeforeWindowDecommit(t *testing.T) {
 		pins[k] = off
 	}
 
-	// Park depot magazines holding instance-0 and instance-1 chunks.
+	// Park depot magazines holding instance-0 and instance-1 chunks: three
+	// magazines' worth of frees per instance overflow the handle's
+	// magazines into the depot.
 	for k := 0; k < 2; k++ {
 		rh := m.NewHandleOn(k)
 		var offs []uint64
-		for i := 0; i < 12; i++ {
+		for i := 0; i < 3*frontend.DefaultMagazine; i++ {
 			off, ok := rh.Alloc(128)
 			if !ok {
 				t.Fatalf("alloc on instance %d failed", k)

@@ -55,26 +55,21 @@ type Spec struct {
 	// Policy selects handle routing for the multi router.
 	Policy multi.Policy
 	// Elastic, when non-nil, wraps the router with the capacity manager:
-	// the instance set grows and shrinks at runtime under the given
-	// watermark policy (Instances is the initial set). Requires
-	// Instances >= 1.
+	// the instance set grows and shrinks at runtime within the given
+	// fleet bounds under the watermark rule (Instances is the initial
+	// set). Requires Instances >= 1.
 	Elastic *elastic.Config
 	// Depot inserts the caching front-end: per-worker magazines whose
 	// full and empty magazines are exchanged with a per-size-class depot
 	// in O(1), and whose refills/drains cross into the back-end as batches
-	// through the alloc.BatchAllocator contract. Magazine is the per-class
-	// magazine capacity (0 = frontend.DefaultMagazine); DepotCapacity
-	// bounds the full magazines retained per class (0 = default).
-	Depot         bool
-	Magazine      int
-	DepotCapacity int
+	// through the alloc.BatchAllocator contract, at the default magazine
+	// and depot capacities.
+	Depot bool
 	// Slab inserts the size-class layer above the caching front-end (or
-	// whatever sits below it): requests up to the cutoff are served from
-	// fixed-size runs carved out of buddy chunks, larger requests pass
-	// through. SlabCutoff bounds the largest class (0 =
-	// slab.DefaultCutoff, clamped to the geometry).
-	Slab       bool
-	SlabCutoff uint64
+	// whatever sits below it): requests up to slab.DefaultCutoff (clamped
+	// to the geometry) are served from fixed-size runs carved out of
+	// buddy chunks, larger requests pass through.
+	Slab bool
 	// Mapped backs each instance's offset window with platform mapped
 	// memory bound to the multi router (requires Instances >= 1): windows
 	// are committed while their slot is published and decommitted when it
@@ -192,7 +187,7 @@ func Build(s Spec) (*Stack, error) {
 		if s.Telemetry == nil {
 			return nil
 		}
-		p, err := telemetry.NewProbe(st.Top, s.Telemetry.Series(layer), s.Telemetry.SampleInterval())
+		p, err := telemetry.NewProbe(st.Top, s.Telemetry.Series(layer))
 		if err != nil {
 			return err
 		}
@@ -221,7 +216,7 @@ func Build(s Spec) (*Stack, error) {
 		}
 	}
 	if s.Depot {
-		fe, err := frontend.New(st.Top, s.Magazine, frontend.WithDepot(s.DepotCapacity))
+		fe, err := frontend.New(st.Top, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -238,7 +233,7 @@ func Build(s Spec) (*Stack, error) {
 		}
 	}
 	if s.Slab {
-		sl, err := slab.New(st.Top, s.SlabCutoff)
+		sl, err := slab.New(st.Top, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -316,16 +311,13 @@ func (st *Stack) LayerStats() []alloc.LayerStats { return alloc.StackStats(st.To
 // it into the Spec that Build assembles.
 var composites = []string{
 	"multi4+4lvl-nb",
-	// The caching front-end with its shared magazine depot, exchanging
-	// full magazines in O(1) and crossing into the back-end only in
-	// batches.
-	"depot+4lvl-nb",
-	"depot+multi4+4lvl-nb",
 	// The size-class layer over a bare leaf, over the caching front-end
-	// and its depot (a run is one chunk from the front-end's uncached
-	// convenience Alloc, so runs never touch a magazine or the depot),
-	// and over the full mapped elastic stack (runs participate in
-	// retirement via the DrainRange fence).
+	// with its shared magazine depot (a run is one chunk from the
+	// front-end's uncached convenience Alloc, so runs never touch a
+	// magazine or the depot), and over the full mapped elastic stack
+	// (runs participate in retirement via the DrainRange fence). The
+	// front-end has no label of its own: the shipping stack puts the slab
+	// over it.
 	"slab+4lvl-nb",
 	"slab+depot+multi4+4lvl-nb",
 	"slab+mapped+elastic+multi+4lvl-nb",

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/alloc"
+	"repro/internal/frontend"
 	"repro/internal/stack"
 
 	_ "repro/internal/bunch"
@@ -22,7 +23,7 @@ func TestStatsReconcile(t *testing.T) {
 	st, err := stack.Build(stack.Spec{
 		Variant: "4lvl-nb", Per: per,
 		Instances: 4,
-		Depot:     true, Magazine: 8,
+		Depot:     true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,13 +95,13 @@ func TestStatsReconcile(t *testing.T) {
 // its magazine holds parks full magazines in the depot, and Scrub must
 // hand them back down, so every layer ends balanced and the depot empty.
 func TestScrubDrainsParkedMagazines(t *testing.T) {
-	st, err := stack.Build(stack.Spec{Variant: "4lvl-nb", Per: per, Depot: true, Magazine: 8})
+	st, err := stack.Build(stack.Spec{Variant: "4lvl-nb", Per: per, Depot: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := st.Top.NewHandle()
 	var live []uint64
-	for i := 0; i < 64; i++ {
+	for i := 0; i < 2*frontend.DefaultMagazine; i++ {
 		off, ok := h.Alloc(64)
 		if !ok {
 			t.Fatalf("alloc %d failed", i)
@@ -111,7 +112,7 @@ func TestScrubDrainsParkedMagazines(t *testing.T) {
 		h.Free(off)
 	}
 	if st.Frontend.Depot().Retained() == 0 {
-		t.Fatal("no magazine parked in the depot after 64 frees into an 8-chunk magazine")
+		t.Fatalf("no magazine parked in the depot after %d frees into a %d-chunk magazine", len(live), frontend.DefaultMagazine)
 	}
 	st.Scrub()
 	if n := st.Frontend.Depot().Retained(); n != 0 {

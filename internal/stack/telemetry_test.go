@@ -17,20 +17,21 @@ import (
 // layer boundary, and the probed stack must stay exactly conformant —
 // probes forward offsets, ChunkSize and Scrub untouched, and their
 // LayerStats entries carry zero traffic so the per-layer reconciliation
-// after the drain holds unchanged. The sampling interval is pinned low
-// so the timed path itself is exercised heavily, not just forwarding.
+// after the drain holds unchanged. Each 4000-step walk makes thousands
+// of handle operations, so the probes take a timed sample every
+// telemetry.SampleInterval of them, not just forward.
 func TestDifferentialTelemetry(t *testing.T) {
 	cases := []struct {
 		name string
 		spec stack.Spec
 	}{
-		{"depot+multi", stack.Spec{Variant: "4lvl-nb", Depot: true, Magazine: 8}},
+		{"depot+multi", stack.Spec{Variant: "4lvl-nb", Depot: true}},
 		{"slab+depot+mapped+elastic+multi", stack.Spec{
 			Variant: "4lvl-nb",
 			Elastic: &elastic.Config{MinInstances: 1},
 			Mapped:  true,
-			Depot:   true, Magazine: 8,
-			Slab: true,
+			Depot:   true,
+			Slab:    true,
 		}},
 	}
 	for _, c := range cases {
@@ -48,7 +49,7 @@ func TestDifferentialTelemetry(t *testing.T) {
 					s.Elastic = &e
 				}
 				s.Per = alloc.Config{Total: total / uint64(n), MinSize: minSize, MaxSize: maxSize}
-				s.Telemetry = telemetry.New(telemetry.Config{SampleInterval: 2})
+				s.Telemetry = telemetry.New()
 				st, err := stack.Build(s)
 				if err != nil {
 					t.Fatalf("stack.Build: %v", err)
@@ -64,20 +65,20 @@ func TestDifferentialTelemetry(t *testing.T) {
 // probe keeps the stack's name unchanged, and the flight recorder holds
 // whatever lifecycle events the run produced.
 func TestTelemetryProbesRecord(t *testing.T) {
-	reg := telemetry.New(telemetry.Config{SampleInterval: 1})
+	reg := telemetry.New()
 	st, err := stack.Build(stack.Spec{
 		Variant: "4lvl-nb",
 		Per:     alloc.Config{Total: 1 << 20, MinSize: 64, MaxSize: 1 << 14},
-		Depot:   true, Magazine: 8,
+		Depot:   true,
 	})
 	if err != nil {
 		t.Fatalf("stack.Build: %v", err)
 	}
 	bare := st.Top.Name()
 	st, err = stack.Build(stack.Spec{
-		Variant: "4lvl-nb",
-		Per:     alloc.Config{Total: 1 << 20, MinSize: 64, MaxSize: 1 << 14},
-		Depot:   true, Magazine: 8,
+		Variant:   "4lvl-nb",
+		Per:       alloc.Config{Total: 1 << 20, MinSize: 64, MaxSize: 1 << 14},
+		Depot:     true,
 		Telemetry: reg,
 	})
 	if err != nil {
@@ -87,9 +88,10 @@ func TestTelemetryProbesRecord(t *testing.T) {
 		t.Errorf("probes changed the stack name: %q != %q", got, bare)
 	}
 
+	// Two samples' worth of allocations and frees at the top boundary.
 	h := st.Top.NewHandle()
 	var offs []uint64
-	for i := 0; i < 256; i++ {
+	for i := 0; i < 2*telemetry.SampleInterval; i++ {
 		if off, ok := h.Alloc(64); ok {
 			offs = append(offs, off)
 		}
@@ -106,7 +108,7 @@ func TestTelemetryProbesRecord(t *testing.T) {
 		}
 	}
 	if total == 0 {
-		t.Fatalf("no samples recorded at any boundary (interval 1, %d ops)", 2*len(offs))
+		t.Fatalf("no samples recorded at any boundary (interval %d, %d ops)", telemetry.SampleInterval, 2*len(offs))
 	}
 	boundaries := map[string]bool{}
 	for _, ll := range reg.Latencies() {

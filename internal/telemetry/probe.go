@@ -19,22 +19,17 @@ import (
 // single-writer increment could not claim.
 type Probe struct {
 	alloc.Layer
-	series   *Series
-	interval uint32
+	series *Series
 }
 
-// NewProbe wraps a layer boundary. interval <= 0 takes the registry
-// default; callers normally go through stack.Build, which passes the
-// registry's configured interval.
-func NewProbe(inner alloc.Allocator, series *Series, interval int) (*Probe, error) {
+// NewProbe wraps a layer boundary; callers normally go through
+// stack.Build.
+func NewProbe(inner alloc.Allocator, series *Series) (*Probe, error) {
 	layer, err := alloc.NewLayer(inner)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: %w", err)
 	}
-	if interval <= 0 {
-		interval = DefaultSampleInterval
-	}
-	return &Probe{Layer: layer, series: series, interval: uint32(interval)}, nil
+	return &Probe{Layer: layer, series: series}, nil
 }
 
 // Series returns the boundary's latency series.
@@ -73,27 +68,25 @@ func (p *Probe) LayerStats() []alloc.LayerStats {
 // over an inner handle.
 func (p *Probe) NewHandle() alloc.Handle {
 	return &probeHandle{
-		inner:    p.Layer.NewHandle(),
-		series:   p.series,
-		set:      p.series.newSet(),
-		interval: p.interval,
-		cdAlloc:  p.interval,
-		cdFree:   p.interval,
+		inner:   p.Layer.NewHandle(),
+		series:  p.series,
+		set:     p.series.newSet(),
+		cdAlloc: SampleInterval,
+		cdFree:  SampleInterval,
 	}
 }
 
 // probeHandle is the per-worker face of the probe. Like every handle it
 // is single-goroutine; the countdowns and histograms are owner-written.
 type probeHandle struct {
-	inner    alloc.Handle
-	series   *Series
-	set      *histSet
-	interval uint32
-	cdAlloc  uint32
-	cdFree   uint32
+	inner   alloc.Handle
+	series  *Series
+	set     *histSet
+	cdAlloc uint32
+	cdFree  uint32
 }
 
-// Alloc forwards, timing one in every interval calls. Alloc and Free
+// Alloc forwards, timing one in every SampleInterval calls. Alloc and Free
 // keep separate countdowns: a workload that strictly alternates the two
 // ops would otherwise alias against a shared even-interval countdown and
 // only ever sample one kind.
@@ -102,14 +95,14 @@ func (h *probeHandle) Alloc(size uint64) (uint64, bool) {
 	if h.cdAlloc != 0 {
 		return h.inner.Alloc(size)
 	}
-	h.cdAlloc = h.interval
+	h.cdAlloc = SampleInterval
 	t0 := nanotime()
 	off, ok := h.inner.Alloc(size)
 	h.set.h[OpAlloc].Record(nanotime() - t0)
 	return off, ok
 }
 
-// Free forwards, timing one in every interval calls (own countdown; see
+// Free forwards, timing one in every SampleInterval calls (own countdown; see
 // Alloc for the aliasing rationale).
 func (h *probeHandle) Free(offset uint64) {
 	h.cdFree--
@@ -117,7 +110,7 @@ func (h *probeHandle) Free(offset uint64) {
 		h.inner.Free(offset)
 		return
 	}
-	h.cdFree = h.interval
+	h.cdFree = SampleInterval
 	t0 := nanotime()
 	h.inner.Free(offset)
 	h.set.h[OpFree].Record(nanotime() - t0)

@@ -4,8 +4,8 @@ import (
 	"sync"
 )
 
-// DefaultSampleInterval is the per-handle sampling countdown: one in
-// every N single-chunk operations is timed. Sampling is what keeps the
+// SampleInterval is the per-handle sampling countdown: one in every N
+// single-chunk operations is timed. Sampling is what keeps the
 // timed path inside the overhead budget (<3% of a back-end op, gated in
 // CI; see DESIGN.md "Observability"): an untimed operation costs one
 // decrement and one forwarding call, a timed one adds two clock reads —
@@ -13,46 +13,24 @@ import (
 // leaving the probe's fixed interception cost (a second interface
 // dispatch) as the floor. Batch operations are always timed — they are
 // refill-path rare and amortize the clock over the whole batch.
-const DefaultSampleInterval = 256
+const SampleInterval = 256
 
-// DefaultRingSize is the capacity of the flight-recorder ring.
-const DefaultRingSize = 1024
-
-// Config tunes a Registry. The zero value takes every default.
-type Config struct {
-	// SampleInterval times one in N single-chunk handle operations
-	// (0 = DefaultSampleInterval, 1 = every operation).
-	SampleInterval int
-	// RingSize is the event capacity of the flight recorder
-	// (0 = DefaultRingSize).
-	RingSize int
-}
+// RingSize is the event capacity of the flight-recorder ring.
+const RingSize = 1024
 
 // Registry is one stack's telemetry root: the ordered set of
 // layer-boundary latency series plus the flight-recorder ring. A nil
 // *Registry is the disabled state — Build inserts no probes and wires
 // no event sinks, so the hot path pays nothing.
 type Registry struct {
-	interval int
-	ring     *Ring
+	ring *Ring
 
 	mu     sync.Mutex
 	series []*Series
 }
 
 // New builds a registry.
-func New(cfg Config) *Registry {
-	if cfg.SampleInterval <= 0 {
-		cfg.SampleInterval = DefaultSampleInterval
-	}
-	return &Registry{
-		interval: cfg.SampleInterval,
-		ring:     newRing(cfg.RingSize),
-	}
-}
-
-// SampleInterval returns the per-handle sampling countdown period.
-func (r *Registry) SampleInterval() int { return r.interval }
+func New() *Registry { return &Registry{ring: newRing(RingSize)} }
 
 // Ring returns the flight-recorder event ring.
 func (r *Registry) Ring() *Ring { return r.ring }

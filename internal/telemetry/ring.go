@@ -34,9 +34,6 @@ type Ring struct {
 }
 
 func newRing(size int) *Ring {
-	if size <= 0 {
-		size = DefaultRingSize
-	}
 	return &Ring{buf: make([]Event, size)}
 }
 

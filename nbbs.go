@@ -111,10 +111,15 @@ func Variants() []string { return alloc.Names() }
 // offsets; version 8 drops TelemetryConfig's ring-shard count, leaving
 // the flight recorder one ring sized by RingSize; version 9 drops
 // BackingConfig's fault-injector hook, which no caller of the facade set
-// (the chaos harness injects through the internal stack description).
+// (the chaos harness injects through the internal stack description);
+// version 10 fixes the tunables no shipped stack changed at their
+// defaults: ElasticConfig keeps only the fleet bounds (the watermarks,
+// hysteresis and grow backoff are elastic's constants), FrontendConfig
+// drops SlabCutoff, and Telemetry is one switch (the sampling interval
+// and ring size are telemetry's constants).
 // The constant exists so embedders that persist configurations can tag
 // which schema they wrote.
-const ConfigVersion = 9
+const ConfigVersion = 10
 
 // RoutingPolicy selects how multi-instance handles bind to back-ends:
 // RoutingRoundRobin spreads handles across instances in creation order,
@@ -178,27 +183,8 @@ type FrontendConfig struct {
 	// interleaves half-steps between the powers of two, cutting worst-case
 	// internal fragmentation from 2x to 1.5x, and one buddy operation
 	// provisions hundreds of objects. Larger requests pass through
-	// untouched. SlabCutoff bounds the largest class (0 = the default,
-	// clamped to the geometry).
-	Slab       bool
-	SlabCutoff uint64
-}
-
-// TelemetrySettings turns the always-on telemetry layer on and tunes it;
-// the zero value disables telemetry entirely (and the stack pays
-// nothing).
-type TelemetrySettings struct {
-	// Enabled builds the stack with the telemetry layer: latency probes at
-	// every layer boundary feeding per-handle lock-free histograms
-	// (sampled, folded into retained accumulators on handle Close), and a
-	// flight-recorder event ring the lifecycle layers (elastic, mapped
-	// memory, depot, slab) publish into. Retrieve the
-	// registry with Buddy.Telemetry. Overhead is bounded by sampling — see
-	// DESIGN.md, "Observability".
-	Enabled bool
-	// TelemetryConfig tunes sampling and ring sizing; the zero value
-	// takes every default.
-	TelemetryConfig
+	// untouched. The cutoff is 2 KiB, clamped to the geometry.
+	Slab bool
 }
 
 // Config describes a buddy allocator stack (schema ConfigVersion).
@@ -234,8 +220,15 @@ type Config struct {
 	Elastic *ElasticConfig
 	// Frontend configures the layers above the router.
 	Frontend FrontendConfig
-	// Telemetry turns on and tunes the telemetry layer.
-	Telemetry TelemetrySettings
+	// Telemetry builds the stack with the telemetry layer: latency probes
+	// at every layer boundary feeding per-handle lock-free histograms
+	// (one in 256 single-chunk operations sampled, folded into retained
+	// accumulators on handle Close), and a 1024-event flight-recorder
+	// ring the lifecycle layers (elastic, mapped memory, depot, slab)
+	// publish into. Retrieve the registry with Buddy.Telemetry. False
+	// leaves telemetry out entirely, and the stack pays nothing. Overhead
+	// is bounded by sampling — see DESIGN.md, "Observability".
+	Telemetry bool
 }
 
 // Stats are the operation counters aggregated across an instance's
@@ -262,8 +255,8 @@ type Buddy struct {
 	st *stack.Stack
 }
 
-// ElasticConfig is the watermark policy of the elastic capacity manager;
-// see Config.Elastic. Zero fields take the documented defaults.
+// ElasticConfig is the fleet bounds of the elastic capacity manager; see
+// Config.Elastic. Zero fields take the documented defaults.
 type ElasticConfig = elastic.Config
 
 // ElasticManager is the capacity manager layer; see Buddy.Elastic.
@@ -280,15 +273,10 @@ var (
 )
 
 // TelemetryRegistry is the always-on telemetry root of a stack built
-// with Config.Telemetry enabled: per-layer-boundary latency percentiles via Latencies,
+// with Config.Telemetry: per-layer-boundary latency percentiles via Latencies,
 // the flight-recorder event ring via Ring, an expvar/Prometheus-text
 // HTTP handler via Handler (internal/telemetry).
 type TelemetryRegistry = telemetry.Registry
-
-// TelemetryConfig tunes the telemetry layer; the zero value takes every
-// default (sample one in 256 single-chunk operations, a 1024-event
-// ring).
-type TelemetryConfig = telemetry.Config
 
 // TelemetryEvent is one flight-recorder entry; see TelemetryRegistry.Ring.
 type TelemetryEvent = telemetry.Event
@@ -300,14 +288,13 @@ type TelemetryEvent = telemetry.Event
 // imply one routed instance when Backing.Instances is unset.
 func New(cfg Config) (*Buddy, error) {
 	s := stack.Spec{
-		Variant:    cfg.Variant,
-		Per:        alloc.Config{Total: cfg.Total, MinSize: cfg.MinSize, MaxSize: cfg.MaxSize},
-		Instances:  cfg.Backing.Instances,
-		Policy:     cfg.Backing.Routing,
-		Mapped:     cfg.Backing.Mapped,
-		Depot:      cfg.Frontend.Depot,
-		Slab:       cfg.Frontend.Slab,
-		SlabCutoff: cfg.Frontend.SlabCutoff,
+		Variant:   cfg.Variant,
+		Per:       alloc.Config{Total: cfg.Total, MinSize: cfg.MinSize, MaxSize: cfg.MaxSize},
+		Instances: cfg.Backing.Instances,
+		Policy:    cfg.Backing.Routing,
+		Mapped:    cfg.Backing.Mapped,
+		Depot:     cfg.Frontend.Depot,
+		Slab:      cfg.Frontend.Slab,
 	}
 	if s.Variant == "" {
 		s.Variant = Variant4Lvl
@@ -319,8 +306,8 @@ func New(cfg Config) (*Buddy, error) {
 	if (s.Elastic != nil || s.Mapped) && s.Instances < 1 {
 		s.Instances = 1
 	}
-	if cfg.Telemetry.Enabled {
-		s.Telemetry = telemetry.New(cfg.Telemetry.TelemetryConfig)
+	if cfg.Telemetry {
+		s.Telemetry = telemetry.New()
 	}
 	st, err := stack.Build(s)
 	if err != nil {
@@ -456,7 +443,7 @@ func (b *Buddy) Multi() *Multi { return b.st.Multi }
 func (b *Buddy) Elastic() *ElasticManager { return b.st.Elastic }
 
 // Telemetry exposes the telemetry registry (nil unless Config.Telemetry
-// was enabled): latency percentiles per layer boundary, the
+// was set): latency percentiles per layer boundary, the
 // flight-recorder ring, and the HTTP/expvar exporters.
 func (b *Buddy) Telemetry() *TelemetryRegistry { return b.st.Telemetry }
 

@@ -40,7 +40,6 @@ func TestVariantsAvailable(t *testing.T) {
 func TestVariantsClosedList(t *testing.T) {
 	want := []string{
 		"1lvl-nb", "1lvl-sl", "4lvl-nb", "4lvl-sl", "buddy-sl",
-		"depot+4lvl-nb", "depot+multi4+4lvl-nb",
 		"elastic+multi+4lvl-nb", "linux-buddy",
 		"mapped+elastic+multi+4lvl-nb", "multi4+4lvl-nb",
 		"slab+4lvl-nb", "slab+depot+multi4+4lvl-nb",
@@ -244,7 +243,7 @@ func TestMulti(t *testing.T) {
 func TestElasticFacade(t *testing.T) {
 	b, err := nbbs.New(with(func(c *nbbs.Config) {
 		c.Backing.Instances = 1
-		c.Elastic = &nbbs.ElasticConfig{MinInstances: 1, MaxInstances: 3, Hysteresis: 1}
+		c.Elastic = &nbbs.ElasticConfig{MinInstances: 1, MaxInstances: 3}
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -256,8 +255,8 @@ func TestElasticFacade(t *testing.T) {
 	if b.Instances() != 1 {
 		t.Fatalf("initial Instances = %d", b.Instances())
 	}
-	// Fill past the high watermark, poll, and the fleet grows; the new
-	// window widens Total.
+	// Fill past the high watermark, poll twice (the watermark rule's
+	// hysteresis), and the fleet grows; the new window widens Total.
 	h := b.NewHandle()
 	var live []uint64
 	for mgr.Utilization() < 0.8 {
@@ -267,6 +266,7 @@ func TestElasticFacade(t *testing.T) {
 		}
 		live = append(live, off)
 	}
+	mgr.Poll()
 	mgr.Poll()
 	if b.Instances() != 2 {
 		t.Fatalf("Instances after pressured poll = %d, want 2", b.Instances())
@@ -504,7 +504,7 @@ func TestConfigGeometry(t *testing.T) {
 func TestMappedMemoryFacade(t *testing.T) {
 	b, err := nbbs.New(with(func(c *nbbs.Config) {
 		c.Backing = nbbs.BackingConfig{Instances: 2, Mapped: true}
-		c.Elastic = &nbbs.ElasticConfig{MinInstances: 1, MaxInstances: 2, Hysteresis: 1}
+		c.Elastic = &nbbs.ElasticConfig{MinInstances: 1, MaxInstances: 2}
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -526,7 +526,8 @@ func TestMappedMemoryFacade(t *testing.T) {
 		t.Fatal("mapped window does not alias")
 	}
 	b.Free(off)
-	// An idle poll retires one instance and decommits its window.
+	// Two idle polls (the watermark rule's hysteresis) retire one instance
+	// and decommit its window.
 	b.Elastic().Poll()
 	b.Elastic().Poll()
 	if b.Instances() != 1 {
