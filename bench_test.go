@@ -13,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/frontend"
@@ -489,6 +490,61 @@ func BenchmarkStackDepotMulti(b *testing.B) {
 						b.ReportMetric(float64(cache.Hits)/float64(ops)*100, "maghit%")
 					}
 				}
+			})
+		}
+	}
+}
+
+// BenchmarkFreeBatch measures the drains that reach the leaves'
+// FreeBatch: a magazine of 32 contiguous 4 KiB chunks on the shipping
+// instance (16 MiB of 8 B units), as the depot drains them, and 512 1 KiB
+// chunks on a 4 MiB instance of 64 B units, as burst-elastic drains them.
+// Each runs on the bare 4lvl-nb leaf and through a 4-instance router of
+// such leaves. An iteration allocates the drain with AllocBatch and
+// releases it with FreeBatch; ns/chunk and RMW/chunk count the release
+// alone.
+func BenchmarkFreeBatch(b *testing.B) {
+	burst := alloc.Config{Total: 4 << 20, MinSize: 64, MaxSize: 64 << 10}
+	for _, d := range []struct {
+		name string
+		cfg  alloc.Config
+		size uint64
+		n    int
+	}{
+		{"magazine", benchInstance, 4 << 10, 32},
+		{"burst", burst, 1 << 10, 512},
+	} {
+		for _, routed := range []bool{false, true} {
+			name := d.name + "/4lvl-nb"
+			if routed {
+				name = d.name + "/multi4+4lvl-nb"
+			}
+			b.Run(name, func(b *testing.B) {
+				var a alloc.Allocator = build(b, "4lvl-nb", d.cfg)
+				if routed {
+					m, err := multi.New("4lvl-nb", 4, d.cfg, multi.RoundRobin)
+					if err != nil {
+						b.Fatal(err)
+					}
+					a = m
+				}
+				h := a.NewHandle()
+				var free time.Duration
+				var rmw uint64
+				for i := 0; i < b.N; i++ {
+					offs := alloc.HandleAllocBatch(h, d.size, d.n)
+					if len(offs) != d.n {
+						b.Fatalf("AllocBatch(%d, %d) = %d chunks on an empty instance", d.size, d.n, len(offs))
+					}
+					before := a.Stats().RMW
+					t0 := time.Now()
+					alloc.HandleFreeBatch(h, offs)
+					free += time.Since(t0)
+					rmw += a.Stats().RMW - before
+				}
+				chunks := float64(b.N * d.n)
+				b.ReportMetric(float64(free.Nanoseconds())/chunks, "ns/chunk")
+				b.ReportMetric(float64(rmw)/chunks, "RMW/chunk")
 			})
 		}
 	}

@@ -16,10 +16,12 @@ package alloc
 // offset that is not currently allocated panics.
 //
 // The leaf non-blocking allocators implement it natively (one level scan
-// collects the whole batch); the multi-instance router routes sub-batches
-// per instance; the remaining layers forward it. Layers without a native
-// implementation are served chunk-at-a-time by the AllocBatchOf /
-// FreeBatchOf shims, so the contract is optional everywhere.
+// collects the whole batch, and a release clears the chunks one bunch
+// holds with one CAS); the multi-instance router routes sub-batches per
+// instance and hands each instance its runs of a release whole; the
+// remaining layers forward it. Layers without a native implementation are
+// served chunk-at-a-time by the AllocBatchOf / FreeBatchOf shims, so the
+// contract is optional everywhere.
 type BatchAllocator interface {
 	AllocBatch(size uint64, n int) []uint64
 	FreeBatch(offsets []uint64)
@@ -27,9 +29,10 @@ type BatchAllocator interface {
 
 // BatchHandle is the per-worker face of the bulk contract, implemented by
 // the handles of layers with native batching (the non-blocking leaves
-// collect a batch in one level scan; the router handle routes sub-batches
-// per instance). Handles without it are served by the HandleAllocBatch /
-// HandleFreeBatch shims. Like Handle, not safe for concurrent use.
+// collect a batch in one level scan and release a bunch's chunks with one
+// CAS; the router handle routes sub-batches per instance). Handles
+// without it are served by the HandleAllocBatch / HandleFreeBatch shims.
+// Like Handle, not safe for concurrent use.
 type BatchHandle interface {
 	AllocBatch(size uint64, n int) []uint64
 	FreeBatch(offsets []uint64)

@@ -574,48 +574,78 @@ func (a *Allocator) group(n, hi uint64, want int, w, to uint64) (uint64, uint) {
 // served the offset from index[] and releases it all the way up to the
 // level covering MaxLevel. A node below the rover of its level rewinds
 // the rover to it, so this handle's next scan of the level starts there
-// (the tryAlloc rollback goes through freeNode and leaves it). Freeing an offset that is not currently delivered (a double free
-// or a foreign pointer) panics, mirroring the abort-on-misuse convention
-// of production allocators.
+// (the tryAlloc rollback goes through freeNode and leaves it). Freeing an
+// offset that is not currently delivered (a double free or a foreign
+// pointer) panics, mirroring the abort-on-misuse convention of production
+// allocators.
 func (h *Handle) Free(offset uint64) {
 	a := h.a
-	if offset >= a.geo.Total || offset&(a.geo.MinSize-1) != 0 {
-		panic(fmt.Sprintf("bunch: Free(%#x): offset outside the managed region or unaligned", offset))
+	if a.outside(offset) {
+		misuse(offset, false)
 	}
-	n := h.swapIndex(a.headSlot(offset), 0)
+	n := uint64(h.swapIndex(a.headSlot(offset), 0))
 	if n == 0 {
-		panic(fmt.Sprintf("bunch: Free(%#x): offset not currently allocated (double free?)", offset))
+		misuse(offset, true)
 	}
-	h.freeNode(uint64(n), a.top)
+	h.freeNode(n, a.top)
 	h.stats.Frees++
-	l := geometry.LevelOf(uint64(n))
-	if r := h.rel(uint64(n), l); r < h.rover[l] {
+	l := geometry.LevelOf(n)
+	if r := h.rel(n, l); r < h.rover[l] {
 		h.rover[l] = r
 	}
+}
+
+// outside reports whether offset lies outside the managed region or off
+// the allocation-unit grid, where no chunk head can be.
+func (a *Allocator) outside(offset uint64) bool {
+	return offset >= a.geo.Total || offset&(a.geo.MinSize-1) != 0
+}
+
+// misuse panics for the release of an offset that is not a delivered
+// chunk head: one outside the region or unaligned, or one whose index
+// entry was already 0 (swapped).
+func misuse(offset uint64, swapped bool) {
+	reason := "offset outside the managed region or unaligned"
+	if swapped {
+		reason = "offset not currently allocated (double free?)"
+	}
+	panic(fmt.Sprintf("bunch: Free(%#x): %s", offset, reason))
 }
 
 // freeNode is the paper's FREENODE (Algorithm 3). It releases node n,
 // propagating through materialized levels down to ubLam (the bunch-leaf
 // level the release must reach). For a real free ubLam covers MaxLevel;
 // for a tryAlloc rollback it is the level just below the conflict point.
+// Phase 1 leaves n's own bunch unless a derived buddy, one of the nodes
+// interior to the bunch that pair with n's branch, is occupied and not
+// coalescing, because the merge cannot proceed past a fragmented buddy
+// (paper Figure 4). Those buddies are derived from one load of n's word.
 func (h *Handle) freeNode(n uint64, ubLam int) {
 	a := h.a
 	nLevel := geometry.LevelOf(n)
 	word, field, count, leafLevel := a.nodeWord(n)
-	first := n << uint(leafLevel-nLevel) // n's first covered leaf
+	// Only a node covering less than its whole bunch has derived buddies
+	// (never at k = 1).
+	climb := leafLevel-a.k >= ubLam &&
+		(count == a.bunchLanes || !derivedArrest(word.Load(), field, count, a.bunchLanes))
+	h.release(word, n<<uint(leafLevel-nLevel), leafLevel, ubLam, status.FieldMask(field, count), climb)
+}
 
+// release runs FREENODE's three phases for the fields clear of word, which
+// lie in the bunch of materialized level leafLevel that holds lane first.
+// climb is phase 1's verdict on that bunch's derived buddies, which the
+// caller draws: freeNode for one node, releaseGroup for a batch's group.
+func (h *Handle) release(word *atomic.Uint64, first uint64, leafLevel, ubLam int, clear uint64, climb bool) {
+	a := h.a
 	// Phase 1: mark the climb path as coalescing so racing operations know
 	// a release is in flight (lines F2-F18). The climb is arrested at a
-	// node whose other branch is occupied (and not itself coalescing),
-	// because the merge cannot proceed past a fragmented buddy (paper
-	// Figure 4). The buddies at the levels interior to the bunch just
-	// left are derived from the witnessed word, and the buddy at the
-	// explicit step is read from the ancestor's own field.
+	// node whose other branch is occupied (and not itself coalescing). The
+	// buddies at the levels interior to each bunch above the first are
+	// derived from the witnessed word, and the buddy at the explicit step
+	// is read from the ancestor's own field.
 	k, lanes := a.k, a.bunchLanes
-	cur, low, lowCount := first, word.Load(), count
-	for lam := leafLevel - k; lam >= ubLam; lam -= k {
-		// Only a node covering less than its whole bunch has derived
-		// buddies (never at k = 1).
+	cur, low, lowCount := first, uint64(0), lanes
+	for lam := leafLevel - k; climb && lam >= ubLam; lam -= k {
 		if lowCount < lanes && derivedArrest(low, int(cur&7), lowCount, lanes) {
 			break
 		}
@@ -647,24 +677,22 @@ func (h *Handle) freeNode(n uint64, ubLam int) {
 		cur, low, lowCount = anc, witnessed, 1
 	}
 
-	// Phase 2: release n itself by clearing all its covered fields (line
-	// F19). The paper's plain store becomes a CAS loop because sibling
-	// lanes of the word may be mutating concurrently and must not be
-	// clobbered. (An atomic And would do it in one guaranteed RMW, but see
-	// the intrinsic caveat in phase 1.) Under the lock it is the plain store
-	// again.
-	clearMask := status.FieldMask(field, count)
+	// Phase 2: release the fields (line F19). The paper's plain store
+	// becomes a CAS loop because sibling lanes of the word may be mutating
+	// concurrently and must not be clobbered. (An atomic And would do it in
+	// one guaranteed RMW, but see the intrinsic caveat in phase 1.) Under
+	// the lock it is the plain store again.
 	var afterRelease uint64
 	for {
 		w := word.Load()
-		afterRelease = w &^ clearMask
+		afterRelease = w &^ clear
 		if h.cas(word, w, afterRelease) {
 			break
 		}
 	}
 
 	// Phase 3: propagate the release towards the upper bound.
-	if nLevel > ubLam { // else n is at (or above) the destination level: no climb happened
+	if leafLevel > ubLam { // else the fields are at the destination level: no climb happened
 		h.unmark(first, leafLevel, ubLam, afterRelease)
 	}
 }

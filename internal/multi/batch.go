@@ -4,10 +4,10 @@ package multi
 // splitting batches per instance. A bulk allocation asks the preferred
 // instance for the whole batch and falls back to the other instances for
 // the remainder (the per-chunk zone-fallback discipline, applied once per
-// sub-batch instead of once per chunk); a bulk release groups the global
-// offsets by owning instance and hands each instance its group in one
-// call, so a depot drain crossing the router stays one operation per
-// instance rather than one per chunk.
+// sub-batch instead of once per chunk); a bulk release hands each run of
+// consecutive offsets that one instance owns to that instance in one
+// call, so a drain of chunks one instance served crosses the router as
+// one operation rather than one per chunk.
 //
 // The failure hints follow the single-chunk rules: a sub-batch the leaf
 // serves short sets the slot's bit, hinted slots are skipped on the first
@@ -18,9 +18,9 @@ package multi
 // same cell discipline as the single-chunk paths: the handle's live cell
 // on the slot is raised by the full requested amount before the state
 // check and settled to the delivered amount afterwards, and batch frees
-// decrement it only after the instance-level release completed. The
-// release groups live in handle-owned scratch slices, so a bulk free
-// allocates nothing once the scratch has grown to the batch size.
+// decrement it only after the instance-level release completed. Each
+// release run is rebased in a handle-owned scratch slice, so a bulk free
+// allocates nothing once the scratch has grown to the longest run.
 
 import (
 	"math/bits"
@@ -126,49 +126,48 @@ func (h *Handle) take(out, got []uint64, k, d int) []uint64 {
 	return out
 }
 
-// FreeBatch implements alloc.BatchHandle: offsets are grouped by owning
-// instance and each group is released in one per-instance call.
+// FreeBatch implements alloc.BatchHandle in one pass over the offsets:
+// each maximal run of consecutive offsets that one instance owns is
+// rebased into the handle's scratch and released in one call to that
+// instance (releaseRun). Only a run's first offset is routed; the rest
+// join it while their slot bits match. An offset that routes to no
+// instance panics, after the runs before it were released, as an
+// offset a leaf does not hold panics after the entries before it.
 func (h *Handle) FreeBatch(offsets []uint64) {
-	if len(offsets) == 0 {
-		return
-	}
 	m := h.m
 	t := m.tab.Load()
 	h.syncTable(t)
-	for len(h.groups) < len(t.slots) {
-		h.groups = append(h.groups, nil)
-	}
-	// Reset every group up front, not after its release: a release that
-	// panics must not leave offsets behind for the next call.
-	groups := h.groups[:len(t.slots)]
-	for k := range groups {
-		groups[k] = groups[k][:0]
-	}
-	for _, off := range offsets {
-		k, local, _ := m.route(t, off)
-		groups[k] = append(groups[k], local)
-	}
-	for k, group := range groups {
-		if len(group) == 0 {
-			continue
+	for i := 0; i < len(offsets); {
+		k, _, s := m.route(t, offsets[i])
+		base := uint64(k) << m.spanShift
+		run := h.scratch[:0]
+		for ; i < len(offsets) && offsets[i]>>m.spanShift == uint64(k); i++ {
+			run = append(run, offsets[i]-base)
 		}
-		s := t.slots[k]
-		r := h.sub(s, k)
-		var bytes int64
-		if r.cell != nil {
-			// Read reserved sizes before the release clears the metadata.
-			for _, local := range group {
-				bytes += int64(s.sizer.ChunkSize(local))
-			}
-		}
-		alloc.HandleFreeBatch(r.h, group)
-		s.clearFull()
-		if c := r.cell; c != nil {
-			add(&c.bytes, -bytes)
-			add(&c.n, int64(-len(group)))
-		}
-		h.stats.Frees += uint64(len(group))
+		h.scratch = run
+		h.releaseRun(s, k, run)
 	}
+}
+
+// releaseRun releases a run of slot k's local offsets in one leaf call.
+// With live tracking the handle's cell on the slot drops by the run only
+// after the release completed, as for a single Free.
+func (h *Handle) releaseRun(s *slot, k int, run []uint64) {
+	r := h.sub(s, k)
+	var bytes int64
+	if r.cell != nil {
+		// Read reserved sizes before the release clears the metadata.
+		for _, local := range run {
+			bytes += int64(s.sizer.ChunkSize(local))
+		}
+	}
+	alloc.HandleFreeBatch(r.h, run)
+	s.clearFull()
+	if c := r.cell; c != nil {
+		add(&c.bytes, -bytes)
+		add(&c.n, int64(-len(run)))
+	}
+	h.stats.Frees += uint64(len(run))
 }
 
 // AllocBatch implements alloc.BatchAllocator through a recycled

@@ -200,12 +200,13 @@ type table struct {
 // Multi is a set of same-geometry back-end instances behind one offset
 // space: instance k serves global offsets [k*Total, (k+1)*Total).
 type Multi struct {
-	variant  string
-	cfg      alloc.Config
-	policy   Policy
-	span     uint64 // per-instance managed bytes
-	geo      geometry.Geometry
-	leafName string
+	variant   string
+	cfg       alloc.Config
+	policy    Policy
+	span      uint64 // per-instance managed bytes, a power of two
+	spanShift uint   // log2(span): offset>>spanShift is the offset's slot
+	geo       geometry.Geometry
+	leafName  string
 	// trackLive enables the per-slot live accounting the elastic lifecycle
 	// needs. It must be set (EnableLiveTracking) before the router serves
 	// any traffic and never changes afterwards.
@@ -238,7 +239,11 @@ func New(variant string, count int, cfg alloc.Config, policy Policy) (*Multi, er
 	if count <= 0 {
 		return nil, fmt.Errorf("multi: instance count %d must be positive", count)
 	}
-	m := &Multi{variant: variant, cfg: cfg, policy: policy, span: cfg.Total}
+	if cfg.Total == 0 || cfg.Total&(cfg.Total-1) != 0 {
+		return nil, fmt.Errorf("multi: instance span %d is not a power of two", cfg.Total)
+	}
+	m := &Multi{variant: variant, cfg: cfg, policy: policy, span: cfg.Total,
+		spanShift: uint(bits.TrailingZeros64(cfg.Total))}
 	m.conv.New = func() *Handle { return m.newHandle(m.prefer()) }
 	slots := make([]*slot, count)
 	for i := 0; i < count; i++ {
@@ -381,7 +386,7 @@ func (m *Multi) Instance(k int) alloc.Allocator {
 }
 
 // InstanceOf returns which instance slot serves a global offset.
-func (m *Multi) InstanceOf(offset uint64) int { return int(offset / m.span) }
+func (m *Multi) InstanceOf(offset uint64) int { return int(offset >> m.spanShift) }
 
 // route validates a global offset and splits it into (slot, local).
 func (m *Multi) route(t *table, offset uint64) (int, uint64, *slot) {
@@ -797,9 +802,10 @@ type Handle struct {
 	pref    int
 	tabSeen *table
 	subs    []subRef
-	// groups is FreeBatch's per-slot scratch; the leaves' FreeBatch does
-	// not retain its argument, so the slices are reused call after call.
-	groups    [][]uint64
+	// scratch holds the run of local offsets FreeBatch hands a leaf; the
+	// leaves' FreeBatch does not retain its argument, so it is reused
+	// call after call.
+	scratch   []uint64
 	stats     alloc.Stats
 	fallbacks uint64
 	// hintSkips counts hinted slots this handle's allocations skipped and
