@@ -367,7 +367,7 @@ func BenchmarkAblationLockKind(b *testing.B) {
 
 // BenchmarkAblationFrontend measures the future-work composition: the
 // Larson pattern straight on the back-end versus through per-worker
-// caching magazines and their depot.
+// caching magazines.
 func BenchmarkAblationFrontend(b *testing.B) {
 	threads := runtime.GOMAXPROCS(0)
 	const slots = 2048
@@ -497,8 +497,9 @@ func BenchmarkStackDepotMulti(b *testing.B) {
 
 // BenchmarkFreeBatch measures the drains that reach the leaves'
 // FreeBatch: a magazine of 32 contiguous 4 KiB chunks on the shipping
-// instance (16 MiB of 8 B units), as the depot drains them, and 512 1 KiB
-// chunks on a 4 MiB instance of 64 B units, as burst-elastic drains them.
+// instance (16 MiB of 8 B units), as a full front-end magazine drains
+// them, and 512 1 KiB chunks on a 4 MiB instance of 64 B units, as
+// burst-elastic drains them.
 // Each runs on the bare 4lvl-nb leaf and through a 4-instance router of
 // such leaves. An iteration allocates the drain with AllocBatch and
 // releases it with FreeBatch; ns/chunk and RMW/chunk count the release

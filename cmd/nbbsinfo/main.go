@@ -13,7 +13,7 @@
 //
 //	nbbsinfo -total 67108864 -min 8 -max 16384
 //	nbbsinfo -total 16777216 -min 64 -max 65536 \
-//	    -instances 4 -depot -mem -demo-ops 200000   # depot_* layer counters
+//	    -instances 4 -depot -mem -demo-ops 200000   # magazine counters
 //	nbbsinfo -instances 4 -depot -slab -demo-ops 200000  # per-class slab table
 //	nbbsinfo -instances 2 -elastic -elastic-max 4 -demo-ops 400000
 //	    # watermark config, per-instance utilization, lifecycle counters,
@@ -45,7 +45,7 @@ func main() {
 		maxSize    = flag.Uint64("max", 16<<10, "maximum request size in bytes (power of two)")
 		variant    = flag.String("variant", nbbs.Variant4Lvl, "allocator variant for -demo-ops")
 		instances  = flag.Int("instances", 1, "back-end instances (multi-instance router layer)")
-		depot      = flag.Bool("depot", false, "layer the caching front-end (magazines and their shared depot) over the back-end")
+		depot      = flag.Bool("depot", false, "layer the caching front-end (per-worker magazines) over the back-end")
 		slabFlag   = flag.Bool("slab", false, "layer the size-class slab over the stack (prints the per-class run/occupancy table)")
 		mapped     = flag.Bool("mem", false, "back instance windows with mapped memory following the slot lifecycle (the demo touches every chunk's bytes; prints the commit map)")
 		elasticOn  = flag.Bool("elastic", false, "wrap the router with the elastic capacity manager (demo polls it in the background)")
@@ -163,7 +163,7 @@ func demo(cfg nbbs.Config, ops, workers int, latency, events bool) {
 	wg.Wait()
 	if mgr := b.Elastic(); mgr != nil {
 		// Scrub is quiescent-only: the background poller must stop before
-		// it, or a concurrent Poll could batch-free depot magazines into
+		// it, or a concurrent Poll could make the slab release runs into
 		// the leaves mid-rebuild.
 		mgr.Stop()
 	}

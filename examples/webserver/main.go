@@ -121,8 +121,8 @@ func main() {
 	}
 	wg.Wait()
 
-	// Tear down live connections, then drain the magazines the workers
-	// parked in the depot so every layer below reconciles.
+	// Tear down live connections, then drain the chunks the workers'
+	// magazines still hold so every layer below reconciles.
 	for i := range table {
 		if v := table[i].Swap(0); v != 0 {
 			b.Free(v - 1)

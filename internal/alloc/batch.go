@@ -2,7 +2,7 @@ package alloc
 
 // BatchAllocator is the bulk-transfer contract of the layer stack: layers
 // that can move many same-size chunks across a layer boundary in one call
-// implement it, and the caching front-end's depot uses it so magazine
+// implement it, and the caching front-end uses it so magazine
 // refills and drains hit the back-end as one operation instead of a
 // chunk-at-a-time loop.
 //

@@ -15,7 +15,7 @@
 // when one exists, re-activating a draining slot when pressure returns
 // mid-drain). A shrink is three-phase: the victim slot is marked draining
 // (allocations skip it, frees keep landing on it by offset), the manager
-// waits for the slot's live-chunk count to reach zero — triggering depot
+// waits for the slot's live-chunk count to reach zero — triggering
 // drains through registered hooks so parked magazines cannot stall it —
 // and only then unpublishes the slot. See DESIGN.md, "The elastic
 // instance lifecycle", for the memory-ordering argument.
@@ -146,9 +146,9 @@ type Action struct {
 
 // DrainHook is called when the manager needs chunks of the global offset
 // window [lo, hi) returned to the back-end — when a drain starts and on
-// every Poll while it is pending. The caching front-end registers one
-// that drains depot-parked magazines overlapping the window, so chunks
-// idling in the depot cannot stall a retirement forever.
+// every Poll while it is pending. The caching front-end and the slab
+// register one that arms their drain fence, so chunks idling in a
+// worker's magazine cannot stall a retirement forever.
 type DrainHook func(lo, hi uint64)
 
 // Manager wraps the multi-instance router with the elastic capacity
@@ -320,7 +320,7 @@ func (mgr *Manager) Poll() Action {
 	act := Action{Grew: -1, Reactivated: -1, DrainStarted: -1}
 
 	// Phase 1: push pending drains toward zero live and retire the ones
-	// that got there. The depot hook runs first so magazines parked since
+	// that got there. The drain hooks run first so caches filled since
 	// the last Poll go back down before the live check. A slot pinned by
 	// a straggler stays draining until its owner frees (DrainAges shows
 	// how long it has waited).

@@ -6,15 +6,13 @@
 //
 // Each worker handle keeps small per-size-class magazines of chunks
 // obtained from the back-end: allocations are served from the magazine
-// when possible and frees refill it. Full and empty magazines are
-// exchanged whole with a shared per-size-class depot in O(1) — the
-// magazine/depot discipline of cached kernel allocators [3] — and only
-// depot misses (batch refill) and depot overflows (batch drain) cross
-// into the back-end, through the alloc.BatchAllocator bulk contract (see
-// DESIGN.md, "The bulk-transfer contract and the magazine depot"). The
-// interesting property in combination with the non-blocking back-end is
-// that those crossings — the cross-thread contention points of a cached
-// design — hit an allocator that does not serialize them.
+// when possible and frees refill it. An empty magazine refills with one
+// back-end AllocBatch of half a magazine, and a full one drains whole
+// with one FreeBatch, through the alloc.BatchAllocator bulk contract (see
+// DESIGN.md, "Magazines over the non-blocking back-end"). There is no
+// shared tier between the workers: the cross-thread contention points of
+// a cached design go straight to an allocator that does not serialize
+// them, which is the property the paper's conclusions point to.
 //
 // The front-end is a composable layer (see DESIGN.md): it works over any
 // alloc.Allocator that implements alloc.ChunkSizer — a leaf variant, a
@@ -46,10 +44,8 @@ type Allocator struct {
 	alloc.Layer
 	geo    geometry.Geometry
 	magCap int
-	// depot is the shared magazine exchange: overflowing handles park
-	// full magazines there in O(1), and dry handles grab them back.
-	// refill is the batch size of a back-end refill after a depot miss.
-	depot  *Depot
+	// refill is the batch size of a back-end refill into an empty
+	// magazine.
 	refill int
 
 	reg         alloc.Registry[*Handle]
@@ -61,26 +57,27 @@ type Allocator struct {
 	// fence is armed by DrainDepotRange; handles flush magazines
 	// overlapping a retiring window on their next operation.
 	fence alloc.DrainFence
+
+	// sink, when non-nil, receives one call per back-end refill and
+	// magazine drain for the telemetry flight recorder (a = class index,
+	// b = chunks moved). Installed during stack construction, before
+	// handles exist; the ring it publishes into is itself
+	// concurrency-safe, so handles call it without coordination.
+	sink func(event string, a, b uint64)
 }
 
-// Option tunes the front-end beyond the magazine capacity.
+// Option is the type of New's optional arguments; WithDepot is the only one.
 type Option func(*Allocator)
 
-// WithDepot sets the depot's bound on full magazines retained per class
-// (0 = DefaultDepotCapacity).
-func WithDepot(capacity int) Option {
-	return func(a *Allocator) {
-		if capacity > 0 {
-			a.depot.cap = capacity
-		}
-	}
-}
+// WithDepot is a no-op: it sized the shared magazine depot the front-end
+// no longer has, and stays so that callers passing it still compile.
+func WithDepot(int) Option { return func(*Allocator) {} }
 
 // New layers a front-end over the given back-end, which must implement
 // alloc.ChunkSizer (every layer in this repository does): frees enter the
 // magazine of the size class the chunk was reserved at, which only the
-// back-end metadata knows.
-func New(backend alloc.Allocator, magCap int, opts ...Option) (*Allocator, error) {
+// back-end metadata knows. Options are ignored (see WithDepot).
+func New(backend alloc.Allocator, magCap int, _ ...Option) (*Allocator, error) {
 	layer, err := alloc.NewLayer(backend)
 	if err != nil {
 		return nil, fmt.Errorf("frontend: %w", err)
@@ -88,23 +85,25 @@ func New(backend alloc.Allocator, magCap int, opts ...Option) (*Allocator, error
 	if magCap <= 0 {
 		magCap = DefaultMagazine
 	}
-	geo := backend.Geometry()
-	a := &Allocator{
-		Layer: layer, geo: geo, magCap: magCap,
-		depot:  newDepot(geo.Depth - geo.MaxLevel + 1),
+	return &Allocator{
+		Layer: layer, geo: backend.Geometry(), magCap: magCap,
 		refill: max(1, magCap/2),
-	}
-	for _, o := range opts {
-		o(a)
-	}
-	return a, nil
+	}, nil
 }
 
 // Name implements alloc.Allocator.
 func (a *Allocator) Name() string { return "depot+" + a.Layer.Name() }
 
-// Depot exposes the shared magazine depot.
-func (a *Allocator) Depot() *Depot { return a.depot }
+// SetEventSink installs the flight-recorder publish hook for back-end
+// refills and magazine drains. Install before traffic; nil uninstalls.
+func (a *Allocator) SetEventSink(fn func(event string, a, b uint64)) { a.sink = fn }
+
+// emit publishes a back-end crossing. Nil-safe.
+func (a *Allocator) emit(event string, x, y uint64) {
+	if a.sink != nil {
+		a.sink(event, x, y)
+	}
+}
 
 // Alloc implements alloc.Allocator by passing through to the back-end:
 // caching only pays per-worker, so the convenience path does not cache.
@@ -181,68 +180,45 @@ func (a *Allocator) CacheTotals() CacheStats {
 }
 
 // Scrub implements alloc.Scrubber for the stack: it flushes every
-// handle's magazines back to the back-end, drains the depot (depot
-// residency does not survive a quiesce — every parked magazine goes back
-// down, each as one batch), then forwards Scrub inward. Magazines are
-// per-worker state, so this is strictly quiescent-only — no handle may be
-// in use concurrently.
+// handle's magazines back to the back-end, then forwards Scrub inward.
+// Magazines are per-worker state, so this is strictly quiescent-only —
+// no handle may be in use concurrently.
 func (a *Allocator) Scrub() {
 	var handles []*Handle
 	a.reg.Walk(func(live []*Handle) { handles = append(handles, live...) })
 	for _, h := range handles {
 		h.Flush()
 	}
-	for _, mag := range a.depot.DrainAll() {
-		a.Layer.FreeBatch(mag)
-	}
 	a.Layer.Scrub()
 }
 
-// DrainDepotRange evicts every depot-parked magazine holding a chunk of
-// the global offset window [lo, hi) and batch-frees it to the back-end —
-// the elastic manager's drain hook: without it, magazines idling in the
-// depot would pin a draining instance's live count above zero forever.
-// Unlike Scrub this is safe concurrently with traffic: the depot is
-// internally locked and the frees go down the thread-safe batched
-// convenience path.
-//
-// Per-worker handle magazines are single-owner state, so they cannot be
-// flushed from here; instead the call arms the drain fence — the window
-// is recorded and the drain epoch bumped, and each handle flushes its
-// overlapping magazines on its own next operation. The elastic manager
-// re-invokes the hook on every Poll, so retirement converges as soon as
-// every parking worker has performed one operation — no idle-worker
-// churn or quiescent Scrub required.
-func (a *Allocator) DrainDepotRange(lo, hi uint64) {
-	// No front-end stats here: a drained chunk's free was counted when a
-	// worker parked it, exactly like the Scrub-path depot drain.
-	for _, mag := range a.depot.DrainRange(lo, hi) {
-		a.Layer.FreeBatch(mag)
-	}
-	a.fence.Arm(lo, hi)
-}
+// DrainDepotRange is the elastic manager's drain hook for the offset
+// window [lo, hi): it arms the drain fence — the window is recorded and
+// the drain epoch bumped — and each handle flushes its magazines holding
+// a chunk of the window on its own next operation (per-worker magazines
+// are single-owner state, so they cannot be flushed from here). The
+// elastic manager re-invokes the hook on every Poll, so retirement
+// converges as soon as every caching worker has performed one operation —
+// no idle-worker churn or quiescent Scrub required. Safe concurrently
+// with traffic.
+func (a *Allocator) DrainDepotRange(lo, hi uint64) { a.fence.Arm(lo, hi) }
 
 // LayerStats implements alloc.LayerStatser: the front-end entry with its
-// magazine counters, then the wrapped stack's entries.
+// magazine counters, then the wrapped stack's entries. The entry keeps the
+// "depot" label, and depot_batch_refills / depot_drained_chunks repeat
+// misses / spills under the keys the benchmark reads.
 func (a *Allocator) LayerStats() []alloc.LayerStats {
 	cache := a.CacheTotals()
-	ds := a.depot.Stats()
 	entry := alloc.LayerStats{
 		Layer: "depot",
 		Stats: a.Stats(),
 		Extra: map[string]uint64{
-			"hits":                  cache.Hits,
-			"misses":                cache.Misses,
-			"spills":                cache.Spills,
-			"refills":               cache.Refills,
-			"depot_full_pushes":     ds.FullPushes,
-			"depot_full_pops":       ds.FullPops,
-			"depot_pop_misses":      ds.PopMisses,
-			"depot_drains":          ds.Drains,
-			"depot_drained_chunks":  ds.DrainedChunks,
-			"depot_batch_refills":   ds.Refills,
-			"depot_refilled_chunks": ds.RefilledChunks,
-			"depot_retained_chunks": uint64(a.depot.Retained()),
+			"hits":                 cache.Hits,
+			"misses":               cache.Misses,
+			"spills":               cache.Spills,
+			"refills":              cache.Refills,
+			"depot_batch_refills":  cache.Misses,
+			"depot_drained_chunks": cache.Spills,
 		},
 	}
 	return append([]alloc.LayerStats{entry}, a.Layer.LayerStats()...)
@@ -264,7 +240,7 @@ func (a *Allocator) NewHandle() alloc.Handle {
 // CacheStats counts magazine behaviour per handle.
 type CacheStats struct {
 	Hits    uint64 // allocations served from a magazine
-	Misses  uint64 // allocations the depot could not serve (one back-end refill each)
+	Misses  uint64 // allocations a magazine could not serve (one back-end refill each)
 	Spills  uint64 // chunks drained or flushed from magazines to the back-end
 	Refills uint64 // frees absorbed into a magazine
 }
@@ -318,9 +294,8 @@ func (h *Handle) checkDrain() {
 	}
 }
 
-// Alloc serves from the size class magazine. An empty magazine is
-// exchanged for a full one from the depot in O(1), and only a depot miss
-// reaches the back-end — as one batch refill.
+// Alloc serves from the size class magazine; an empty magazine reaches
+// the back-end as one batch refill.
 func (h *Handle) Alloc(size uint64) (uint64, bool) {
 	h.checkDrain()
 	if size > h.a.geo.MaxSize {
@@ -336,17 +311,9 @@ func (h *Handle) Alloc(size uint64) (uint64, bool) {
 		h.stats.Allocs++
 		return off, true
 	}
-	d := h.a.depot
-	if mag, ok := d.ExchangeFull(cls, h.mags[cls]); ok {
-		off := mag[len(mag)-1]
-		h.mags[cls] = mag[:len(mag)-1]
-		h.cache.Hits++
-		h.stats.Allocs++
-		return off, true
-	}
-	// Depot miss: one back-end trip restocks the magazine. The batch
-	// requests the class's reserved size so every refilled chunk
-	// classifies back into this magazine.
+	// Miss: one back-end trip restocks the magazine. The batch requests
+	// the class's reserved size so every refilled chunk classifies back
+	// into this magazine.
 	batch := alloc.HandleAllocBatch(h.back, h.a.geo.SizeOfLevel(level), h.a.refill)
 	h.cache.Misses++
 	if len(batch) == 0 {
@@ -355,30 +322,23 @@ func (h *Handle) Alloc(size uint64) (uint64, bool) {
 	}
 	off := batch[len(batch)-1]
 	h.mags[cls] = append(h.mags[cls], batch[:len(batch)-1]...)
-	d.noteRefill(len(batch))
+	h.a.emit("refill", uint64(cls), uint64(len(batch)))
 	h.stats.Allocs++
 	return off, true
 }
 
-// Free pushes the chunk into its class magazine. A full magazine is
-// parked whole in the depot in O(1) or, at depot capacity, drained to the
-// back-end as one batch.
+// Free pushes the chunk into its class magazine. A full magazine drains
+// whole to the back-end as one batch first.
 func (h *Handle) Free(offset uint64) {
 	h.checkDrain()
 	size := h.a.ChunkSize(offset)
 	cls := h.class(h.a.geo.LevelForSize(size))
 	mag := h.mags[cls]
 	if len(mag) >= h.a.magCap {
-		if fresh, ok := h.a.depot.ExchangeEmpty(cls, mag); ok {
-			if fresh == nil {
-				fresh = make([]uint64, 0, h.a.magCap)
-			}
-			mag = fresh
-		} else {
-			alloc.HandleFreeBatch(h.back, mag)
-			h.cache.Spills += uint64(len(mag))
-			mag = mag[:0]
-		}
+		alloc.HandleFreeBatch(h.back, mag)
+		h.cache.Spills += uint64(len(mag))
+		h.a.emit("drain", uint64(cls), uint64(len(mag)))
+		mag = mag[:0]
 	}
 	h.mags[cls] = append(mag, offset)
 	h.cache.Refills++

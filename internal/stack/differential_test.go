@@ -51,10 +51,10 @@ func TestDifferentialRegistryComposites(t *testing.T) {
 }
 
 // TestDifferentialDepotElastic fuzzes the full elastic cooperation path:
-// the magazine depot stacked over the capacity manager, so the
-// interleaved Shrink/Poll steps exercise the depot drain hook — parked
-// magazines overlapping a draining instance's window must go back down
-// for its live count to reach zero.
+// the caching front-end stacked over the capacity manager, so the
+// interleaved Shrink/Poll steps exercise its drain hook — magazines
+// holding a draining instance's chunks must go back down through the
+// drain fence for its live count to reach zero.
 func TestDifferentialDepotElastic(t *testing.T) {
 	t.Parallel()
 	alloctest.RunDifferential(t, func(t *testing.T, total, minSize, maxSize uint64) alloc.Allocator {

@@ -63,13 +63,13 @@ func TestGeometryEdgeCases(t *testing.T) {
 			return st.Top
 		}
 	}
-	// cached puts the front-end over a 4lvl-nb leaf at magazine and depot
-	// capacities below the defaults stack.Build uses, so the tiny shapes
-	// still overflow a magazine and fill the depot.
-	cached := func(magCap, depotCap int) func(t *testing.T, s shape) alloc.Allocator {
+	// cached puts the front-end over a 4lvl-nb leaf at a magazine
+	// capacity below the default stack.Build uses, so the tiny shapes
+	// still overflow a magazine.
+	cached := func(magCap int) func(t *testing.T, s shape) alloc.Allocator {
 		return func(t *testing.T, s shape) alloc.Allocator {
 			t.Helper()
-			fe, err := frontend.New(leaf("4lvl-nb")(t, s), magCap, frontend.WithDepot(depotCap))
+			fe, err := frontend.New(leaf("4lvl-nb")(t, s), magCap)
 			if err != nil {
 				t.Fatalf("frontend.New: %v", err)
 			}
@@ -79,8 +79,8 @@ func TestGeometryEdgeCases(t *testing.T) {
 	builds := []build{
 		{"1lvl-nb", leaf("1lvl-nb")},
 		{"4lvl-nb", leaf("4lvl-nb")},
-		{"depot-mag8", cached(8, 0)},
-		{"depot", cached(4, 2)},
+		{"depot-mag8", cached(8)},
+		{"depot", cached(4)},
 		{"depot+multi2", stacked(stack.Spec{Variant: "4lvl-nb", Depot: true, Instances: 2})},
 	}
 
@@ -130,9 +130,9 @@ func TestGeometryEdgeCases(t *testing.T) {
 	}
 
 	// Bulk through a caching handle whose magazine is far smaller than
-	// the batch: the shim must spill correctly through magazine and depot.
+	// the batch: the shim must spill correctly through the magazine.
 	t.Run("batch-over-magazine/handle", func(t *testing.T) {
-		fe := cached(4, 2)(t, shape{"batch-over-magazine", 1 << 14, 64, 1 << 10})
+		fe := cached(4)(t, shape{"batch-over-magazine", 1 << 14, 64, 1 << 10})
 		h := fe.NewHandle()
 		got := alloc.HandleAllocBatch(h, 64, 100) // 25x the magazine capacity
 		if len(got) != 100 {

@@ -65,8 +65,8 @@ func TestElasticRetireWithIdleParkedWorker(t *testing.T) {
 	}
 
 	// Park six of the worker's chunks in its magazine (capacity
-	// frontend.DefaultMagazine, so nothing spills to the depot) and release the rest through the
-	// convenience path, which goes straight down. The victim window now
+	// frontend.DefaultMagazine, so nothing drains) and release the rest
+	// through the convenience path, which goes straight down. The victim window now
 	// has live chunks held only inside the idle worker's magazines.
 	for _, off := range offs[:6] {
 		worker.Free(off)

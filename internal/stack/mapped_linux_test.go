@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/elastic"
-	"repro/internal/frontend"
 	"repro/internal/mem"
 	"repro/internal/multi"
 	"repro/internal/stack"
@@ -33,33 +32,25 @@ func rssBytes(t *testing.T) uint64 {
 
 // TestMappedSawtoothAccountingReconciles drives one burst sawtooth —
 // ramp to the peak, hold, drain to near-empty, hold — through a mapped
-// depot+elastic stack and checks, at every lifecycle edge, that the
-// three views of committed memory agree: the region's own Stats, the
-// published-slot count times the window size, and the mem_* keys the
-// router surfaces through LayerStats. On this platform (the mapped
-// backend is real) the process RSS must also fall with the decommits.
+// depot+elastic stack at the default magazine capacity and checks, at
+// every lifecycle edge, that the three views of committed memory agree:
+// the region's own Stats, the published-slot count times the window
+// size, and the mem_* keys the router surfaces through LayerStats. On
+// this platform (the mapped backend is real) the process RSS must also
+// fall with the decommits, and the fleet must retire to its floor.
 func TestMappedSawtoothAccountingReconciles(t *testing.T) {
 	perBig := alloc.Config{Total: 4 << 20, MinSize: 64, MaxSize: 1 << 14}
 	const floor, cap_ = 1, 4
 	st, err := stack.Build(stack.Spec{
 		Variant: "4lvl-nb", Per: perBig, Instances: 2,
 		Elastic: &elastic.Config{MinInstances: floor, MaxInstances: cap_},
+		Depot:   true,
 		Mapped:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mgr, m := st.Elastic, st.Multi
-	// The front-end goes on by hand, at 8-chunk magazines and with the
-	// depot drain hook stack.Build would register. At the default 32 the
-	// depot keeps up to 8 magazines of 32 16 KiB chunks (4 MiB) parked
-	// after the drain: they count as live, hold utilization above
-	// elastic.LowWater, and the fleet stops above its floor until a Scrub.
-	fe, err := frontend.New(st.Top, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr.OnDrainRange(fe.DrainDepotRange)
 
 	reconcile := func(phase string) {
 		t.Helper()
@@ -98,7 +89,7 @@ func TestMappedSawtoothAccountingReconciles(t *testing.T) {
 
 	// Ramp: allocate 16KiB chunks, polling so the manager can grow, until
 	// the fleet hits the cap and utilization is high.
-	h := fe.NewHandle()
+	h := st.Top.NewHandle()
 	var live []uint64
 	for i := 0; i < 4096 && (m.Instances() < cap_ || mgr.Utilization() < 0.8); i++ {
 		off, ok := h.Alloc(16 << 10)

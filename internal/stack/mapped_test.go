@@ -114,10 +114,10 @@ func TestMappedElasticMaterializedBytes(t *testing.T) {
 }
 
 // TestDepotDrainsBeforeWindowDecommit is the ordering fence end-to-end:
-// a draining instance whose chunks idle in the magazine depot cannot
-// retire — and therefore cannot decommit — until the drain hook returns
-// them, and a chunk pinned outside the depot keeps the window committed
-// through any number of polls.
+// a draining instance whose chunks idle in workers' magazines cannot
+// retire — and therefore cannot decommit — until the drain fence makes
+// the workers flush them, and a chunk pinned outside the magazines keeps
+// the window committed through any number of polls.
 func TestDepotDrainsBeforeWindowDecommit(t *testing.T) {
 	st, err := stack.Build(stack.Spec{
 		Variant: "4lvl-nb", Per: per, Instances: 2,
@@ -142,43 +142,49 @@ func TestDepotDrainsBeforeWindowDecommit(t *testing.T) {
 		pins[k] = off
 	}
 
-	// Park depot magazines holding instance-0 and instance-1 chunks: three
-	// magazines' worth of frees per instance overflow the handle's
-	// magazines into the depot.
-	for k := 0; k < 2; k++ {
+	// Worker k parks instance-k chunks in its magazine: fewer than a
+	// magazine holds, so none drains, and the worker then goes idle.
+	const parked = frontend.DefaultMagazine / 2
+	workers := make([]*frontend.Handle, 2)
+	for k := range workers {
 		rh := m.NewHandleOn(k)
-		var offs []uint64
-		for i := 0; i < 3*frontend.DefaultMagazine; i++ {
+		workers[k] = fe.NewHandle().(*frontend.Handle)
+		for i := 0; i < parked; i++ {
 			off, ok := rh.Alloc(128)
 			if !ok {
 				t.Fatalf("alloc on instance %d failed", k)
 			}
-			offs = append(offs, off)
+			workers[k].Free(off)
 		}
-		fh := fe.NewHandle().(*frontend.Handle)
-		for _, off := range offs {
-			fh.Free(off)
-		}
-		// Leave only depot-parked residency: per-worker magazines are
-		// single-owner state the drain hook cannot touch, so they are
-		// flushed here (the "worker churns or flushes" path).
-		fh.Flush()
-	}
-	if fe.Depot().Retained() == 0 {
-		t.Fatal("setup parked nothing in the depot")
 	}
 
 	victim, err := mgr.Shrink()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The Shrink step already ran the drain hook: no chunk of the victim's
-	// window may still be parked, yet the pinned chunk blocks retirement,
-	// so the window MUST still be committed.
-	lo := uint64(victim) * m.InstanceSpan()
-	hi := lo + m.InstanceSpan()
+	// The Shrink step armed the drain fence, but the workers are idle:
+	// the parked chunks stay live, and the window MUST stay committed.
+	for i := 0; i < 3; i++ {
+		mgr.Poll()
+	}
+	if got := m.InstanceInfos()[victim].Live; got != 1+parked {
+		t.Fatalf("victim live = %d with idle workers, want the pin and %d parked", got, parked)
+	}
+	if !st.Mem.Committed(victim) {
+		t.Fatal("window decommitted while idle magazines still held its chunks")
+	}
+
+	// One operation per worker trips the fence: the victim's chunks go
+	// back down and only the pin keeps the window committed.
+	for _, w := range workers {
+		off, ok := w.Alloc(128)
+		if !ok {
+			t.Fatal("worker alloc after the drain started failed")
+		}
+		w.Free(off)
+	}
 	if got := m.InstanceInfos()[victim].Live; got != 1 {
-		t.Fatalf("victim live = %d after the depot drain, want just the pin", got)
+		t.Fatalf("victim live = %d after the fence flushed the workers, want just the pin", got)
 	}
 	for i := 0; i < 3; i++ {
 		mgr.Poll()
@@ -198,15 +204,5 @@ func TestDepotDrainsBeforeWindowDecommit(t *testing.T) {
 	}
 	if s := st.Mem.Stats(); s.Decommits != 1 {
 		t.Fatalf("decommit accounting: %+v", s)
-	}
-	// Nothing of the victim's window survives anywhere in the depot.
-	if n := fe.Depot().Retained(); n > 0 {
-		for _, mag := range fe.Depot().DrainAll() {
-			for _, off := range mag {
-				if off >= lo && off < hi {
-					t.Fatalf("offset %#x of the decommitted window parked in the depot", off)
-				}
-			}
-		}
 	}
 }

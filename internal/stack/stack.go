@@ -59,11 +59,10 @@ type Spec struct {
 	// fleet bounds under the watermark rule (Instances is the initial
 	// set). Requires Instances >= 1.
 	Elastic *elastic.Config
-	// Depot inserts the caching front-end: per-worker magazines whose
-	// full and empty magazines are exchanged with a per-size-class depot
-	// in O(1), and whose refills/drains cross into the back-end as batches
-	// through the alloc.BatchAllocator contract, at the default magazine
-	// and depot capacities.
+	// Depot inserts the caching front-end: per-worker magazines at the
+	// default capacity whose refills and drains cross into the back-end as
+	// batches through the alloc.BatchAllocator contract. The name survives
+	// from the shared magazine depot the front-end no longer has.
 	Depot bool
 	// Slab inserts the size-class layer above the caching front-end (or
 	// whatever sits below it): requests up to slab.DefaultCutoff (clamped
@@ -223,9 +222,9 @@ func Build(s Spec) (*Stack, error) {
 		st.Frontend = fe
 		st.Top = fe
 		if st.Elastic != nil {
-			// Depot cooperation: a shrink must be able to pull depot-parked
-			// magazines of the draining instance back down, or its live
-			// count never reaches zero.
+			// Magazine cooperation: a shrink must be able to make workers
+			// flush magazines holding the draining instance's chunks, or
+			// its live count never reaches zero.
 			st.Elastic.OnDrainRange(fe.DrainDepotRange)
 		}
 		if err := probe("frontend"); err != nil {
@@ -264,7 +263,7 @@ func Build(s Spec) (*Stack, error) {
 		}
 		s.Faults.SetEventSink(s.Telemetry.Sink("fault"))
 		if st.Frontend != nil {
-			st.Frontend.Depot().SetEventSink(s.Telemetry.Sink("depot"))
+			st.Frontend.SetEventSink(s.Telemetry.Sink("depot"))
 		}
 		if st.Slab != nil {
 			st.Slab.SetEventSink(s.Telemetry.Sink("slab"))
@@ -312,9 +311,9 @@ func (st *Stack) LayerStats() []alloc.LayerStats { return alloc.StackStats(st.To
 var composites = []string{
 	"multi4+4lvl-nb",
 	// The size-class layer over a bare leaf, over the caching front-end
-	// with its shared magazine depot (a run is one chunk from the
-	// front-end's uncached convenience Alloc, so runs never touch a
-	// magazine or the depot), and over the full mapped elastic stack
+	// (a run is one chunk from the front-end's uncached convenience
+	// Alloc, so runs never touch a magazine), and over the full mapped
+	// elastic stack
 	// (runs participate in retirement via the DrainRange fence). The
 	// front-end has no label of its own: the shipping stack puts the slab
 	// over it.

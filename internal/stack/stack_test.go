@@ -15,10 +15,11 @@ import (
 var per = alloc.Config{Total: 1 << 18, MinSize: 64, MaxSize: 1 << 14}
 
 // TestStatsReconcile drives a caching + multi stack and checks that the
-// per-layer counters reconcile: every front-end allocation was served
-// either by a magazine hit or by a depot miss's batch refill, every
-// back-end allocation arrived in such a refill, and the routing layer saw
-// exactly the back-end's traffic.
+// per-layer counters reconcile: every front-end allocation attempt was a
+// magazine hit or a miss's batch refill, every back-end allocation
+// arrived in such a refill, every back-end free was a drained or flushed
+// magazine chunk, and the routing layer saw exactly the back-end's
+// traffic.
 func TestStatsReconcile(t *testing.T) {
 	st, err := stack.Build(stack.Spec{
 		Variant: "4lvl-nb", Per: per,
@@ -53,7 +54,6 @@ func TestStatsReconcile(t *testing.T) {
 
 	front := st.Frontend.Stats()
 	cache := st.Frontend.CacheTotals()
-	depot := st.Frontend.Depot().Stats()
 	router := st.Multi.Stats() // aggregated instance (back-end) counters
 
 	// Every alloc attempt that reached the magazines either hit or missed.
@@ -61,23 +61,23 @@ func TestStatsReconcile(t *testing.T) {
 		t.Fatalf("Hits+Misses = %d, want front-end attempts %d",
 			got, front.Allocs+front.AllocFails)
 	}
-	// Front-end successes decompose into magazine serves (depot exchanges
-	// included) + one chunk of each batch refill.
-	if front.Allocs != cache.Hits+depot.Refills {
-		t.Fatalf("front-end Allocs %d != Hits %d + batch refills %d",
-			front.Allocs, cache.Hits, depot.Refills)
+	// The back-end is reached only by the successful refills, each of at
+	// most half a magazine.
+	refills := cache.Misses - front.AllocFails
+	if router.Allocs < refills || router.Allocs > refills*frontend.DefaultMagazine/2 {
+		t.Fatalf("back-end Allocs %d outside [%d, %d] for %d refills",
+			router.Allocs, refills, refills*frontend.DefaultMagazine/2, refills)
 	}
-	// The back-end is reached only by those refills.
-	if router.Allocs != depot.RefilledChunks {
-		t.Fatalf("back-end Allocs %d != refilled chunks %d", router.Allocs, depot.RefilledChunks)
+	// Back-end frees are exactly the chunks drained from full magazines.
+	if router.Frees != cache.Spills {
+		t.Fatalf("back-end Frees %d != drained chunks %d", router.Frees, cache.Spills)
 	}
-	// What the magazines and the depot did not absorb or still hold went
-	// back down: back-end frees are the drains plus flushes.
-	st.Scrub() // flush magazines, drain the depot
+	// What the magazines still hold goes down on Scrub, as flushes.
+	st.Scrub()
 	routerAfter := st.Multi.Stats()
-	if routerAfter.Allocs != routerAfter.Frees {
-		t.Fatalf("back-end unbalanced after flush: %d allocs vs %d frees",
-			routerAfter.Allocs, routerAfter.Frees)
+	if routerAfter.Allocs != routerAfter.Frees || routerAfter.Frees != st.Frontend.CacheTotals().Spills {
+		t.Fatalf("back-end after flush: %d allocs, %d frees, %d spills",
+			routerAfter.Allocs, routerAfter.Frees, st.Frontend.CacheTotals().Spills)
 	}
 	// The routing layer's handle-level view matches the instance fleet.
 	layers := st.LayerStats()
@@ -92,14 +92,15 @@ func TestStatsReconcile(t *testing.T) {
 }
 
 // TestScrubDrainsParkedMagazines: a worker that frees more chunks than
-// its magazine holds parks full magazines in the depot, and Scrub must
-// hand them back down, so every layer ends balanced and the depot empty.
+// its magazine holds drains one whole magazine and keeps the next one
+// parked, and Scrub must hand that one back down, so every layer ends
+// balanced and the magazines empty.
 func TestScrubDrainsParkedMagazines(t *testing.T) {
 	st, err := stack.Build(stack.Spec{Variant: "4lvl-nb", Per: per, Depot: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := st.Top.NewHandle()
+	h := st.Top.NewHandle().(*frontend.Handle)
 	var live []uint64
 	for i := 0; i < 2*frontend.DefaultMagazine; i++ {
 		off, ok := h.Alloc(64)
@@ -111,12 +112,12 @@ func TestScrubDrainsParkedMagazines(t *testing.T) {
 	for _, off := range live {
 		h.Free(off)
 	}
-	if st.Frontend.Depot().Retained() == 0 {
-		t.Fatalf("no magazine parked in the depot after %d frees into a %d-chunk magazine", len(live), frontend.DefaultMagazine)
+	if h.Cached() == 0 || h.CacheStats().Spills == 0 {
+		t.Fatalf("%d frees into a %d-chunk magazine: %d cached, %d drained", len(live), frontend.DefaultMagazine, h.Cached(), h.CacheStats().Spills)
 	}
 	st.Scrub()
-	if n := st.Frontend.Depot().Retained(); n != 0 {
-		t.Fatalf("depot retains %d chunks after Scrub", n)
+	if n := h.Cached(); n != 0 {
+		t.Fatalf("magazines hold %d chunks after Scrub", n)
 	}
 	for _, l := range st.LayerStats() {
 		if l.Stats.Allocs != l.Stats.Frees {

@@ -63,7 +63,7 @@ func TestDifferentialTelemetry(t *testing.T) {
 // TestTelemetryProbesRecord pins the wiring end to end: a probed stack
 // reports non-zero samples at its boundaries after handle traffic, the
 // probe keeps the stack's name unchanged, and the flight recorder holds
-// whatever lifecycle events the run produced.
+// the front-end's magazine drains under the "depot" source.
 func TestTelemetryProbesRecord(t *testing.T) {
 	reg := telemetry.New()
 	st, err := stack.Build(stack.Spec{
@@ -109,6 +109,15 @@ func TestTelemetryProbesRecord(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatalf("no samples recorded at any boundary (interval %d, %d ops)", telemetry.SampleInterval, 2*len(offs))
+	}
+	drains := 0
+	for _, ev := range reg.Ring().Events() {
+		if ev.Source == "depot" && ev.Event == "drain" {
+			drains++
+		}
+	}
+	if drains == 0 {
+		t.Errorf("no depot drain event in the flight recorder after %d frees", len(offs))
 	}
 	boundaries := map[string]bool{}
 	for _, ll := range reg.Latencies() {

@@ -216,7 +216,7 @@ func (o *Oracle) allocOne(serve func(uint64) (uint64, bool), size uint64, how st
 // answer. The op mix:
 //
 //   - single and batched allocs and frees through a per-worker handle, so
-//     front-end magazines, the depot and native batching engage; half the
+//     front-end magazines and native batching engage; half the
 //     batches are 7, 8 or 9 chunks — one lane short of a packed status
 //     word, one word, one lane past it — and half of those are followed
 //     by a Scrub and a ChunkSize re-check of every live chunk;
@@ -309,7 +309,7 @@ func (o *Oracle) Walk(src rand.Source, steps int) bool {
 }
 
 // Drain frees every live chunk, newest first, as one batch through the
-// walk's first handle, then Scrubs so magazines and depots hand their
+// walk's first handle, then Scrubs so magazines hand their
 // chunks back down. A panic in either is reported as Walk reports one.
 func (o *Oracle) Drain() {
 	o.handles()

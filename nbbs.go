@@ -26,7 +26,7 @@
 // be wrapped by any combination of composable layers, all described by
 // the one Config — Backing.Instances adds the multi-instance
 // (NUMA-style) router, Frontend.Depot adds per-worker caching
-// magazines with their shared depot, and Backing.Mapped backs the
+// magazines, and Backing.Mapped backs the
 // router's offset windows with real bytes so AllocBytes can hand out
 // slices. The layers compose freely, including the full production
 // deployment the paper's conclusions describe:
@@ -37,7 +37,7 @@
 //	        Instances: 4,    // one back-end per NUMA node
 //	        Mapped:    true, // real memory behind the offsets
 //	    },
-//	    Frontend: nbbs.FrontendConfig{Depot: true}, // per-worker magazines + depot
+//	    Frontend: nbbs.FrontendConfig{Depot: true}, // per-worker magazines
 //	})
 //	...
 //	h := b.NewHandle() // one per worker goroutine; caching under Frontend.Depot
@@ -161,21 +161,21 @@ type BackingConfig struct {
 }
 
 // FrontendConfig describes the layers above the router: per-worker
-// caching magazines with the shared depot, and the size-class slab. The
-// zero value adds none of them.
+// caching magazines and the size-class slab. The zero value adds none of
+// them.
 type FrontendConfig struct {
-	// Depot layers per-worker caching magazines with their shared depot
-	// over the back-end: every NewHandle becomes a caching handle, frees
-	// park chunks in magazines served back to later allocations, so most
-	// operations never reach the back-end. An overflowing magazine is
-	// parked whole in a per-size-class global depot in O(1), and a worker
-	// running dry grabs a full one back the same way — the cross-thread
-	// hand-off cost of remote frees becomes one pointer swap per magazine
-	// instead of a back-end round trip per chunk. Depot misses and
-	// overflows cross into the back-end as batches (AllocBatch/FreeBatch).
-	// A caching handle does not detect a double free: the second Free
-	// parks the offset again and two later Allocs return it to two
-	// owners. Slab objects and the Buddy's own Free still panic.
+	// Depot layers per-worker caching magazines over the back-end: every
+	// NewHandle becomes a caching handle, frees park chunks in magazines
+	// served back to later allocations, so most operations never reach
+	// the back-end. An empty magazine refills with one back-end
+	// AllocBatch of half a magazine, and a full one drains whole with one
+	// FreeBatch, so the non-blocking leaves take every cross-thread
+	// hand-off themselves, a batch at a time. The name survives from the
+	// shared per-class depot of full magazines that the front-end no
+	// longer has (DESIGN.md, "Magazines over the non-blocking
+	// back-end"). A caching handle does not detect a double free: the
+	// second Free parks the offset again and two later Allocs return it
+	// to two owners. Slab objects and the Buddy's own Free still panic.
 	Depot bool
 	// Slab layers the size-class slab over the stack (above the caching
 	// front-end, when present): requests up to the cutoff are served from
@@ -365,7 +365,7 @@ func (b *Buddy) NewHandle() Handle { return b.st.Top.NewHandle() }
 
 // AllocBatch reserves up to n chunks of at least size bytes in one call
 // through the stack's bulk-transfer contract: layers with native batching
-// (the non-blocking leaves, the router, the depot) serve it in one
+// (the non-blocking leaves, the router, the front-end) serve it in one
 // crossing each, the rest are served chunk-at-a-time. A short (possibly
 // empty) result means the instance could not serve the remainder.
 func (b *Buddy) AllocBatch(size uint64, n int) []uint64 {
@@ -375,18 +375,6 @@ func (b *Buddy) AllocBatch(size uint64, n int) []uint64 {
 // FreeBatch releases a batch of previously allocated chunks in one call;
 // like Free, releasing an offset that is not currently allocated panics.
 func (b *Buddy) FreeBatch(offsets []uint64) { alloc.FreeBatchOf(b.st.Top, offsets) }
-
-// DepotStats are the shared magazine depot's counters; see Buddy.DepotStats.
-type DepotStats = frontend.DepotStats
-
-// DepotStats returns the depot counters of a stack built with
-// Frontend.Depot; ok is false otherwise. Quiescent points only.
-func (b *Buddy) DepotStats() (DepotStats, bool) {
-	if b.st.Frontend == nil {
-		return DepotStats{}, false
-	}
-	return b.st.Frontend.Depot().Stats(), true
-}
 
 // Stats aggregates operation counters across all handles at the top
 // layer of the stack; call it at quiescent points (not concurrently with

@@ -397,18 +397,18 @@ func TestComposedStackEndToEnd(t *testing.T) {
 	if layers[0].Extra["hits"] == 0 {
 		t.Fatal("magazines absorbed no traffic")
 	}
-	// After Scrub flushed the magazines and drained the depot, the
-	// back-end must balance too.
+	// After Scrub flushed the magazines, the back-end must balance too.
 	back := layers[2].Stats
 	if back.Allocs != back.Frees {
 		t.Fatalf("back-end leaked: %d allocs vs %d frees", back.Allocs, back.Frees)
 	}
 }
 
-// TestDepotStackEndToEnd drives the depot-backed production composition
-// through the facade: O(1) magazine exchanges between workers, bulk
-// alloc/free through the batched contract, depot counters via
-// DepotStats and LayerStats, and full reclamation on Scrub.
+// TestDepotStackEndToEnd drives the caching production composition
+// through the facade: bulk alloc/free through the batched contract, a
+// producer whose magazine refills in batches and a consumer whose
+// magazine drains in batches, the front-end counters via LayerStats, and
+// full reclamation on Scrub.
 func TestDepotStackEndToEnd(t *testing.T) {
 	b, err := nbbs.New(with(func(c *nbbs.Config) {
 		c.Backing.Instances = 4
@@ -438,8 +438,9 @@ func TestDepotStackEndToEnd(t *testing.T) {
 	}
 	b.FreeBatch(batch)
 
-	// A producer/consumer pair across handles exercises the depot
-	// exchange path: the consumer frees what the producer allocated.
+	// A producer/consumer pair across handles: the consumer frees what
+	// the producer allocated, so one only refills and the other only
+	// drains.
 	producer, consumer := b.NewHandle(), b.NewHandle()
 	ring := make(chan uint64, 256)
 	var wg sync.WaitGroup
@@ -461,24 +462,25 @@ func TestDepotStackEndToEnd(t *testing.T) {
 	}()
 	wg.Wait()
 
-	ds, ok := b.DepotStats()
-	if !ok {
-		t.Fatal("DepotStats not available on a depot stack")
-	}
-	if ds.FullPushes == 0 || ds.FullPops == 0 {
-		t.Fatalf("depot exchanged no magazines: %+v", ds)
-	}
-	if !b.Scrub() {
-		t.Fatal("non-blocking leaves should scrub")
-	}
 	layers := b.LayerStats()
 	if layers[0].Layer != "depot" {
 		t.Fatalf("top layer = %q, want depot", layers[0].Layer)
 	}
-	if layers[0].Extra["depot_retained_chunks"] != 0 {
-		t.Fatalf("depot retained %d chunks after Scrub", layers[0].Extra["depot_retained_chunks"])
+	fe := layers[0].Extra
+	if fe["misses"] == 0 || fe["depot_batch_refills"] != fe["misses"] {
+		t.Fatalf("front-end refills: misses %d, depot_batch_refills %d", fe["misses"], fe["depot_batch_refills"])
 	}
-	back := layers[2].Stats
+	if fe["spills"] == 0 || fe["depot_drained_chunks"] != fe["spills"] {
+		t.Fatalf("front-end drains: spills %d, depot_drained_chunks %d", fe["spills"], fe["depot_drained_chunks"])
+	}
+	// Every back-end free so far is the bulk FreeBatch or a drained chunk.
+	if got := layers[2].Stats.Frees; got != uint64(len(batch))+fe["spills"] {
+		t.Fatalf("back-end frees = %d, want %d batch + %d drained", got, len(batch), fe["spills"])
+	}
+	if !b.Scrub() {
+		t.Fatal("non-blocking leaves should scrub")
+	}
+	back := b.LayerStats()[2].Stats
 	if back.Allocs != back.Frees {
 		t.Fatalf("back-end leaked: %d allocs vs %d frees", back.Allocs, back.Frees)
 	}
